@@ -7,7 +7,6 @@
 #include "core/delay_bound.hpp"
 #include "flitsim/flit_sim.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "topo/torus.hpp"
@@ -21,14 +20,6 @@ const char* to_string(TopoKind kind) {
     case TopoKind::kMesh: return "mesh";
     case TopoKind::kTorus: return "torus";
     case TopoKind::kHypercube: return "hypercube";
-  }
-  return "?";
-}
-
-const char* to_string(SimBackend backend) {
-  switch (backend) {
-    case SimBackend::kIdeal: return "ideal";
-    case SimBackend::kFlit: return "flit-accurate";
   }
   return "?";
 }
@@ -68,6 +59,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
     std::map<Priority, LevelAccum, std::greater<>> levels;
     int silent_streams = 0;
     int capped_bounds = 0;
+    std::int64_t messages_checked = 0;
     std::int64_t bound_violations = 0;
     std::int64_t messages_measured = 0;
     int adjust_iterations = 0;
@@ -102,18 +94,33 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
       }
     }
 
-    const auto count_arrival = [&](StreamId stream, Time delay) {
-      ++out.messages_measured;
-      if (delay > adjusted.bounds[static_cast<std::size_t>(stream)]) {
+    flitsim::FlitSimConfig fc;
+    fc.duration = params.sim_duration;
+    fc.warmup = params.sim_warmup;
+    fc.vc_mode = params.policy;
+    fc.num_vcs = params.num_vcs_override;
+    fc.vc_buffer_depth = params.vc_buffer_depth;
+    // Every delivery is checked against its bound, warm-up included: the
+    // synchronized t = 0 release is the analysis' critical instant.
+    fc.on_delivery = [&](StreamId stream, Time generated, Time delivered) {
+      ++out.messages_checked;
+      if (delivered - generated >
+          adjusted.bounds[static_cast<std::size_t>(stream)]) {
         ++out.bound_violations;
       }
     };
-    const auto count_stream = [&](const core::MessageStream& s,
-                                  std::int64_t completed, double actual) {
-      if (completed == 0) {
+    flitsim::FlitSimulator sim(mesh, streams, fc);
+    const flitsim::FlitSimResult fr = sim.run();
+    out.retransmissions = fr.retransmissions;
+    out.flits_dropped = fr.flits_dropped;
+    for (const auto& s : streams) {
+      const auto& st = fr.per_stream[static_cast<std::size_t>(s.id)];
+      out.messages_measured += st.completed;
+      if (st.completed == 0) {
         ++out.silent_streams;
-        return;
+        continue;
       }
+      const double actual = st.latency.mean();
       const auto bound = static_cast<double>(
           adjusted.bounds[static_cast<std::size_t>(s.id)]);
       const double ratio = actual / bound;
@@ -124,44 +131,6 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
       acc.ratio_max = std::max(acc.ratio_max, ratio);
       acc.actual_sum += actual;
       acc.bound_sum += bound;
-    };
-
-    if (params.backend == SimBackend::kFlit) {
-      flitsim::FlitSimConfig fc;
-      fc.duration = params.sim_duration;
-      fc.warmup = params.sim_warmup;
-      fc.vc_buffer_depth = params.vc_buffer_depth;
-      fc.record_arrivals = true;
-      flitsim::FlitSimulator sim(mesh, streams, fc);
-      const flitsim::FlitSimResult fr = sim.run();
-      for (const auto& a : fr.arrivals) {
-        count_arrival(a.stream, a.delivered - a.generated);
-      }
-      for (const auto& s : streams) {
-        const auto& st = fr.per_stream[static_cast<std::size_t>(s.id)];
-        count_stream(s, st.completed, st.latency.mean());
-      }
-    } else {
-      sim::SimConfig sc;
-      sc.duration = params.sim_duration;
-      sc.warmup = params.sim_warmup;
-      sc.policy = params.policy;
-      sc.num_vcs = params.num_vcs_override > 0
-                       ? params.num_vcs_override
-                       : std::max(params.priority_levels, 1);
-      sc.vc_buffer_depth = params.vc_buffer_depth;
-      sc.record_arrivals = true;
-      sim::Simulator sim(mesh, streams, sc);
-      const sim::SimResult sr = sim.run();
-      out.retransmissions = sr.retransmissions;
-      out.flits_dropped = sr.flits_dropped;
-      for (const auto& a : sr.arrivals) {
-        count_arrival(a.stream, a.arrived - a.generated);
-      }
-      for (const auto& s : streams) {
-        const auto& st = sr.per_stream[static_cast<std::size_t>(s.id)];
-        count_stream(s, st.completed, st.latency.mean());
-      }
     }
   });
 
@@ -169,6 +138,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   for (const RepOutcome& out : outcomes) {
     result.silent_streams += out.silent_streams;
     result.capped_bounds += out.capped_bounds;
+    result.messages_checked += out.messages_checked;
     result.bound_violations += out.bound_violations;
     result.messages_measured += out.messages_measured;
     result.adjust_iterations =
@@ -214,12 +184,9 @@ std::string format_table(const ExperimentParams& params,
          std::to_string(params.num_streams) + " streams, " +
          std::to_string(params.priority_levels) + " priority level(s), " +
          std::to_string(params.replications) + " replication(s), " +
-         std::string(core::to_string(params.pattern)) + " traffic, " +
-         (params.backend == SimBackend::kFlit
-              ? "flit-accurate backend (depth " +
-                    std::to_string(params.vc_buffer_depth) + ")"
-              : "policy " + std::string(sim::to_string(params.policy))) +
-         "\n";
+         std::string(core::to_string(params.pattern)) + " traffic, flitsim " +
+         flitsim::to_string(params.policy) + ", depth-" +
+         std::to_string(params.vc_buffer_depth) + " buffers\n";
   util::Table table({"P", "streams", "ratio(actual/U)", "min", "max",
                      "avg actual", "avg U"});
   for (const auto& row : result.rows) {
@@ -234,6 +201,8 @@ std::string format_table(const ExperimentParams& params,
   }
   out += table.to_ascii();
   out += "messages measured: " + std::to_string(result.messages_measured) +
+         " (post-warm-up), deliveries checked: " +
+         std::to_string(result.messages_checked) +
          ", bound violations: " + std::to_string(result.bound_violations) +
          ", silent streams: " + std::to_string(result.silent_streams) +
          ", capped bounds: " + std::to_string(result.capped_bounds) + "\n";

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/workload.hpp"
-#include "sim/sim_config.hpp"
+#include "flitsim/flit_config.hpp"
 
 /// \file experiment.hpp
 /// The Section 5 evaluation pipeline shared by the table benches:
@@ -12,8 +12,9 @@
 ///      T ~ U[40,90], uniform priorities, X-Y routing);
 ///   2. raise periods to the computed bounds where U_i > T_i;
 ///   3. compute the final delay upper bound U_i of every stream;
-///   4. simulate 30000 flit times (2000 warm-up) under flit-level
-///      preemptive priority switching with one VC per priority level;
+///   4. simulate 30000 flit times (2000 warm-up) through the flit-accurate
+///      router (flitsim: credit flow control, finite VC buffers) under
+///      flit-level preemptive priority switching;
 ///   5. report, per priority level, the ratio of the actual average
 ///      transmission delay to the bound (the paper's table metric).
 
@@ -24,20 +25,6 @@ namespace wormrt::bench {
 enum class TopoKind { kMesh, kTorus, kHypercube };
 
 const char* to_string(TopoKind kind);
-
-/// Which simulation backend measures the workload.
-enum class SimBackend {
-  /// sim::Simulator — idealized preemptive channels (infinite effective
-  /// buffering, no flow control); `policy` and `num_vcs_override` apply.
-  kIdeal,
-  /// flitsim::FlitSimulator — event-driven flit-accurate router: real
-  /// per-VC buffers of `vc_buffer_depth`, credit flow control, single
-  /// injection/ejection ports, per-stream lanes (DESIGN.md §12).
-  /// `policy` and `num_vcs_override` are ignored.
-  kFlit,
-};
-
-const char* to_string(SimBackend backend);
 
 struct ExperimentParams {
   int num_streams = 20;
@@ -51,21 +38,19 @@ struct ExperimentParams {
   int mesh_height = 10;   ///< mesh/torus dimension 1
   int hypercube_order = 6;
   core::TrafficPattern pattern = core::TrafficPattern::kUniform;
-  SimBackend backend = SimBackend::kIdeal;
   Time sim_duration = 30000;
   Time sim_warmup = 2000;
   /// Default is the work-conserving per-stream-lane idealisation whose
-  /// interference accounting matches Cal_U; pass
-  /// kPriorityPreemptive for the strict one-VC-per-priority hardware
-  /// model (same-priority VC sharing then adds blocking the analysis
-  /// does not charge — see EXPERIMENTS.md and the policy ablation).
-  sim::ArbPolicy policy = sim::ArbPolicy::kIdealPreemptive;
-  /// Flit buffer depth per VC (1 = canonical wormhole).  Bounds hold at
-  /// depth 1 as long as the analysis models the node ports as shared
-  /// resources (AnalysisConfig::*_port_overlap); without port modelling
-  /// the depth-1 pipeline coupling breaks the bound by orders of
-  /// magnitude — see the buffer-depth ablation and EXPERIMENTS.md.
-  int vc_buffer_depth = 1;
+  /// interference accounting matches Cal_U; pass kPerPriority for the
+  /// strict one-VC-per-priority hardware model (same-priority VC sharing
+  /// then adds blocking the analysis does not charge — see
+  /// EXPERIMENTS.md and the policy ablation) or one of the baselines.
+  flitsim::VcMode policy = flitsim::VcMode::kPerStreamLane;
+  /// Flit buffer depth per VC.  Depth 1 (canonical wormhole) exposes the
+  /// 2-cycle credit round trip the analysis does not model, so it lies
+  /// outside the bound's validity domain; depth >= 2 hides it — see the
+  /// buffer-depth ablation and EXPERIMENTS.md.
+  int vc_buffer_depth = 2;
   /// Virtual channels per physical channel; 0 means "one per priority
   /// level" (the paper's provisioning).  Song's throttle-and-preempt
   /// policy is the reason to set it lower.
@@ -94,9 +79,12 @@ struct ExperimentResult {
   int silent_streams = 0;
   /// Streams whose bound hit the horizon cap.
   int capped_bounds = 0;
-  /// Simulated messages whose delay exceeded the stream's bound
-  /// (soundness check; expected 0).
+  /// Delivered messages — warm-up included, so the synchronized t = 0
+  /// release (the analysis' critical instant) is checked — and those
+  /// whose delay exceeded the stream's bound (expected 0).
+  std::int64_t messages_checked = 0;
   std::int64_t bound_violations = 0;
+  /// Messages generated after the warm-up: the ratio columns' sample.
   std::int64_t messages_measured = 0;
   int adjust_iterations = 0;
   /// Throttle-and-preempt only: wasted flits and whole-message

@@ -32,13 +32,13 @@ inline int run_table_bench(int argc, char** argv, ExperimentParams params,
   params.analysis.injection_port_overlap = ports;
   const std::string policy = args.get_string("policy", "ideal");
   if (policy == "ideal") {
-    params.policy = sim::ArbPolicy::kIdealPreemptive;
+    params.policy = flitsim::VcMode::kPerStreamLane;
   } else if (policy == "vc") {
-    params.policy = sim::ArbPolicy::kPriorityPreemptive;
+    params.policy = flitsim::VcMode::kPerPriority;
   } else if (policy == "li") {
-    params.policy = sim::ArbPolicy::kLiVc;
+    params.policy = flitsim::VcMode::kLiVc;
   } else if (policy == "fcfs") {
-    params.policy = sim::ArbPolicy::kNonPreemptiveFcfs;
+    params.policy = flitsim::VcMode::kFcfs;
   } else {
     std::fprintf(stderr, "unknown --policy '%s' (ideal|vc|li|fcfs)\n",
                  policy.c_str());

@@ -5,7 +5,13 @@
 // and retransmitted messages.  This bench pits the two router designs
 // against each other on the Table-3 workload: the per-priority scheme
 // with 4 VCs versus throttle-and-preempt with 1..4 VCs.
+//
+// Exits 1 when the expected shape breaks: throttle-and-preempt's P3
+// delay must stay within 10 % of the per-priority router's at every VC
+// count, and its retransmissions must be positive at 1 VC and never
+// rise as VCs are added.
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/experiment.hpp"
@@ -19,7 +25,12 @@ int main() {
   util::Table table({"router", "VCs", "P3 actual", "P0 actual",
                      "retransmits", "wasted flits", "violations"});
 
-  const auto run = [&](const char* name, sim::ArbPolicy policy, int vcs) {
+  struct Row {
+    double top;
+    std::int64_t retransmissions;
+  };
+  const auto run = [&](const char* name, flitsim::VcMode policy,
+                       int vcs) -> Row {
     bench::ExperimentParams params;
     params.num_streams = 20;
     params.priority_levels = 4;
@@ -44,11 +55,28 @@ int main() {
         .cell(r.retransmissions)
         .cell(r.flits_dropped)
         .cell(r.bound_violations);
+    return Row{top, r.retransmissions};
   };
 
-  run("per-priority VCs (paper)", sim::ArbPolicy::kPriorityPreemptive, 4);
+  const Row paper = run("per-priority VCs (paper)",
+                        flitsim::VcMode::kPerPriority, 4);
+  bool shape_ok = true;
+  std::int64_t previous = 0;
   for (const int vcs : {1, 2, 3, 4}) {
-    run("throttle-and-preempt", sim::ArbPolicy::kThrottlePreempt, vcs);
+    const Row row =
+        run("throttle-and-preempt", flitsim::VcMode::kThrottlePreempt, vcs);
+    const bool top_close = std::abs(row.top - paper.top) <= 0.1 * paper.top;
+    const bool retransmits_ok = vcs == 1 ? row.retransmissions > 0
+                                         : row.retransmissions <= previous;
+    if (!top_close || !retransmits_ok) {
+      std::fprintf(stderr,
+                   "shape broken at %d VCs: P3 %.1f vs %.1f, %lld "
+                   "retransmissions\n",
+                   vcs, row.top, paper.top,
+                   static_cast<long long>(row.retransmissions));
+      shape_ok = false;
+    }
+    previous = row.retransmissions;
   }
   std::fputs(table.to_ascii().c_str(), stdout);
   std::printf(
@@ -56,6 +84,7 @@ int main() {
       "preemption-fast with as little as one VC, but pays in dropped "
       "flits and retransmissions that grow as VCs shrink; its throttled "
       "(one message per source) injection also stretches low-priority "
-      "delays under load.\n");
-  return 0;
+      "delays under load.  Shape %s.\n",
+      shape_ok ? "holds" : "BROKEN");
+  return shape_ok ? 0 : 1;
 }

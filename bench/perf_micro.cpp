@@ -1,4 +1,4 @@
-// Micro-benchmarks (google-benchmark): simulator throughput and the
+// Micro-benchmarks (google-benchmark): flit simulator throughput and the
 // analysis algorithms' scaling in the number of streams.
 
 #include <benchmark/benchmark.h>
@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "topo/mesh.hpp"
 
 namespace {
@@ -30,31 +29,7 @@ StreamSet make_workload(const topo::Mesh& mesh, int n, int levels) {
   return streams;
 }
 
-void BM_SimulatorRun(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  topo::Mesh mesh(10, 10);
-  const StreamSet streams = make_workload(mesh, n, 4);
-  sim::SimConfig cfg;
-  cfg.duration = 10000;
-  cfg.warmup = 0;
-  cfg.num_vcs = 4;
-  cfg.vc_buffer_depth = 8;
-  std::int64_t flits = 0;
-  for (auto _ : state) {
-    sim::Simulator sim(mesh, streams, cfg);
-    const auto result = sim.run();
-    flits += result.flits_ejected;
-    benchmark::DoNotOptimize(result.flits_ejected);
-  }
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(cfg.duration) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  state.counters["flits/s"] =
-      benchmark::Counter(static_cast<double>(flits), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulatorRun)->Arg(20)->Arg(60)->Unit(benchmark::kMillisecond);
-
-// Flit-accurate backend throughput (BENCH_flitsim.json): events/s and
+// Flit simulator throughput (BENCH_flitsim.json): events/s and
 // flits/s of the event-driven router as the mesh and the population
 // scale.  Args are {mesh side, streams}: the 32x32 row is the "large
 // mesh, thousands of flits in flight" regime the event queue and the

@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "core/message_stream.hpp"
+#include "flitsim/flit_sim.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "topo/mesh.hpp"
 #include "util/cli.hpp"
 
@@ -18,7 +18,7 @@ using namespace wormrt;
 
 namespace {
 
-void run_policy(const char* name, sim::ArbPolicy policy) {
+void run_policy(const char* name, flitsim::VcMode policy) {
   // A 6x4 mesh backplane.  Bulk telemetry (priority 0) streams down the
   // middle columns; periodic sensor frames (priority 1) cross them; the
   // emergency stop (priority 2) fires once at t = 500 from (0,1) to
@@ -42,19 +42,19 @@ void run_policy(const char* name, sim::ArbPolicy policy) {
   set.add(core::make_stream(mesh, xy, id++, mesh.node_at({0, 1}),
                             mesh.node_at({5, 1}), 2, 1 << 20, 4, 1 << 20));
 
-  sim::SimConfig cfg;
+  flitsim::FlitSimConfig cfg;
   cfg.duration = 2000;
   cfg.warmup = 0;
-  cfg.policy = policy;
+  cfg.vc_mode = policy;
   cfg.num_vcs = 3;
+  cfg.vc_buffer_depth = 2;
   cfg.explicit_phases = {0, 0, 0, 0, 500};
-  sim::Simulator simulator(mesh, set, cfg);
-  const sim::SimResult r = simulator.run();
+  flitsim::FlitSimulator simulator(mesh, set, cfg);
+  const flitsim::FlitSimResult r = simulator.run();
 
-  const auto& stop = r.per_stream[4];
-  std::printf("%-22s emergency stop delay: %4.0f flit times "
+  std::printf("%-22s emergency stop delay: %4lld flit times "
               "(contention-free: %lld)\n",
-              name, stop.latency.max(),
+              name, static_cast<long long>(r.per_stream[4].worst),
               static_cast<long long>(set[4].latency));
 }
 
@@ -66,20 +66,20 @@ int main(int argc, char** argv) {
   if (args.has("policy")) {
     const std::string p = args.get_string("policy", "ideal");
     if (p == "fcfs") {
-      run_policy("non-preemptive FCFS:", sim::ArbPolicy::kNonPreemptiveFcfs);
+      run_policy("non-preemptive FCFS:", flitsim::VcMode::kFcfs);
     } else if (p == "li") {
-      run_policy("Li's VC scheme:", sim::ArbPolicy::kLiVc);
+      run_policy("Li's VC scheme:", flitsim::VcMode::kLiVc);
     } else if (p == "vc") {
-      run_policy("preemptive VCs:", sim::ArbPolicy::kPriorityPreemptive);
+      run_policy("preemptive VCs:", flitsim::VcMode::kPerPriority);
     } else {
-      run_policy("ideal preemptive:", sim::ArbPolicy::kIdealPreemptive);
+      run_policy("ideal preemptive:", flitsim::VcMode::kPerStreamLane);
     }
     return 0;
   }
-  run_policy("non-preemptive FCFS:", sim::ArbPolicy::kNonPreemptiveFcfs);
-  run_policy("Li's VC scheme:", sim::ArbPolicy::kLiVc);
-  run_policy("preemptive VCs:", sim::ArbPolicy::kPriorityPreemptive);
-  run_policy("ideal preemptive:", sim::ArbPolicy::kIdealPreemptive);
+  run_policy("non-preemptive FCFS:", flitsim::VcMode::kFcfs);
+  run_policy("Li's VC scheme:", flitsim::VcMode::kLiVc);
+  run_policy("preemptive VCs:", flitsim::VcMode::kPerPriority);
+  run_policy("ideal preemptive:", flitsim::VcMode::kPerStreamLane);
   std::printf("\nFlit-level preemption (the paper's scheme) removes the "
               "inversion: the stop command no longer waits for bulk "
               "worms to drain.\n");

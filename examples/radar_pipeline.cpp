@@ -15,8 +15,8 @@
 
 #include "core/feasibility.hpp"
 #include "core/message_stream.hpp"
+#include "flitsim/flit_sim.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "topo/mesh.hpp"
 #include "util/cli.hpp"
 
@@ -93,21 +93,22 @@ int main(int argc, char** argv) {
               report.feasible ? "SCHEDULABLE" : "NOT schedulable");
 
   if (report.feasible) {
-    sim::SimConfig cfg;
+    flitsim::FlitSimConfig cfg;
     cfg.duration = 50000;
     cfg.warmup = 1000;
-    cfg.policy = sim::ArbPolicy::kPriorityPreemptive;
+    cfg.vc_mode = flitsim::VcMode::kPerPriority;
     cfg.num_vcs = 6;
-    sim::Simulator simulator(mesh, streams, cfg);
-    const sim::SimResult result = simulator.run();
+    cfg.vc_buffer_depth = 2;
+    flitsim::FlitSimulator simulator(mesh, streams, cfg);
+    const flitsim::FlitSimResult result = simulator.run();
     std::printf("\nSimulation check (50000 flit times):\n");
     bool all_met = true;
     for (const auto& s : streams) {
       const auto& st = result.per_stream[static_cast<std::size_t>(s.id)];
-      const bool met = st.latency.max() <= static_cast<double>(s.deadline);
+      const bool met = st.worst <= s.deadline;
       all_met = all_met && met;
-      std::printf("  %-12s worst delay %5.0f vs deadline %lld %s\n",
-                  kFlows[s.id].name, st.latency.max(),
+      std::printf("  %-12s worst delay %5lld vs deadline %lld %s\n",
+                  kFlows[s.id].name, static_cast<long long>(st.worst),
                   static_cast<long long>(s.deadline),
                   met ? "" : "  <-- MISSED");
     }

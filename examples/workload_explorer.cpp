@@ -11,8 +11,8 @@
 #include "core/delay_bound.hpp"
 #include "core/stream_io.hpp"
 #include "core/workload.hpp"
+#include "flitsim/flit_sim.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "topo/mesh.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -58,10 +58,11 @@ int main(int argc, char** argv) {
   const core::DelayBoundCalculator calc(streams, blocking, acfg);
 
   // Simulation.
-  sim::SimConfig scfg;
-  scfg.num_vcs = streams.max_priority() + 1;
-  sim::Simulator sim(mesh, streams, scfg);
-  const sim::SimResult result = sim.run();
+  flitsim::FlitSimConfig scfg;
+  scfg.vc_mode = flitsim::VcMode::kPerPriority;
+  scfg.vc_buffer_depth = 2;
+  flitsim::FlitSimulator sim(mesh, streams, scfg);
+  const flitsim::FlitSimResult result = sim.run();
 
   util::Table table({"stream", "P", "T", "C", "U", "avg delay",
                      "max delay", "margin"});
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   std::printf("\nHottest channels (%lld cycles):\n",
               static_cast<long long>(result.cycles_run));
   std::fputs(
-      sim::render_hot_channels(
+      flitsim::render_hot_channels(
           result,
           [&](std::size_t c) {
             const auto& ch =

@@ -18,6 +18,12 @@ const char* to_string(VcMode mode) {
       return "per-stream-lane";
     case VcMode::kPerPriority:
       return "per-priority";
+    case VcMode::kLiVc:
+      return "li-vc";
+    case VcMode::kFcfs:
+      return "fcfs";
+    case VcMode::kThrottlePreempt:
+      return "throttle-preempt";
   }
   return "?";
 }
@@ -30,10 +36,14 @@ FlitSimulator::FlitSimulator(const topo::Topology& topo,
   if (depth_ < 1) {
     throw std::invalid_argument("FlitSimulator: vc_buffer_depth must be >= 1");
   }
-  if (config_.vc_mode == VcMode::kPerPriority) {
+  if (config_.vc_mode == VcMode::kFcfs) {
+    num_vcs_ = 1;
+  } else if (config_.vc_mode != VcMode::kPerStreamLane) {
     num_vcs_ = config_.num_vcs > 0
                    ? config_.num_vcs
                    : static_cast<int>(streams_.max_priority()) + 1;
+  }
+  if (config_.vc_mode == VcMode::kPerPriority) {
     for (const auto& st : streams_) {
       if (st.priority < 0 || st.priority >= num_vcs_) {
         throw std::invalid_argument(
@@ -89,29 +99,32 @@ void FlitSimulator::build_vcs() {
   inj_count_.assign(num_nodes, 0);
   inj_base_.assign(num_nodes, 0);
 
-  if (config_.vc_mode == VcMode::kPerStreamLane) {
-    lanes_.assign(num_channels, {});
-    inj_lanes_.assign(num_nodes, {});
-    // Streams iterate in ascending id order, so every lane list comes out
-    // sorted — lane index lookups are binary searches.
-    for (const auto& st : streams_) {
+  const bool stream_lanes = config_.vc_mode == VcMode::kPerStreamLane;
+  const bool stream_injection = config_.vc_mode != VcMode::kPerPriority;
+  if (stream_lanes) lanes_.assign(num_channels, {});
+  if (stream_injection) inj_lanes_.assign(num_nodes, {});
+  // Streams iterate in ascending id order, so every lane list comes out
+  // sorted — lane index lookups are binary searches.
+  for (const auto& st : streams_) {
+    if (stream_lanes) {
       for (topo::ChannelId c : st.path.channels) {
         lanes_[static_cast<std::size_t>(c)].push_back(st.id);
       }
-      if (st.path.hops() > 0) {
-        inj_lanes_[static_cast<std::size_t>(st.src)].push_back(st.id);
-      }
     }
-    for (std::size_t c = 0; c < num_channels; ++c) {
-      vc_count_[c] = static_cast<std::int32_t>(lanes_[c].size());
+    if (stream_injection && st.path.hops() > 0) {
+      inj_lanes_[static_cast<std::size_t>(st.src)].push_back(st.id);
     }
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      inj_count_[n] = static_cast<std::int32_t>(inj_lanes_[n].size());
-    }
-  } else {
-    for (std::size_t c = 0; c < num_channels; ++c) vc_count_[c] = num_vcs_;
-    for (std::size_t n = 0; n < num_nodes; ++n) inj_count_[n] = num_vcs_;
   }
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    vc_count_[c] = stream_lanes ? static_cast<std::int32_t>(lanes_[c].size())
+                                : num_vcs_;
+  }
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    inj_count_[n] = stream_injection
+                        ? static_cast<std::int32_t>(inj_lanes_[n].size())
+                        : num_vcs_;
+  }
+  if (config_.vc_mode == VcMode::kLiVc) rr_.assign(num_channels, 0);
 
   std::int32_t total = 0;
   for (std::size_t c = 0; c < num_channels; ++c) {
@@ -138,17 +151,63 @@ std::int32_t FlitSimulator::out_vc_index(topo::ChannelId channel,
     const auto it = std::lower_bound(lane.begin(), lane.end(), stream);
     return vc_base_[c] + static_cast<std::int32_t>(it - lane.begin());
   }
+  if (config_.vc_mode == VcMode::kFcfs) return vc_base_[c];
   return vc_base_[c] + streams_[stream].priority;
 }
 
 std::int32_t FlitSimulator::inj_vc_index(StreamId stream) const {
   const auto n = static_cast<std::size_t>(streams_[stream].src);
-  if (config_.vc_mode == VcMode::kPerStreamLane) {
+  if (config_.vc_mode != VcMode::kPerPriority) {
     const auto& lane = inj_lanes_[n];
     const auto it = std::lower_bound(lane.begin(), lane.end(), stream);
     return inj_base_[n] + static_cast<std::int32_t>(it - lane.begin());
   }
   return inj_base_[n] + streams_[stream].priority;
+}
+
+Priority FlitSimulator::priority_of(const SrcRef& ref) const {
+  const std::int32_t packet =
+      ref.injection()
+          ? inj_vcs_[static_cast<std::size_t>(ref.vc)].packets.front()
+          : in_vcs_[static_cast<std::size_t>(
+                        vc_base_[static_cast<std::size_t>(ref.channel)] +
+                        ref.vc)]
+                .owner;
+  return streams_[pool_[static_cast<std::size_t>(packet)].stream].priority;
+}
+
+std::int32_t FlitSimulator::free_out_vc(topo::ChannelId channel, Priority pr,
+                                        StreamId s) const {
+  const auto c = static_cast<std::size_t>(channel);
+  const auto is_free = [&](std::int32_t v) {
+    return out_vcs_[static_cast<std::size_t>(vc_base_[c] + v)].owner == -1;
+  };
+  switch (config_.vc_mode) {
+    case VcMode::kLiVc:
+      // The highest free VC numbered <= the header's priority.
+      for (std::int32_t v = std::min<std::int32_t>(pr, vc_count_[c] - 1);
+           v >= 0; --v) {
+        if (is_free(v)) return v;
+      }
+      return -1;
+    case VcMode::kThrottlePreempt:
+      for (std::int32_t v = 0; v < vc_count_[c]; ++v) {
+        if (is_free(v)) return v;
+      }
+      return -1;
+    default: {
+      const std::int32_t v = out_vc_index(channel, s) - vc_base_[c];
+      return is_free(v) ? v : -1;
+    }
+  }
+}
+
+std::deque<SrcRef>& FlitSimulator::waiters_of(topo::ChannelId channel,
+                                              StreamId s) {
+  const std::int32_t global = shared_queue()
+                                  ? vc_base_[static_cast<std::size_t>(channel)]
+                                  : out_vc_index(channel, s);
+  return out_vcs_[static_cast<std::size_t>(global)].waiters;
 }
 
 Time FlitSimulator::phase_of(StreamId s) const {
@@ -259,14 +318,31 @@ void FlitSimulator::drain_credits(Router& r) {
 }
 
 void FlitSimulator::release_out_vc(topo::ChannelId channel, std::int32_t vc) {
-  OutVc& out = out_vcs_[static_cast<std::size_t>(vc_base_[static_cast<std::size_t>(channel)] + vc)];
+  const std::int32_t base = vc_base_[static_cast<std::size_t>(channel)];
+  OutVc& out = out_vcs_[static_cast<std::size_t>(base + vc)];
   out.owner = -1;
   out.tail_sent = false;
   out.src = SrcRef{};
-  if (!out.waiters.empty()) {
-    const SrcRef next = out.waiters.front();
-    out.waiters.pop_front();
-    grant(channel, vc, next, /*waited=*/true);
+  std::deque<SrcRef>& queue =
+      shared_queue() ? out_vcs_[static_cast<std::size_t>(base)].waiters
+                     : out.waiters;
+  auto next = queue.begin();
+  if (config_.vc_mode == VcMode::kLiVc) {
+    // First in line among the headers allowed onto VC `vc` (priority >= vc).
+    next = std::find_if(queue.begin(), queue.end(), [&](const SrcRef& w) {
+      return priority_of(w) >= vc;
+    });
+  } else if (config_.vc_mode == VcMode::kThrottlePreempt) {
+    // Highest priority first, FIFO among equals.
+    next = std::max_element(queue.begin(), queue.end(),
+                            [&](const SrcRef& a, const SrcRef& b) {
+                              return priority_of(a) < priority_of(b);
+                            });
+  }
+  if (next != queue.end()) {
+    const SrcRef who = *next;
+    queue.erase(next);
+    grant(channel, vc, who, /*waited=*/true);
   }
 }
 
@@ -359,7 +435,12 @@ void FlitSimulator::allocate_vcs(Router& r) {
   }
   for (std::int32_t gi : r.inj_active) {
     const InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
-    if (iv.packets.empty() || iv.out_vc != -1 || iv.requested) continue;
+    // sent != 0 without an out VC: a throttled source's message is still
+    // in flight.
+    if (iv.packets.empty() || iv.out_vc != -1 || iv.requested ||
+        iv.sent != 0) {
+      continue;
+    }
     const auto& st =
         streams_[pool_[static_cast<std::size_t>(iv.packets.front())].stream];
     reqs.push_back(
@@ -375,25 +456,102 @@ void FlitSimulator::allocate_vcs(Router& r) {
     return a.ref.vc < b.ref.vc;
   });
   for (const Req& req : reqs) {
-    const std::int32_t global = out_vc_index(req.target, req.st);
-    const std::int32_t local =
-        global - vc_base_[static_cast<std::size_t>(req.target)];
-    OutVc& out = out_vcs_[static_cast<std::size_t>(global)];
-    if (out.owner == -1) {
+    const std::int32_t local = free_out_vc(req.target, req.pr, req.st);
+    if (local != -1) {
       grant(req.target, local, req.ref, /*waited=*/false);
+      continue;
+    }
+    waiters_of(req.target, req.st).push_back(req.ref);
+    if (req.ref.injection()) {
+      InjVc& iv = inj_vcs_[static_cast<std::size_t>(req.ref.vc)];
+      iv.requested = true;
+      iv.wait_since = now_;
     } else {
-      out.waiters.push_back(req.ref);
-      if (req.ref.injection()) {
-        InjVc& iv = inj_vcs_[static_cast<std::size_t>(req.ref.vc)];
-        iv.requested = true;
-        iv.wait_since = now_;
-      } else {
-        InVc& vc = in_vc(req.ref);
-        vc.requested = true;
-        vc.wait_since = now_;
-      }
+      InVc& vc = in_vc(req.ref);
+      vc.requested = true;
+      vc.wait_since = now_;
+    }
+    if (config_.vc_mode == VcMode::kThrottlePreempt) {
+      preempt_below(req.target, req.pr);
     }
   }
+}
+
+void FlitSimulator::preempt_below(topo::ChannelId channel, Priority pr) {
+  // A holder whose tail already crossed frees the VC by itself (and its
+  // owner id may already be recycled), so it is never a victim.
+  const auto c = static_cast<std::size_t>(channel);
+  std::int32_t victim = -1;
+  Priority lowest = pr;
+  for (std::int32_t v = 0; v < vc_count_[c]; ++v) {
+    const OutVc& out = out_vcs_[static_cast<std::size_t>(vc_base_[c] + v)];
+    if (out.owner == -1 || out.tail_sent) continue;
+    const Priority p =
+        streams_[pool_[static_cast<std::size_t>(out.owner)].stream].priority;
+    if (p < lowest) {
+      lowest = p;
+      victim = out.owner;
+    }
+  }
+  // The freed VC goes to the highest-priority waiter: the requester, since
+  // every waiter ranks at or below every holder it could not displace.
+  if (victim != -1) discard(victim);
+}
+
+void FlitSimulator::discard(std::int32_t packet) {
+  const auto& st = streams_[pool_[static_cast<std::size_t>(packet)].stream];
+  const auto& path = st.path.channels;
+  const std::int32_t gi = inj_vc_index(st.id);
+  InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
+  const auto withdraw = [&](topo::ChannelId channel, const SrcRef& ref) {
+    auto& queue = waiters_of(channel, st.id);
+    queue.erase(std::find(queue.begin(), queue.end(), ref));
+  };
+  if (iv.requested) withdraw(path[0], SrcRef{topo::kNoChannel, gi});
+  result_.flits_dropped += iv.sent;
+  ++result_.retransmissions;
+  iv.sent = 0;
+  iv.out_vc = -1;
+  iv.out_ch = topo::kNoChannel;
+  iv.requested = false;
+
+  // Hop by hop: the worm's flits on the wire and in the downstream buffer
+  // vanish and their credits return at once; its input VC is cleared and
+  // its upstream out VC frees as soon as older credits are home.
+  for (std::size_t h = 0; h < path.size(); ++h) {
+    const topo::ChannelId c = path[h];
+    const auto base = vc_base_[static_cast<std::size_t>(c)];
+    auto& wire = wire_flits_[static_cast<std::size_t>(c)];
+    for (std::int32_t v = 0; v < vc_count_[static_cast<std::size_t>(c)]; ++v) {
+      OutVc& out = out_vcs_[static_cast<std::size_t>(base + v)];
+      if (out.owner != packet) continue;
+      InVc& in = in_vcs_[static_cast<std::size_t>(base + v)];
+      int removed = 0;
+      if (in.owner == packet) {
+        if (h + 1 == path.size()) {
+          // The receiver drops the partially delivered message.
+          result_.flits_delivered -= in.first;
+        }
+        if (in.requested) withdraw(path[h + 1], SrcRef{c, v});
+        removed = in.buffered;
+        in = InVc{};
+        deactivate_transit(
+            routers_[static_cast<std::size_t>(topo_.channels().channel(c).dst)],
+            SrcRef{c, v});
+      }
+      const auto kept =
+          std::remove_if(wire.begin(), wire.end(), [&](const WireFlit& wf) {
+            return wf.packet == packet && wf.vc == v;
+          });
+      removed += static_cast<int>(wire.end() - kept);
+      wire.erase(kept, wire.end());
+      flits_in_network_ -= removed;
+      out.credits += removed;
+      out.tail_sent = true;
+      if (out.credits == depth_) release_out_vc(c, v);
+    }
+  }
+  schedule_tick(st.src, now_ + 1);
 }
 
 std::int32_t FlitSimulator::pick_injection(Router& r) {
@@ -440,19 +598,28 @@ void FlitSimulator::arbitrate_switch(Router& r, std::int32_t inj_candidate) {
       cur = Cand{true, pr, st, ref};
     }
   };
+  // Li & Mutka's VCs share the channel round-robin: the rank is the
+  // distance behind the channel's pointer, not the priority.
+  const auto rank = [this](Priority pr, std::int32_t out_vc,
+                           topo::ChannelId ch) -> Priority {
+    if (config_.vc_mode != VcMode::kLiVc) return pr;
+    const auto c = static_cast<std::size_t>(ch);
+    return -((out_vc - vc_base_[c] - rr_[c] + vc_count_[c]) % vc_count_[c]);
+  };
   for (const SrcRef& ref : r.active) {
     const InVc& vc = in_vc(ref);
     if (vc.out_vc == -1 || vc.buffered == 0) continue;
     if (out_vcs_[static_cast<std::size_t>(vc.out_vc)].credits <= 0) continue;
     const auto& st = streams_[pool_[static_cast<std::size_t>(vc.owner)].stream];
-    consider(best[slot(vc.out_ch)], st.priority, st.id, ref);
+    consider(best[slot(vc.out_ch)], rank(st.priority, vc.out_vc, vc.out_ch),
+             st.id, ref);
   }
   if (inj_candidate != -1) {
     const InjVc& iv = inj_vcs_[static_cast<std::size_t>(inj_candidate)];
     const auto& st =
         streams_[pool_[static_cast<std::size_t>(iv.packets.front())].stream];
-    consider(best[slot(iv.out_ch)], st.priority, st.id,
-             SrcRef{topo::kNoChannel, inj_candidate});
+    consider(best[slot(iv.out_ch)], rank(st.priority, iv.out_vc, iv.out_ch),
+             st.id, SrcRef{topo::kNoChannel, inj_candidate});
   }
   // Winners hold disjoint source VCs (each source feeds exactly one out
   // channel), so applying them in channel order is order-insensitive.
@@ -491,17 +658,25 @@ void FlitSimulator::forward_flit(Router& r, topo::ChannelId channel,
       WireFlit{now_ + 1, pkt, flit, local, next_hop});
   ++result_.flits_per_channel[static_cast<std::size_t>(channel)];
   schedule_tick(topo_.channels().channel(channel).dst, now_ + 1);
+  if (config_.vc_mode == VcMode::kLiVc) {
+    rr_[static_cast<std::size_t>(channel)] =
+        (local + 1) % vc_count_[static_cast<std::size_t>(channel)];
+  }
   if (flit == st.length - 1) {
     // Tail leaves this router: the upstream VC is done (the downstream
     // OutVc frees itself once its credits refill).
     out.tail_sent = true;
     if (src.injection()) {
       InjVc& iv = inj_vcs_[static_cast<std::size_t>(src.vc)];
-      iv.packets.pop_front();
-      iv.sent = 0;
       iv.out_vc = -1;
       iv.out_ch = topo::kNoChannel;
-      if (iv.packets.empty()) deactivate_injection(r, src.vc);
+      // A throttled source keeps the message queued until it is
+      // delivered: a preemption may still send it back.
+      if (config_.vc_mode != VcMode::kThrottlePreempt) {
+        iv.packets.pop_front();
+        iv.sent = 0;
+        if (iv.packets.empty()) deactivate_injection(r, src.vc);
+      }
     } else {
       InVc& vc = in_vc(src);
       vc.owner = -1;
@@ -538,6 +713,17 @@ void FlitSimulator::complete_packet(std::int32_t packet, Time delivered) {
   }
   if (latency_hist_ != nullptr) {
     latency_hist_->observe(static_cast<double>(latency));
+  }
+  const auto& st = streams_[p.stream];
+  if (config_.vc_mode == VcMode::kThrottlePreempt && st.path.hops() > 0) {
+    // Delivered at last: the throttled source may start its next message.
+    const std::int32_t gi = inj_vc_index(p.stream);
+    InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
+    iv.packets.pop_front();
+    iv.sent = 0;
+    if (iv.packets.empty()) {
+      deactivate_injection(routers_[static_cast<std::size_t>(st.src)], gi);
+    }
   }
   free_.push_back(packet);
 }

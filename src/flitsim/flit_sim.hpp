@@ -13,16 +13,16 @@
 /// \file flit_sim.hpp
 /// Event-driven flit-level wormhole simulator (DESIGN.md §12).
 ///
-/// This is the repo's second, higher-fidelity simulation backend.  Where
-/// `sim::Simulator` models idealized preemptive channels (infinite
-/// buffering, no flow control), FlitSimulator models the paper's Section
-/// 3 router: per-input-port virtual-channel buffers of configurable
-/// depth, credit-based flow control with a 1-cycle wire delay each way,
-/// single injection/ejection ports per node, and per-cycle physical-
-/// channel arbitration granting the highest-priority ready VC.  Wormhole
-/// semantics throughout: the header allocates a VC hop by hop, body and
-/// tail follow the reserved lane, and the tail releases each VC as the
-/// last credit returns.
+/// FlitSimulator models the paper's Section 3 router: per-input-port
+/// virtual-channel buffers of configurable depth, credit-based flow
+/// control with a 1-cycle wire delay each way, single injection/ejection
+/// ports per node, and per-cycle physical-channel arbitration.  VcMode
+/// selects the switching policy — the paper's per-priority VCs, the
+/// per-stream-lane idealisation the analysis charges, and the Fig. 2 /
+/// Section 3 baselines (classical FCFS wormhole, Li & Mutka's VCs, Song's
+/// throttle-and-preempt).  Wormhole semantics throughout: the header
+/// allocates a VC hop by hop, body and tail follow the reserved lane, and
+/// the tail releases each VC as the last credit returns.
 ///
 /// The simulator itself is strictly single-threaded and deterministic:
 /// event pop order is a total order (event_queue.hpp) and every
@@ -69,6 +69,20 @@ class FlitSimulator {
   std::int32_t out_vc_index(topo::ChannelId channel, StreamId stream) const;
   /// Global injection-VC index for \p stream at its source node.
   std::int32_t inj_vc_index(StreamId stream) const;
+  /// Priority of the packet an input or injection VC holds.
+  Priority priority_of(const SrcRef& ref) const;
+  /// Local index of a VC of \p channel that a header of stream \p s
+  /// (priority \p pr) may take right now under the VC mode, or -1.
+  std::int32_t free_out_vc(topo::ChannelId channel, Priority pr,
+                           StreamId s) const;
+  /// Queue a blocked header of stream \p s waits in for \p channel.
+  std::deque<SrcRef>& waiters_of(topo::ChannelId channel, StreamId s);
+  /// True when headers queue per channel (on VC 0's list) rather than
+  /// per VC: the modes in which a header may take one of several VCs.
+  bool shared_queue() const {
+    return config_.vc_mode == VcMode::kLiVc ||
+           config_.vc_mode == VcMode::kThrottlePreempt;
+  }
 
   // --- event handlers ---
   void do_release(StreamId s);
@@ -90,6 +104,12 @@ class FlitSimulator {
   void release_out_vc(topo::ChannelId channel, std::int32_t vc);
   void forward_flit(Router& r, topo::ChannelId channel, const SrcRef& src);
   void complete_packet(std::int32_t packet, Time delivered);
+  /// kThrottlePreempt: discards the lowest-priority worm below \p pr
+  /// holding a VC of \p channel, if any.
+  void preempt_below(topo::ChannelId channel, Priority pr);
+  /// kThrottlePreempt: removes \p packet's flits and VC claims from the
+  /// whole network and requeues it at its source for retransmission.
+  void discard(std::int32_t packet);
   std::int32_t alloc_packet(StreamId s, Time generated);
   void deactivate_transit(Router& r, const SrcRef& ref);
   void deactivate_injection(Router& r, std::int32_t global_inj);
@@ -103,19 +123,23 @@ class FlitSimulator {
   const core::StreamSet& streams_;
   FlitSimConfig config_;
   int depth_ = 0;
-  int num_vcs_ = 0;  ///< per-priority mode only
+  int num_vcs_ = 0;  ///< VCs per channel; unused in per-stream-lane mode
 
   // VC layout: channel c's VC group occupies indices
   // [vc_base_[c], vc_base_[c] + vc_count_[c]) of in_vcs_ and out_vcs_.
   std::vector<std::int32_t> vc_base_;
   std::vector<std::int32_t> vc_count_;
   /// kPerStreamLane: per channel, sorted ids of the streams crossing it
-  /// (lane index = rank).  Unused in kPerPriority mode.
+  /// (lane index = rank).  Unused in the other modes.
   std::vector<std::vector<StreamId>> lanes_;
   std::vector<std::int32_t> inj_base_;  ///< per node, into inj_vcs_
   std::vector<std::int32_t> inj_count_;
-  /// kPerStreamLane: per node, sorted ids of locally sourced streams.
+  /// Every mode but kPerPriority: per node, sorted ids of locally sourced
+  /// streams — each stream has its own injection queue.
   std::vector<std::vector<StreamId>> inj_lanes_;
+  /// kLiVc: per channel, the local VC index round-robin arbitration
+  /// serves first.
+  std::vector<std::int32_t> rr_;
 
   std::vector<InVc> in_vcs_;
   std::vector<OutVc> out_vcs_;

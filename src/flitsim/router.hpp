@@ -55,7 +55,10 @@ struct OutVc {
   int credits = 0;          ///< free slots in the downstream buffer
   bool tail_sent = false;   ///< tail forwarded; release when credits refill
   SrcRef src;               ///< VC at this router feeding the channel
-  std::deque<SrcRef> waiters;  ///< FCFS headers waiting for allocation
+  /// FCFS headers waiting for allocation.  In kLiVc and
+  /// kThrottlePreempt modes a header may take any of several VCs, so VC
+  /// 0's list is the whole channel's queue and the others stay empty.
+  std::deque<SrcRef> waiters;
 };
 
 /// One injection-side virtual channel at a node: a FIFO of locally

@@ -20,9 +20,9 @@ std::uint64_t RunStats::violations_of(const std::string& invariant) const {
 svc::Json RunStats::to_json() const {
   svc::Json invariants = svc::Json::object();
   for (const char* name :
-       {kInvariantSoundness, kInvariantFlit, kInvariantEquivalence,
-        kInvariantMonotonicity, kInvariantProtocol, kInvariantRecovery,
-        kInvariantFault, kInvariantReplication}) {
+       {kInvariantFlit, kInvariantEquivalence, kInvariantMonotonicity,
+        kInvariantProtocol, kInvariantRecovery, kInvariantFault,
+        kInvariantReplication}) {
     invariants.set(name,
                    static_cast<std::int64_t>(violations_of(name)));
   }

@@ -18,7 +18,6 @@
 #include "obs/conformance.hpp"
 #include "obs/metrics.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "svc/journal.hpp"
 #include "svc/replication.hpp"
 #include "svc/json.hpp"
@@ -303,11 +302,10 @@ std::optional<std::string> diff_link_reply(
   return std::nullopt;
 }
 
-/// Soundness (idealized + flit-accurate) + protocol: replay the churn
-/// through the admission gate, mirror every decision over the wire
-/// protocol, then simulate the final admitted population against the
-/// cached bounds — first under the idealized preemptive model, then
-/// through the event-driven flit-level router (meshes only).
+/// Flit-accurate soundness + protocol: replay the churn through the
+/// admission gate, mirror every decision over the wire protocol, then
+/// simulate the final admitted population through the event-driven
+/// flit-level router against the cached bounds.
 std::optional<Violation> check_admission_invariants(
     const Scenario& scenario, const route::RoutingAlgorithm& routing,
     const CheckConfig& config) {
@@ -459,63 +457,17 @@ std::optional<Violation> check_admission_invariants(
     }
   }
 
-  if (ctrl.size() == 0 || (!config.check_soundness && !config.check_flit)) {
+  if (ctrl.size() == 0 || !config.check_flit) {
     return std::nullopt;
   }
 
-  // Soundness: the admitted population is feasible by construction, so
-  // no simulated message may exceed its stream's bound under the
-  // analysis-consistent preemptive-VC policy (one lane per stream; see
-  // ArbPolicy::kIdealPreemptive).  Checked at the synchronized critical
-  // instant and under random release phases.
-  const StreamSet population = ctrl.snapshot();
-  for (int phase = 0; config.check_soundness && phase <= config.phase_seeds;
-       ++phase) {
-    sim::SimConfig sim_config;
-    sim_config.duration = config.sim_duration;
-    sim_config.warmup = 0;
-    sim_config.policy = sim::ArbPolicy::kIdealPreemptive;
-    sim_config.vc_buffer_depth = 1;
-    sim_config.record_arrivals = true;
-    if (phase > 0) {
-      sim_config.random_phase = true;
-      sim_config.phase_seed =
-          scenario.seed * 1000003ull + static_cast<std::uint64_t>(phase);
-    }
-    sim::Simulator simulator(topo, population, sim_config);
-    const sim::SimResult result = simulator.run();
-    const std::string phase_tag =
-        phase == 0 ? "synchronized" : "phase seed " + std::to_string(phase);
-    if (!result.drained) {
-      return fail(kInvariantSoundness,
-                  "admitted population failed to drain (" + phase_tag + ")");
-    }
-    if (result.flits_injected != result.flits_ejected) {
-      return fail(kInvariantSoundness,
-                  "flit conservation broken (" + phase_tag + ")");
-    }
-    for (const auto& arrival : result.arrivals) {
-      const Time observed = arrival.arrived - arrival.generated;
-      const Time bound =
-          ctrl.engine().bound_at(arrival.stream) - config.soundness_tightening;
-      if (observed > bound) {
-        const auto& s = population[arrival.stream];
-        return fail(kInvariantSoundness,
-                    "observed latency " + std::to_string(observed) +
-                        " > bound " + std::to_string(bound) + " for " +
-                        describe_stream(s) + " message generated at " +
-                        std::to_string(arrival.generated) + " (" + phase_tag +
-                        ")");
-      }
-    }
-  }
-
-  // Flit-accurate soundness: the same population through the event-driven
-  // router model — real VC buffers (depth >= 2 hides the credit round
-  // trip), credit flow control, single injection/ejection ports.  The
-  // analytic bound must still dominate every delivered message.  Mesh
-  // only: flitsim reproduces the paper's Section 3 mesh router and the
-  // analysis' port model; other topologies keep the idealized oracle.
+  // Flit-accurate soundness: the admitted population is feasible by
+  // construction, so under the analysis-consistent service model —
+  // per-stream lanes, real VC buffers (depth >= 2 hides the credit round
+  // trip), credit flow control, single injection/ejection ports — no
+  // delivered message may exceed its stream's bound.  Checked at the
+  // synchronized critical instant and under random release phases, on
+  // every topology.
   //
   // Validity domain: a lane freed by a tail is re-allocatable only once
   // the tail's last credit returns (conservative VC reallocation, a
@@ -525,9 +477,7 @@ std::optional<Violation> check_admission_invariants(
   // leaves room for it: U_i + 2 <= T_i.  Zero-slack streams (the
   // admission gate allows U_i == T_i) are excluded from the latency
   // comparison — a documented fidelity gap, not a bug (DESIGN.md §12).
-  if (!config.check_flit || scenario.topo.kind != TopoKind::kMesh) {
-    return std::nullopt;
-  }
+  const StreamSet population = ctrl.snapshot();
   std::vector<bool> has_rtt_slack(population.size(), false);
   for (std::size_t j = 0; j < population.size(); ++j) {
     const auto id = static_cast<StreamId>(j);
@@ -567,7 +517,8 @@ std::optional<Violation> check_admission_invariants(
     }
     for (const auto& arrival : result.arrivals) {
       const Time observed = arrival.delivered - arrival.generated;
-      const Time bound = ctrl.engine().bound_at(arrival.stream);
+      const Time bound =
+          ctrl.engine().bound_at(arrival.stream) - config.soundness_tightening;
       const bool flit_valid =
           has_rtt_slack[static_cast<std::size_t>(arrival.stream)];
       const obs::ConformanceMonitor::Outcome outcome = conformance.report(
@@ -1335,7 +1286,7 @@ std::optional<Violation> check_scenario(const Scenario& scenario,
       return violation;
     }
   }
-  if (config.check_soundness || config.check_flit || config.check_protocol) {
+  if (config.check_flit || config.check_protocol) {
     if (auto violation =
             check_admission_invariants(scenario, routing, config)) {
       return violation;

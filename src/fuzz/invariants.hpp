@@ -7,26 +7,23 @@
 #include "fuzz/scenario.hpp"
 
 /// \file invariants.hpp
-/// The eight differential oracles every fuzz scenario is checked against
+/// The seven differential oracles every fuzz scenario is checked against
 /// (DESIGN.md §8).  Each one validates the optimised production path —
 /// bit-packed diagrams, the incremental dirty-set engine, the wire
 /// protocol, the write-ahead journal — against an independent witness:
 ///
-///   soundness     admitted population simulated flit-by-flit under the
-///                 analysis-consistent preemptive-VC policy; no message
-///                 may ever exceed its stream's computed bound U_i.
 ///   flit-soundness
-///                 the same admitted population replayed through the
-///                 event-driven flit-accurate router (flitsim: real VC
-///                 buffers, credit flow control, injection/ejection
-///                 ports) — every delivered message must still meet its
-///                 bound.  Mesh scenarios only (flitsim models the
-///                 paper's mesh router), and only streams whose period
-///                 leaves headroom for the 2-cycle credit round trip
-///                 between back-to-back messages (U_i + 2 <= T_i);
-///                 conservative VC reallocation is real-router behavior
-///                 the idealized analysis model does not charge
-///                 (DESIGN.md §12).
+///                 the admitted population replayed through the
+///                 event-driven flit-accurate router (flitsim: per-stream
+///                 lanes, real VC buffers, credit flow control,
+///                 injection/ejection ports) on every topology, at the
+///                 synchronized critical instant and under random phases
+///                 — no delivered message may exceed its stream's bound
+///                 U_i.  Only streams whose period leaves headroom for
+///                 the 2-cycle credit round trip between back-to-back
+///                 messages (U_i + 2 <= T_i) are checked: conservative
+///                 VC reallocation is real-router behavior the idealized
+///                 analysis model does not charge (DESIGN.md §12).
 ///   equivalence   IncrementalAnalyzer bounds after every mutation of
 ///                 the churn must be bitwise identical to a from-scratch
 ///                 determine_feasibility of the same population.
@@ -66,7 +63,6 @@
 namespace wormrt::fuzz {
 
 /// Names used in reports, corpus files, and shrink predicates.
-inline constexpr const char* kInvariantSoundness = "soundness";
 inline constexpr const char* kInvariantFlit = "flit-soundness";
 inline constexpr const char* kInvariantEquivalence = "equivalence";
 inline constexpr const char* kInvariantMonotonicity = "monotonicity";
@@ -83,8 +79,7 @@ struct Violation {
 struct CheckConfig {
   core::AnalysisConfig analysis;
 
-  bool check_soundness = true;
-  /// Flit-accurate soundness (mesh scenarios only; a no-op elsewhere).
+  /// Flit-accurate soundness.
   bool check_flit = true;
   bool check_equivalence = true;
   bool check_monotonicity = true;
@@ -109,7 +104,7 @@ struct CheckConfig {
   /// exercises the real transport (framing, EINTR retry, thread pool).
   bool protocol_over_socket = false;
 
-  /// Fault injection for the fuzzer's own tests: the soundness oracle
+  /// Fault injection for the fuzzer's own tests: the flit oracle
   /// compares observed latencies against bound - soundness_tightening,
   /// so a positive value manufactures "violations" on healthy code and
   /// proves the detect -> shrink -> corpus pipeline actually fires.
@@ -130,13 +125,13 @@ struct CheckConfig {
   /// Fault injection for the fault-repair oracle's own tests: the cached
   /// bound is compared against reference + fault_oracle_skew, so a
   /// non-zero value manufactures "violations" on healthy code and proves
-  /// the seventh oracle actually bites.
+  /// the fault-repair oracle actually bites.
   Time fault_oracle_skew = 0;
 
   /// Fault injection for the replication oracle's own tests (skewed
   /// replay): the follower's bounds are compared against the primary's
   /// + replication_skew, so a non-zero value manufactures "violations"
-  /// on healthy code and proves the eighth oracle actually bites.
+  /// on healthy code and proves the replication oracle actually bites.
   Time replication_skew = 0;
 };
 

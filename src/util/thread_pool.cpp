@@ -135,34 +135,36 @@ struct LoopState {
 
   void drain() {
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) {
-        break;
-      }
-      in_flight.fetch_add(1, std::memory_order_acq_rel);
-      try {
-        (*body)(i);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          if (!error) {
-            error = std::current_exception();
+      // Count ourselves in flight BEFORE claiming an index (both seq_cst):
+      // otherwise the caller could see the counter exhausted and nobody
+      // in flight between our claim and our increment, return, and leave
+      // us running `body` on its destroyed stack.
+      in_flight.fetch_add(1);
+      const std::size_t i = next.fetch_add(1);
+      if (i < count) {
+        try {
+          (*body)(i);
+        } catch (...) {
+          {
+            std::lock_guard<std::mutex> lk(mu);
+            if (!error) {
+              error = std::current_exception();
+            }
           }
+          next.store(count);  // cancel the rest
         }
-        next.store(count, std::memory_order_relaxed);  // cancel the rest
       }
-      if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          next.load(std::memory_order_relaxed) >= count) {
+      if (in_flight.fetch_sub(1) == 1 && next.load() >= count) {
         std::lock_guard<std::mutex> lk(mu);
         cv.notify_all();
+      }
+      if (i >= count) {
+        break;
       }
     }
   }
 
-  bool finished() {
-    return next.load(std::memory_order_relaxed) >= count &&
-           in_flight.load(std::memory_order_acquire) == 0;
-  }
+  bool finished() { return next.load() >= count && in_flight.load() == 0; }
 };
 
 }  // namespace

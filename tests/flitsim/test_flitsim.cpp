@@ -50,8 +50,8 @@ TEST(FlitSimTest, UncontendedLatencyMatchesIdealPipeline) {
 
 // Depth-1 buffers expose the 2-cycle credit round trip: after the
 // header, every flit waits a cycle for its predecessor's credit, so the
-// uncontended tail arrives at h + 2(C - 1).  This is the fidelity axis
-// the idealized `sim` backend cannot express.
+// uncontended tail arrives at h + 2(C - 1), a fidelity axis the
+// analysis' lumped h + C - 1 pipeline does not express.
 TEST(FlitSimTest, DepthOneExposesCreditRoundTrip) {
   const topo::Mesh mesh(4, 1);
   const core::StreamSet set =

@@ -79,6 +79,43 @@ TEST(FlitSimProperty, InvariantsHoldInPerPriorityMode) {
   }
 }
 
+// The baseline switching policies run on the same instrumented engine:
+// FCFS and Li hold VCs across preemption-free waits, and
+// throttle-and-preempt tears whole worms out of the network, so the
+// credit and conservation invariants see every discard.
+TEST(FlitSimProperty, InvariantsHoldInBaselineModes) {
+  const topo::Mesh mesh(4, 4);
+  for (const auto mode : {flitsim::VcMode::kFcfs, flitsim::VcMode::kLiVc,
+                          flitsim::VcMode::kThrottlePreempt}) {
+    for (std::uint64_t seed = 21; seed <= 24; ++seed) {
+      for (const int num_vcs : {1, 3}) {
+        const core::StreamSet set =
+            random_workload(mesh, seed, /*num_streams=*/12, /*levels=*/3);
+        flitsim::FlitSimConfig fc;
+        fc.duration = 1200;
+        fc.warmup = 0;
+        fc.vc_mode = mode;
+        fc.num_vcs = num_vcs;
+        fc.vc_buffer_depth = seed % 2 == 0 ? 2 : 1;
+        fc.validate = true;
+        flitsim::FlitSimulator sim(mesh, set, fc);
+        flitsim::FlitSimResult r;
+        ASSERT_NO_THROW(r = sim.run())
+            << flitsim::to_string(mode) << " seed " << seed << " vcs "
+            << num_vcs;
+        ASSERT_TRUE(r.drained) << flitsim::to_string(mode) << " seed " << seed;
+        EXPECT_EQ(r.flits_injected, r.flits_delivered + r.flits_dropped);
+        for (const auto& ss : r.per_stream) {
+          EXPECT_EQ(ss.generated, ss.completed);
+        }
+        if (mode != flitsim::VcMode::kThrottlePreempt) {
+          EXPECT_EQ(r.retransmissions, 0);
+        }
+      }
+    }
+  }
+}
+
 TEST(FlitSimProperty, RandomPhasesPreserveInvariants) {
   const topo::Mesh mesh(4, 4);
   const core::StreamSet set =

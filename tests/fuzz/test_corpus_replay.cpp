@@ -43,7 +43,6 @@ TEST(CorpusReplay, SocketProtocolStaysClean) {
   ASSERT_FALSE(files.empty());
   CheckConfig config;
   config.protocol_over_socket = true;
-  config.check_soundness = false;
   config.check_equivalence = false;
   config.check_monotonicity = false;
   const auto violation = replay_corpus_file(files.front(), config);

@@ -110,7 +110,6 @@ TEST(Invariants, FixedSeedBlockIsClean) {
 TEST(Invariants, SocketProtocolMatchesInProcess) {
   CheckConfig config;
   config.protocol_over_socket = true;
-  config.check_soundness = false;  // transport is what's under test here
   config.check_equivalence = false;
   config.check_monotonicity = false;
   const auto violation = check_scenario(generate_scenario(7), config);
@@ -119,13 +118,21 @@ TEST(Invariants, SocketProtocolMatchesInProcess) {
 }
 
 TEST(Invariants, FaultInjectionIsDetected) {
-  // Tightening the bound manufactures a soundness violation on healthy
-  // code — proof the oracle actually compares something.
+  // Tightening the bound manufactures a flit-soundness violation on
+  // healthy code — proof the oracle actually compares something — on
+  // the first generated scenario of every topology.
   CheckConfig config;
   config.soundness_tightening = 1000;
-  const auto violation = check_scenario(generate_scenario(1), config);
-  ASSERT_TRUE(violation.has_value());
-  EXPECT_EQ(violation->invariant, kInvariantSoundness);
+  for (const TopoKind kind :
+       {TopoKind::kMesh, TopoKind::kTorus, TopoKind::kHypercube}) {
+    std::uint64_t seed = 1;
+    while (generate_scenario(seed).topo.kind != kind) {
+      ++seed;
+    }
+    const auto violation = check_scenario(generate_scenario(seed), config);
+    ASSERT_TRUE(violation.has_value()) << to_string(kind) << " seed " << seed;
+    EXPECT_EQ(violation->invariant, kInvariantFlit) << violation->detail;
+  }
 }
 
 TEST(Invariants, FaultOracleDetectsSkewedCache) {
@@ -172,7 +179,6 @@ TEST(Invariants, FlitOracleDetectsDepthOnePipeliningLoss) {
   scenario.ops.push_back(op);
 
   CheckConfig config;
-  config.check_soundness = false;
   config.check_equivalence = false;
   config.check_monotonicity = false;
   config.check_protocol = false;
@@ -191,7 +197,6 @@ TEST(Invariants, RecoveryOracleSurvivesCrashChurn) {
   // The crash/recovery oracle alone, over enough seeds to hit every
   // crash shape: mid-churn, post-compaction, torn-tail, mutilated tail.
   CheckConfig config;
-  config.check_soundness = false;
   config.check_equivalence = false;
   config.check_monotonicity = false;
   config.check_protocol = false;
@@ -210,7 +215,6 @@ TEST(Invariants, CorruptingAnAcknowledgedRecordIsDetected) {
   // not to change the final engine state can stay silent; one loud seed
   // proves the comparison has teeth.)
   CheckConfig config;
-  config.check_soundness = false;
   config.check_equivalence = false;
   config.check_monotonicity = false;
   config.check_protocol = false;
@@ -232,7 +236,6 @@ TEST(Invariants, ReplicationOracleSurvivesChurnAndFailover) {
   // forcing a snapshot bootstrap mid-churn, and post-PROMOTE decision
   // parity.
   CheckConfig config;
-  config.check_soundness = false;
   config.check_flit = false;
   config.check_equivalence = false;
   config.check_monotonicity = false;
@@ -253,7 +256,6 @@ TEST(Invariants, ReplicationOracleDetectsSkewedReplay) {
   // proof the equality check really reads both engines rather than
   // vacuously passing.
   CheckConfig config;
-  config.check_soundness = false;
   config.check_flit = false;
   config.check_equivalence = false;
   config.check_monotonicity = false;
@@ -329,8 +331,8 @@ TEST(Fuzzer, CleanRunReportsStats) {
   EXPECT_EQ(report.get("violations")->as_int(), 0);
   ASSERT_NE(report.get("invariant_violations"), nullptr);
   for (const char* name :
-       {kInvariantSoundness, kInvariantFlit, kInvariantEquivalence,
-        kInvariantMonotonicity, kInvariantProtocol, kInvariantRecovery}) {
+       {kInvariantFlit, kInvariantEquivalence, kInvariantMonotonicity,
+        kInvariantProtocol, kInvariantRecovery}) {
     ASSERT_NE(report.get("invariant_violations")->get(name), nullptr) << name;
   }
   EXPECT_TRUE(report.get("failures")->is_array());
@@ -354,7 +356,7 @@ TEST(Fuzzer, InjectedFailureShrinksAndReplays) {
   const RunStats stats = run_fuzz(options);
   ASSERT_FALSE(stats.clean());
   const Failure& failure = stats.failures.front();
-  EXPECT_EQ(failure.invariant, kInvariantSoundness);
+  EXPECT_EQ(failure.invariant, kInvariantFlit);
   EXPECT_LT(failure.ops_after, failure.ops_before);
   ASSERT_FALSE(failure.corpus_file.empty());
 
@@ -362,7 +364,7 @@ TEST(Fuzzer, InjectedFailureShrinksAndReplays) {
   // injected config and is clean under the honest one.
   const auto replayed = replay_corpus_file(failure.corpus_file, options.check);
   ASSERT_TRUE(replayed.has_value());
-  EXPECT_EQ(replayed->invariant, kInvariantSoundness);
+  EXPECT_EQ(replayed->invariant, kInvariantFlit);
   EXPECT_FALSE(replay_corpus_file(failure.corpus_file, CheckConfig{})
                    .has_value());
 

@@ -1,15 +1,17 @@
 // End-to-end validation of the paper's pipeline: random workloads are
 // generated, periods adjusted, bounds computed, and the flit-level
 // simulator must never observe a transmission delay above the computed
-// upper bound (with ports modelled and the analysis-consistent service
-// model; the ablation benches quantify what happens without them).
+// upper bound (with ports modelled, the analysis-consistent service
+// model, and depth-2 buffers — the shallowest that hides the credit
+// round trip; the ablation benches quantify what happens without them).
+// Depth-4 runs of the same workloads live in test_flit_vs_bound.cpp.
 
 #include <gtest/gtest.h>
 
 #include "core/delay_bound.hpp"
 #include "core/workload.hpp"
+#include "flitsim/flit_sim.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "topo/mesh.hpp"
 
 namespace wormrt {
@@ -35,23 +37,21 @@ TEST_P(BoundSoundness, SimulatedDelaysNeverExceedBounds) {
   core::StreamSet streams = generate_workload(mesh, kXy, wp);
   const core::AdjustResult adjusted = adjust_periods_to_bounds(streams);
 
-  sim::SimConfig cfg;
+  flitsim::FlitSimConfig cfg;
   cfg.duration = 12000;
   cfg.warmup = 0;
-  cfg.policy = sim::ArbPolicy::kIdealPreemptive;
-  cfg.num_vcs = param.levels;
-  cfg.vc_buffer_depth = 1;  // canonical wormhole
+  cfg.vc_buffer_depth = 2;
   cfg.record_arrivals = true;
-  sim::Simulator simulator(mesh, streams, cfg);
-  const sim::SimResult result = simulator.run();
+  flitsim::FlitSimulator simulator(mesh, streams, cfg);
+  const flitsim::FlitSimResult result = simulator.run();
   EXPECT_TRUE(result.drained);
-  EXPECT_EQ(result.flits_injected, result.flits_ejected);
+  EXPECT_EQ(result.flits_injected, result.flits_delivered);
 
   std::int64_t measured = 0;
   for (const auto& a : result.arrivals) {
     ++measured;
     const Time bound = adjusted.bounds[static_cast<std::size_t>(a.stream)];
-    EXPECT_LE(a.arrived - a.generated, bound)
+    EXPECT_LE(a.delivered - a.generated, bound)
         << "stream " << a.stream << " message generated at " << a.generated;
   }
   EXPECT_GT(measured, 0);
@@ -65,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineCase{7, 40, 10}, PipelineCase{8, 20, 20}));
 
 // The strict per-priority-VC hardware with distinct priorities per
-// stream behaves like the ideal policy (no same-priority VC sharing
+// stream behaves like per-stream lanes (no same-priority VC sharing
 // possible), so bounds hold there too.
 TEST(BoundSoundness, StrictVcPolicyWithDistinctPriorities) {
   topo::Mesh mesh(10, 10);
@@ -76,17 +76,18 @@ TEST(BoundSoundness, StrictVcPolicyWithDistinctPriorities) {
   core::StreamSet streams = generate_workload(mesh, kXy, wp);
   const core::AdjustResult adjusted = adjust_periods_to_bounds(streams);
 
-  sim::SimConfig cfg;
+  flitsim::FlitSimConfig cfg;
   cfg.duration = 12000;
   cfg.warmup = 0;
-  cfg.policy = sim::ArbPolicy::kPriorityPreemptive;
+  cfg.vc_mode = flitsim::VcMode::kPerPriority;
   cfg.num_vcs = 16;
-  cfg.vc_buffer_depth = 1;
+  cfg.vc_buffer_depth = 2;
   cfg.record_arrivals = true;
-  const sim::SimResult result =
-      sim::Simulator(mesh, streams, cfg).run();
+  const flitsim::FlitSimResult result =
+      flitsim::FlitSimulator(mesh, streams, cfg).run();
+  EXPECT_TRUE(result.drained);
   for (const auto& a : result.arrivals) {
-    EXPECT_LE(a.arrived - a.generated,
+    EXPECT_LE(a.delivered - a.generated,
               adjusted.bounds[static_cast<std::size_t>(a.stream)])
         << "stream " << a.stream;
   }
@@ -104,19 +105,17 @@ TEST(BoundSoundness, RandomPhasesStayWithinBounds) {
   const core::AdjustResult adjusted = adjust_periods_to_bounds(streams);
 
   for (const std::uint64_t phase_seed : {1u, 2u, 3u}) {
-    sim::SimConfig cfg;
+    flitsim::FlitSimConfig cfg;
     cfg.duration = 12000;
     cfg.warmup = 0;
-    cfg.policy = sim::ArbPolicy::kIdealPreemptive;
-    cfg.num_vcs = 5;
-    cfg.vc_buffer_depth = 1;
+    cfg.vc_buffer_depth = 2;
     cfg.random_phase = true;
     cfg.phase_seed = phase_seed;
     cfg.record_arrivals = true;
-    const sim::SimResult result =
-        sim::Simulator(mesh, streams, cfg).run();
+    const flitsim::FlitSimResult result =
+        flitsim::FlitSimulator(mesh, streams, cfg).run();
     for (const auto& a : result.arrivals) {
-      EXPECT_LE(a.arrived - a.generated,
+      EXPECT_LE(a.delivered - a.generated,
                 adjusted.bounds[static_cast<std::size_t>(a.stream)])
           << "phase seed " << phase_seed << " stream " << a.stream;
     }

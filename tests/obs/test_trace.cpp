@@ -2,9 +2,9 @@
 // path records complete events, and export_json() emits Chrome
 // trace_event JSON that conforms to the schema chrome://tracing and
 // Perfetto consume — checked event by event with the protocol's own
-// JSON parser.  Also covers the simulator's on_delivery hook, which
-// lays packet lifetimes out as spans with the stream id as a virtual
-// tid.
+// JSON parser.  Also covers the flit simulator's on_delivery hook,
+// which lays packet lifetimes out as spans with the stream id as a
+// virtual tid.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "core/message_stream.hpp"
+#include "flitsim/flit_sim.hpp"
 #include "obs/trace.hpp"
 #include "route/dor.hpp"
-#include "sim/simulator.hpp"
 #include "svc/json.hpp"
 #include "topo/mesh.hpp"
 
@@ -173,8 +173,6 @@ TEST_F(ObsTrace, ThreadsRecordUnderDistinctTids) {
 TEST_F(ObsTrace, SimulatorDeliveryHookLaysStreamsOutAsVirtualTids) {
   topo::Mesh mesh(8, 1);
   core::StreamSet set;
-  // Priorities index VCs under kPriorityPreemptive, so they must lie in
-  // [0, num_vcs).
   set.add(core::make_stream(mesh, route::XYRouting(), 0, mesh.node_at({0, 0}),
                             mesh.node_at({7, 0}), /*priority=*/0,
                             /*period=*/40, /*length=*/8, /*deadline=*/200));
@@ -183,28 +181,31 @@ TEST_F(ObsTrace, SimulatorDeliveryHookLaysStreamsOutAsVirtualTids) {
                             /*period=*/50, /*length=*/4, /*deadline=*/200));
 
   Tracer::set_enabled(true);
-  sim::SimConfig cfg;
+  flitsim::FlitSimConfig cfg;
   cfg.duration = 400;
   cfg.warmup = 0;
-  cfg.num_vcs = 2;
   cfg.on_delivery = [](StreamId stream, Time generated, Time delivered) {
     if (Tracer::enabled()) {
       Tracer::record_complete("delivery", generated, delivered - generated,
                               static_cast<unsigned>(stream) + 1);
     }
   };
-  sim::Simulator sim(mesh, set, cfg);
-  const sim::SimResult result = sim.run();
+  flitsim::FlitSimulator sim(mesh, set, cfg);
+  const flitsim::FlitSimResult result = sim.run();
   Tracer::set_enabled(false);
 
   const auto completed = static_cast<std::size_t>(
       result.per_stream[0].completed + result.per_stream[1].completed);
   ASSERT_GT(completed, 0u);
-  EXPECT_EQ(Tracer::event_count(), completed);
+  // One span per delivery plus the run's own "flitsim_run" span.
+  EXPECT_EQ(Tracer::event_count(), completed + 1);
 
   const Json doc = parse_and_check(Tracer::export_json());
   std::size_t tid1 = 0, tid2 = 0;
   for (const Json& e : doc.get("traceEvents")->items()) {
+    if (e.get("name")->as_string() == "flitsim_run") {
+      continue;
+    }
     EXPECT_EQ(e.get("name")->as_string(), "delivery");
     // dur is the packet's in-network lifetime: at least the analytical
     // contention-free latency of its stream.

@@ -2,10 +2,10 @@
 //
 // Draws random scenarios (topology + admission churn, including
 // link_down/link_up topology mutations) from sequential seeds and
-// checks each against eight independent oracles: soundness (idealized
-// preemptive simulation never exceeds a computed bound), flit-soundness
-// (the event-driven flit-accurate router — real VC buffers, credit flow
-// control — never exceeds it either; meshes only), equivalence
+// checks each against seven independent oracles: flit-soundness (the
+// event-driven flit-accurate router — real VC buffers, credit flow
+// control — never delivers a message later than its computed bound, on
+// streams with U + 2 <= T), equivalence
 // (incremental bounds == from-scratch analysis after every mutation),
 // monotonicity (bounds respect the network-latency floor and never
 // improve under added interference or pessimistic configs), protocol
@@ -48,14 +48,13 @@ int usage(const char* program) {
       "  --corpus-dir DIR  write shrunk reproducers here (default\n"
       "                    tests/fuzz_corpus relative to the cwd)\n"
       "  --no-shrink       keep failing scenarios full size\n"
-      "  --sim-duration N  soundness injection window (default 3000)\n"
+      "  --sim-duration N  flit oracle injection window (default 3000)\n"
       "  --phase-seeds N   extra random-phase soundness runs (default 1)\n"
       "  --e2e             replay the protocol over a loopback socket\n"
       "                    instead of in-process dispatch\n"
       "  --no-recovery     skip the crash/recovery oracle (no journal\n"
       "                    state dirs, faster)\n"
       "  --no-flit-oracle  skip the flit-accurate soundness oracle\n"
-      "                    (on by default for mesh scenarios)\n"
       "  --no-fault-oracle skip the fault-repair oracle (link_down/\n"
       "                    link_up reconvergence vs from-scratch "
       "analysis)\n"
