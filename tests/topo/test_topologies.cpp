@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <set>
 
 #include "topo/hypercube.hpp"
@@ -33,6 +34,14 @@ TEST(ChannelGraph, AddFindAndAdjacency) {
 struct MeshShape {
   std::vector<std::int32_t> radices;
 };
+
+// Prints "4x3x2". Without it gtest prints the struct's raw bytes (the
+// vector's heap pointers), so the test names would change on every run.
+void PrintTo(const MeshShape& shape, std::ostream* os) {
+  for (std::size_t d = 0; d < shape.radices.size(); ++d) {
+    *os << (d == 0 ? "" : "x") << shape.radices[d];
+  }
+}
 
 class MeshInvariants : public ::testing::TestWithParam<MeshShape> {};
 
