@@ -1,6 +1,8 @@
 #include "flitsim/flit_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -70,19 +72,16 @@ FlitSimulator::FlitSimulator(const topo::Topology& topo,
     }
   }
 
+  build_wiring();
   build_vcs();
 
-  const auto num_channels = topo_.num_channels();
-  wire_flits_.assign(num_channels, {});
-  wire_credits_.assign(num_channels, {});
   routers_.resize(static_cast<std::size_t>(topo_.num_nodes()));
   for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
     routers_[static_cast<std::size_t>(n)].node = n;
   }
-  last_tick_push_.assign(static_cast<std::size_t>(topo_.num_nodes()), kNoTime);
 
   result_.per_stream.assign(streams_.size(), FlitStreamStats{});
-  result_.flits_per_channel.assign(num_channels, 0);
+  result_.flits_per_channel.assign(topo_.num_channels(), 0);
 
   if (config_.metrics != nullptr) {
     latency_hist_ = &config_.metrics->histogram(
@@ -91,18 +90,62 @@ FlitSimulator::FlitSimulator(const topo::Topology& topo,
   }
 }
 
+void FlitSimulator::build_wiring() {
+  const topo::ChannelGraph& graph = topo_.channels();
+  const auto num_nodes = static_cast<std::size_t>(topo_.num_nodes());
+  links_.assign(topo_.num_channels(), Link{});
+  out_begin_.assign(num_nodes + 1, 0);
+  in_begin_.assign(num_nodes + 1, 0);
+  std::size_t max_out = 0;
+  for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    const auto& outs = graph.outgoing(n);
+    out_begin_[i] = static_cast<std::int32_t>(out_ch_.size());
+    for (std::size_t port = 0; port < outs.size(); ++port) {
+      Link& link = links_[static_cast<std::size_t>(outs[port])];
+      link.src = n;
+      link.out_port = static_cast<std::int32_t>(port);
+      out_ch_.push_back(outs[port]);
+    }
+    max_out = std::max(max_out, outs.size());
+    in_begin_[i] = static_cast<std::int32_t>(in_ch_.size());
+    for (const topo::ChannelId c : graph.incoming(n)) {
+      Link& link = links_[static_cast<std::size_t>(c)];
+      link.dst = n;
+      link.in_slot = static_cast<std::int32_t>(in_ch_.size());
+      in_ch_.push_back(c);
+    }
+  }
+  out_begin_[num_nodes] = static_cast<std::int32_t>(out_ch_.size());
+  in_begin_[num_nodes] = static_cast<std::int32_t>(in_ch_.size());
+  best_.resize(max_out);
+
+  for (std::size_t p = 0; p < 2; ++p) {
+    wire_flits_[p].assign(in_ch_.size(), WireFlit{});
+    arriving_[p].assign(num_nodes, 0);
+    wire_credits_[p].assign(num_nodes, {});
+  }
+  due_.assign((num_nodes + 63) / 64, 0);
+  next_.assign(due_.size(), 0);
+}
+
 void FlitSimulator::build_vcs() {
   const auto num_channels = topo_.num_channels();
   const auto num_nodes = static_cast<std::size_t>(topo_.num_nodes());
   vc_count_.assign(num_channels, 0);
   vc_base_.assign(num_channels, 0);
-  inj_count_.assign(num_nodes, 0);
-  inj_base_.assign(num_nodes, 0);
+  // Injection VCs: node n's occupy [inj_base[n], inj_base[n] +
+  // inj_count[n]) of inj_vcs_.
+  std::vector<std::int32_t> inj_count(num_nodes, 0);
+  std::vector<std::int32_t> inj_base(num_nodes, 0);
 
   const bool stream_lanes = config_.vc_mode == VcMode::kPerStreamLane;
   const bool stream_injection = config_.vc_mode != VcMode::kPerPriority;
   if (stream_lanes) lanes_.assign(num_channels, {});
-  if (stream_injection) inj_lanes_.assign(num_nodes, {});
+  // Every mode but kPerPriority: per node, sorted ids of locally sourced
+  // streams — each stream has its own injection queue.
+  std::vector<std::vector<StreamId>> inj_lanes(stream_injection ? num_nodes
+                                                                : 0);
   // Streams iterate in ascending id order, so every lane list comes out
   // sorted — lane index lookups are binary searches.
   for (const auto& st : streams_) {
@@ -112,7 +155,7 @@ void FlitSimulator::build_vcs() {
       }
     }
     if (stream_injection && st.path.hops() > 0) {
-      inj_lanes_[static_cast<std::size_t>(st.src)].push_back(st.id);
+      inj_lanes[static_cast<std::size_t>(st.src)].push_back(st.id);
     }
   }
   for (std::size_t c = 0; c < num_channels; ++c) {
@@ -120,8 +163,8 @@ void FlitSimulator::build_vcs() {
                                 : num_vcs_;
   }
   for (std::size_t n = 0; n < num_nodes; ++n) {
-    inj_count_[n] = stream_injection
-                        ? static_cast<std::int32_t>(inj_lanes_[n].size())
+    inj_count[n] = stream_injection
+                        ? static_cast<std::int32_t>(inj_lanes[n].size())
                         : num_vcs_;
   }
   if (config_.vc_mode == VcMode::kLiVc) rr_.assign(num_channels, 0);
@@ -133,14 +176,36 @@ void FlitSimulator::build_vcs() {
   }
   std::int32_t inj_total = 0;
   for (std::size_t n = 0; n < num_nodes; ++n) {
-    inj_base_[n] = inj_total;
-    inj_total += inj_count_[n];
+    inj_base[n] = inj_total;
+    inj_total += inj_count[n];
   }
 
   in_vcs_.assign(static_cast<std::size_t>(total), InVc{});
   out_vcs_.assign(static_cast<std::size_t>(total), OutVc{});
   for (auto& ov : out_vcs_) ov.credits = depth_;
+  waiters_.assign(static_cast<std::size_t>(total), {});
   inj_vcs_.assign(static_cast<std::size_t>(inj_total), InjVc{});
+
+  flows_.resize(streams_.size());
+  for (const auto& st : streams_) {
+    Flow& f = flows_[static_cast<std::size_t>(st.id)];
+    f.path = st.path.channels.data();
+    f.length = st.length;
+    f.priority = st.priority;
+    f.hops = st.path.hops();
+    f.src = st.src;
+    if (f.hops == 0) continue;
+    const auto n = static_cast<std::size_t>(st.src);
+    if (stream_injection) {
+      const auto& lane = inj_lanes[n];
+      f.inj_vc = inj_base[n] + static_cast<std::int32_t>(
+                                    std::lower_bound(lane.begin(), lane.end(),
+                                                     st.id) -
+                                    lane.begin());
+    } else {
+      f.inj_vc = inj_base[n] + st.priority;
+    }
+  }
 }
 
 std::int32_t FlitSimulator::out_vc_index(topo::ChannelId channel,
@@ -152,17 +217,7 @@ std::int32_t FlitSimulator::out_vc_index(topo::ChannelId channel,
     return vc_base_[c] + static_cast<std::int32_t>(it - lane.begin());
   }
   if (config_.vc_mode == VcMode::kFcfs) return vc_base_[c];
-  return vc_base_[c] + streams_[stream].priority;
-}
-
-std::int32_t FlitSimulator::inj_vc_index(StreamId stream) const {
-  const auto n = static_cast<std::size_t>(streams_[stream].src);
-  if (config_.vc_mode != VcMode::kPerPriority) {
-    const auto& lane = inj_lanes_[n];
-    const auto it = std::lower_bound(lane.begin(), lane.end(), stream);
-    return inj_base_[n] + static_cast<std::int32_t>(it - lane.begin());
-  }
-  return inj_base_[n] + streams_[stream].priority;
+  return vc_base_[c] + flows_[static_cast<std::size_t>(stream)].priority;
 }
 
 Priority FlitSimulator::priority_of(const SrcRef& ref) const {
@@ -173,7 +228,7 @@ Priority FlitSimulator::priority_of(const SrcRef& ref) const {
                         vc_base_[static_cast<std::size_t>(ref.channel)] +
                         ref.vc)]
                 .owner;
-  return streams_[pool_[static_cast<std::size_t>(packet)].stream].priority;
+  return flow_of(packet).priority;
 }
 
 std::int32_t FlitSimulator::free_out_vc(topo::ChannelId channel, Priority pr,
@@ -202,12 +257,12 @@ std::int32_t FlitSimulator::free_out_vc(topo::ChannelId channel, Priority pr,
   }
 }
 
-std::deque<SrcRef>& FlitSimulator::waiters_of(topo::ChannelId channel,
+std::vector<SrcRef>& FlitSimulator::waiters_of(topo::ChannelId channel,
                                               StreamId s) {
   const std::int32_t global = shared_queue()
                                   ? vc_base_[static_cast<std::size_t>(channel)]
                                   : out_vc_index(channel, s);
-  return out_vcs_[static_cast<std::size_t>(global)].waiters;
+  return waiters_[static_cast<std::size_t>(global)];
 }
 
 Time FlitSimulator::phase_of(StreamId s) const {
@@ -224,10 +279,9 @@ Time FlitSimulator::phase_of(StreamId s) const {
 void FlitSimulator::seed_releases() {
   for (const auto& st : streams_) {
     const Time phase = phase_of(st.id);
-    if (phase < config_.duration) {
-      events_.push(phase, EventKind::kRelease, st.id);
-    }
+    if (phase < config_.duration) releases_.emplace_back(phase, st.id);
   }
+  std::make_heap(releases_.begin(), releases_.end(), std::greater<>());
 }
 
 std::int32_t FlitSimulator::alloc_packet(StreamId s, Time generated) {
@@ -239,16 +293,6 @@ std::int32_t FlitSimulator::alloc_packet(StreamId s, Time generated) {
   }
   pool_.push_back(Packet{s, generated});
   return static_cast<std::int32_t>(pool_.size()) - 1;
-}
-
-void FlitSimulator::schedule_tick(topo::NodeId n, Time t) {
-  // Tick push times per router are non-decreasing (releases at now_, all
-  // wire effects and reschedules at now_ + 1, and releases sort before
-  // ticks), so remembering the last pushed time dedupes exactly.
-  auto& last = last_tick_push_[static_cast<std::size_t>(n)];
-  if (last == t) return;
-  last = t;
-  events_.push(t, EventKind::kTick, n);
 }
 
 void FlitSimulator::do_release(StreamId s) {
@@ -265,56 +309,68 @@ void FlitSimulator::do_release(StreamId s) {
     complete_packet(pkt, now_ + st.length - 1);
   } else {
     const std::int32_t pkt = alloc_packet(s, now_);
-    const std::int32_t gi = inj_vc_index(s);
+    const std::int32_t gi = flows_[static_cast<std::size_t>(s)].inj_vc;
     InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
     if (iv.packets.empty()) {
       routers_[static_cast<std::size_t>(st.src)].inj_active.push_back(gi);
     }
     iv.packets.push_back(pkt);
-    schedule_tick(st.src, now_);
+    // The source router ticks this cycle, after the remaining releases.
+    wake(due_, st.src);
   }
   const Time next = now_ + st.period;
-  if (next < config_.duration) events_.push(next, EventKind::kRelease, s);
+  if (next < config_.duration) {
+    releases_.emplace_back(next, s);
+    std::push_heap(releases_.begin(), releases_.end(), std::greater<>());
+  }
 }
 
 void FlitSimulator::drain_wires(Router& r) {
-  for (topo::ChannelId c : topo_.channels().incoming(r.node)) {
-    auto& q = wire_flits_[static_cast<std::size_t>(c)];
-    while (!q.empty() && q.front().arrive <= now_) {
-      const WireFlit wf = q.front();
-      q.pop_front();
-      InVc& vc = in_vcs_[static_cast<std::size_t>(vc_base_[static_cast<std::size_t>(c)] + wf.vc)];
-      if (wf.flit == 0) {
-        // Header claims the input VC.  Exclusivity is guaranteed by the
-        // upstream OutVc: a new header is only sent after the previous
-        // worm's tail drained and every credit returned.
-        vc.owner = wf.packet;
-        vc.hop = wf.hop;
-        vc.buffered = 0;
-        vc.first = 0;
-        vc.out_vc = -1;
-        vc.out_ch = topo::kNoChannel;
-        vc.requested = false;
-        r.active.push_back(SrcRef{c, wf.vc});
-      }
-      ++vc.buffered;
+  // Incoming channels in the graph's order: a header's position in
+  // r.active decides the rare ties between two worms of one stream.
+  const auto p = static_cast<std::size_t>(now_ & 1);
+  const auto node = static_cast<std::size_t>(r.node);
+  std::int32_t& pending = arriving_[p][node];
+  auto& wires = wire_flits_[p];
+  for (auto k = static_cast<std::size_t>(in_begin_[node]); pending > 0; ++k) {
+    WireFlit& wf = wires[k];
+    if (wf.packet == -1) continue;
+    --pending;
+    const topo::ChannelId c = in_ch_[k];
+    InVc& vc = in_vcs_[static_cast<std::size_t>(vc_base_[static_cast<std::size_t>(c)] + wf.vc)];
+    if (wf.flit == 0) {
+      // Header claims the input VC.  Exclusivity is guaranteed by the
+      // upstream OutVc: a new header is only sent after the previous
+      // worm's tail drained and every credit returned.
+      vc.owner = wf.packet;
+      vc.stream = pool_[static_cast<std::size_t>(wf.packet)].stream;
+      vc.priority = flows_[static_cast<std::size_t>(vc.stream)].priority;
+      vc.hop = wf.hop;
+      vc.buffered = 0;
+      vc.first = 0;
+      vc.out_vc = -1;
+      vc.requested = false;
+      r.active.push_back(SrcRef{c, wf.vc});
     }
+    ++vc.buffered;
+    ++r.buffered;
+    wf.packet = -1;
   }
 }
 
 void FlitSimulator::drain_credits(Router& r) {
-  for (topo::ChannelId c : topo_.channels().outgoing(r.node)) {
-    auto& q = wire_credits_[static_cast<std::size_t>(c)];
-    while (!q.empty() && q.front().arrive <= now_) {
-      const std::int32_t v = q.front().vc;
-      q.pop_front();
-      OutVc& ov = out_vcs_[static_cast<std::size_t>(vc_base_[static_cast<std::size_t>(c)] + v)];
-      ++ov.credits;
-      if (ov.owner != -1 && ov.tail_sent && ov.credits == depth_) {
-        release_out_vc(c, v);
-      }
+  // Send order.  Credits of different channels touch disjoint VCs and
+  // waiter queues, so only the per-channel order (FIFO) is observable.
+  auto& inbox = wire_credits_[static_cast<std::size_t>(now_ & 1)]
+                             [static_cast<std::size_t>(r.node)];
+  for (const WireCredit& wc : inbox) {
+    OutVc& ov = out_vcs_[static_cast<std::size_t>(vc_base_[static_cast<std::size_t>(wc.channel)] + wc.vc)];
+    ++ov.credits;
+    if (ov.owner != -1 && ov.tail_sent && ov.credits == depth_) {
+      release_out_vc(wc.channel, wc.vc);
     }
   }
+  inbox.clear();
 }
 
 void FlitSimulator::release_out_vc(topo::ChannelId channel, std::int32_t vc) {
@@ -323,9 +379,8 @@ void FlitSimulator::release_out_vc(topo::ChannelId channel, std::int32_t vc) {
   out.owner = -1;
   out.tail_sent = false;
   out.src = SrcRef{};
-  std::deque<SrcRef>& queue =
-      shared_queue() ? out_vcs_[static_cast<std::size_t>(base)].waiters
-                     : out.waiters;
+  std::vector<SrcRef>& queue =
+      waiters_[static_cast<std::size_t>(shared_queue() ? base : base + vc)];
   auto next = queue.begin();
   if (config_.vc_mode == VcMode::kLiVc) {
     // First in line among the headers allowed onto VC `vc` (priority >= vc).
@@ -356,14 +411,14 @@ void FlitSimulator::grant(topo::ChannelId channel, std::int32_t vc,
     InjVc& iv = inj_vcs_[static_cast<std::size_t>(who.vc)];
     pkt = iv.packets.front();
     iv.out_vc = global;
-    iv.out_ch = channel;
+    iv.out_port = links_[static_cast<std::size_t>(channel)].out_port;
     iv.requested = false;
     if (waited) blocked = now_ - iv.wait_since;
   } else {
     InVc& src = in_vc(who);
     pkt = src.owner;
     src.out_vc = global;
-    src.out_ch = channel;
+    src.out_port = links_[static_cast<std::size_t>(channel)].out_port;
     src.requested = false;
     if (waited) blocked = now_ - src.wait_since;
   }
@@ -387,13 +442,12 @@ void FlitSimulator::eject_one(Router& r) {
   for (std::size_t i = 0; i < r.active.size(); ++i) {
     const InVc& vc = in_vc(r.active[i]);
     if (vc.buffered == 0) continue;
-    const auto& st = streams_[pool_[static_cast<std::size_t>(vc.owner)].stream];
-    if (vc.hop != st.path.hops() - 1) continue;
-    if (best == r.active.size() || st.priority > best_pr ||
-        (st.priority == best_pr && st.id < best_st)) {
+    if (vc.hop != flows_[static_cast<std::size_t>(vc.stream)].hops - 1) continue;
+    if (best == r.active.size() || vc.priority > best_pr ||
+        (vc.priority == best_pr && vc.stream < best_st)) {
       best = i;
-      best_pr = st.priority;
-      best_st = st.id;
+      best_pr = vc.priority;
+      best_st = vc.stream;
     }
   }
   if (best == r.active.size()) return;
@@ -402,36 +456,29 @@ void FlitSimulator::eject_one(Router& r) {
   InVc& vc = in_vc(ref);
   const Time flit = vc.first++;
   --vc.buffered;
+  --r.buffered;
   send_credit(ref.channel, ref.vc);
   ++result_.flits_delivered;
   --flits_in_network_;
   const std::int32_t pkt = vc.owner;
-  const auto& st = streams_[pool_[static_cast<std::size_t>(pkt)].stream];
-  if (flit == st.length - 1) {
+  if (flit == flows_[static_cast<std::size_t>(vc.stream)].length - 1) {
     complete_packet(pkt, now_);
     vc.owner = -1;
     vc.out_vc = -1;
-    vc.out_ch = topo::kNoChannel;
     deactivate_transit(r, ref);
   }
 }
 
 void FlitSimulator::allocate_vcs(Router& r) {
-  struct Req {
-    Priority pr;
-    StreamId st;
-    SrcRef ref;
-    topo::ChannelId target;
-  };
-  std::vector<Req> reqs;
+  std::vector<Req>& reqs = reqs_;
+  reqs.clear();
   for (const SrcRef& ref : r.active) {
     const InVc& vc = in_vc(ref);
     if (vc.out_vc != -1 || vc.requested) continue;
     if (vc.buffered == 0 || vc.first != 0) continue;  // header not at front
-    const auto& st = streams_[pool_[static_cast<std::size_t>(vc.owner)].stream];
-    if (vc.hop + 1 >= st.path.hops()) continue;  // last hop ejects instead
-    reqs.push_back(Req{st.priority, st.id, ref,
-                       st.path.channels[static_cast<std::size_t>(vc.hop) + 1]});
+    const Flow& f = flows_[static_cast<std::size_t>(vc.stream)];
+    if (vc.hop + 1 >= f.hops) continue;  // last hop ejects instead
+    reqs.push_back(Req{vc.priority, vc.stream, ref, f.path[vc.hop + 1]});
   }
   for (std::int32_t gi : r.inj_active) {
     const InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
@@ -441,11 +488,11 @@ void FlitSimulator::allocate_vcs(Router& r) {
         iv.sent != 0) {
       continue;
     }
-    const auto& st =
-        streams_[pool_[static_cast<std::size_t>(iv.packets.front())].stream];
-    reqs.push_back(
-        Req{st.priority, st.id, SrcRef{topo::kNoChannel, gi}, st.path.channels[0]});
+    const StreamId s = pool_[static_cast<std::size_t>(iv.packets.front())].stream;
+    const Flow& f = flows_[static_cast<std::size_t>(s)];
+    reqs.push_back(Req{f.priority, s, SrcRef{topo::kNoChannel, gi}, f.path[0]});
   }
+  if (reqs.empty()) return;
   // Strict total order: priority desc, stream asc, then source identity —
   // the last key only breaks ties between a stream's transit worm and a
   // queued successor message at the same (source) router.
@@ -486,8 +533,7 @@ void FlitSimulator::preempt_below(topo::ChannelId channel, Priority pr) {
   for (std::int32_t v = 0; v < vc_count_[c]; ++v) {
     const OutVc& out = out_vcs_[static_cast<std::size_t>(vc_base_[c] + v)];
     if (out.owner == -1 || out.tail_sent) continue;
-    const Priority p =
-        streams_[pool_[static_cast<std::size_t>(out.owner)].stream].priority;
+    const Priority p = flow_of(out.owner).priority;
     if (p < lowest) {
       lowest = p;
       victim = out.owner;
@@ -499,12 +545,14 @@ void FlitSimulator::preempt_below(topo::ChannelId channel, Priority pr) {
 }
 
 void FlitSimulator::discard(std::int32_t packet) {
-  const auto& st = streams_[pool_[static_cast<std::size_t>(packet)].stream];
-  const auto& path = st.path.channels;
-  const std::int32_t gi = inj_vc_index(st.id);
+  const StreamId s = pool_[static_cast<std::size_t>(packet)].stream;
+  const Flow& f = flows_[static_cast<std::size_t>(s)];
+  const auto hops = static_cast<std::size_t>(f.hops);
+  const topo::ChannelId* path = f.path;
+  const std::int32_t gi = f.inj_vc;
   InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
   const auto withdraw = [&](topo::ChannelId channel, const SrcRef& ref) {
-    auto& queue = waiters_of(channel, st.id);
+    auto& queue = waiters_of(channel, s);
     queue.erase(std::find(queue.begin(), queue.end(), ref));
   };
   if (iv.requested) withdraw(path[0], SrcRef{topo::kNoChannel, gi});
@@ -512,46 +560,47 @@ void FlitSimulator::discard(std::int32_t packet) {
   ++result_.retransmissions;
   iv.sent = 0;
   iv.out_vc = -1;
-  iv.out_ch = topo::kNoChannel;
   iv.requested = false;
 
   // Hop by hop: the worm's flits on the wire and in the downstream buffer
   // vanish and their credits return at once; its input VC is cleared and
   // its upstream out VC frees as soon as older credits are home.
-  for (std::size_t h = 0; h < path.size(); ++h) {
+  for (std::size_t h = 0; h < hops; ++h) {
     const topo::ChannelId c = path[h];
     const auto base = vc_base_[static_cast<std::size_t>(c)];
-    auto& wire = wire_flits_[static_cast<std::size_t>(c)];
+    const Link& link = links_[static_cast<std::size_t>(c)];
     for (std::int32_t v = 0; v < vc_count_[static_cast<std::size_t>(c)]; ++v) {
       OutVc& out = out_vcs_[static_cast<std::size_t>(base + v)];
       if (out.owner != packet) continue;
       InVc& in = in_vcs_[static_cast<std::size_t>(base + v)];
       int removed = 0;
       if (in.owner == packet) {
-        if (h + 1 == path.size()) {
+        if (h + 1 == hops) {
           // The receiver drops the partially delivered message.
           result_.flits_delivered -= in.first;
         }
         if (in.requested) withdraw(path[h + 1], SrcRef{c, v});
         removed = in.buffered;
+        routers_[static_cast<std::size_t>(link.dst)].buffered -= in.buffered;
         in = InVc{};
-        deactivate_transit(
-            routers_[static_cast<std::size_t>(topo_.channels().channel(c).dst)],
-            SrcRef{c, v});
+        deactivate_transit(routers_[static_cast<std::size_t>(link.dst)],
+                           SrcRef{c, v});
       }
-      const auto kept =
-          std::remove_if(wire.begin(), wire.end(), [&](const WireFlit& wf) {
-            return wf.packet == packet && wf.vc == v;
-          });
-      removed += static_cast<int>(wire.end() - kept);
-      wire.erase(kept, wire.end());
+      for (std::size_t p = 0; p < 2; ++p) {
+        WireFlit& wf = wire_flits_[p][static_cast<std::size_t>(link.in_slot)];
+        if (wf.packet == packet && wf.vc == v) {
+          wf.packet = -1;
+          --arriving_[p][static_cast<std::size_t>(link.dst)];
+          ++removed;
+        }
+      }
       flits_in_network_ -= removed;
       out.credits += removed;
       out.tail_sent = true;
       if (out.credits == depth_) release_out_vc(c, v);
     }
   }
-  schedule_tick(st.src, now_ + 1);
+  tick_next(f.src);
 }
 
 std::int32_t FlitSimulator::pick_injection(Router& r) {
@@ -564,67 +613,58 @@ std::int32_t FlitSimulator::pick_injection(Router& r) {
     const InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
     if (iv.packets.empty() || iv.out_vc == -1) continue;
     if (out_vcs_[static_cast<std::size_t>(iv.out_vc)].credits <= 0) continue;
-    const auto& st =
-        streams_[pool_[static_cast<std::size_t>(iv.packets.front())].stream];
-    if (best == -1 || st.priority > best_pr ||
-        (st.priority == best_pr && st.id < best_st)) {
+    const StreamId s = pool_[static_cast<std::size_t>(iv.packets.front())].stream;
+    const Priority pr = flows_[static_cast<std::size_t>(s)].priority;
+    if (best == -1 || pr > best_pr || (pr == best_pr && s < best_st)) {
       best = gi;
-      best_pr = st.priority;
-      best_st = st.id;
+      best_pr = pr;
+      best_st = s;
     }
   }
   return best;
 }
 
 void FlitSimulator::arbitrate_switch(Router& r, std::int32_t inj_candidate) {
-  const auto& outs = topo_.channels().outgoing(r.node);
-  if (outs.empty() && inj_candidate == -1) return;
-  struct Cand {
-    bool valid = false;
-    Priority pr = 0;
-    StreamId st = 0;
-    SrcRef ref;
-  };
-  std::vector<Cand> best(outs.size());
-  const auto slot = [&outs](topo::ChannelId c) -> std::size_t {
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      if (outs[i] == c) return i;
-    }
-    return outs.size();
-  };
-  const auto consider = [](Cand& cur, Priority pr, StreamId st,
-                           const SrcRef& ref) {
+  const auto node = static_cast<std::size_t>(r.node);
+  const auto ports = static_cast<std::size_t>(out_begin_[node + 1] - out_begin_[node]);
+  if (ports == 0) return;
+  for (std::size_t i = 0; i < ports; ++i) best_[i].valid = false;
+  const auto consider = [this](std::int32_t port, Priority pr, StreamId st,
+                               const SrcRef& ref) {
+    Cand& cur = best_[static_cast<std::size_t>(port)];
     if (!cur.valid || pr > cur.pr || (pr == cur.pr && st < cur.st)) {
       cur = Cand{true, pr, st, ref};
     }
   };
   // Li & Mutka's VCs share the channel round-robin: the rank is the
   // distance behind the channel's pointer, not the priority.
-  const auto rank = [this](Priority pr, std::int32_t out_vc,
-                           topo::ChannelId ch) -> Priority {
+  const topo::ChannelId* outs = out_ch_.data() + out_begin_[node];
+  const auto rank = [this, outs](Priority pr, std::int32_t out_vc,
+                                 std::int32_t port) -> Priority {
     if (config_.vc_mode != VcMode::kLiVc) return pr;
-    const auto c = static_cast<std::size_t>(ch);
+    const auto c = static_cast<std::size_t>(outs[port]);
     return -((out_vc - vc_base_[c] - rr_[c] + vc_count_[c]) % vc_count_[c]);
   };
   for (const SrcRef& ref : r.active) {
     const InVc& vc = in_vc(ref);
     if (vc.out_vc == -1 || vc.buffered == 0) continue;
     if (out_vcs_[static_cast<std::size_t>(vc.out_vc)].credits <= 0) continue;
-    const auto& st = streams_[pool_[static_cast<std::size_t>(vc.owner)].stream];
-    consider(best[slot(vc.out_ch)], rank(st.priority, vc.out_vc, vc.out_ch),
-             st.id, ref);
+    consider(vc.out_port, rank(vc.priority, vc.out_vc, vc.out_port),
+             vc.stream, ref);
   }
   if (inj_candidate != -1) {
     const InjVc& iv = inj_vcs_[static_cast<std::size_t>(inj_candidate)];
-    const auto& st =
-        streams_[pool_[static_cast<std::size_t>(iv.packets.front())].stream];
-    consider(best[slot(iv.out_ch)], rank(st.priority, iv.out_vc, iv.out_ch),
-             st.id, SrcRef{topo::kNoChannel, inj_candidate});
+    const StreamId s = pool_[static_cast<std::size_t>(iv.packets.front())].stream;
+    consider(iv.out_port,
+             rank(flows_[static_cast<std::size_t>(s)].priority, iv.out_vc,
+                  iv.out_port),
+             s, SrcRef{topo::kNoChannel, inj_candidate});
   }
   // Winners hold disjoint source VCs (each source feeds exactly one out
-  // channel), so applying them in channel order is order-insensitive.
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    if (best[i].valid) forward_flit(r, outs[i], best[i].ref);
+  // channel).  They move in port order, which also orders the credits
+  // two VCs of one input channel send back in the same cycle.
+  for (std::size_t i = 0; i < ports; ++i) {
+    if (best_[i].valid) forward_flit(r, outs[i], best_[i].ref);
   }
 }
 
@@ -645,6 +685,7 @@ void FlitSimulator::forward_flit(Router& r, topo::ChannelId channel,
     out_global = vc.out_vc;
     flit = vc.first++;
     --vc.buffered;
+    --r.buffered;
     next_hop = vc.hop + 1;
     send_credit(src.channel, src.vc);
   }
@@ -653,23 +694,24 @@ void FlitSimulator::forward_flit(Router& r, topo::ChannelId channel,
   const std::int32_t local =
       out_global - vc_base_[static_cast<std::size_t>(channel)];
   const std::int32_t pkt = out.owner;
-  const auto& st = streams_[pool_[static_cast<std::size_t>(pkt)].stream];
-  wire_flits_[static_cast<std::size_t>(channel)].push_back(
-      WireFlit{now_ + 1, pkt, flit, local, next_hop});
+  const Link& link = links_[static_cast<std::size_t>(channel)];
+  const auto p = static_cast<std::size_t>((now_ + 1) & 1);
+  wire_flits_[p][static_cast<std::size_t>(link.in_slot)] =
+      WireFlit{pkt, local, flit, next_hop};
+  ++arriving_[p][static_cast<std::size_t>(link.dst)];
   ++result_.flits_per_channel[static_cast<std::size_t>(channel)];
-  schedule_tick(topo_.channels().channel(channel).dst, now_ + 1);
+  tick_next(link.dst);
   if (config_.vc_mode == VcMode::kLiVc) {
     rr_[static_cast<std::size_t>(channel)] =
         (local + 1) % vc_count_[static_cast<std::size_t>(channel)];
   }
-  if (flit == st.length - 1) {
+  if (flit == flow_of(pkt).length - 1) {
     // Tail leaves this router: the upstream VC is done (the downstream
     // OutVc frees itself once its credits refill).
     out.tail_sent = true;
     if (src.injection()) {
       InjVc& iv = inj_vcs_[static_cast<std::size_t>(src.vc)];
       iv.out_vc = -1;
-      iv.out_ch = topo::kNoChannel;
       // A throttled source keeps the message queued until it is
       // delivered: a preemption may still send it back.
       if (config_.vc_mode != VcMode::kThrottlePreempt) {
@@ -681,16 +723,17 @@ void FlitSimulator::forward_flit(Router& r, topo::ChannelId channel,
       InVc& vc = in_vc(src);
       vc.owner = -1;
       vc.out_vc = -1;
-      vc.out_ch = topo::kNoChannel;
       deactivate_transit(r, src);
     }
   }
 }
 
 void FlitSimulator::send_credit(topo::ChannelId channel, std::int32_t vc) {
-  wire_credits_[static_cast<std::size_t>(channel)].push_back(
-      WireCredit{now_ + 1, vc});
-  schedule_tick(topo_.channels().channel(channel).src, now_ + 1);
+  const topo::NodeId src = links_[static_cast<std::size_t>(channel)].src;
+  wire_credits_[static_cast<std::size_t>((now_ + 1) & 1)]
+               [static_cast<std::size_t>(src)]
+                   .push_back(WireCredit{channel, vc});
+  tick_next(src);
 }
 
 void FlitSimulator::complete_packet(std::int32_t packet, Time delivered) {
@@ -714,15 +757,14 @@ void FlitSimulator::complete_packet(std::int32_t packet, Time delivered) {
   if (latency_hist_ != nullptr) {
     latency_hist_->observe(static_cast<double>(latency));
   }
-  const auto& st = streams_[p.stream];
-  if (config_.vc_mode == VcMode::kThrottlePreempt && st.path.hops() > 0) {
+  const Flow& f = flows_[static_cast<std::size_t>(p.stream)];
+  if (config_.vc_mode == VcMode::kThrottlePreempt && f.hops > 0) {
     // Delivered at last: the throttled source may start its next message.
-    const std::int32_t gi = inj_vc_index(p.stream);
-    InjVc& iv = inj_vcs_[static_cast<std::size_t>(gi)];
+    InjVc& iv = inj_vcs_[static_cast<std::size_t>(f.inj_vc)];
     iv.packets.pop_front();
     iv.sent = 0;
     if (iv.packets.empty()) {
-      deactivate_injection(routers_[static_cast<std::size_t>(st.src)], gi);
+      deactivate_injection(routers_[static_cast<std::size_t>(f.src)], f.inj_vc);
     }
   }
   free_.push_back(packet);
@@ -757,25 +799,12 @@ void FlitSimulator::do_tick(topo::NodeId n) {
   const std::int32_t inj_candidate = pick_injection(r);
   arbitrate_switch(r, inj_candidate);
 
-  // Keep ticking while local state can still make progress on its own.
-  // Work gated on remote effects (wire arrivals, returning credits) is
-  // woken by the sender's schedule_tick, so idle routers cost nothing.
-  bool busy = false;
-  for (const SrcRef& ref : r.active) {
-    if (in_vc(ref).buffered > 0) {
-      busy = true;
-      break;
-    }
-  }
-  if (!busy) {
-    for (std::int32_t gi : r.inj_active) {
-      if (!inj_vcs_[static_cast<std::size_t>(gi)].packets.empty()) {
-        busy = true;
-        break;
-      }
-    }
-  }
-  if (busy) schedule_tick(n, now_ + 1);
+  // Keep ticking while local state can still make progress on its own:
+  // flits resident here or packets queued at a source (inj_active holds
+  // exactly the injection VCs with queued packets).  Work gated on remote
+  // effects (wire arrivals, returning credits) is woken by the sender
+  // (tick_next), so idle routers cost nothing.
+  if (r.buffered > 0 || !r.inj_active.empty()) tick_next(n);
 }
 
 FlitSimResult FlitSimulator::run() {
@@ -785,21 +814,45 @@ FlitSimResult FlitSimulator::run() {
   }
   used_ = true;
   seed_releases();
+  const Time horizon = config_.duration + config_.drain_limit;
   bool overran = false;
-  while (!events_.empty()) {
-    const Event e = events_.pop();
-    if (e.time > config_.duration + config_.drain_limit) {
+  for (;;) {
+    // The next event time: next cycle while any router ticks then, else
+    // the earliest release.
+    Time t = kNoTime;
+    if (std::any_of(next_.begin(), next_.end(),
+                    [](std::uint64_t w) { return w != 0; })) {
+      t = now_ + 1;
+    } else if (!releases_.empty()) {
+      t = releases_.front().first;
+    } else {
+      break;
+    }
+    if (t > horizon) {
       overran = true;  // worms still in flight past the drain budget
       break;
     }
-    now_ = e.time;
-    ++result_.events_processed;
-    if (e.kind == EventKind::kRelease) {
-      do_release(e.id);
-    } else {
-      do_tick(e.id);
+    now_ = t;
+    due_.swap(next_);
+    // Releases first, streams ascending (they may wake routers this
+    // cycle), then ticks, routers ascending.
+    while (!releases_.empty() && releases_.front().first == now_) {
+      std::pop_heap(releases_.begin(), releases_.end(), std::greater<>());
+      const StreamId s = releases_.back().second;
+      releases_.pop_back();
+      ++result_.events_processed;
+      do_release(s);
+      if (config_.validate) validate_state();
     }
-    if (config_.validate) validate_state();
+    for (std::size_t w = 0; w < due_.size(); ++w) {
+      for (std::uint64_t bits = std::exchange(due_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        ++result_.events_processed;
+        do_tick(static_cast<topo::NodeId>(w * 64 + static_cast<std::size_t>(
+                                                       std::countr_zero(bits))));
+        if (config_.validate) validate_state();
+      }
+    }
   }
   result_.cycles_run = now_;
   result_.drained = !overran && flits_in_network_ == 0;
@@ -827,13 +880,19 @@ void FlitSimulator::validate_state() const {
         fail("credit count " + std::to_string(ov.credits) +
              " outside [0, depth] on channel " + std::to_string(c));
       }
+      const Link& link = links_[c];
       std::int64_t in_flight = 0;
-      for (const WireFlit& wf : wire_flits_[c]) {
-        if (wf.vc == v) ++in_flight;
-      }
       std::int64_t returning = 0;
-      for (const WireCredit& wc : wire_credits_[c]) {
-        if (wc.vc == v) ++returning;
+      for (std::size_t p = 0; p < 2; ++p) {
+        const WireFlit& wf =
+            wire_flits_[p][static_cast<std::size_t>(link.in_slot)];
+        if (wf.packet != -1 && wf.vc == v) ++in_flight;
+        for (const WireCredit& wc :
+             wire_credits_[p][static_cast<std::size_t>(link.src)]) {
+          if (wc.channel == static_cast<topo::ChannelId>(c) && wc.vc == v) {
+            ++returning;
+          }
+        }
       }
       if (ov.credits + iv.buffered + in_flight + returning != depth_) {
         fail("credit conservation broken on channel " + std::to_string(c) +
@@ -851,6 +910,26 @@ void FlitSimulator::validate_state() const {
          std::to_string(flits_in_network_) + " but " +
          std::to_string(resident) + " flits are resident");
   }
+  for (const Router& r : routers_) {
+    std::int64_t buffered = 0;
+    for (const SrcRef& ref : r.active) {
+      buffered += in_vcs_[static_cast<std::size_t>(
+                              vc_base_[static_cast<std::size_t>(ref.channel)] +
+                              ref.vc)]
+                      .buffered;
+    }
+    if (buffered != r.buffered) {
+      fail("router " + std::to_string(r.node) + " counts " +
+           std::to_string(r.buffered) + " resident flits, its VCs hold " +
+           std::to_string(buffered));
+    }
+    for (const std::int32_t gi : r.inj_active) {
+      if (inj_vcs_[static_cast<std::size_t>(gi)].packets.empty()) {
+        fail("empty injection VC listed active at router " +
+             std::to_string(r.node));
+      }
+    }
+  }
 }
 
 void FlitSimulator::check_quiescent() const {
@@ -864,7 +943,7 @@ void FlitSimulator::check_quiescent() const {
     const OutVc& ov = out_vcs_[i];
     if (ov.owner != -1) fail("output VC not released by tail");
     if (ov.credits != depth_) fail("credits not fully returned");
-    if (!ov.waiters.empty()) fail("allocation waiters left behind");
+    if (!waiters_[i].empty()) fail("allocation waiters left behind");
   }
   for (const InjVc& iv : inj_vcs_) {
     if (!iv.packets.empty()) fail("undelivered packets at an injection VC");

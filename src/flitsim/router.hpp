@@ -39,26 +39,26 @@ struct SrcRef {
 /// of the owning packet — wormhole FIFO order makes the pair sufficient.
 struct InVc {
   std::int32_t owner = -1;  ///< packet pool index, -1 when free
+  StreamId stream = kNoStream;  ///< the owner's stream and priority,
+  Priority priority = 0;        ///< cached when its header arrives
   int buffered = 0;         ///< flits currently resident (<= depth)
   Time first = 0;           ///< flit index of the buffer's front flit
   int hop = 0;              ///< position of this channel in the owner's path
   std::int32_t out_vc = -1;  ///< allocated downstream VC (global), -1 if none
-  topo::ChannelId out_ch = topo::kNoChannel;
+  std::int32_t out_port = 0;  ///< its channel's position at this router
   bool requested = false;   ///< header is enqueued on a busy out VC
   Time wait_since = 0;      ///< when the pending request was enqueued
 };
 
 /// Upstream view of one downstream input VC: who holds it, how many
-/// buffer slots remain (credits), and who is queued to get it next.
+/// buffer slots remain (credits), and which VC here feeds it.  The
+/// headers queued to get it next are kept apart (FlitSimulator::waiters_)
+/// so the state every tick reads stays small.
 struct OutVc {
   std::int32_t owner = -1;  ///< packet pool index, -1 when free
   int credits = 0;          ///< free slots in the downstream buffer
   bool tail_sent = false;   ///< tail forwarded; release when credits refill
   SrcRef src;               ///< VC at this router feeding the channel
-  /// FCFS headers waiting for allocation.  In kLiVc and
-  /// kThrottlePreempt modes a header may take any of several VCs, so VC
-  /// 0's list is the whole channel's queue and the others stay empty.
-  std::deque<SrcRef> waiters;
 };
 
 /// One injection-side virtual channel at a node: a FIFO of locally
@@ -69,25 +69,25 @@ struct InjVc {
   std::deque<std::int32_t> packets;  ///< packet pool indices, FIFO
   Time sent = 0;                     ///< flits of the front packet injected
   std::int32_t out_vc = -1;
-  topo::ChannelId out_ch = topo::kNoChannel;
+  std::int32_t out_port = 0;
   bool requested = false;
   Time wait_since = 0;
 };
 
-/// A flit in transit on a physical channel; arrives at the channel's dst
-/// router at `arrive` (always send time + 1).
+/// A flit on a physical channel's wire; it arrives at the channel's dst
+/// router one cycle after it was sent.  packet == -1 marks an empty wire.
 struct WireFlit {
-  Time arrive = 0;
   std::int32_t packet = -1;
-  Time flit = 0;  ///< flit index within the packet (0 = header)
   std::int32_t vc = 0;  ///< destination VC within the channel's group
-  int hop = 0;    ///< position of this channel in the packet's path
+  Time flit = 0;        ///< flit index within the packet (0 = header)
+  int hop = 0;          ///< position of this channel in the packet's path
 };
 
-/// A credit returning upstream on a physical channel (one freed slot of
-/// input VC `vc`); arrives at the channel's src router at `arrive`.
+/// A credit returning upstream on `channel` (one freed slot of input VC
+/// `vc`); it arrives at the channel's src router one cycle after it was
+/// sent.
 struct WireCredit {
-  Time arrive = 0;
+  topo::ChannelId channel = topo::kNoChannel;
   std::int32_t vc = 0;
 };
 
@@ -97,6 +97,8 @@ struct Router {
   topo::NodeId node = topo::kNoNode;
   /// Transit input VCs with an owner (SrcRef::channel >= 0).
   std::vector<SrcRef> active;
+  /// Flits resident in those VCs (the sum of their `buffered`).
+  std::int64_t buffered = 0;
   /// Global indices of injection VCs with queued packets.
   std::vector<std::int32_t> inj_active;
 };
