@@ -42,9 +42,9 @@ OBS_OUT="$(dirname "$OUT")/BENCH_obs.json"
 echo "wrote $OBS_OUT"
 
 # Flit-accurate simulator throughput: events/s and flits/s as the mesh
-# and population scale (32x32 rows are the large-mesh regime), plus the
-# parallel-replication scaling rows (threads 1/2/4/hw; bitwise-identical
-# results across thread counts).
+# and population scale (BM_FlitSimBusyMesh is the large-mesh regime:
+# 1,000 streams on 32x32), plus the parallel-replication scaling rows
+# (threads 1/2/4/hw; bitwise-identical results across thread counts).
 FLITSIM_OUT="$(dirname "$OUT")/BENCH_flitsim.json"
 "$BIN" \
   --benchmark_filter='BM_FlitSim' \
