@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/admission.hpp"
 #include "core/delay_bound.hpp"
 #include "core/workload.hpp"
 #include "flitsim/flit_sim.hpp"
@@ -106,7 +107,7 @@ int run(int argc, char** argv) {
             fr.per_stream[static_cast<std::size_t>(s.id)].worst;
         // The monitor's validity domain: the bound survives credit flow
         // control only with a round-trip of slack (DESIGN.md §13).
-        const bool flit_valid = bound != kNoTime && bound + 2 <= s.period;
+        const bool flit_valid = core::flit_valid(bound, s.period);
         valid_streams += flit_valid ? 1 : 0;
         if (worst == kNoTime) {
           continue;  // silent stream: period adjusted past the window

@@ -776,8 +776,15 @@ int main(int argc, char** argv) {
               "(fsync on), %.2fx (fsync off)\n",
               durable_speedup, nofsync_speedup);
 
+  // Where the numbers came from: the socket and replication rows scale
+  // with the host's CPUs and its fsync latency.
+  char host[256] = {};
+  ::gethostname(host, sizeof host - 1);
   Json doc = Json::object();
   doc.set("bench", "svc_churn");
+  doc.set("host", std::string(host));
+  doc.set("nproc",
+          static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN)));
   doc.set("streams", std::int64_t{n});
   doc.set("mesh", mesh.name());
   doc.set("ops", std::int64_t{ops});

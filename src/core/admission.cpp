@@ -7,16 +7,9 @@
 
 namespace wormrt::core {
 
-namespace {
-
-/// PR-7 flit-validity domain: the bound survives real credit flow
-/// control only when the stream keeps two flit times of slack for the
-/// credit round trip (EXPERIMENTS.md finding 2).
-bool has_credit_slack(Time bound, Time period) {
+bool flit_valid(Time bound, Time period) {
   return bound != kNoTime && bound + 2 <= period;
 }
-
-}  // namespace
 
 AdmissionController::AdmissionController(topo::Topology& topo,
                                          const route::RoutingAlgorithm& routing,
@@ -30,14 +23,14 @@ bool AdmissionController::gate_ok(Time bound, Time deadline, Time period,
                                   std::vector<Handle>* would_break) const {
   const bool guard = engine_.config().credit_slack_guard;
   bool ok = bound != kNoTime && bound <= deadline;
-  if (guard && !has_credit_slack(bound, period)) {
+  if (guard && !flit_valid(bound, period)) {
     ok = false;
   }
   for (const Handle h : dirty) {
     const Time b = *engine_.bound(h);
     const MessageStream* s = engine_.find(h);
     if (b == kNoTime || b > s->deadline ||
-        (guard && !has_credit_slack(b, s->period))) {
+        (guard && !flit_valid(b, s->period))) {
       if (would_break != nullptr) {
         would_break->push_back(h);
       }
@@ -89,7 +82,7 @@ AdmissionController::Decision AdmissionController::request(
   const IncrementalAnalyzer::Mutation trial =
       engine_.add_stream(std::move(candidate));
   decision.bound = *engine_.bound(trial.handle);
-  decision.flit_valid = has_credit_slack(decision.bound, period);
+  decision.flit_valid = flit_valid(decision.bound, period);
   if (provenance != nullptr) {
     // Captured while the trial population is still in place: the terms
     // blame the HP streams of the (possibly rejected) trial set.

@@ -41,6 +41,13 @@
 
 namespace wormrt::core {
 
+/// Flit validity: the bound survives real credit flow control only when
+/// the stream keeps two flit times of slack for the credit round trip,
+/// U + 2 <= T (EXPERIMENTS.md finding 2).  The one predicate behind the
+/// admission gate, REPORT, HEALTH, the fuzzer's flit oracle and the slack
+/// report.
+bool flit_valid(Time bound, Time period);
+
 class AdmissionController {
  public:
   /// Stable handle for an admitted channel (survives removals).

@@ -73,6 +73,79 @@ std::string describe_stream(const core::MessageStream& s) {
          " D=" + std::to_string(s.deadline) + ")";
 }
 
+/// Who diff_engines() names in its messages: the invariant, the engine
+/// under test ("recovered", "follower"), its reference ("oracle",
+/// "primary"), and a suffix locating the comparison.
+struct EngineNames {
+  const char* invariant;
+  const char* got;
+  const char* want;
+  std::string where;
+};
+
+/// The journaled-state equality the recovery and replication oracles
+/// both require of \p got against \p want: population, next handle,
+/// handle numbering, bounds (\p skew added to the reference — the
+/// replication detection proof), parameters, routes and fault flags.
+/// The first difference is the violation.
+std::optional<Violation> diff_engines(const AdmissionController& want,
+                                      const AdmissionController& got,
+                                      const EngineNames& names, Time skew) {
+  const core::IncrementalAnalyzer& w = want.engine();
+  const core::IncrementalAnalyzer& g = got.engine();
+  const std::string who = names.got;
+  const std::string vs = std::string(" != ") + names.want + " ";
+  const auto differ = [&names](const std::string& detail) {
+    return fail(names.invariant, detail + names.where);
+  };
+  if (w.size() != g.size()) {
+    return differ(who + " population " + std::to_string(g.size()) + vs +
+                  std::to_string(w.size()));
+  }
+  if (want.next_handle() != got.next_handle()) {
+    return differ(who + " next handle " + std::to_string(got.next_handle()) +
+                  vs + std::to_string(want.next_handle()));
+  }
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    const auto id = static_cast<StreamId>(j);
+    const std::string stream = std::to_string(j);
+    if (w.handle_of(id) != g.handle_of(id)) {
+      return differ("handle numbering diverged at stream " + stream + ": " +
+                    who + " " + std::to_string(g.handle_of(id)) + vs +
+                    std::to_string(w.handle_of(id)));
+    }
+    if (g.bound_at(id) != w.bound_at(id) + skew) {
+      return differ(who + " bound " + std::to_string(g.bound_at(id)) + vs +
+                    std::to_string(w.bound_at(id)) + " for stream " + stream);
+    }
+    const core::MessageStream& sw = w.streams()[id];
+    const core::MessageStream& sg = g.streams()[id];
+    if (sw.src != sg.src || sw.dst != sg.dst || sw.priority != sg.priority ||
+        sw.period != sg.period || sw.length != sg.length ||
+        sw.deadline != sg.deadline) {
+      return differ(who + " parameters diverged for stream " + stream + ": " +
+                    describe_stream(sg) + " != " + describe_stream(sw));
+    }
+    if (sw.route_order != sg.route_order ||
+        sw.path.channels != sg.path.channels) {
+      return differ(who + " route diverged for stream " + stream +
+                    ": route_order " + std::to_string(sg.route_order) + vs +
+                    std::to_string(sw.route_order));
+    }
+  }
+  // Fault flags are journaled state too: the fabric under test must carry
+  // exactly the reference's fault set.
+  for (std::size_t c = 0; c < want.topology().num_channels(); ++c) {
+    const auto ch = static_cast<topo::ChannelId>(c);
+    if (want.topology().channel_faulted(ch) !=
+        got.topology().channel_faulted(ch)) {
+      return differ(who + " fault flag diverged on channel " +
+                    std::to_string(c));
+    }
+  }
+  return std::nullopt;
+}
+
 /// Equivalence + monotonicity: replay the churn through the incremental
 /// engine (no admission gate, so infeasible streams exercise the kNoTime
 /// cache states too) and diff against from-scratch analysis.  Link
@@ -482,7 +555,7 @@ std::optional<Violation> check_admission_invariants(
   for (std::size_t j = 0; j < population.size(); ++j) {
     const auto id = static_cast<StreamId>(j);
     const Time bound = ctrl.engine().bound_at(id);
-    has_rtt_slack[j] = bound != kNoTime && bound + 2 <= population[id].period;
+    has_rtt_slack[j] = core::flit_valid(bound, population[id].period);
   }
   // Every flit-accurate arrival is also fed through the runtime
   // ConformanceMonitor (the REPORT-verb machinery) so the fuzzer
@@ -684,6 +757,30 @@ long file_size(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? static_cast<long>(st.st_size) : -1;
 }
 
+/// A private journal state dir under CheckConfig::recovery_tmp_root
+/// (path empty when mkdtemp failed), emptied and removed on scope exit.
+struct StateDir {
+  StateDir(const std::string& root, const char* tag)
+      : path(root + "/wormrt-" + tag + "-XXXXXX") {
+    if (::mkdtemp(path.data()) == nullptr) {
+      path.clear();
+    }
+  }
+  ~StateDir() {
+    if (path.empty()) {
+      return;
+    }
+    std::remove(svc::Journal::journal_path(path).c_str());
+    std::remove(svc::Journal::snapshot_path(path).c_str());
+    std::remove((path + "/snapshot.tmp").c_str());
+    ::rmdir(path.c_str());
+  }
+  StateDir(const StateDir&) = delete;
+  StateDir& operator=(const StateDir&) = delete;
+
+  std::string path;
+};
+
 /// Recovery: run a journaled Service next to a plain in-process oracle,
 /// crash the service at a random point of the churn (dropping it,
 /// possibly mid-append via an injected torn write, possibly with
@@ -702,24 +799,12 @@ std::optional<Violation> check_recovery_invariants(
   const std::unique_ptr<topo::Topology> oracle_topo = scenario.topo.build();
   const std::unique_ptr<topo::Topology> primary_topo = scenario.topo.build();
   const std::unique_ptr<topo::Topology> recovered_topo = scenario.topo.build();
-  std::string dir_template =
-      config.recovery_tmp_root + "/wormrt-recovery-XXXXXX";
-  std::vector<char> dir_buf(dir_template.begin(), dir_template.end());
-  dir_buf.push_back('\0');
-  if (::mkdtemp(dir_buf.data()) == nullptr) {
+  const StateDir state_dir(config.recovery_tmp_root, "recovery");
+  if (state_dir.path.empty()) {
     return fail(kInvariantRecovery,
                 std::string("mkdtemp: ") + std::strerror(errno));
   }
-  const std::string dir(dir_buf.data());
-  struct Cleanup {
-    std::string dir;
-    ~Cleanup() {
-      std::remove(svc::Journal::journal_path(dir).c_str());
-      std::remove(svc::Journal::snapshot_path(dir).c_str());
-      std::remove((dir + "/snapshot.tmp").c_str());
-      ::rmdir(dir.c_str());
-    }
-  } cleanup{dir};
+  const std::string& dir = state_dir.path;
 
   util::Rng rng(scenario.seed, kRecoveryStream);
   const std::size_t crash_at =
@@ -874,67 +959,9 @@ std::optional<Violation> check_recovery_invariants(
   const std::string where =
       " (crash after op " + std::to_string(crash_at) + "/" +
       std::to_string(scenario.ops.size()) + ")";
-  const auto compare_state = [&]() -> std::optional<Violation> {
-    const core::IncrementalAnalyzer& want = oracle.engine();
-    const core::IncrementalAnalyzer& got = recovered.controller().engine();
-    if (want.size() != got.size()) {
-      return fail(kInvariantRecovery,
-                  "recovered population " + std::to_string(got.size()) +
-                      " != oracle " + std::to_string(want.size()) + where);
-    }
-    if (oracle.next_handle() != recovered.controller().next_handle()) {
-      return fail(kInvariantRecovery,
-                  "recovered next handle " +
-                      std::to_string(recovered.controller().next_handle()) +
-                      " != oracle " + std::to_string(oracle.next_handle()) +
-                      where);
-    }
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      const auto id = static_cast<StreamId>(j);
-      if (want.handle_of(id) != got.handle_of(id)) {
-        return fail(kInvariantRecovery,
-                    "handle numbering diverged at stream " + std::to_string(j) +
-                        ": recovered " + std::to_string(got.handle_of(id)) +
-                        " != oracle " + std::to_string(want.handle_of(id)) +
-                        where);
-      }
-      if (want.bound_at(id) != got.bound_at(id)) {
-        return fail(kInvariantRecovery,
-                    "recovered bound " + std::to_string(got.bound_at(id)) +
-                        " != oracle " + std::to_string(want.bound_at(id)) +
-                        " for stream " + std::to_string(j) + where);
-      }
-      const core::MessageStream& sw = want.streams()[id];
-      const core::MessageStream& sg = got.streams()[id];
-      if (sw.src != sg.src || sw.dst != sg.dst || sw.priority != sg.priority ||
-          sw.period != sg.period || sw.length != sg.length ||
-          sw.deadline != sg.deadline) {
-        return fail(kInvariantRecovery,
-                    "recovered parameters diverged for stream " +
-                        std::to_string(j) + ": " + describe_stream(sg) +
-                        " != " + describe_stream(sw) + where);
-      }
-      if (sw.route_order != sg.route_order ||
-          sw.path.channels != sg.path.channels) {
-        return fail(kInvariantRecovery,
-                    "recovered route diverged for stream " +
-                        std::to_string(j) + ": route_order " +
-                        std::to_string(sg.route_order) + " != oracle " +
-                        std::to_string(sw.route_order) + where);
-      }
-    }
-    // Fault flags are journaled state too: the recovered fabric must
-    // carry exactly the oracle's fault set.
-    for (std::size_t c = 0; c < oracle_topo->num_channels(); ++c) {
-      const auto ch = static_cast<topo::ChannelId>(c);
-      if (oracle_topo->channel_faulted(ch) !=
-          recovered_topo->channel_faulted(ch)) {
-        return fail(kInvariantRecovery,
-                    "recovered fault flag diverged on channel " +
-                        std::to_string(c) + where);
-      }
-    }
-    return std::nullopt;
+  const EngineNames names{kInvariantRecovery, "recovered", "oracle", where};
+  const auto compare_state = [&] {
+    return diff_engines(oracle, recovered.controller(), names, 0);
   };
 
   std::optional<Violation> mismatch = compare_state();
@@ -996,41 +1023,17 @@ std::optional<Violation> check_replication_invariants(
     const CheckConfig& config) {
   const std::unique_ptr<topo::Topology> primary_topo = scenario.topo.build();
 
-  struct Cleanup {
-    std::string dir;
-    ~Cleanup() {
-      if (dir.empty()) {
-        return;
-      }
-      std::remove(svc::Journal::journal_path(dir).c_str());
-      std::remove(svc::Journal::snapshot_path(dir).c_str());
-      std::remove((dir + "/snapshot.tmp").c_str());
-      ::rmdir(dir.c_str());
-    }
-  };
-  const auto make_dir = [&config](const char* tag,
-                                  std::string* out) -> bool {
-    std::string dir_template =
-        config.recovery_tmp_root + "/wormrt-repl-" + tag + "-XXXXXX";
-    std::vector<char> buf(dir_template.begin(), dir_template.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-      return false;
-    }
-    *out = buf.data();
-    return true;
-  };
-  std::string primary_dir, follower_dir;
-  if (!make_dir("p", &primary_dir) || !make_dir("f", &follower_dir)) {
+  const StateDir primary_dir(config.recovery_tmp_root, "repl-p");
+  const StateDir follower_dir(config.recovery_tmp_root, "repl-f");
+  if (primary_dir.path.empty() || follower_dir.path.empty()) {
     return fail(kInvariantReplication,
                 std::string("mkdtemp: ") + std::strerror(errno));
   }
-  Cleanup primary_cleanup{primary_dir}, follower_cleanup{follower_dir};
 
   util::Rng rng(scenario.seed, kReplicationStream);
 
   svc::ServiceOptions primary_options;
-  primary_options.state_dir = primary_dir;
+  primary_options.state_dir = primary_dir.path;
   primary_options.compact_every = 8;
   primary_options.journal_fsync = false;  // crash = object drop, as in recovery
   // Small buffers half the time: the churn overflows them, the floor
@@ -1046,7 +1049,7 @@ std::optional<Violation> check_replication_invariants(
   }
 
   svc::ServiceOptions follower_options;
-  follower_options.state_dir = follower_dir;
+  follower_options.state_dir = follower_dir.path;
   follower_options.compact_every = 8;
   follower_options.journal_fsync = false;
   follower_options.follower = true;
@@ -1184,62 +1187,11 @@ std::optional<Violation> check_replication_invariants(
   }
 
   // The follower must now BE the primary, bit for bit.
-  const core::IncrementalAnalyzer& want = primary.controller().engine();
-  const core::IncrementalAnalyzer& got = follower->controller().engine();
-  if (want.size() != got.size()) {
-    return fail(kInvariantReplication,
-                "follower population " + std::to_string(got.size()) +
-                    " != primary " + std::to_string(want.size()));
-  }
-  if (primary.controller().next_handle() !=
-      follower->controller().next_handle()) {
-    return fail(kInvariantReplication,
-                "follower next handle " +
-                    std::to_string(follower->controller().next_handle()) +
-                    " != primary " +
-                    std::to_string(primary.controller().next_handle()));
-  }
-  for (std::size_t j = 0; j < want.size(); ++j) {
-    const auto id = static_cast<StreamId>(j);
-    if (want.handle_of(id) != got.handle_of(id)) {
-      return fail(kInvariantReplication,
-                  "handle numbering diverged at stream " +
-                      std::to_string(j) + ": follower " +
-                      std::to_string(got.handle_of(id)) + " != primary " +
-                      std::to_string(want.handle_of(id)));
-    }
-    if (got.bound_at(id) != want.bound_at(id) + config.replication_skew) {
-      return fail(kInvariantReplication,
-                  "follower bound " + std::to_string(got.bound_at(id)) +
-                      " != primary " + std::to_string(want.bound_at(id)) +
-                      " for stream " + std::to_string(j));
-    }
-    const core::MessageStream& sw = want.streams()[id];
-    const core::MessageStream& sg = got.streams()[id];
-    if (sw.src != sg.src || sw.dst != sg.dst ||
-        sw.priority != sg.priority || sw.period != sg.period ||
-        sw.length != sg.length || sw.deadline != sg.deadline) {
-      return fail(kInvariantReplication,
-                  "follower parameters diverged for stream " +
-                      std::to_string(j) + ": " + describe_stream(sg) +
-                      " != " + describe_stream(sw));
-    }
-    if (sw.route_order != sg.route_order ||
-        sw.path.channels != sg.path.channels) {
-      return fail(kInvariantReplication,
-                  "follower route diverged for stream " + std::to_string(j) +
-                      ": route_order " + std::to_string(sg.route_order) +
-                      " != primary " + std::to_string(sw.route_order));
-    }
-  }
-  for (std::size_t c = 0; c < primary_topo->num_channels(); ++c) {
-    const auto ch = static_cast<topo::ChannelId>(c);
-    if (primary_topo->channel_faulted(ch) !=
-        follower_topos.back()->channel_faulted(ch)) {
-      return fail(kInvariantReplication,
-                  "follower fault flag diverged on channel " +
-                      std::to_string(c));
-    }
+  if (auto diff = diff_engines(
+          primary.controller(), follower->controller(),
+          {kInvariantReplication, "follower", "primary", ""},
+          config.replication_skew)) {
+    return diff;
   }
 
   // Failover decision parity: promote the follower (epoch bump through

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "svc/service.hpp"
@@ -12,11 +13,56 @@ namespace wormrt::svc {
 
 namespace {
 
-std::int64_t arr_int(const Json& row, std::size_t i) {
-  return i < row.items().size() ? row.items()[i].as_int() : 0;
+/// The eight JournalEntry columns of a wire row, in wire order.
+constexpr std::int64_t JournalEntry::*kEntryColumns[] = {
+    &JournalEntry::handle, &JournalEntry::src,      &JournalEntry::dst,
+    &JournalEntry::priority, &JournalEntry::period, &JournalEntry::length,
+    &JournalEntry::deadline, &JournalEntry::route_order};
+constexpr std::size_t kNumEntryColumns = std::size(kEntryColumns);
+
+/// True when \p row is an array of exactly \p n integers.
+bool int_row(const Json& row, std::size_t n) {
+  return row.is_array() && row.items().size() == n &&
+         std::all_of(row.items().begin(), row.items().end(),
+                     [](const Json& cell) { return cell.is_int(); });
+}
+
+/// The only row reader, inverse of encode_row: fills \p head
+/// (\p head_size cells) and \p entry.  False unless \p row is an array
+/// of exactly head_size + 8 integers — a string, null, bool or double
+/// cell makes the row malformed instead of reading as a number.
+bool decode_row(const Json& row, std::size_t head_size, std::int64_t* head,
+                JournalEntry* entry) {
+  if (!int_row(row, head_size + kNumEntryColumns)) {
+    return false;
+  }
+  const std::vector<Json>& cells = row.items();
+  for (std::size_t i = 0; i < head_size; ++i) {
+    head[i] = cells[i].as_int();
+  }
+  for (std::size_t i = 0; i < kNumEntryColumns; ++i) {
+    entry->*kEntryColumns[i] = cells[head_size + i].as_int();
+  }
+  return true;
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Wire rows
+// ---------------------------------------------------------------------------
+
+Json encode_row(std::initializer_list<std::int64_t> head,
+                const JournalEntry& entry) {
+  Json row = Json::array();
+  for (const std::int64_t cell : head) {
+    row.push_back(cell);
+  }
+  for (const auto column : kEntryColumns) {
+    row.push_back(entry.*column);
+  }
+  return row;
+}
 
 // ---------------------------------------------------------------------------
 // Replicator
@@ -181,29 +227,21 @@ bool apply_snapshot_reply(Service& service, const Json& reply,
   std::vector<JournalEntry> rows;
   rows.reserve(entries->items().size());
   for (const Json& row : entries->items()) {
-    if (!row.is_array() || row.items().size() != 8) {
+    JournalEntry e;
+    if (!decode_row(row, 0, nullptr, &e)) {
       *error = "REPL_SNAPSHOT entry row is malformed";
       return false;
     }
-    JournalEntry e;
-    e.handle = arr_int(row, 0);
-    e.src = arr_int(row, 1);
-    e.dst = arr_int(row, 2);
-    e.priority = arr_int(row, 3);
-    e.period = arr_int(row, 4);
-    e.length = arr_int(row, 5);
-    e.deadline = arr_int(row, 6);
-    e.route_order = arr_int(row, 7);
     rows.push_back(e);
   }
   std::vector<std::pair<std::int64_t, std::int64_t>> faults;
   faults.reserve(faulted->items().size());
   for (const Json& pair : faulted->items()) {
-    if (!pair.is_array() || pair.items().size() != 2) {
+    if (!int_row(pair, 2)) {
       *error = "REPL_SNAPSHOT faulted row is malformed";
       return false;
     }
-    faults.emplace_back(arr_int(pair, 0), arr_int(pair, 1));
+    faults.emplace_back(pair.items()[0].as_int(), pair.items()[1].as_int());
   }
   return service.bootstrap_replicated(
       static_cast<std::uint64_t>(lsn->as_int()),
@@ -227,26 +265,18 @@ bool apply_pull_reply(Service& service, const Json& reply,
     return false;
   }
   for (const Json& row : records->items()) {
-    if (!row.is_array() || row.items().size() != 10) {
+    std::int64_t head[2] = {};  // [type, lsn]
+    JournalRecord rec;
+    if (!decode_row(row, 2, head, &rec.entry)) {
       *error = "REPL_PULL record row is malformed";
       return false;
     }
-    const std::int64_t type = arr_int(row, 0);
-    if (type < 1 || type > 4) {
-      *error = "REPL_PULL record has unknown type " + std::to_string(type);
+    if (head[0] < 1 || head[0] > 4) {
+      *error = "REPL_PULL record has unknown type " + std::to_string(head[0]);
       return false;
     }
-    JournalRecord rec;
-    rec.type = static_cast<JournalRecord::Type>(type);
-    rec.lsn = static_cast<std::uint64_t>(arr_int(row, 1));
-    rec.entry.handle = arr_int(row, 2);
-    rec.entry.src = arr_int(row, 3);
-    rec.entry.dst = arr_int(row, 4);
-    rec.entry.priority = arr_int(row, 5);
-    rec.entry.period = arr_int(row, 6);
-    rec.entry.length = arr_int(row, 7);
-    rec.entry.deadline = arr_int(row, 8);
-    rec.entry.route_order = arr_int(row, 9);
+    rec.type = static_cast<JournalRecord::Type>(head[0]);
+    rec.lsn = static_cast<std::uint64_t>(head[1]);
     if (!service.apply_replicated(rec, error)) {
       return false;
     }

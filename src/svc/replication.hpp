@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -32,7 +33,8 @@
 ///                   bootstraps from a snapshot when it is behind the
 ///                   buffer, then long-polls REPL_PULL and applies each
 ///                   shipped record through Service::apply_replicated —
-///                   journal first, engine second, exactly like replay.
+///                   journal first, engine second, through the same
+///                   apply step recovery replays with.
 ///
 /// Wire protocol (newline-delimited JSON, like every other verb):
 ///   REPL_HELLO  {follower_id, fingerprint, epoch, durable_lsn}
@@ -156,6 +158,14 @@ class Replicator {
   std::uint64_t fence_lsn_ = 0;
   std::uint64_t deposed_epoch_ = 0;
 };
+
+/// One replication wire row: \p head — [type, lsn] for a REPL_PULL
+/// record, nothing for a REPL_SNAPSHOT entry — followed by the eight
+/// JournalEntry columns handle, src, dst, priority, period, length,
+/// deadline, route_order.  The primary's only row writer; the apply_*
+/// functions below are the only readers.
+Json encode_row(std::initializer_list<std::int64_t> head,
+                const JournalEntry& entry);
 
 /// Applies one REPL_SNAPSHOT reply to a follower Service (journal
 /// install + engine rebuild).  Shared by ReplicaSession and the fuzz

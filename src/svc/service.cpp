@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <map>
 
@@ -29,6 +28,13 @@ double now_us() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The journal row of an established stream: what ADD records, staged
+/// REMOVEs and snapshots carry.
+JournalEntry entry_of(std::int64_t handle, const core::MessageStream& s) {
+  return {handle,   s.src,    s.dst,      s.priority,
+          s.period, s.length, s.deadline, s.route_order};
 }
 
 }  // namespace
@@ -128,21 +134,25 @@ void Service::setup_sampler() {
   });
   sampler_.add_series("replication_lag", [this] {
     std::lock_guard<std::mutex> lk(mu_);
-    if (journal_ == nullptr) {
-      return 0.0;
-    }
-    const std::uint64_t local = journal_->durable_lsn();
-    if (follower_.load(std::memory_order_acquire)) {
-      const std::uint64_t primary =
-          replica_primary_durable_.load(std::memory_order_relaxed);
-      return primary > local ? static_cast<double>(primary - local) : 0.0;
-    }
-    if (repl_ == nullptr || repl_->followers().empty()) {
-      return 0.0;
-    }
-    const std::uint64_t acked = repl_->max_follower_durable();
-    return local > acked ? static_cast<double>(local - acked) : 0.0;
+    return static_cast<double>(replication_lag_locked());
   });
+}
+
+std::uint64_t Service::replication_lag_locked() const {
+  if (journal_ == nullptr) {
+    return 0;
+  }
+  const std::uint64_t local = journal_->durable_lsn();
+  if (follower_.load(std::memory_order_acquire)) {
+    const std::uint64_t primary =
+        replica_primary_durable_.load(std::memory_order_relaxed);
+    return primary > local ? primary - local : 0;
+  }
+  if (repl_ == nullptr || repl_->followers().empty()) {
+    return 0;
+  }
+  const std::uint64_t acked = repl_->max_follower_durable();
+  return local > acked ? local - acked : 0;
 }
 
 void Service::flush_observability() {
@@ -177,74 +187,25 @@ bool Service::open_state(std::string* error) {
     return false;
   }
 
-  // Replay: snapshot fault flags first (paths with non-primary route
-  // orders exist only because of them), then the snapshot population in
-  // engine order, then the post-snapshot mutations in append order.
-  // Each restore() forces the journaled handle and route order, so
-  // population order, paths, AND handle numbering come out exactly as
-  // the crashed daemon left them — without consulting fault state.
-  for (const auto& [src, dst] : state.faulted) {
-    const topo::ChannelId ch = topo_.channel_between(
-        static_cast<topo::NodeId>(src), static_cast<topo::NodeId>(dst));
-    if (ch == topo::kNoChannel) {
-      // The fingerprint check upstream makes this unreachable; a hit
-      // means the snapshot and the fabric disagree — refuse to guess.
-      *error = options_.state_dir + ": snapshot faults channel " +
-               std::to_string(src) + "->" + std::to_string(dst) +
-               " which this topology does not have";
-      journal_.reset();
-      return false;
-    }
-    topo_.set_channel_faulted(ch, true);
-    ++recovery_.topology_mutations;
-  }
-  const auto restore = [this](const JournalEntry& e) {
-    ctrl_.restore(static_cast<topo::NodeId>(e.src),
-                  static_cast<topo::NodeId>(e.dst),
-                  static_cast<Priority>(e.priority), e.period, e.length,
-                  e.deadline, e.handle, static_cast<int>(e.route_order));
-  };
-  for (const JournalEntry& e : state.snapshot) {
-    restore(e);
-  }
-  for (const JournalRecord& rec : state.records) {
-    switch (rec.type) {
-      case JournalRecord::Type::kAdd:
-        restore(rec.entry);
-        break;
-      case JournalRecord::Type::kRemove:
-        ctrl_.remove(rec.entry.handle);
-        break;
-      case JournalRecord::Type::kLinkDown:
-      case JournalRecord::Type::kLinkUp: {
-        const topo::ChannelId ch =
-            topo_.channel_between(static_cast<topo::NodeId>(rec.entry.src),
-                                  static_cast<topo::NodeId>(rec.entry.dst));
-        if (ch == topo::kNoChannel) {
-          *error = options_.state_dir + ": journal mutates channel " +
-                   std::to_string(rec.entry.src) + "->" +
-                   std::to_string(rec.entry.dst) +
-                   " which this topology does not have";
-          journal_.reset();
-          return false;
-        }
-        // The cascade (evict / reroute / recompute) is deterministic
-        // given the engine state, so replaying the one record redoes it
-        // bit for bit.
-        if (rec.type == JournalRecord::Type::kLinkDown) {
-          ctrl_.link_down(ch);
-        } else {
-          ctrl_.link_up(ch);
-        }
-        ++recovery_.topology_mutations;
-        break;
-      }
+  // Recovery = install the snapshot image, then apply each post-snapshot
+  // record in append order: the same two steps a follower runs for a
+  // REPL_SNAPSHOT and for each pulled record.
+  std::string why;
+  bool ok = install_state_locked(state.next_handle, state.snapshot,
+                                 state.faulted, &why);
+  recovery_.topology_mutations = state.faulted.size();
+  for (std::size_t i = 0; ok && i < state.records.size(); ++i) {
+    topo::ChannelId channel = topo::kNoChannel;
+    ok = apply_record_locked(state.records[i], &channel, &why);
+    if (channel != topo::kNoChannel) {
+      ++recovery_.topology_mutations;
     }
   }
-  // Replayed adds advance next_handle past their own handles; the
-  // snapshot's next_handle additionally covers handles freed by
-  // removals above the surviving maximum.
-  ctrl_.set_next_handle(std::max(ctrl_.next_handle(), state.next_handle));
+  if (!ok) {
+    *error = options_.state_dir + ": " + why;
+    journal_.reset();
+    return false;
+  }
 
   recovery_.snapshot_entries = state.snapshot.size();
   recovery_.journal_records = state.records.size();
@@ -260,6 +221,83 @@ bool Service::open_state(std::string* error) {
   return true;
 }
 
+void Service::restore_locked(const JournalEntry& e) {
+  ctrl_.restore(static_cast<topo::NodeId>(e.src),
+                static_cast<topo::NodeId>(e.dst),
+                static_cast<Priority>(e.priority), e.period, e.length,
+                e.deadline, e.handle, static_cast<int>(e.route_order));
+}
+
+bool Service::install_state_locked(
+    std::int64_t next_handle, const std::vector<JournalEntry>& entries,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
+    std::string* error) {
+  while (ctrl_.size() > 0) {
+    ctrl_.remove(ctrl_.engine().handle_of(static_cast<StreamId>(0)));
+  }
+  // Stops at the last faulted channel: no work on a fresh fabric.
+  for (topo::ChannelId c = 0; topo_.channels().num_faulted() > 0; ++c) {
+    topo_.set_channel_faulted(c, false);
+  }
+  // Fault flags before the rows: paths with non-primary route orders
+  // exist only because of them.
+  for (const auto& [src, dst] : faulted) {
+    const topo::ChannelId ch = topo_.channel_between(
+        static_cast<topo::NodeId>(src), static_cast<topo::NodeId>(dst));
+    if (ch == topo::kNoChannel) {
+      // The fingerprint checks upstream make this unreachable; a hit
+      // means the image and the fabric disagree — refuse to guess.
+      *error = "snapshot faults channel " + std::to_string(src) + "->" +
+               std::to_string(dst) + " which this topology does not have";
+      return false;
+    }
+    topo_.set_channel_faulted(ch, true);
+  }
+  // Each restore forces the recorded handle and route order, so engine
+  // order, paths and handle numbering come out exactly as captured.
+  for (const JournalEntry& e : entries) {
+    restore_locked(e);
+  }
+  // The image's next_handle also covers handles freed by removals above
+  // the surviving maximum; records applied later raise it past their own.
+  ctrl_.set_next_handle(std::max(ctrl_.next_handle(), next_handle));
+  return true;
+}
+
+bool Service::apply_record_locked(const JournalRecord& record,
+                                  topo::ChannelId* channel,
+                                  std::string* error) {
+  *channel = topo::kNoChannel;
+  switch (record.type) {
+    case JournalRecord::Type::kAdd:
+      restore_locked(record.entry);
+      return true;
+    case JournalRecord::Type::kRemove:
+      ctrl_.remove(record.entry.handle);
+      return true;
+    case JournalRecord::Type::kLinkDown:
+    case JournalRecord::Type::kLinkUp:
+      break;
+  }
+  *channel = topo_.channel_between(static_cast<topo::NodeId>(record.entry.src),
+                                   static_cast<topo::NodeId>(record.entry.dst));
+  if (*channel == topo::kNoChannel) {
+    *error = "journal record names channel " +
+             std::to_string(record.entry.src) + "->" +
+             std::to_string(record.entry.dst) +
+             " which this topology does not have";
+    return false;
+  }
+  // The cascade (evict / reroute / recompute) is deterministic given the
+  // engine state, so applying the one record redoes it bit for bit.
+  if (record.type == JournalRecord::Type::kLinkDown) {
+    ctrl_.link_down(*channel);
+  } else {
+    ctrl_.link_up(*channel);
+  }
+  return true;
+}
+
 void Service::capture_state_locked(
     std::vector<JournalEntry>* entries,
     std::vector<std::pair<std::int64_t, std::int64_t>>* faulted) const {
@@ -269,17 +307,7 @@ void Service::capture_state_locked(
   entries->reserve(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const auto id = static_cast<StreamId>(i);
-    const core::MessageStream& s = streams[id];
-    JournalEntry e;
-    e.handle = engine.handle_of(id);
-    e.src = s.src;
-    e.dst = s.dst;
-    e.priority = s.priority;
-    e.period = s.period;
-    e.length = s.length;
-    e.deadline = s.deadline;
-    e.route_order = s.route_order;
-    entries->push_back(e);
+    entries->push_back(entry_of(engine.handle_of(id), streams[id]));
   }
   faulted->clear();
   const topo::ChannelGraph& channels = topo_.channels();
@@ -314,7 +342,7 @@ std::size_t Service::population() const {
   return ctrl_.size();
 }
 
-void Service::refresh_mirrors() const {
+std::vector<Service::ChannelLoad> Service::refresh_mirrors() const {
   const util::ThreadPool::Stats pool = util::ThreadPool::shared().stats();
   registry_
       .gauge("wormrt_threadpool_workers", {},
@@ -367,6 +395,7 @@ void Service::refresh_mirrors() const {
   // Children are registered lazily on first occupancy and re-zeroed
   // once live, so an emptied channel never freezes at its last value.
   const core::IncrementalAnalyzer& engine = ctrl_.engine();
+  std::vector<ChannelLoad> loads;
   for (std::size_t c = 0; c < static_cast<std::size_t>(topo_.num_channels());
        ++c) {
     const auto ch = static_cast<topo::ChannelId>(c);
@@ -383,6 +412,9 @@ void Service::refresh_mirrors() const {
         util += static_cast<double>(s->length) /
                 static_cast<double>(s->period);
       }
+    }
+    if (!on.empty()) {
+      loads.push_back({ch, on.size(), util});
     }
     const obs::Labels labels = {{"channel", std::to_string(c)}};
     registry_
@@ -432,10 +464,6 @@ void Service::refresh_mirrors() const {
              "Fencing epoch of the local journal (bumped by PROMOTE).")
       .set(static_cast<double>(journal_ != nullptr ? journal_->epoch() : 1));
   if (follower) {
-    const std::uint64_t primary =
-        replica_primary_durable_.load(std::memory_order_relaxed);
-    const std::uint64_t local =
-        journal_ != nullptr ? journal_->durable_lsn() : 0;
     registry_
         .gauge("wormrt_repl_connected", {},
                "1 while the follower's pull session is live.")
@@ -444,7 +472,7 @@ void Service::refresh_mirrors() const {
         .gauge("wormrt_repl_lag_records", {{"follower", "self"}},
                "Journal records the primary has durable that this node "
                "has not (follower view).")
-        .set(primary > local ? static_cast<double>(primary - local) : 0.0);
+        .set(static_cast<double>(replication_lag_locked()));
   } else if (repl_ != nullptr && journal_ != nullptr) {
     const std::vector<Replicator::FollowerInfo> followers =
         repl_->followers();
@@ -465,6 +493,7 @@ void Service::refresh_mirrors() const {
   }
 
   metrics_.population.set(static_cast<double>(ctrl_.size()));
+  return loads;
 }
 
 Json Service::error_reply(const std::string& what) {
@@ -600,11 +629,7 @@ void Service::catch_up_rollback_locked() {
     if (m.type == JournalRecord::Type::kAdd) {
       ctrl_.unadmit(m.entry.handle);
     } else {
-      ctrl_.restore(static_cast<topo::NodeId>(m.entry.src),
-                    static_cast<topo::NodeId>(m.entry.dst),
-                    static_cast<Priority>(m.entry.priority), m.entry.period,
-                    m.entry.length, m.entry.deadline, m.entry.handle,
-                    static_cast<int>(m.entry.route_order));
+      restore_locked(m.entry);
     }
     staged_.pop_back();
   }
@@ -706,15 +731,8 @@ Json Service::do_request_locked(const Json& request, PendingAck* ack) {
     // same critical section that applied the admission (LSN order ==
     // apply order, which replay depends on); the durability wait runs
     // after mu_ is released so concurrent admissions share one fsync.
-    JournalEntry e;
-    e.handle = decision.handle;
-    e.src = src;
-    e.dst = dst;
-    e.priority = priority;
-    e.period = period;
-    e.length = length;
-    e.deadline = deadline;
-    e.route_order = decision.route_order;
+    const JournalEntry e =
+        entry_of(decision.handle, *ctrl_.engine().find(decision.handle));
     std::string err;
     std::uint64_t lsn = 0;
     if (!journal_->stage(JournalRecord::Type::kAdd, e, &lsn, &err)) {
@@ -847,15 +865,7 @@ Json Service::do_remove_locked(const Json& request, PendingAck* ack) {
     // leaves the engine untouched; the full parameter block is kept in
     // staged_ (not on disk — REMOVE records stay handle-only) so a
     // failed commit can restore the stream.
-    JournalEntry e;
-    e.handle = handle;
-    e.src = stream->src;
-    e.dst = stream->dst;
-    e.priority = stream->priority;
-    e.period = stream->period;
-    e.length = stream->length;
-    e.deadline = stream->deadline;
-    e.route_order = stream->route_order;
+    const JournalEntry e = entry_of(handle, *stream);
     std::string err;
     std::uint64_t lsn = 0;
     if (!journal_->stage(JournalRecord::Type::kRemove, e, &lsn, &err)) {
@@ -1266,7 +1276,7 @@ bool Service::report_one_locked(std::int64_t handle, double observed,
   // Always the engine's CURRENT bound: a cached copy would go stale
   // whenever a later mutation's dirty closure recomputes this stream.
   const Time bound = ctrl_.engine().bound_at(ctrl_.engine().id_of(handle));
-  const bool flit_valid = bound != kNoTime && bound + 2 <= stream->period;
+  const bool flit_valid = core::flit_valid(bound, stream->period);
   const obs::ConformanceMonitor::Outcome outcome = conformance_.report(
       handle, observed, static_cast<double>(bound),
       static_cast<double>(stream->period), flit_valid);
@@ -1355,13 +1365,7 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
             " reported latencies exceeded the analytic bound");
   }
 
-  int faulted = 0;
-  const topo::ChannelGraph& channels = topo_.channels();
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (channels.is_faulted(static_cast<topo::ChannelId>(i))) {
-      ++faulted;
-    }
-  }
+  const std::size_t faulted = topo_.channels().num_faulted();
   checks->set("faulted_channels", static_cast<std::int64_t>(faulted));
   if (faulted > 0) {
     degrade("faulted_links: " + std::to_string(faulted) +
@@ -1436,11 +1440,7 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
   // acks had to go out without follower coverage.
   const bool follower = follower_.load(std::memory_order_acquire);
   if (follower) {
-    const std::uint64_t primary =
-        replica_primary_durable_.load(std::memory_order_relaxed);
-    const std::uint64_t local =
-        journal_ != nullptr ? journal_->durable_lsn() : 0;
-    const std::uint64_t lag = primary > local ? primary - local : 0;
+    const std::uint64_t lag = replication_lag_locked();
     checks->set("replication_lag", static_cast<std::int64_t>(lag));
     if (!replica_connected_.load(std::memory_order_relaxed)) {
       degrade("replication_disconnected: the pull session to the "
@@ -1452,10 +1452,7 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
               std::to_string(options_.repl_lag_degraded) + ")");
     }
   } else if (repl_ != nullptr && journal_ != nullptr) {
-    const std::uint64_t acked = repl_->max_follower_durable();
-    const std::uint64_t local = journal_->durable_lsn();
-    const std::uint64_t lag =
-        !repl_->followers().empty() && local > acked ? local - acked : 0;
+    const std::uint64_t lag = replication_lag_locked();
     checks->set("replication_lag", static_cast<std::int64_t>(lag));
     if (lag > options_.repl_lag_degraded) {
       degrade("replication_lag_high: slowest follower is " +
@@ -1480,7 +1477,7 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
 Json Service::do_health_locked() {
   OBS_SPAN("verb_health");
   metrics_.healths.inc();
-  refresh_mirrors();
+  std::vector<ChannelLoad> busy = refresh_mirrors();
 
   std::vector<std::string> reasons;
   Json checks = Json::object();
@@ -1561,7 +1558,7 @@ Json Service::do_health_locked() {
     row.bound = bound;
     row.period = period;
     row.slack = bound == kNoTime ? kNoTime : period - bound;
-    row.flit_valid = bound != kNoTime && bound + 2 <= period;
+    row.flit_valid = core::flit_valid(bound, period);
     rows.push_back(row);
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
@@ -1602,34 +1599,11 @@ Json Service::do_health_locked() {
   reply.set("conformance", std::move(conformance));
 
   // Channel heatmap summary: the busiest channels by utilization
-  // (sum of length/period of the streams crossing each).
+  // (sum of length/period of the streams crossing each), from the loads
+  // refresh_mirrors() just gauged.
   constexpr std::size_t kMaxChannels = 16;
-  struct ChannelRow {
-    topo::ChannelId channel;
-    std::size_t streams;
-    double utilization;
-  };
-  std::vector<ChannelRow> busy;
-  for (std::size_t c = 0; c < static_cast<std::size_t>(topo_.num_channels());
-       ++c) {
-    const auto ch = static_cast<topo::ChannelId>(c);
-    const std::vector<core::AdmissionController::Handle> on =
-        engine.handles_on_channel(ch);
-    if (on.empty()) {
-      continue;
-    }
-    double util = 0.0;
-    for (const auto h : on) {
-      const core::MessageStream* s = engine.find(h);
-      if (s != nullptr && s->period > 0) {
-        util += static_cast<double>(s->length) /
-                static_cast<double>(s->period);
-      }
-    }
-    busy.push_back({ch, on.size(), util});
-  }
   std::sort(busy.begin(), busy.end(),
-            [](const ChannelRow& a, const ChannelRow& b) {
+            [](const ChannelLoad& a, const ChannelLoad& b) {
               if (a.utilization != b.utilization) {
                 return a.utilization > b.utilization;
               }
@@ -1770,46 +1744,13 @@ bool Service::apply_replicated(const JournalRecord& record,
     return false;
   }
   // WAL discipline, same as the primary: journal first (under the
-  // primary's LSN), engine second.  append_replica fsyncs per record —
-  // the durable LSN this follower acks in its next pull must never run
-  // ahead of its disk.
-  if (!journal_->append_replica(record, error)) {
+  // primary's LSN), engine second through recovery's own apply step.
+  // append_replica fsyncs per record — the durable LSN this follower
+  // acks in its next pull must never run ahead of its disk.
+  topo::ChannelId channel = topo::kNoChannel;
+  if (!journal_->append_replica(record, error) ||
+      !apply_record_locked(record, &channel, error)) {
     return false;
-  }
-  std::int64_t audit_channel = -1;
-  switch (record.type) {
-    case JournalRecord::Type::kAdd:
-      ctrl_.restore(static_cast<topo::NodeId>(record.entry.src),
-                    static_cast<topo::NodeId>(record.entry.dst),
-                    static_cast<Priority>(record.entry.priority),
-                    record.entry.period, record.entry.length,
-                    record.entry.deadline, record.entry.handle,
-                    static_cast<int>(record.entry.route_order));
-      break;
-    case JournalRecord::Type::kRemove:
-      ctrl_.remove(record.entry.handle);
-      break;
-    case JournalRecord::Type::kLinkDown:
-    case JournalRecord::Type::kLinkUp: {
-      const topo::ChannelId ch = topo_.channel_between(
-          static_cast<topo::NodeId>(record.entry.src),
-          static_cast<topo::NodeId>(record.entry.dst));
-      if (ch == topo::kNoChannel) {
-        // Unreachable past the HELLO fingerprint check; refuse to guess.
-        *error = "replicated link record names channel " +
-                 std::to_string(record.entry.src) + "->" +
-                 std::to_string(record.entry.dst) +
-                 " which this topology does not have";
-        return false;
-      }
-      audit_channel = static_cast<std::int64_t>(ch);
-      if (record.type == JournalRecord::Type::kLinkDown) {
-        ctrl_.link_down(ch);
-      } else {
-        ctrl_.link_up(ch);
-      }
-      break;
-    }
   }
   metrics_.population.set(static_cast<double>(ctrl_.size()));
   registry_
@@ -1824,11 +1765,9 @@ bool Service::apply_replicated(const JournalRecord& record,
     switch (record.type) {
       case JournalRecord::Type::kAdd:
         rec.set("event", "replicated_add");
-        rec.set("handle", record.entry.handle);
         break;
       case JournalRecord::Type::kRemove:
         rec.set("event", "replicated_remove");
-        rec.set("handle", record.entry.handle);
         break;
       case JournalRecord::Type::kLinkDown:
         rec.set("event", "replicated_link_down");
@@ -1837,8 +1776,10 @@ bool Service::apply_replicated(const JournalRecord& record,
         rec.set("event", "replicated_link_up");
         break;
     }
-    if (audit_channel >= 0) {
-      rec.set("channel", audit_channel);
+    if (channel == topo::kNoChannel) {
+      rec.set("handle", record.entry.handle);
+    } else {
+      rec.set("channel", static_cast<std::int64_t>(channel));
       rec.set("src", record.entry.src);
       rec.set("dst", record.entry.dst);
     }
@@ -1865,37 +1806,13 @@ bool Service::bootstrap_replicated(
     return false;
   }
   // Durable install first (tmp+fsync->rename; the WAL is truncated and
-  // the LSN cursor moves to last_lsn+1), then rebuild the engine from
-  // scratch exactly like recovery replay.
+  // the LSN cursor moves to last_lsn+1), then the engine takes the same
+  // image through recovery's own install step.
   if (!journal_->install_snapshot(last_lsn, snapshot_epoch, next_handle,
-                                  entries, faulted, error)) {
+                                  entries, faulted, error) ||
+      !install_state_locked(next_handle, entries, faulted, error)) {
     return false;
   }
-  while (ctrl_.size() > 0) {
-    ctrl_.remove(ctrl_.engine().handle_of(static_cast<StreamId>(0)));
-  }
-  for (std::size_t c = 0;
-       c < static_cast<std::size_t>(topo_.num_channels()); ++c) {
-    topo_.set_channel_faulted(static_cast<topo::ChannelId>(c), false);
-  }
-  for (const auto& [src, dst] : faulted) {
-    const topo::ChannelId ch = topo_.channel_between(
-        static_cast<topo::NodeId>(src), static_cast<topo::NodeId>(dst));
-    if (ch == topo::kNoChannel) {
-      *error = "bootstrap snapshot faults channel " + std::to_string(src) +
-               "->" + std::to_string(dst) +
-               " which this topology does not have";
-      return false;
-    }
-    topo_.set_channel_faulted(ch, true);
-  }
-  for (const JournalEntry& e : entries) {
-    ctrl_.restore(static_cast<topo::NodeId>(e.src),
-                  static_cast<topo::NodeId>(e.dst),
-                  static_cast<Priority>(e.priority), e.period, e.length,
-                  e.deadline, e.handle, static_cast<int>(e.route_order));
-  }
-  ctrl_.set_next_handle(std::max(ctrl_.next_handle(), next_handle));
   metrics_.population.set(static_cast<double>(ctrl_.size()));
   registry_
       .counter("wormrt_repl_snapshots_installed_total", {},
@@ -1994,16 +1911,7 @@ Json Service::do_repl_snapshot(const Json&) {
   reply.set("faulted", std::move(faults));
   Json rows = Json::array();
   for (const JournalEntry& e : entries) {
-    Json row = Json::array();
-    row.push_back(e.handle);
-    row.push_back(e.src);
-    row.push_back(e.dst);
-    row.push_back(e.priority);
-    row.push_back(e.period);
-    row.push_back(e.length);
-    row.push_back(e.deadline);
-    row.push_back(e.route_order);
-    rows.push_back(std::move(row));
+    rows.push_back(encode_row({}, e));
   }
   reply.set("entries", std::move(rows));
   registry_
@@ -2094,18 +2002,9 @@ Json Service::do_repl_pull(const Json& request) {
   }
   Json out = Json::array();
   for (const JournalRecord& rec : records) {
-    Json row = Json::array();
-    row.push_back(static_cast<std::int64_t>(rec.type));
-    row.push_back(static_cast<std::int64_t>(rec.lsn));
-    row.push_back(rec.entry.handle);
-    row.push_back(rec.entry.src);
-    row.push_back(rec.entry.dst);
-    row.push_back(rec.entry.priority);
-    row.push_back(rec.entry.period);
-    row.push_back(rec.entry.length);
-    row.push_back(rec.entry.deadline);
-    row.push_back(rec.entry.route_order);
-    out.push_back(std::move(row));
+    out.push_back(encode_row({static_cast<std::int64_t>(rec.type),
+                              static_cast<std::int64_t>(rec.lsn)},
+                             rec.entry));
   }
   if (!records.empty()) {
     registry_
@@ -2192,52 +2091,9 @@ std::string Service::prometheus_text() const {
   return registry_.to_prometheus();
 }
 
-std::string Service::stats_text() const {
+std::string Service::stats_text() {
   std::lock_guard<std::mutex> lk(mu_);
-  char buf[512];
-  std::string out = "wormrtd stats\n";
-  std::snprintf(
-      buf, sizeof buf,
-      "  population %zu\n"
-      "  verbs: %llu requests (%llu admitted, %llu rejected), "
-      "%llu removes, %llu queries, %llu explains, %llu snapshots, "
-      "%llu stats, %llu errors\n",
-      ctrl_.size(),
-      static_cast<unsigned long long>(metrics_.requests.value()),
-      static_cast<unsigned long long>(metrics_.admitted.value()),
-      static_cast<unsigned long long>(metrics_.rejected.value()),
-      static_cast<unsigned long long>(metrics_.removes.value()),
-      static_cast<unsigned long long>(metrics_.queries.value()),
-      static_cast<unsigned long long>(metrics_.explains.value()),
-      static_cast<unsigned long long>(metrics_.snapshots.value()),
-      static_cast<unsigned long long>(metrics_.stats.value()),
-      static_cast<unsigned long long>(metrics_.errors.value()));
-  out += buf;
-  const auto& es = ctrl_.engine().stats();
-  std::snprintf(buf, sizeof buf,
-                "  engine: %llu adds, %llu removes, %llu bound recomputes, "
-                "%llu dirty marked, %llu edge updates, %llu cache hits\n",
-                static_cast<unsigned long long>(es.adds),
-                static_cast<unsigned long long>(es.removes),
-                static_cast<unsigned long long>(es.bound_recomputes),
-                static_cast<unsigned long long>(es.dirty_marked),
-                static_cast<unsigned long long>(es.edge_updates),
-                static_cast<unsigned long long>(es.bound_cache_hits));
-  out += buf;
-  const std::uint64_t count = metrics_.latency_us.count();
-  if (count > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "  admission latency (us): mean %.1f  p50 %.1f  p99 %.1f  "
-                  "p999 %.1f  max %.1f over %llu decisions\n",
-                  metrics_.latency_us.sum() / static_cast<double>(count),
-                  metrics_.latency_us.quantile(0.50),
-                  metrics_.latency_us.quantile(0.99),
-                  metrics_.latency_us.p999(), metrics_.latency_us.max(),
-                  static_cast<unsigned long long>(count));
-    out += buf;
-    out += metrics_.latency_us.merged().render();
-  }
-  return out;
+  return do_stats_locked().dump();
 }
 
 }  // namespace wormrt::svc

@@ -186,8 +186,10 @@ class Service {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  /// Human-readable metrics dump (the SIGTERM report).
-  std::string stats_text() const;
+  /// The STATS reply as one JSON line — wormrtd's SIGTERM/SHUTDOWN dump,
+  /// so it prints the same numbers from the same code (and counts itself
+  /// as one STATS verb).
+  std::string stats_text();
 
   /// Prometheus text exposition of this service's registry, with the
   /// thread-pool and engine mirrors refreshed — what METRICS returns.
@@ -233,14 +235,15 @@ class Service {
 
   /// Applies one replicated record on a follower: journal first
   /// (Journal::append_replica, under the primary's LSN), then the
-  /// engine through the same replay switch as open_state, then an
-  /// audit record.  False + \p error on failure — the session must
-  /// stop rather than skip a record.
+  /// engine through apply_record_locked — recovery's own apply step —
+  /// then an audit record.  False + \p error on failure — the session
+  /// must stop rather than skip a record.
   bool apply_replicated(const JournalRecord& record, std::string* error);
 
   /// Installs a replication bootstrap snapshot on a follower: journal
   /// install (tmp+fsync->rename, WAL truncated) first, then the engine
-  /// is cleared and rebuilt from the rows exactly like recovery replay.
+  /// takes the image through install_state_locked — recovery's own
+  /// install step.
   bool bootstrap_replicated(
       std::uint64_t last_lsn, std::uint64_t snapshot_epoch,
       std::int64_t next_handle, const std::vector<JournalEntry>& entries,
@@ -358,12 +361,25 @@ class Service {
   /// false and replaces \p reply with an honest error then.
   bool await_durable(const PendingAck& ack, Json* reply);
 
+  /// One occupied channel as the heatmap gauges see it.
+  struct ChannelLoad {
+    topo::ChannelId channel;
+    std::size_t streams;
+    double utilization;  ///< sum of length/period over its streams
+  };
+
   /// Mirrors ThreadPool::shared().stats() and the engine's work counters
   /// into registry_ (call with mu_ held, before any exposition).  Also
   /// refreshes the per-channel occupancy/utilization gauges from the
-  /// engine's channel index and purges conformance records of departed
-  /// streams.
-  void refresh_mirrors() const;
+  /// engine's channel index — returning the occupied channels' loads,
+  /// in channel order, for HEALTH's heatmap — and purges conformance
+  /// records of departed streams.
+  std::vector<ChannelLoad> refresh_mirrors() const;
+
+  /// Records behind: a follower's lag to the primary's last reported
+  /// durable LSN, or a primary's lead over its furthest follower (0
+  /// without a journal or followers).  mu_ held.
+  std::uint64_t replication_lag_locked() const;
 
   /// Registers the sampler's series + probes (constructor only).
   void setup_sampler();
@@ -381,6 +397,31 @@ class Service {
   /// successful mutation).  A failed compaction is counted and retried
   /// at the next threshold crossing; the journal stays authoritative.
   void maybe_compact();
+
+  /// Re-establishes a journaled stream under its recorded handle and
+  /// route order — replay, snapshot install and the rollback of a failed
+  /// REMOVE (mu_ held).
+  void restore_locked(const JournalEntry& e);
+
+  /// The only code that turns a snapshot image into engine + fault
+  /// state (recovery and follower bootstrap; mu_ held): clears the
+  /// population and every fault flag, faults the image's channels,
+  /// restores the rows in engine order under their recorded handles and
+  /// route orders, and raises next_handle to the image's.  False +
+  /// \p error when a faulted channel is not in this topology.
+  bool install_state_locked(
+      std::int64_t next_handle, const std::vector<JournalEntry>& entries,
+      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
+      std::string* error);
+
+  /// The only map from a journal record to an engine call (recovery
+  /// replay and follower apply; mu_ held): ADD restores the stream,
+  /// REMOVE removes it, LINK_DOWN/LINK_UP resolve the record's
+  /// endpoints and redo the cascade.  \p channel receives a link
+  /// record's channel (kNoChannel otherwise).  False + \p error when
+  /// the topology has no such channel.
+  bool apply_record_locked(const JournalRecord& record,
+                           topo::ChannelId* channel, std::string* error);
 
   /// Captures the engine population (in engine order, with forced
   /// handles and route orders) and the faulted channel set — the

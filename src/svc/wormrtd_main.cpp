@@ -3,8 +3,9 @@
 // Serves the newline-delimited JSON protocol of DESIGN.md §7 over a
 // Unix-domain socket (--socket PATH) or loopback TCP (--port N; 0 picks
 // an ephemeral port).  Each REQUEST is decided by the incremental
-// analysis engine; metrics accumulate per verb and are dumped on STATS
-// and again on clean shutdown (SIGTERM/SIGINT or the SHUTDOWN verb).
+// analysis engine; metrics accumulate per verb and are dumped on STATS,
+// and the STATS reply goes to stderr as one JSON line on clean shutdown
+// (SIGTERM/SIGINT or the SHUTDOWN verb).
 //
 //   ./wormrtd --socket /tmp/wormrtd.sock --mesh 8 --threads 0
 //   ./wormrtd --port 0 --mesh 16x16 --workers 8
@@ -385,6 +386,6 @@ int main(int argc, char** argv) {
                    trace_path.c_str(), trace_error.c_str());
     }
   }
-  std::fputs(service.stats_text().c_str(), stderr);
+  std::fprintf(stderr, "%s\n", service.stats_text().c_str());
   return 0;
 }

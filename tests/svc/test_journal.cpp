@@ -23,6 +23,7 @@
 #include "route/dor.hpp"
 #include "svc/journal.hpp"
 #include "svc/json.hpp"
+#include "svc/replication.hpp"
 #include "svc/service.hpp"
 #include "topo/mesh.hpp"
 #include "util/crc32.hpp"
@@ -781,6 +782,54 @@ TEST_F(JournalTest, ServiceRecoversFaultStateAndDetourRoutes) {
   }
 }
 
+TEST_F(JournalTest, RecoveryCountsSnapshotFaultsAndReplayedLinkRecords) {
+  // topology_mutations = snapshot fault rows + replayed LINK records;
+  // here both sources contribute.
+  topo::Mesh live_mesh(4, 4);
+  topo::Mesh recovered_mesh(4, 4);
+  const route::XYRouting routing;
+  ServiceOptions options;
+  options.state_dir = dir_;
+  options.compact_every = 4;  // the first LINK_DOWN is the 4th append
+  const auto link = [](const char* verb, int src, int dst) {
+    Json req = Json::object();
+    req.set("verb", verb);
+    req.set("src", std::int64_t{src});
+    req.set("dst", std::int64_t{dst});
+    return req;
+  };
+  std::string error;
+  std::size_t population = 0;
+  {
+    Service service(live_mesh, routing, {}, options);
+    ASSERT_TRUE(service.open_state(&error)) << error;
+    const int specs[][2] = {{0, 6}, {0, 3}, {12, 15}};
+    for (const auto& s : specs) {
+      ASSERT_TRUE(service.handle(request_line(s[0], s[1], 2, 200, 6, 200))
+                      .get("admitted")
+                      ->as_bool());
+    }
+    // Compacted: the snapshot carries 1->2 as a fault row.
+    ASSERT_TRUE(service.handle(link("LINK_DOWN", 1, 2)).get("ok")->as_bool());
+    // Two LINK records after the compaction.
+    ASSERT_TRUE(
+        service.handle(link("LINK_DOWN", 13, 14)).get("ok")->as_bool());
+    ASSERT_TRUE(service.handle(link("LINK_UP", 1, 2)).get("ok")->as_bool());
+    population = service.population();
+  }  // crash
+
+  Service recovered(recovered_mesh, routing, {}, options);
+  ASSERT_TRUE(recovered.open_state(&error)) << error;
+  const Service::RecoveryInfo& info = recovered.recovery_info();
+  EXPECT_EQ(info.journal_records, 2u);
+  EXPECT_EQ(info.topology_mutations, 1u + 2u);
+  EXPECT_FALSE(
+      recovered_mesh.channel_faulted(recovered_mesh.channel_between(1, 2)));
+  EXPECT_TRUE(
+      recovered_mesh.channel_faulted(recovered_mesh.channel_between(13, 14)));
+  EXPECT_EQ(recovered.population(), population);
+}
+
 TEST_F(JournalTest, ServiceRefusesAStateDirFromAnotherFabric) {
   const route::XYRouting routing;
   ServiceOptions options;
@@ -1141,6 +1190,60 @@ TEST_F(JournalTest, LegacyHeaderWithoutEpochReadsAsEpochOne) {
   EXPECT_EQ(state.journal_fingerprint, 0xDEADu);
   ASSERT_EQ(state.records.size(), 1u);
   EXPECT_EQ(state.records[0].entry.handle, 9);
+}
+
+TEST_F(JournalTest, FollowerRefusesMalformedReplicationRows) {
+  // A cell that is not an integer must make the row malformed, never
+  // read as 0: a garbled row would otherwise be journaled and applied.
+  topo::Mesh mesh(4, 4);
+  const route::XYRouting routing;
+  ServiceOptions options;
+  options.state_dir = dir_;
+  options.follower = true;
+  Service follower(mesh, routing, {}, options);
+  std::string error;
+  ASSERT_TRUE(follower.open_state(&error)) << error;
+  const auto parse = [](const std::string& text) {
+    std::string parse_error;
+    Json j = Json::parse(text, &parse_error);
+    EXPECT_TRUE(parse_error.empty()) << parse_error << " in " << text;
+    return j;
+  };
+
+  for (const char* row : {R"([1,1,"x",0,5,2,100,10,100,0])",
+                          R"([1,1,null,0,5,2,100,10,100,0])",
+                          R"([true,1,0,0,5,2,100,10,100,0])",
+                          R"([1,1,0,0,5,2,100,10,100,0.5])",
+                          R"([1,1,0,0,5,2,100,10,100])"}) {
+    const Json pull = parse(
+        std::string(R"({"ok":true,"epoch":1,"durable_lsn":1,"records":[)") +
+        row + "]}");
+    error.clear();
+    EXPECT_FALSE(apply_pull_reply(follower, pull, nullptr, &error)) << row;
+    EXPECT_EQ(error, "REPL_PULL record row is malformed") << row;
+    EXPECT_EQ(follower.population(), 0u) << row;
+    EXPECT_EQ(follower.durable_lsn(), 0u) << row;
+  }
+
+  for (const char* field :
+       {R"("faulted":[],"entries":[[0,0,5,2,100,null,100,0]])",
+        R"("faulted":[[1,"2"]],"entries":[])"}) {
+    const Json snapshot = parse(
+        std::string(R"({"ok":true,"lsn":1,"epoch":1,"next_handle":1,)") +
+        field + "}");
+    error.clear();
+    EXPECT_FALSE(apply_snapshot_reply(follower, snapshot, &error)) << field;
+    EXPECT_NE(error.find("row is malformed"), std::string::npos) << error;
+    EXPECT_EQ(follower.population(), 0u) << field;
+    EXPECT_EQ(follower.durable_lsn(), 0u) << field;
+  }
+
+  // A well-formed row still applies.
+  const Json pull =
+      parse(R"({"ok":true,"records":[[1,1,0,0,5,2,50,10,40,0]]})");
+  ASSERT_TRUE(apply_pull_reply(follower, pull, nullptr, &error)) << error;
+  EXPECT_EQ(follower.population(), 1u);
+  EXPECT_EQ(follower.durable_lsn(), 1u);
 }
 
 }  // namespace
