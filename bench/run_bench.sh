@@ -5,8 +5,10 @@
 #   usage: bench/run_bench.sh [build-dir] [out.json] [min-time-seconds]
 #
 # The filter covers the hot analysis paths: Cal_U, the bit-packed timing
-# diagram build, the blocking analysis, and the multi-threaded
-# determine_feasibility scaling rows (threads 1/2/4/hw on 60 streams).
+# diagram build, the blocking analysis, the multi-threaded
+# determine_feasibility scaling rows (threads 1/2/4/hw on 60 streams),
+# and online admission churn at 20/60/200 streams (decisions/s, the
+# incremental engine against full recompute).
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -20,7 +22,7 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 "$BIN" \
-  --benchmark_filter='BM_CalU|BM_TimingDiagramBuild|BM_BlockingAnalysis|BM_DetermineFeasibility/' \
+  --benchmark_filter='BM_CalU|BM_TimingDiagramBuild|BM_BlockingAnalysis|BM_DetermineFeasibility/|BM_AdmissionChurn' \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=console \
   --benchmark_out_format=json \

@@ -92,12 +92,13 @@ AdmissionController::Decision AdmissionController::request(
   const bool ok = gate_ok(decision.bound, deadline, period, trial.dirty,
                           &decision.would_break);
   if (!ok) {
-    // Roll the trial back; the reverse mutation recomputes the same dirty
-    // closure, restoring every cached bound to its pre-trial value.  The
-    // trial handle is released too: a rejected request must leave no
-    // trace, so the handle sequence is a pure function of the admitted
-    // mutations — the property journal recovery relies on.
-    engine_.remove_stream(trial.handle);
+    // Roll the trial back exactly: the engine drops the appended stream
+    // and writes back the dirty closure's pre-trial bounds, with no
+    // second recompute.  The trial handle is released too: a rejected
+    // request must leave no trace, so the handle sequence is a pure
+    // function of the admitted mutations — the property journal recovery
+    // relies on.
+    engine_.undo_add(trial.handle);
     engine_.set_next_handle(trial.handle);
     return decision;
   }
@@ -139,7 +140,7 @@ AdmissionController::LinkMutation AdmissionController::link_down(
   // Re-admit each victim on the first fault-free route order that passes
   // the full admission gate, keeping its original handle.  A forced
   // handle below next_handle() never perturbs the handle sequence, so a
-  // failed trial rolls back with a plain remove.
+  // failed trial rolls back with the engine's exact undo alone.
   for (std::size_t i = 0; i < victims.size(); ++i) {
     const Handle h = victims[i];
     const MessageStream& old = params[i];
@@ -159,7 +160,7 @@ AdmissionController::LinkMutation AdmissionController::link_down(
         engine_.add_stream(std::move(candidate), h);
     const Time bound = *engine_.bound(h);
     if (!gate_ok(bound, old.deadline, old.period, trial.dirty, nullptr)) {
-      engine_.remove_stream(h);
+      engine_.undo_add(h);
       m.evicted.push_back(h);
       continue;
     }

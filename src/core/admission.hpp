@@ -20,7 +20,8 @@
 ///
 /// The heavy lifting lives in core::IncrementalAnalyzer: a request is a
 /// trial add that recomputes only the dirty closure of the newcomer
-/// (rolled back when the decision is a rejection), a teardown releases
+/// (undone exactly, without a recompute, when the decision is a
+/// rejection), a teardown releases
 /// interference with the same dirty-set recomputation, and bound queries
 /// are O(1) cache reads.  Streams outside the dirty set provably keep
 /// their bounds, so the decisions are identical to the full-recompute

@@ -128,9 +128,23 @@ DelayBoundResult DelayBoundCalculator::calc_with_hp(StreamId j,
       result.bound = kNoTime;
       return result;
     }
-    TimingDiagram diagram(make_rows(hp), horizon, config_.carry_over);
-    evaluate(j, hp, diagram, result);
-    return result;
+    // Prefix rungs up to D_j itself: a bound at or before the diagram's
+    // exactness frontier is the bound at every longer horizon, D_j
+    // included, so the first rung that certifies one ends the search and
+    // the cost follows U_j instead of D_j.  The last rung is the paper's
+    // scan at D_j.
+    Time prefix = std::min(kFirstPrefixHorizon, horizon);
+    TimingDiagram diagram(make_rows(hp), prefix, config_.carry_over);
+    for (;;) {
+      result.horizon_used = prefix;
+      evaluate(j, hp, diagram, result);
+      if (prefix == horizon ||
+          (result.bound != kNoTime && result.bound <= diagram.exact_until())) {
+        return result;
+      }
+      prefix = std::min(prefix * kPrefixGrowth, horizon);
+      diagram.reset(prefix);
+    }
   }
 
   // Extended search: doubling horizons until the bound converges or the

@@ -17,7 +17,9 @@ struct DelayBoundResult {
   /// U_j in the paper's 1-indexed convention; kNoTime when the free slots
   /// never accumulate to the network latency within the horizon.
   Time bound = kNoTime;
-  /// Horizon (dtime) at which the reported bound was computed.
+  /// Horizon (dtime) at which the reported bound was computed.  Under
+  /// kDeadline this is the rung that certified it (see
+  /// DelayBoundCalculator::kFirstPrefixHorizon), at most D_j.
   Time horizon_used = 0;
   /// Message instances removed by the indirect relaxation.
   int suppressed_instances = 0;
@@ -34,6 +36,13 @@ struct DelayBoundResult {
 /// path or priority edits require a fresh BlockingAnalysis.
 class DelayBoundCalculator {
  public:
+  /// Under kDeadline, Cal_U tries the horizons 4096, 8x that, ... below
+  /// D_j, then D_j, and returns the first bound that lies at or before the
+  /// diagram's exactness frontier (TimingDiagram::exact_until): bitwise
+  /// the bound at D_j, at a cost that follows U_j instead of D_j.
+  static constexpr Time kFirstPrefixHorizon = 4096;
+  static constexpr Time kPrefixGrowth = 8;
+
   DelayBoundCalculator(const StreamSet& streams,
                        const BlockingAnalysis& blocking,
                        AnalysisConfig config = {});

@@ -55,6 +55,9 @@ struct BoundProvenance {
   /// Sum of the terms' slots; bound == base_latency + interference when
   /// the bound exists.
   Time interference = 0;
+  /// Horizon of the diagram that certified the bound: under kDeadline a
+  /// prefix of the deadline when one sufficed (DelayBoundResult), so the
+  /// terms' instance counts are those of that diagram.
   Time horizon_used = 0;
   /// Horizon doublings the kExtended search performed (0 under
   /// kDeadline).

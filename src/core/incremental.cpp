@@ -207,9 +207,26 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
     batch_dirty_.push_back(handle);
     return result;
   }
+  undo_handle_ = handle;
+  undo_bounds_.clear();
+  for (const StreamId v : dirty) {
+    undo_bounds_.emplace_back(v, bounds_[static_cast<std::size_t>(v)]);
+  }
   dirty.push_back(id);
   recompute(dirty);
   return result;
+}
+
+void IncrementalAnalyzer::undo_add([[maybe_unused]] Handle handle) {
+  assert(!batching_ && handle >= 0 && handle == undo_handle_ &&
+         handles_.back() == handle &&
+         "undo_add only reverses the most recent add_stream");
+  erase_stream(static_cast<StreamId>(streams_.size() - 1));
+  for (const auto& [id, bound] : undo_bounds_) {
+    bounds_[static_cast<std::size_t>(id)] = bound;
+  }
+  undo_handle_ = -1;
+  ++stats_.removes;
 }
 
 void IncrementalAnalyzer::drop_and_shift(std::vector<StreamId>& list,
@@ -235,6 +252,31 @@ void IncrementalAnalyzer::unindex(StreamId id) {
   }
   for (auto& list : by_dst_) {
     drop_and_shift(list, id);
+  }
+}
+
+void IncrementalAnalyzer::erase_stream(StreamId id) {
+  for (const auto& row : adj_) {
+    stats_.edge_updates += row[static_cast<std::size_t>(id)];
+  }
+  for (const std::size_t b : adj_[static_cast<std::size_t>(id)]) {
+    stats_.edge_updates += b;
+  }
+
+  // Excise row and column `id`; survivors keep their relative order.
+  adj_.erase(adj_.begin() + static_cast<std::ptrdiff_t>(id));
+  for (auto& row : adj_) {
+    row.erase(row.begin() + static_cast<std::ptrdiff_t>(id));
+  }
+  unindex(id);
+  streams_.remove_stream(id);
+  index_.erase(handles_[static_cast<std::size_t>(id)]);
+  handles_.erase(handles_.begin() + static_cast<std::ptrdiff_t>(id));
+  bounds_.erase(bounds_.begin() + static_cast<std::ptrdiff_t>(id));
+  for (auto& [h, i] : index_) {
+    if (i > id) {
+      --i;
+    }
   }
 }
 
@@ -266,29 +308,8 @@ std::optional<IncrementalAnalyzer::Mutation> IncrementalAnalyzer::remove_stream(
     result.dirty.push_back(handles_[static_cast<std::size_t>(v)]);
   }
 
-  for (const auto& row : adj_) {
-    stats_.edge_updates += row[static_cast<std::size_t>(id)];
-  }
-  for (const std::size_t b : adj_[static_cast<std::size_t>(id)]) {
-    stats_.edge_updates += b;
-  }
-
-  // Excise row and column `id`; survivors keep their relative order.
-  adj_.erase(adj_.begin() + static_cast<std::ptrdiff_t>(id));
-  for (auto& row : adj_) {
-    row.erase(row.begin() + static_cast<std::ptrdiff_t>(id));
-  }
-  unindex(id);
-  streams_.remove_stream(id);
-  handles_.erase(handles_.begin() + static_cast<std::ptrdiff_t>(id));
-  bounds_.erase(bounds_.begin() + static_cast<std::ptrdiff_t>(id));
-  index_.erase(it);
-  for (auto& [h, i] : index_) {
-    if (i > id) {
-      --i;
-    }
-  }
-
+  erase_stream(id);
+  undo_handle_ = -1;
   stats_.dirty_marked += dirty.size();
   ++stats_.removes;
 
@@ -324,6 +345,7 @@ IncrementalAnalyzer::handles_on_channel(topo::ChannelId channel) const {
 void IncrementalAnalyzer::begin_batch() {
   assert(!batching_ && "batches do not nest");
   batching_ = true;
+  undo_handle_ = -1;
   batch_dirty_.clear();
 }
 

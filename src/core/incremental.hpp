@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/analysis_config.hpp"
@@ -71,6 +72,16 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// Tears a stream down, releasing its interference and recomputing the
   /// bounds of the streams it blocked.  nullopt for an unknown handle.
   std::optional<Mutation> remove_stream(Handle handle);
+
+  /// Undoes the most recent add_stream(), which must have registered
+  /// \p handle outside a batch with no mutation since: removes the
+  /// appended stream and writes back the bounds its dirty set had before
+  /// the add, recomputing nothing.  Exact, because the stream holds the
+  /// last id, so its removal shifts no id and restores the population,
+  /// the digraph and the indexes of before the add, and the written-back
+  /// bounds are that population's cached bounds.  The handle counter is
+  /// left alone (see set_next_handle).
+  void undo_add(Handle handle);
 
   /// Channel-level dirtiness: the live streams whose paths traverse the
   /// directed channel, in ascending handle order.  This is the root set
@@ -176,6 +187,10 @@ class IncrementalAnalyzer : public DirectBlocking {
   bool force_full_ = false;
   bool batching_ = false;
   std::vector<Handle> batch_dirty_;  // dirty handles accumulated in a batch
+  /// The last add_stream()'s handle (-1 once another mutation followed)
+  /// and its dirty set's pre-add bounds, for undo_add().
+  Handle undo_handle_ = -1;
+  std::vector<std::pair<StreamId, Time>> undo_bounds_;
   Handle next_handle_ = 0;
   /// mutable: bound() is logically const but counts its cache hits.
   mutable Stats stats_;
@@ -199,6 +214,9 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// Recomputes and caches bounds for \p ids (parallel across streams).
   void recompute(const std::vector<StreamId>& ids);
   void unindex(StreamId id);
+  /// Drops stream \p id from the digraph, the indexes and the caches;
+  /// ids above it shift down.
+  void erase_stream(StreamId id);
   static void drop_and_shift(std::vector<StreamId>& list, StreamId id);
 };
 

@@ -6,9 +6,34 @@
 
 #include "obs/trace.hpp"
 
+// The slot-counting kernels below get a POPCNT clone on x86-64 glibc:
+// the loader picks it (ifunc) on CPUs that have the instruction, where a
+// default x86-64 build would otherwise call libgcc's software popcount.
+// No build option selects it.  ThreadSanitizer builds go without: an
+// ifunc resolver runs before the TSan runtime is up and crashes at load.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define WORMRT_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__GLIBC__) && \
+    (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__) && !defined(WORMRT_TSAN)
+#define WORMRT_POPCNT_CLONES \
+  __attribute__((target_clones("popcnt", "default")))
+#else
+#define WORMRT_POPCNT_CLONES
+#endif
+
 namespace wormrt::core {
 
 namespace {
+
+constexpr Time kWordBits = 64;
+
+inline std::size_t slot_word(Time t) {
+  return static_cast<std::size_t>(t / kWordBits);
+}
 
 /// The \p n lowest set bits of \p x (n <= popcount(x)).
 inline std::uint64_t lowest_n_set(std::uint64_t x, int n) {
@@ -24,6 +49,108 @@ inline std::uint64_t span_mask(unsigned lo, unsigned hi) {
   const std::uint64_t upto =
       hi == 63 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (hi + 1)) - 1);
   return upto & (~std::uint64_t{0} << lo);
+}
+
+/// The slots of [start, end) that fall in word \p w (start < end).
+inline std::uint64_t range_mask(std::size_t w, Time start, Time end) {
+  const unsigned lo =
+      w == slot_word(start) ? static_cast<unsigned>(start % kWordBits) : 0;
+  const unsigned hi = w == slot_word(end - 1)
+                          ? static_cast<unsigned>((end - 1) % kWordBits)
+                          : 63u;
+  return span_mask(lo, hi);
+}
+
+/// Greedily hands the first free slots of [start, end) to a row: up to
+/// \p demand slots become ALLOCATED (and busy), busy slots scanned before
+/// the demand is met become WAITING.  Returns the number allocated.
+WORMRT_POPCNT_CLONES
+Time allocate_range(std::uint64_t* busy, std::uint64_t* alloc,
+                    std::uint64_t* wait, Time start, Time end, Time demand) {
+  if (demand <= 0 || start >= end) {
+    return 0;
+  }
+  Time allocated = 0;
+  const std::size_t w0 = slot_word(start);
+  for (std::size_t w = w0; w <= slot_word(end - 1); ++w) {
+    const std::uint64_t mask = range_mask(w, start, end);
+    const unsigned lo = w == w0 ? static_cast<unsigned>(start % kWordBits) : 0;
+    const std::uint64_t busy_w = busy[w];
+    const std::uint64_t free_mask = ~busy_w & mask;
+    const Time cnt = std::popcount(free_mask);
+    if (free_mask == mask) {
+      // Nothing busy in the scanned region — the common head-of-window
+      // case: the taken slots are contiguous, no per-bit select needed.
+      if (cnt < demand - allocated) {
+        alloc[w] |= mask;
+        busy[w] |= mask;
+        allocated += cnt;
+        continue;
+      }
+      const auto need = static_cast<unsigned>(demand - allocated);
+      const std::uint64_t taken = span_mask(lo, lo + need - 1);
+      alloc[w] |= taken;
+      busy[w] |= taken;
+      return demand;
+    }
+    if (cnt < demand - allocated) {
+      // The whole masked region is scanned: take every free slot, wait on
+      // every busy one.
+      alloc[w] |= free_mask;
+      wait[w] |= busy_w & mask;
+      busy[w] |= free_mask;
+      allocated += cnt;
+    } else {
+      // The scan stops at the slot that satisfies the demand: take the
+      // first `need` free slots, wait only on busy slots before it.
+      const int need = static_cast<int>(demand - allocated);
+      const std::uint64_t taken = lowest_n_set(free_mask, need);
+      const auto last = static_cast<unsigned>(63 - std::countl_zero(taken));
+      const std::uint64_t scanned = mask & span_mask(0, last);
+      alloc[w] |= taken;
+      wait[w] |= busy_w & scanned;
+      busy[w] |= taken;
+      return demand;
+    }
+  }
+  return allocated;
+}
+
+/// Set bits of \p words in [start, end).
+WORMRT_POPCNT_CLONES
+Time count_set(const std::uint64_t* words, Time start, Time end) {
+  if (start >= end) {
+    return 0;
+  }
+  Time count = 0;
+  for (std::size_t w = slot_word(start); w <= slot_word(end - 1); ++w) {
+    count += std::popcount(words[w] & range_mask(w, start, end));
+  }
+  return count;
+}
+
+/// 1-indexed time at which the free (clear) slots of \p busy in
+/// [0, horizon) reach \p required, or kNoTime.
+WORMRT_POPCNT_CLONES
+Time accumulate_free(const std::uint64_t* busy, Time horizon, Time required) {
+  Time gained = 0;
+  for (std::size_t w = 0; w <= slot_word(horizon - 1); ++w) {
+    const auto word_start = static_cast<Time>(w) * kWordBits;
+    const std::uint64_t free_mask = ~busy[w] & range_mask(w, 0, horizon);
+    const Time cnt = std::popcount(free_mask);
+    if (gained + cnt >= required) {
+      const int need = static_cast<int>(required - gained);
+      const std::uint64_t upto = lowest_n_set(free_mask, need);
+      const auto last = static_cast<unsigned>(63 - std::countl_zero(upto));
+      return word_start + static_cast<Time>(last) +
+             1;  // the paper reports 1-indexed completion times
+    }
+    gained += cnt;
+    if (required - gained > horizon - word_start - kWordBits) {
+      return kNoTime;  // even all-free remaining slots cannot reach it
+    }
+  }
+  return kNoTime;
 }
 
 }  // namespace
@@ -49,6 +176,7 @@ void TimingDiagram::reset(Time horizon) {
   OBS_SPAN("diagram_build");
   assert(horizon >= 1);
   horizon_ = horizon;
+  exact_until_ = horizon;
   words_ = (static_cast<std::size_t>(horizon_) + kBits - 1) / kBits;
   busy_.assign(words_, 0);
   alloc_.assign(rows_.size() * words_, 0);
@@ -64,62 +192,6 @@ void TimingDiagram::reset(Time horizon) {
 std::size_t TimingDiagram::num_windows(std::size_t r) const {
   const Time period = rows_.at(r).period;
   return static_cast<std::size_t>((horizon_ + period - 1) / period);
-}
-
-Time TimingDiagram::allocate_range(std::uint64_t* alloc, std::uint64_t* wait,
-                                   Time start, Time end, Time demand) {
-  if (demand <= 0 || start >= end) {
-    return 0;
-  }
-  Time allocated = 0;
-  const std::size_t w0 = word_of(start);
-  const std::size_t w1 = word_of(end - 1);
-  for (std::size_t w = w0; w <= w1; ++w) {
-    const unsigned lo =
-        w == w0 ? static_cast<unsigned>(start % static_cast<Time>(kBits)) : 0;
-    const unsigned hi =
-        w == w1 ? static_cast<unsigned>((end - 1) % static_cast<Time>(kBits))
-                : 63u;
-    const std::uint64_t mask = span_mask(lo, hi);
-    const std::uint64_t busy_w = busy_[w];
-    const std::uint64_t free_mask = ~busy_w & mask;
-    const Time cnt = std::popcount(free_mask);
-    if (free_mask == mask) {
-      // Nothing busy in the scanned region — the common head-of-window
-      // case: the taken slots are contiguous, no per-bit select needed.
-      if (cnt < demand - allocated) {
-        alloc[w] |= mask;
-        busy_[w] |= mask;
-        allocated += cnt;
-        continue;
-      }
-      const auto need = static_cast<unsigned>(demand - allocated);
-      const std::uint64_t taken = span_mask(lo, lo + need - 1);
-      alloc[w] |= taken;
-      busy_[w] |= taken;
-      return demand;
-    }
-    if (cnt < demand - allocated) {
-      // The whole masked region is scanned: take every free slot, wait on
-      // every busy one.
-      alloc[w] |= free_mask;
-      wait[w] |= busy_w & mask;
-      busy_[w] |= free_mask;
-      allocated += cnt;
-    } else {
-      // The scan stops at the slot that satisfies the demand: take the
-      // first `need` free slots, wait only on busy slots before it.
-      const int need = static_cast<int>(demand - allocated);
-      const std::uint64_t taken = lowest_n_set(free_mask, need);
-      const auto last = static_cast<unsigned>(63 - std::countl_zero(taken));
-      const std::uint64_t scanned = mask & span_mask(0, last);
-      alloc[w] |= taken;
-      wait[w] |= busy_w & scanned;
-      busy_[w] |= taken;
-      return demand;
-    }
-  }
-  return allocated;
 }
 
 void TimingDiagram::allocate_row(std::size_t r) {
@@ -140,7 +212,7 @@ void TimingDiagram::allocate_row(std::size_t r) {
       }
       const Time start = static_cast<Time>(w) * period;
       const Time end = std::min(start + period, horizon_);
-      allocate_range(alloc, wait, start, end, length);
+      allocate_range(busy_.data(), alloc, wait, start, end, length);
     }
     return;
   }
@@ -151,7 +223,7 @@ void TimingDiagram::allocate_row(std::size_t r) {
   for (Time start = 0; start < horizon_; start += period) {
     pending += length;
     const Time end = std::min(start + period, horizon_);
-    pending -= allocate_range(alloc, wait, start, end, pending);
+    pending -= allocate_range(busy_.data(), alloc, wait, start, end, pending);
   }
 }
 
@@ -169,6 +241,26 @@ void TimingDiagram::rebuild_from(std::size_t from) {
   }
 }
 
+bool TimingDiagram::meets_intermediate(
+    std::size_t r, Time start, Time end,
+    const std::vector<std::size_t>& intermediate_rows) const {
+  const std::uint64_t* alloc = row_alloc(r);
+  const std::uint64_t* wait = row_wait(r);
+  for (std::size_t w = word_of(start); w <= word_of(end - 1); ++w) {
+    const std::uint64_t footprint =
+        (alloc[w] | wait[w]) & range_mask(w, start, end);
+    if (footprint == 0) {
+      continue;
+    }
+    for (const std::size_t ir : intermediate_rows) {
+      if ((footprint & (row_alloc(ir)[w] | row_wait(ir)[w])) != 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 int TimingDiagram::relax_indirect_row(
     std::size_t r, const std::vector<std::size_t>& intermediate_rows) {
   assert(!carry_over_ &&
@@ -176,48 +268,32 @@ int TimingDiagram::relax_indirect_row(
   assert(r < rows_.size());
   int suppressed_count = 0;
   const Time period = rows_[r].period;
+  const Time length = rows_[r].length;
   const std::size_t windows = num_windows(r);
-  const std::uint64_t* alloc = row_alloc(r);
-  const std::uint64_t* wait = row_wait(r);
   for (std::size_t w = 0; w < windows; ++w) {
     if (suppressed_[r][w] != 0) {
       continue;
     }
     const Time start = static_cast<Time>(w) * period;
     const Time end = std::min(start + period, horizon_);
-    // Footprint of the instance: its ALLOCATED and WAITING slots.  The
-    // instance survives iff some intermediate row is active during one of
-    // those slots.
-    bool has_footprint = false;
-    bool intermediate_seen = false;
-    const std::size_t kw0 = word_of(start);
-    const std::size_t kw1 = word_of(end - 1);
-    for (std::size_t kw = kw0; kw <= kw1 && !intermediate_seen; ++kw) {
-      const unsigned lo =
-          kw == kw0 ? static_cast<unsigned>(start % static_cast<Time>(kBits))
-                    : 0;
-      const unsigned hi =
-          kw == kw1
-              ? static_cast<unsigned>((end - 1) % static_cast<Time>(kBits))
-              : 63u;
-      const std::uint64_t footprint =
-          (alloc[kw] | wait[kw]) & span_mask(lo, hi);
-      if (footprint == 0) {
-        continue;
-      }
-      has_footprint = true;
-      for (const std::size_t ir : intermediate_rows) {
-        if ((footprint & (row_alloc(ir)[kw] | row_wait(ir)[kw])) != 0) {
-          intermediate_seen = true;
-          break;
-        }
-      }
-    }
-    if (has_footprint && !intermediate_seen) {
+    // The instance's footprint (its ALLOCATED and WAITING slots) always
+    // starts at `start`.  It survives iff some intermediate row is active
+    // during one of those slots.
+    if (!meets_intermediate(r, start, end, intermediate_rows)) {
       // No intermediate stream exists anywhere under this instance: the
       // indirect blocker cannot actually reach the analysed stream here.
       suppressed_[r][w] = 1;
       ++suppressed_count;
+    }
+    // A longer horizon keeps this verdict unless the instance's footprint
+    // crosses the frontier undecided: then its slots from there on may
+    // differ and so may the verdict, which rewrites the window from its
+    // start.  The untruncated end decides the crossing: a window the
+    // horizon cuts short still scans on in a longer diagram.
+    if (start < exact_until_ && start + period > exact_until_ &&
+        count_set(row_alloc(r), start, exact_until_) < length &&
+        !meets_intermediate(r, start, exact_until_, intermediate_rows)) {
+      exact_until_ = start;
     }
   }
   if (suppressed_count > 0) {
@@ -228,45 +304,12 @@ int TimingDiagram::relax_indirect_row(
 
 Time TimingDiagram::accumulate_free(Time required) const {
   assert(required >= 1);
-  Time gained = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
-    const Time word_start = static_cast<Time>(w * kBits);
-    std::uint64_t free_mask = ~busy_[w];
-    if (horizon_ - word_start < static_cast<Time>(kBits)) {
-      // Tail word: slots at and beyond the horizon do not exist.
-      free_mask &= span_mask(0, static_cast<unsigned>(horizon_ - word_start - 1));
-    }
-    const Time cnt = std::popcount(free_mask);
-    if (gained + cnt >= required) {
-      const int need = static_cast<int>(required - gained);
-      const std::uint64_t upto = lowest_n_set(free_mask, need);
-      const auto last = static_cast<unsigned>(63 - std::countl_zero(upto));
-      return word_start + static_cast<Time>(last) +
-             1;  // the paper reports 1-indexed completion times
-    }
-    gained += cnt;
-    if (required - gained > horizon_ - word_start - static_cast<Time>(kBits)) {
-      return kNoTime;  // even all-free remaining slots cannot reach it
-    }
-  }
-  return kNoTime;
+  return core::accumulate_free(busy_.data(), horizon_, required);
 }
 
 Time TimingDiagram::allocated_before(std::size_t r, Time end) const {
   assert(r < rows_.size());
-  end = std::min(end, horizon_);
-  if (end <= 0) {
-    return 0;
-  }
-  const std::uint64_t* alloc = row_alloc(r);
-  Time count = 0;
-  const std::size_t w1 = word_of(end - 1);
-  for (std::size_t w = 0; w < w1; ++w) {
-    count += std::popcount(alloc[w]);
-  }
-  const auto hi = static_cast<unsigned>((end - 1) % static_cast<Time>(kBits));
-  count += std::popcount(alloc[w1] & span_mask(0, hi));
-  return count;
+  return count_set(row_alloc(r), 0, std::min(end, horizon_));
 }
 
 std::string TimingDiagram::render() const {

@@ -22,8 +22,15 @@
 /// (ALLOCATED and WAITING; FREE is the absence of both), and `busy_` is
 /// the union of the allocation bitmaps.  Allocation, rebuild, relaxation
 /// and free-slot accounting all run word-at-a-time with popcount/ctz
-/// instead of byte-at-a-time, and `reset()` lets the doubling-horizon
-/// search of Cal_U reuse one diagram's buffers across horizons.
+/// instead of byte-at-a-time, and `reset()` lets Cal_U's horizon searches
+/// reuse one diagram's buffers across horizons.
+///
+/// Exactness frontier: allocation is a greedy left-to-right scan inside
+/// each window, so a diagram built at horizon H agrees slot for slot with
+/// the same rows built at any longer horizon on [0, exact_until()).  The
+/// frontier starts at H and only relaxation lowers it (see
+/// relax_indirect_row); a bound at or before it is therefore the bound of
+/// every longer horizon, which is what lets Cal_U certify on a prefix.
 
 namespace wormrt::core {
 
@@ -57,6 +64,12 @@ class TimingDiagram {
 
   std::size_t num_rows() const { return rows_.size(); }
   Time horizon() const { return horizon_; }
+
+  /// The exactness frontier.  Below it, every row's slots and the
+  /// suppression flag of every window starting there equal those of the
+  /// same rows, put through the same relaxation steps, at any horizon
+  /// >= horizon().
+  Time exact_until() const { return exact_until_; }
   const RowSpec& row_spec(std::size_t r) const { return rows_.at(r); }
 
   Slot at(std::size_t r, Time t) const {
@@ -93,6 +106,10 @@ class TimingDiagram {
   /// active during any slot of the instance's footprint (its ALLOCATED
   /// and WAITING slots).  Rows at and below \p r are then re-allocated.
   /// Returns the number of newly suppressed instances.
+  /// The window that crosses exact_until() (judged by its untruncated end,
+  /// start + T) is decided on slots a longer horizon may change, unless
+  /// its instance already received its C slots or met an intermediate
+  /// before the frontier; otherwise the frontier drops to its start.
   /// Not supported in carry-over mode (instance footprints blur across
   /// windows); asserts.
   int relax_indirect_row(std::size_t r,
@@ -120,6 +137,7 @@ class TimingDiagram {
 
   std::vector<RowSpec> rows_;
   Time horizon_;
+  Time exact_until_ = 0;
   bool carry_over_;
   std::size_t words_ = 0;             // ceil(horizon / 64)
   std::vector<std::uint64_t> busy_;   // per word: some row allocated
@@ -143,16 +161,15 @@ class TimingDiagram {
     return wait_.data() + r * words_;
   }
 
-  /// Greedily hands the first free slots of [start, end) to the row:
-  /// up to \p demand slots become ALLOCATED (and busy), busy slots
-  /// scanned before the demand is met become WAITING.  Returns the number
-  /// of slots allocated.
-  Time allocate_range(std::uint64_t* alloc, std::uint64_t* wait, Time start,
-                      Time end, Time demand);
-
   /// Re-allocates rows [from, end), assuming rows above are up to date.
   void rebuild_from(std::size_t from);
   void allocate_row(std::size_t r);
+
+  /// Whether some intermediate row is active on a footprint slot (ALLOCATED
+  /// or WAITING) of row \p r in [start, end), end <= horizon.
+  bool meets_intermediate(
+      std::size_t r, Time start, Time end,
+      const std::vector<std::size_t>& intermediate_rows) const;
 };
 
 }  // namespace wormrt::core

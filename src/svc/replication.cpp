@@ -340,6 +340,7 @@ ReplicaSession::ReplicaSession(Service& service, ReplicaConfig config)
 ReplicaSession::~ReplicaSession() { stop(); }
 
 void ReplicaSession::start() {
+  std::lock_guard<std::mutex> lk(thread_mu_);
   if (thread_.joinable()) {
     return;
   }
@@ -350,6 +351,7 @@ void ReplicaSession::start() {
 
 void ReplicaSession::stop() {
   stop_.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lk(thread_mu_);
   if (thread_.joinable()) {
     thread_.join();
   }

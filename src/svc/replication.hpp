@@ -214,7 +214,8 @@ class ReplicaSession {
   void start();
 
   /// Signals the thread and joins it (PROMOTE calls this through the
-  /// Service's promote hook before flipping the role).  Idempotent.
+  /// Service's promote hook before flipping the role).  Idempotent, and
+  /// safe against a concurrent start() or stop() from another thread.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -227,6 +228,7 @@ class ReplicaSession {
 
   Service& service_;
   ReplicaConfig config_;
+  std::mutex thread_mu_;  // guards thread_: main starts, PROMOTE stops
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};

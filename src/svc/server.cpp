@@ -479,7 +479,7 @@ struct Server::Impl {
         if (errno == EINTR) {
           continue;
         }
-        return;  // EAGAIN, or the listener was closed by stop()
+        return;  // EAGAIN
       }
       if (stopping.load(std::memory_order_acquire)) {
         ::close(fd);
@@ -776,13 +776,10 @@ void Server::stop() {
   }
   impl_->started = false;
   impl_->stopping.store(true, std::memory_order_release);
-  // Close the listener, then wake every loop through its eventfd: each
-  // sees `stopping`, FINs its connections, and exits — no waiting on
-  // idle-connection timeouts or in-flight dispatch.
-  if (impl_->listen_fd >= 0) {
-    ::close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-  }
+  // Wake every loop through its eventfd: each sees `stopping`, FINs its
+  // connections, and exits — no waiting on idle-connection timeouts or
+  // in-flight dispatch.  A connection accepted meanwhile is closed at
+  // once (accept_burst checks `stopping`).
   for (const auto& loop : impl_->loops) {
     impl_->wake(*loop);
   }
@@ -790,6 +787,11 @@ void Server::stop() {
     if (loop->thread.joinable()) {
       loop->thread.join();
     }
+  }
+  // Only now close the listener: loop 0 reads listen_fd until it exits.
+  if (impl_->listen_fd >= 0) {
+    ::close(impl_->listen_fd);
+    impl_->listen_fd = -1;
   }
   // In-flight dispatch tasks drain in ~Impl (the pool is destroyed
   // before the loops' epoll fds close).

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/admission.hpp"
+#include "core/workload.hpp"
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
 
@@ -303,6 +308,35 @@ TEST_F(AdmissionTest, LinkDownEvictsWhenBothOrdersAreFaulted) {
   EXPECT_FALSE(ctrl_.bound_of(d.handle).has_value());
 }
 
+TEST_F(AdmissionTest, LinkDownUndoesADetourThatFailsTheGate) {
+  // A zero-slack stream along row 1, and a higher-priority victim whose
+  // X-Y path runs along row 0.  Killing a row-0 channel leaves only the
+  // Y-X detour, which crosses row 1 and would break the zero-slack
+  // guarantee: the trial is undone and the victim evicted.
+  const auto zero_slack =
+      ctrl_.request(mesh_.node_at({0, 1}), mesh_.node_at({6, 1}), 1, 60, 10,
+                    /*D=*/15);
+  ASSERT_TRUE(zero_slack.admitted);
+  const auto victim = ctrl_.request(mesh_.node_at({1, 0}),
+                                    mesh_.node_at({5, 1}), 2, 60, 10, 600);
+  ASSERT_TRUE(victim.admitted);
+  ASSERT_EQ(ctrl_.bound_of(zero_slack.handle), std::optional<Time>(15));
+
+  const auto recomputes = ctrl_.engine().stats().bound_recomputes;
+  const auto m = ctrl_.link_down(
+      mesh_.channel_between(mesh_.node_at({2, 0}), mesh_.node_at({3, 0})));
+  ASSERT_EQ(m.evicted.size(), 1u);
+  EXPECT_EQ(m.evicted[0], victim.handle);
+  EXPECT_TRUE(m.rerouted.empty());
+  EXPECT_EQ(ctrl_.size(), 1u);
+  EXPECT_EQ(ctrl_.bound_of(zero_slack.handle), std::optional<Time>(15));
+  EXPECT_EQ(ctrl_.engine().full_recompute_bounds(),
+            std::vector<Time>{15});
+  // The eviction touched nobody; the detour trial cost the victim's bound
+  // plus the one stream it would delay, and undoing it cost nothing.
+  EXPECT_EQ(ctrl_.engine().stats().bound_recomputes - recomputes, 2u);
+}
+
 TEST_F(AdmissionTest, LinkDownLeavesUntouchedStreamsAlone) {
   const auto far = ctrl_.request(mesh_.node_at({0, 1}), mesh_.node_at({5, 1}),
                                  1, 60, 10, 600);
@@ -375,6 +409,117 @@ TEST_F(AdmissionTest, RestoreRebuildsTheJournaledDetourIgnoringFaults) {
                                     mesh_.node_at({2, 1}),
                                     route::kRouteOrderReversed)
                 .channels);
+}
+
+// ---------------------------------------------------------------------
+// Golden replay: a seeded, period-adjusted population (10x10 mesh, 60
+// streams, 4 levels, 32 deadlines beyond the first 4,096-slot prefix
+// horizon) requested in order, then one pass that tears each held
+// channel down and requests it again — perfbench's admit_200 shape at a
+// size the sanitizer jobs afford.  Each decision's admitted flag, bound,
+// handle, route order and would_break list, and each remove outcome, go
+// into an FNV-1a digest pinned to the value the full-horizon Cal_U and
+// the recompute-on-rollback engine produced.  Every rejected trial must
+// also leave every cached bound as it was and cost exactly |dirty| + 1
+// Cal_U evaluations (the newcomer plus the established streams it can
+// delay), with no second recompute to roll it back.
+
+class Fnv1a {
+ public:
+  void add(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffu)) *
+           0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// The established streams a trial of \p candidate can delay: those whose
+/// HP set in the trial population contains it, by a from-scratch blocking
+/// analysis.
+std::size_t trial_dirty_size(const AdmissionController& ctrl,
+                             MessageStream candidate) {
+  StreamSet trial = ctrl.snapshot();
+  const auto id = static_cast<StreamId>(trial.size());
+  candidate.id = id;
+  trial.add(std::move(candidate));
+  const BlockingAnalysis blocking(trial);
+  std::size_t dirty = 0;
+  for (StreamId j = 0; j < id; ++j) {
+    const HpSet& hp = blocking.hp_set(j);
+    dirty += std::any_of(hp.begin(), hp.end(),
+                         [id](const HpElement& e) { return e.id == id; })
+                 ? 1
+                 : 0;
+  }
+  return dirty;
+}
+
+TEST(AdmissionGolden, SetupAndOnePassReplayRecordedDecisions) {
+  topo::Mesh mesh(10, 10);
+  WorkloadParams wp;
+  wp.num_streams = 60;
+  wp.priority_levels = 4;
+  wp.seed = 1;
+  StreamSet population = generate_workload(mesh, kXy, wp);
+  adjust_periods_to_bounds(population);
+
+  AdmissionController ctrl(mesh, kXy);
+  Fnv1a digest;
+  int rejected = 0;
+  const auto request = [&](const MessageStream& s) {
+    std::vector<Time> before(ctrl.size());
+    for (std::size_t id = 0; id < before.size(); ++id) {
+      before[id] = ctrl.engine().bound_at(static_cast<StreamId>(id));
+    }
+    const std::uint64_t recomputes = ctrl.engine().stats().bound_recomputes;
+    const AdmissionController::Decision d = ctrl.request(
+        s.src, s.dst, s.priority, s.period, s.length, s.deadline);
+    digest.add(d.admitted ? 1 : 0);
+    digest.add(d.bound);
+    digest.add(d.handle);
+    digest.add(d.route_order);
+    digest.add(static_cast<std::int64_t>(d.would_break.size()));
+    for (const AdmissionController::Handle h : d.would_break) {
+      digest.add(h);
+    }
+    if (!d.admitted) {
+      ++rejected;
+      EXPECT_EQ(ctrl.size(), before.size()) << "stream " << s.id;
+      for (std::size_t id = 0; id < before.size(); ++id) {
+        EXPECT_EQ(ctrl.engine().bound_at(static_cast<StreamId>(id)),
+                  before[id])
+            << "stream " << s.id << " left established id " << id
+            << " with a changed bound";
+      }
+      const MessageStream candidate = make_stream_with_order(
+          mesh, 0, s.src, s.dst, s.priority, s.period, s.length, s.deadline,
+          d.route_order);
+      EXPECT_EQ(ctrl.engine().stats().bound_recomputes - recomputes,
+                trial_dirty_size(ctrl, candidate) + 1)
+          << "stream " << s.id;
+    }
+    return d.admitted ? d.handle : AdmissionController::Handle{-1};
+  };
+
+  std::vector<AdmissionController::Handle> held;
+  for (const MessageStream& s : population) {
+    held.push_back(request(s));
+  }
+  for (std::size_t slot = 0; slot < population.size(); ++slot) {
+    if (held[slot] >= 0) {
+      digest.add(ctrl.remove(held[slot]) ? 1 : 0);
+    }
+    held[slot] = request(population[static_cast<StreamId>(slot)]);
+  }
+
+  EXPECT_EQ(rejected, 24);
+  EXPECT_EQ(digest.value(), 0xa0ce42ea8625cc07ull)
+      << "decisions changed: digest 0x" << std::hex << digest.value();
 }
 
 }  // namespace

@@ -199,5 +199,35 @@ TEST(DelayBound, CappedHorizonReportsNoTime) {
   EXPECT_EQ(r.horizon_used, 4096);
 }
 
+// Prefix rungs: on period-adjusted 16x16 sets, whose adjusted deadlines
+// reach the 2^18 horizon cap, every kDeadline bound equals the scan of the
+// relaxed diagram at the full horizon D_j, and some bounds are certified
+// on a prefix shorter than D_j.
+TEST(DelayBound, PrefixRungsMatchTheFullHorizonBound) {
+  const topo::Mesh mesh(16, 16);
+  int long_deadlines = 0;
+  int certified_on_prefix = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    StreamSet set = random_set(mesh, 80, 4, seed);
+    adjust_periods_to_bounds(set);
+    const BlockingAnalysis blocking(set);
+    const DelayBoundCalculator calc(set, blocking);
+    for (const auto& s : set) {
+      const HpSet& hp = blocking.hp_set(s.id);
+      const DelayBoundResult r = calc.calc_with_hp(s.id, hp);
+      const Time full = calc.build_diagram(s.id, hp, s.deadline, true)
+                            .accumulate_free(s.latency);
+      ASSERT_EQ(r.bound, full) << "seed " << seed << " stream " << s.id
+                               << " deadline " << s.deadline;
+      ASSERT_LE(r.horizon_used, s.deadline);
+      long_deadlines +=
+          s.deadline > DelayBoundCalculator::kFirstPrefixHorizon ? 1 : 0;
+      certified_on_prefix += r.horizon_used < s.deadline ? 1 : 0;
+    }
+  }
+  EXPECT_GT(long_deadlines, 0);
+  EXPECT_GT(certified_on_prefix, 0);
+}
+
 }  // namespace
 }  // namespace wormrt::core

@@ -1,7 +1,8 @@
 // Property tests: the bit-packed TimingDiagram must agree slot-for-slot
 // with the retained byte-per-slot reference implementation on random row
-// sets — initial allocation, free accounting, indirect relaxation, and
-// the reset() path the doubling-horizon search uses.
+// sets — initial allocation, free accounting, indirect relaxation, the
+// reset() path the horizon searches use, and the exactness frontier
+// against a reference built at a longer horizon.
 
 #include <gtest/gtest.h>
 
@@ -126,6 +127,74 @@ TEST(TimingDiagramProperty, ResetEqualsFreshConstruction) {
     expect_same(reused, ref, what + " reused");
     expect_same(fresh, ref, what + " fresh");
   }
+}
+
+// The exactness frontier: a diagram built at a prefix horizon H and the
+// reference built at a longer H', put through the same relaxation steps,
+// agree on every slot and every suppression flag below exact_until(), and
+// a free-slot count reached at or before it is reached at the same time
+// in both.  The two counters show the frontier matters: it falls below H,
+// and the diagrams do differ from it on.
+TEST(TimingDiagramProperty, PrefixEqualsLongerHorizonBelowTheFrontier) {
+  util::Rng rng(0xf407);
+  int frontier_fell = 0;
+  int differs_past_frontier = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::vector<RowSpec> rows = random_rows(rng);
+    const Time horizon = rng.uniform_int(1, 260);
+    const Time longer = horizon + rng.uniform_int(1, 260);
+    const std::string what = "trial " + std::to_string(trial) + " horizon " +
+                             std::to_string(horizon) + " vs " +
+                             std::to_string(longer);
+
+    TimingDiagram prefix(rows, horizon, /*carry_over=*/false);
+    ReferenceTimingDiagram ref(rows, longer, /*carry_over=*/false);
+    ASSERT_EQ(prefix.exact_until(), horizon) << what;
+    for (int round = 0; round < 3; ++round) {
+      const auto r = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
+      std::vector<std::size_t> intermediates;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (i != r && rng.uniform_int(0, 2) == 0) {
+          intermediates.push_back(i);
+        }
+      }
+      prefix.relax_indirect_row(r, intermediates);
+      ref.relax_indirect_row(r, intermediates);
+    }
+
+    const Time frontier = prefix.exact_until();
+    ASSERT_LE(frontier, horizon) << what;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (Time t = 0; t < frontier; ++t) {
+        ASSERT_EQ(prefix.at(r, t), ref.at(r, t))
+            << what << " row " << r << " t " << t << " frontier " << frontier;
+      }
+      for (std::size_t w = 0;
+           static_cast<Time>(w) * rows[r].period < frontier; ++w) {
+        ASSERT_EQ(prefix.window_suppressed(r, w), ref.window_suppressed(r, w))
+            << what << " row " << r << " window " << w;
+      }
+    }
+    for (Time required = 1; required <= frontier; ++required) {
+      const Time bound = prefix.accumulate_free(required);
+      if (bound != kNoTime && bound <= frontier) {
+        ASSERT_EQ(bound, ref.accumulate_free(required))
+            << what << " required " << required;
+      }
+    }
+
+    frontier_fell += frontier < horizon ? 1 : 0;
+    bool differs = false;
+    for (std::size_t r = 0; r < rows.size() && !differs; ++r) {
+      for (Time t = frontier; t < horizon && !differs; ++t) {
+        differs = prefix.at(r, t) != ref.at(r, t);
+      }
+    }
+    differs_past_frontier += differs ? 1 : 0;
+  }
+  EXPECT_GT(frontier_fell, 0);
+  EXPECT_GT(differs_past_frontier, 0);
 }
 
 }  // namespace
