@@ -52,9 +52,13 @@ class Json {
   bool as_bool(bool fallback = false) const {
     return is_bool() ? bool_ : fallback;
   }
+  /// A double truncates toward zero; one int64 cannot hold (the cast
+  /// would be undefined) reads as \p fallback, as NaN does.
   std::int64_t as_int(std::int64_t fallback = 0) const {
     if (type_ == Type::kInt) return int_;
-    if (type_ == Type::kDouble) return static_cast<std::int64_t>(double_);
+    if (type_ == Type::kDouble && double_ >= -0x1p63 && double_ < 0x1p63) {
+      return static_cast<std::int64_t>(double_);
+    }
     return fallback;
   }
   double as_double(double fallback = 0.0) const {

@@ -96,7 +96,7 @@ class Replicator {
   void publish(const JournalRecord& record);
 
   /// Drops buffered records with LSN > \p durable — the rollback twin of
-  /// Service::catch_up_rollback_locked after a failed commit.
+  /// Service::settle_staged_locked after a failed commit.
   void drop_above(std::uint64_t durable);
 
   /// Serves records with LSN >= \p from_lsn whose \p classify verdict is

@@ -8,9 +8,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -704,6 +707,198 @@ TEST_F(JournalTest, ServiceRollsBackEveryConcurrentAdmissionOnFsyncFailure) {
   Service recovered(mesh, routing, {}, recovery_options);
   ASSERT_TRUE(recovered.open_state(&error)) << error;
   EXPECT_EQ(recovered.population(), 1u);
+}
+
+// ------------------------------------------------- commit-failure replies
+
+Json handle_verb(const char* verb, std::int64_t handle) {
+  Json j = Json::object();
+  j.set("verb", verb);
+  j.set("handle", handle);
+  return j;
+}
+
+/// Runs \p body once per (commit fault, group commit on/off) pair.  Each
+/// run opens a journaled Service on a 4x4 mesh in a fresh \p dir, admits
+/// two acknowledged streams (handles 0 and 1), arms the fault — an fsync
+/// EIO or a torn write, both of which fail the next covering commit —
+/// and calls body(service, mesh, journal_error).  A Service reopened on
+/// \p dir afterwards must hold exactly the acknowledged streams, equal
+/// to a controller that saw only those two requests.
+template <typename Body>
+void for_each_commit_failure(const std::string& dir, Body body) {
+  const route::XYRouting routing;
+  for (const bool group_commit : {true, false}) {
+    for (const bool torn : {false, true}) {
+      SCOPED_TRACE(std::string(torn ? "torn write" : "fsync EIO") +
+                   (group_commit ? ", group commit" : ", serial commit"));
+      std::filesystem::remove_all(dir);
+      topo::Mesh oracle_mesh(4, 4);
+      core::AdmissionController acknowledged(oracle_mesh, routing);
+      {
+        topo::Mesh mesh(4, 4);
+        util::FaultInjector faults;
+        ServiceOptions options;
+        options.state_dir = dir;
+        options.journal_faults = &faults;
+        options.group_commit = group_commit;
+        Service service(mesh, routing, {}, options);
+        std::string error;
+        ASSERT_TRUE(service.open_state(&error)) << error;
+        for (const auto& [src, dst] : {std::pair{0, 5}, std::pair{1, 6}}) {
+          ASSERT_TRUE(service.handle(request_line(src, dst, 2, 60, 8, 50))
+                          .get("admitted")
+                          ->as_bool());
+          ASSERT_TRUE(acknowledged.request(src, dst, 2, 60, 8, 50).admitted);
+        }
+        if (torn) {
+          faults.arm_torn_write(12);
+        } else {
+          faults.arm_fsync_error(EIO);
+        }
+        body(service, mesh,
+             std::string(torn ? "write (injected): " : "fsync (injected): ") +
+                 std::strerror(EIO));
+        EXPECT_EQ(faults.faults_injected(), 1u);
+      }
+
+      topo::Mesh reopen_mesh(4, 4);
+      ServiceOptions reopen_options;
+      reopen_options.state_dir = dir;
+      Service reopened(reopen_mesh, routing, {}, reopen_options);
+      std::string error;
+      ASSERT_TRUE(reopened.open_state(&error)) << error;
+      const core::IncrementalAnalyzer& want = acknowledged.engine();
+      const core::IncrementalAnalyzer& got = reopened.controller().engine();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(reopened.controller().next_handle(),
+                acknowledged.next_handle());
+      EXPECT_EQ(reopen_mesh.channels().num_faulted(), 0u);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const auto id = static_cast<StreamId>(i);
+        EXPECT_EQ(got.handle_of(id), want.handle_of(id));
+        EXPECT_EQ(got.bound_at(id), want.bound_at(id));
+        EXPECT_EQ(got.streams()[id].src, want.streams()[id].src);
+        EXPECT_EQ(got.streams()[id].dst, want.streams()[id].dst);
+        EXPECT_EQ(got.streams()[id].route_order,
+                  want.streams()[id].route_order);
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// The failed REMOVE's stream is established again under \p handle with
+/// the parameters and route order it had before (\p before).
+void expect_restored(const Service& service, std::int64_t handle,
+                     const core::MessageStream& before) {
+  const core::MessageStream* back = service.controller().engine().find(handle);
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->src, before.src);
+  EXPECT_EQ(back->dst, before.dst);
+  EXPECT_EQ(back->priority, before.priority);
+  EXPECT_EQ(back->period, before.period);
+  EXPECT_EQ(back->length, before.length);
+  EXPECT_EQ(back->deadline, before.deadline);
+  EXPECT_EQ(back->route_order, before.route_order);
+  EXPECT_EQ(back->path.channels, before.path.channels);
+}
+
+TEST_F(JournalTest, FailedCommitFailsARequestAndRollsItBack) {
+  for_each_commit_failure(
+      dir_, [](Service& service, const topo::Mesh&, const std::string& err) {
+        const Json reply = service.handle(request_line(2, 7, 2, 60, 8, 50));
+        EXPECT_FALSE(reply.get("ok")->as_bool());
+        EXPECT_EQ(reply.get("error")->as_string(),
+                  "admission not durable: " + err);
+        EXPECT_EQ(service.population(), 2u);
+        EXPECT_EQ(service.controller().engine().find(2), nullptr);
+      });
+}
+
+TEST_F(JournalTest, FailedCommitFailsARemoveAndRestoresTheStream) {
+  for_each_commit_failure(
+      dir_, [](Service& service, const topo::Mesh&, const std::string& err) {
+        const core::MessageStream before =
+            *service.controller().engine().find(0);
+        const Json reply = service.handle(handle_verb("REMOVE", 0));
+        EXPECT_FALSE(reply.get("ok")->as_bool());
+        EXPECT_EQ(reply.get("error")->as_string(),
+                  "teardown not durable: " + err);
+        EXPECT_EQ(service.population(), 2u);
+        expect_restored(service, 0, before);
+      });
+}
+
+TEST_F(JournalTest, FailedCommitFailsEveryStagedSubRequestOfABatch) {
+  for_each_commit_failure(
+      dir_, [](Service& service, const topo::Mesh&, const std::string& err) {
+        // What the QUERY inside the batch sees: the staged admission and
+        // teardown before it, not yet rolled back.
+        const route::XYRouting routing;
+        topo::Mesh replay_mesh(4, 4);
+        core::AdmissionController replay(replay_mesh, routing);
+        replay.request(0, 5, 2, 60, 8, 50);
+        replay.request(1, 6, 2, 60, 8, 50);
+        ASSERT_TRUE(replay.request(2, 7, 2, 60, 8, 50).admitted);
+        ASSERT_TRUE(replay.remove(0));
+        const Time query_bound = *replay.bound_of(1);
+
+        const core::MessageStream before =
+            *service.controller().engine().find(0);
+        Json batch = Json::object();
+        batch.set("verb", "BATCH");
+        Json requests = Json::array();
+        requests.push_back(request_line(2, 7, 2, 60, 8, 50));
+        requests.push_back(handle_verb("REMOVE", 0));
+        requests.push_back(handle_verb("QUERY", 1));
+        batch.set("requests", std::move(requests));
+        const Json reply = service.handle(batch);
+        ASSERT_TRUE(reply.get("ok")->as_bool());
+        const auto& replies = reply.get("replies")->items();
+        ASSERT_EQ(replies.size(), 3u);
+        EXPECT_FALSE(replies[0].get("ok")->as_bool());
+        EXPECT_EQ(replies[0].get("error")->as_string(),
+                  "admission not durable: " + err);
+        EXPECT_FALSE(replies[1].get("ok")->as_bool());
+        EXPECT_EQ(replies[1].get("error")->as_string(),
+                  "teardown not durable: " + err);
+        // The read staged nothing, so the failed commit leaves its reply
+        // as it was.
+        EXPECT_TRUE(replies[2].get("ok")->as_bool());
+        EXPECT_EQ(replies[2].get("bound")->as_int(), query_bound);
+        EXPECT_EQ(replies[2].get("deadline")->as_int(), 50);
+        EXPECT_EQ(replies[2].get("guaranteed")->as_bool(),
+                  query_bound != kNoTime && query_bound <= 50);
+        EXPECT_EQ(service.population(), 2u);
+        EXPECT_EQ(service.controller().engine().find(2), nullptr);
+        expect_restored(service, 0, before);
+      });
+}
+
+TEST_F(JournalTest, FailedCommitFailsALinkDownBeforeItsCascade) {
+  for_each_commit_failure(
+      dir_, [](Service& service, const topo::Mesh& mesh,
+               const std::string& err) {
+        // Channel 0->1 carries stream 0 (0 -> 5, X first).
+        const core::MessageStream before =
+            *service.controller().engine().find(0);
+        ASSERT_NE(std::find(before.path.channels.begin(),
+                            before.path.channels.end(),
+                            mesh.channel_between(0, 1)),
+                  before.path.channels.end());
+        Json down = Json::object();
+        down.set("verb", "LINK_DOWN");
+        down.set("src", std::int64_t{0});
+        down.set("dst", std::int64_t{1});
+        const Json reply = service.handle(down);
+        EXPECT_FALSE(reply.get("ok")->as_bool());
+        EXPECT_EQ(reply.get("error")->as_string(),
+                  "link mutation not durable: " + err);
+        EXPECT_EQ(mesh.channels().num_faulted(), 0u);
+        EXPECT_EQ(service.population(), 2u);
+        expect_restored(service, 0, before);
+      });
 }
 
 TEST_F(JournalTest, ServiceRecoversFaultStateAndDetourRoutes) {

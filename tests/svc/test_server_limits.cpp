@@ -424,11 +424,17 @@ TEST(ClientRetry, IdempotentCallsSurviveAServerRestart) {
 }
 
 TEST(ClientRetry, VerbClassificationIsExplicit) {
+  // Reads replay harmlessly, and PROMOTE on a primary only reports the
+  // standing role.
   for (const char* verb : {"QUERY", "EXPLAIN", "SNAPSHOT", "STATS",
-                           "METRICS"}) {
+                           "METRICS", "HEALTH", "HISTORY", "PROMOTE"}) {
     EXPECT_TRUE(Client::idempotent_verb(verb)) << verb;
   }
-  for (const char* verb : {"REQUEST", "REMOVE", "SHUTDOWN", "", "bogus"}) {
+  // A resent REPORT double-counts an observation; the rest mutate state
+  // or a replication cursor.
+  for (const char* verb :
+       {"REQUEST", "REMOVE", "SHUTDOWN", "REPORT", "BATCH", "LINK_DOWN",
+        "LINK_UP", "REPL_HELLO", "REPL_SNAPSHOT", "REPL_PULL", "", "bogus"}) {
     EXPECT_FALSE(Client::idempotent_verb(verb)) << verb;
   }
 }

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -140,6 +141,18 @@ TEST(Json, CapsContainerNesting) {
   Json::parse(deep, &error);
   EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
+TEST(Json, AsIntReadsADoubleOutsideInt64AsTheFallback) {
+  // Casting such a double to int64 is undefined behaviour, and GCC's
+  // -fsanitize=undefined does not check that cast.
+  EXPECT_EQ(Json(1e300).as_int(7), 7);
+  EXPECT_EQ(Json(-1e300).as_int(7), 7);
+  EXPECT_EQ(Json(9223372036854775808.0).as_int(7), 7);  // 2^63
+  EXPECT_EQ(Json(-9223372036854775808.0).as_int(7),
+            std::numeric_limits<std::int64_t>::min());  // -2^63 fits
+  EXPECT_EQ(Json(50.7).as_int(), 50);
+  EXPECT_EQ(Json(-50.7).as_int(), -50);
 }
 
 /// Drives the Service and an in-process AdmissionController with the
@@ -489,6 +502,180 @@ TEST_F(ServiceTest, BatchVerbRejectsAbuse) {
   EXPECT_FALSE(refused.get("ok")->as_bool());
   EXPECT_NE(refused.get("error")->as_string().find("BATCH too large"),
             std::string::npos);
+}
+
+TEST_F(ServiceTest, IntegerFieldsAcceptOnlyJsonIntegers) {
+  // DESIGN.md §7.2 promises int64-exact fields: a fractional (or merely
+  // double-typed) number is refused, never truncated.
+  const auto error_of = [this](const std::string& line) {
+    const Json reply = call(line);
+    EXPECT_FALSE(reply.get("ok")->as_bool()) << line;
+    const Json* error = reply.get("error");
+    return error != nullptr ? error->as_string() : std::string();
+  };
+  const std::string request_error =
+      "REQUEST needs integer src, dst, priority, period, length, deadline";
+  EXPECT_EQ(error_of(R"({"verb":"REQUEST","src":0,"dst":5,"priority":1,)"
+                     R"("period":50.7,"length":10.9,"deadline":100.2})"),
+            request_error);
+  EXPECT_EQ(error_of(R"({"verb":"REQUEST","src":0,"dst":5,"priority":1,)"
+                     R"("period":50.0,"length":10,"deadline":100})"),
+            request_error);
+  EXPECT_EQ(error_of(R"({"verb":"REQUEST","src":0,"dst":5,"priority":1,)"
+                     R"("period":1e300,"length":10,"deadline":100})"),
+            request_error);
+  EXPECT_EQ(service_.population(), 0u);
+
+  ASSERT_EQ(call(request_line(0, 5, 1, 50, 10, 100)).get("handle")->as_int(),
+            0);
+  EXPECT_EQ(error_of(R"({"verb":"QUERY","handle":0.9})"),
+            "QUERY needs integer handle");
+  EXPECT_EQ(error_of(R"({"verb":"EXPLAIN","handle":1e300})"),
+            "EXPLAIN needs integer handle");
+  EXPECT_EQ(error_of(R"({"verb":"REMOVE","handle":0.0})"),
+            "REMOVE needs integer handle");
+  EXPECT_EQ(error_of(R"({"verb":"LINK_DOWN","src":0.5,"dst":1})"),
+            "LINK_DOWN needs integer channel, or integer src and dst");
+  EXPECT_EQ(error_of(R"({"verb":"HISTORY","window_ms":1.5})"),
+            "HISTORY window_ms must be a non-negative integer");
+  EXPECT_EQ(error_of(R"({"verb":"HISTORY","window_ms":-1e300})"),
+            "HISTORY window_ms must be a non-negative integer");
+  EXPECT_EQ(service_.population(), 1u);
+}
+
+TEST_F(ServiceTest, EveryVerbHasOneClassification) {
+  const std::vector<std::string> verbs = {
+      "REQUEST",   "REMOVE",   "QUERY",      "EXPLAIN",       "SNAPSHOT",
+      "STATS",     "METRICS",  "REPORT",     "HEALTH",        "HISTORY",
+      "BATCH",     "LINK_DOWN", "LINK_UP",   "SHUTDOWN",      "REPL_HELLO",
+      "REPL_SNAPSHOT", "REPL_PULL", "PROMOTE"};
+  const std::vector<std::string> primary_only = {
+      "REQUEST", "REMOVE",     "BATCH",         "LINK_DOWN",
+      "LINK_UP", "REPL_HELLO", "REPL_SNAPSHOT", "REPL_PULL"};
+  const std::vector<std::pair<std::string, std::string>> unbatchable = {
+      {"BATCH", "BATCH does not nest"},
+      {"LINK_DOWN", "LINK_DOWN is not batchable"},
+      {"LINK_UP", "LINK_UP is not batchable"},
+      {"REPL_HELLO", "REPL_HELLO is not batchable"},
+      {"REPL_SNAPSHOT", "REPL_SNAPSHOT is not batchable"},
+      {"REPL_PULL", "REPL_PULL is not batchable"},
+      {"PROMOTE", "PROMOTE is not batchable"}};
+  const auto error_of = [](const Json& reply) {
+    const Json* error = reply.get("error");
+    return error != nullptr ? error->as_string() : std::string();
+  };
+
+  // A follower refuses exactly the mutating and replication-serving
+  // verbs; every other verb is served (or fails on its own terms).
+  topo::Mesh follower_mesh(8, 8);
+  svc::ServiceOptions follower_options;
+  follower_options.follower = true;
+  svc::Service follower(follower_mesh, routing_, {}, follower_options);
+  for (const std::string& verb : verbs) {
+    Json request = Json::object();
+    request.set("verb", verb);
+    const bool refused = error_of(follower.handle(request)) == "not primary";
+    const bool want = std::find(primary_only.begin(), primary_only.end(),
+                                verb) != primary_only.end();
+    EXPECT_EQ(refused, want) << verb;
+  }
+
+  // Inside a BATCH the verbs that manage the service lock themselves are
+  // refused; every other verb runs, SHUTDOWN included.
+  Json batch = Json::object();
+  batch.set("verb", "BATCH");
+  Json items = Json::array();
+  for (const std::string& verb : verbs) {
+    Json request = Json::object();
+    request.set("verb", verb);
+    items.push_back(std::move(request));
+  }
+  Json bogus = Json::object();
+  bogus.set("verb", "FROBNICATE");
+  items.push_back(std::move(bogus));
+  batch.set("requests", std::move(items));
+  const Json reply = call(batch.dump());
+  ASSERT_TRUE(reply.get("ok")->as_bool());
+  const auto& replies = reply.get("replies")->items();
+  ASSERT_EQ(replies.size(), verbs.size() + 1);
+  for (std::size_t i = 0; i < verbs.size(); ++i) {
+    const auto it = std::find_if(
+        unbatchable.begin(), unbatchable.end(),
+        [&](const auto& entry) { return entry.first == verbs[i]; });
+    const std::string error = error_of(replies[i]);
+    if (it != unbatchable.end()) {
+      EXPECT_EQ(error, it->second) << verbs[i];
+    } else {
+      EXPECT_EQ(error.find("batchable"), std::string::npos) << verbs[i];
+      EXPECT_EQ(error.find("nest"), std::string::npos) << verbs[i];
+    }
+  }
+  const Json& shutdown =
+      replies[static_cast<std::size_t>(
+          std::find(verbs.begin(), verbs.end(), "SHUTDOWN") - verbs.begin())];
+  EXPECT_TRUE(shutdown.get("ok")->as_bool());
+  EXPECT_TRUE(shutdown.get("shutting_down")->as_bool());
+  EXPECT_TRUE(service_.shutdown_requested());
+  EXPECT_EQ(error_of(replies.back()), "unknown verb: FROBNICATE");
+  EXPECT_EQ(error_of(call(R"({"verb":"FROBNICATE"})")),
+            "unknown verb: FROBNICATE");
+
+  // STATS keeps its key order.
+  const auto keys_of = [](const Json& object) {
+    std::vector<std::string> keys;
+    for (const auto& member : object.members()) {
+      keys.push_back(member.first);
+    }
+    return keys;
+  };
+  const Json stats = call(R"({"verb":"STATS"})");
+  EXPECT_EQ(keys_of(stats),
+            (std::vector<std::string>{"ok", "population", "verbs", "engine",
+                                      "latency", "histogram"}));
+  EXPECT_EQ(keys_of(*stats.get("verbs")),
+            (std::vector<std::string>{
+                "requests", "admitted", "rejected", "removes", "queries",
+                "explains", "snapshots", "stats", "link_downs", "link_ups",
+                "metrics", "reports", "healths", "histories", "link_evicted",
+                "link_rerouted", "errors"}));
+  EXPECT_EQ(keys_of(*stats.get("engine")),
+            (std::vector<std::string>{"adds", "removes", "bound_recomputes",
+                                      "dirty_marked", "edge_updates",
+                                      "bound_cache_hits"}));
+
+  // METRICS keeps its exposition order: the service's own families
+  // first, the per-verb counters in registration order.
+  const std::string prom = service_.prometheus_text();
+  std::size_t at = 0;
+  for (const char* line :
+       {"# TYPE wormrt_requests_total counter",
+        "wormrt_requests_total{verb=\"REQUEST\"}",
+        "wormrt_requests_total{verb=\"REMOVE\"}",
+        "wormrt_requests_total{verb=\"QUERY\"}",
+        "wormrt_requests_total{verb=\"EXPLAIN\"}",
+        "wormrt_requests_total{verb=\"SNAPSHOT\"}",
+        "wormrt_requests_total{verb=\"STATS\"}",
+        "wormrt_requests_total{verb=\"METRICS\"}",
+        "wormrt_requests_total{verb=\"LINK_DOWN\"}",
+        "wormrt_requests_total{verb=\"LINK_UP\"}",
+        "wormrt_requests_total{verb=\"REPORT\"}",
+        "wormrt_requests_total{verb=\"HEALTH\"}",
+        "wormrt_requests_total{verb=\"HISTORY\"}",
+        "# TYPE wormrt_link_streams_total counter",
+        "# TYPE wormrt_admission_decisions_total counter",
+        "# TYPE wormrt_errors_total counter",
+        "# TYPE wormrt_admission_latency_us histogram",
+        "# TYPE wormrt_population gauge",
+        "# TYPE wormrt_engine_adds_total counter",
+        "# TYPE wormrt_engine_removes_total counter",
+        "# TYPE wormrt_engine_bound_recomputes_total counter",
+        "# TYPE wormrt_engine_dirty_marked_total counter",
+        "# TYPE wormrt_engine_edge_updates_total counter",
+        "# TYPE wormrt_engine_bound_cache_hits_total counter"}) {
+    const std::size_t next = prom.find(line, at);
+    ASSERT_NE(next, std::string::npos) << line;
+    at = next;
+  }
 }
 
 /// LINK_DOWN / LINK_UP dispatch.  The oracle controller gets its OWN
