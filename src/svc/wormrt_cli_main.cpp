@@ -57,11 +57,9 @@ int usage(const char* program) {
       "resilience flags:\n"
       "  --timeout-ms N    connect/call deadline (default: block forever)\n"
       "  --retries N       retry transport failures up to N times with\n"
-      "                    backoff; only idempotent commands (query,\n"
-      "                    explain, snapshot, stats, metrics) retry unless\n"
-      "                    --retry-mutations is given\n"
-      "  --retry-mutations also retry request/remove/shutdown (at-least-"
-      "once)\n",
+      "                    backoff; only idempotent verbs (DESIGN.md 7.2)\n"
+      "                    retry unless --retry-mutations is given\n"
+      "  --retry-mutations retry every verb (at-least-once)\n",
       program);
   return 2;
 }

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -473,6 +474,89 @@ TEST_F(AuditTest, EveryDecisionRemovalAndLinkMutationIsRecorded) {
               static_cast<std::int64_t>(i));
     EXPECT_GT(records[i].get("ts_ms")->as_int(), 0);
   }
+}
+
+TEST_F(AuditTest, RecordLayoutFollowsTheReply) {
+  // Every audited event's keys, in order, and the decision fields equal
+  // to the reply the client saw.
+  const std::string state_dir = std::string(path_) + ".state";
+  std::filesystem::remove_all(state_dir);
+  topo::Mesh mesh(8, 8);
+  route::XYRouting routing;
+  svc::ServiceOptions options;
+  options.audit_path = path_;
+  options.state_dir = state_dir;
+  svc::Service service(mesh, routing, {}, options);
+  std::string error;
+  ASSERT_TRUE(service.open_state(&error)) << error;
+  const auto call = [&](const std::string& line) {
+    std::string parse_error;
+    Json reply = Json::parse(service.handle_line(line), &parse_error);
+    EXPECT_TRUE(parse_error.empty()) << parse_error;
+    return reply;
+  };
+
+  // A tight low-priority stream along row 0, then a higher-priority
+  // newcomer on the same channels that would break it.
+  const Json admitted = call(
+      R"({"verb":"REQUEST","src":0,"dst":3,"priority":1,"period":100,)"
+      R"("length":20,"deadline":30,"explain":true})");
+  ASSERT_TRUE(admitted.get("admitted")->as_bool());
+  const Json breaking = call(
+      R"({"verb":"REQUEST","src":0,"dst":3,"priority":2,"period":100,)"
+      R"("length":20,"deadline":200})");
+  ASSERT_FALSE(breaking.get("admitted")->as_bool());
+  ASSERT_FALSE(breaking.get("would_break")->items().empty());
+  const std::int64_t channel = mesh.channel_between(8, 9);
+  call(R"({"verb":"LINK_DOWN","src":8,"dst":9})");
+  const Json unroutable = call(
+      R"({"verb":"REQUEST","src":8,"dst":9,"priority":1,"period":100,)"
+      R"("length":2,"deadline":100})");
+  ASSERT_TRUE(unroutable.get("no_route")->as_bool());
+  Json rm = Json::object();
+  rm.set("verb", "REMOVE");
+  rm.set("handle", admitted.get("handle")->as_int());
+  call(rm.dump());
+
+  service.audit()->flush();
+  const std::vector<Json> records = read_jsonl(path_);
+  ASSERT_EQ(records.size(), 5u);
+  const auto keys_of = [](const Json& record) {
+    std::vector<std::string> keys;
+    for (const auto& member : record.members()) {
+      keys.push_back(member.first);
+    }
+    return keys;
+  };
+  using Keys = std::vector<std::string>;
+  EXPECT_EQ(keys_of(records[0]),
+            (Keys{"event", "admitted", "src", "dst", "priority", "period",
+                  "length", "deadline", "bound", "flit_valid", "handle",
+                  "route_order", "explain", "lsn", "durable", "seq",
+                  "ts_ms"}));
+  EXPECT_EQ(keys_of(records[1]),
+            (Keys{"event", "admitted", "src", "dst", "priority", "period",
+                  "length", "deadline", "bound", "flit_valid", "would_break",
+                  "seq", "ts_ms"}));
+  EXPECT_EQ(keys_of(records[2]),
+            (Keys{"event", "channel", "src", "dst", "evicted", "rerouted",
+                  "recomputed", "lsn", "durable", "seq", "ts_ms"}));
+  EXPECT_EQ(keys_of(records[3]),
+            (Keys{"event", "admitted", "src", "dst", "priority", "period",
+                  "length", "deadline", "bound", "flit_valid", "no_route",
+                  "seq", "ts_ms"}));
+  EXPECT_EQ(keys_of(records[4]),
+            (Keys{"event", "handle", "lsn", "durable", "seq", "ts_ms"}));
+
+  for (const char* key : {"bound", "flit_valid", "handle", "route_order",
+                          "explain"}) {
+    EXPECT_EQ(records[0].get(key)->dump(), admitted.get(key)->dump()) << key;
+  }
+  EXPECT_EQ(records[1].get("would_break")->dump(),
+            breaking.get("would_break")->dump());
+  EXPECT_EQ(records[2].get("channel")->as_int(), channel);
+  EXPECT_EQ(records[3].get("bound")->dump(), unroutable.get("bound")->dump());
+  std::filesystem::remove_all(state_dir);
 }
 
 TEST_F(AuditTest, RotationCapsTheLogAndKeepsOneGeneration) {
