@@ -192,12 +192,17 @@ void parallel_for(std::size_t count, int num_threads,
   }
 
   state->drain();
+  // Moved out under the lock: a late helper may still hold the last
+  // reference to `state`, and the exception must not be released (and
+  // destroyed) on that helper's thread while the caller reads it.
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(state->mu);
     state->cv.wait(lk, [&] { return state->finished(); });
+    error = std::move(state->error);
   }
-  if (state->error) {
-    std::rethrow_exception(state->error);
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 
