@@ -40,6 +40,7 @@
 
 #include "core/admission.hpp"
 #include "core/workload.hpp"
+#include "obs/metrics.hpp"
 #include "route/dor.hpp"
 #include "svc/json.hpp"
 #include "svc/replication.hpp"
@@ -426,6 +427,7 @@ struct ReplResult {
   double lag_p99_records = 0;   // sampled after every mutation ack
   double lag_max_records = 0;
   double catchup_ms = 0;        // post-churn convergence to zero lag
+  double records_per_pull = 0;  // mean over the follower's non-empty pulls
   double promote_us = 0;        // PROMOTE verb on the follower
   double failover_us = 0;       // dead primary -> first write acked by
                                 // the promoted follower
@@ -545,6 +547,17 @@ ReplResult run_replication(topo::Mesh& primary_mesh, topo::Mesh& follower_mesh,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   r.catchup_ms = (now_us() - k0) / 1000.0;
+  // The follower commits each non-empty pull once, so its commit count
+  // is its pull count.
+  obs::Registry& f_registry = follower.registry();
+  const std::uint64_t pulls =
+      f_registry.counter("wormrt_journal_group_commits_total").value();
+  if (pulls > 0) {
+    r.records_per_pull =
+        static_cast<double>(
+            f_registry.counter("wormrt_repl_records_applied_total").value()) /
+        static_cast<double>(pulls);
+  }
 
   // Failover: the primary disappears mid-flight (no drain), the
   // follower is promoted, and the clock stops at its first acked write.
@@ -597,6 +610,7 @@ Json to_json(const ReplResult& r) {
   j.set("lag_p99_records", r.lag_p99_records);
   j.set("lag_max_records", r.lag_max_records);
   j.set("catchup_ms", r.catchup_ms);
+  j.set("records_per_pull", r.records_per_pull);
   j.set("promote_us", r.promote_us);
   j.set("failover_us", r.failover_us);
   j.set("calls", static_cast<std::int64_t>(r.calls));
@@ -751,18 +765,20 @@ int main(int argc, char** argv) {
   const ReplResult repl_async = run_replication(
       mesh, follower_mesh, routing, streams, repl_ops, /*sync=*/false);
   std::printf("  replication async:  %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
-              "  lag p99 %.0f rec  failover %.0f us\n",
+              "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
               repl_async.throughput_rps, repl_async.p50_us, repl_async.p99_us,
-              repl_async.lag_p99_records, repl_async.failover_us);
+              repl_async.lag_p99_records, repl_async.failover_us,
+              repl_async.records_per_pull);
   topo::Mesh sync_primary_mesh(side, side);
   topo::Mesh sync_follower_mesh(side, side);
   const ReplResult repl_sync =
       run_replication(sync_primary_mesh, sync_follower_mesh, routing, streams,
                       repl_ops, /*sync=*/true);
   std::printf("  replication sync:   %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
-              "  lag p99 %.0f rec  failover %.0f us\n",
+              "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
               repl_sync.throughput_rps, repl_sync.p50_us, repl_sync.p99_us,
-              repl_sync.lag_p99_records, repl_sync.failover_us);
+              repl_sync.lag_p99_records, repl_sync.failover_us,
+              repl_sync.records_per_pull);
 
   const double durable_speedup =
       durable_serial.throughput_rps > 0
