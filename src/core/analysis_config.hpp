@@ -29,7 +29,7 @@ enum class HorizonPolicy {
   /// report failure (-1) if the bound is not reached by then.
   kDeadline,
   /// Extended search used by the workload pipeline ("if U_i > T_i we
-  /// increased T_i"): start at max(D_j, initial) and keep doubling up to
+  /// increased T_i"): start at max(D_j, 4096) and keep doubling up to
   /// `horizon_cap` until the bound converges.
   kExtended,
 };
@@ -56,9 +56,6 @@ struct AnalysisConfig {
   /// demand backlogs into following windows instead (strictly more
   /// pessimistic, never optimistic).
   bool carry_over = false;
-
-  /// First horizon tried under kExtended (raised to D_j when smaller).
-  Time initial_horizon = 4096;
 
   /// Hard ceiling for the kExtended horizon search.  A bound that does
   /// not converge below the cap is reported as not found.

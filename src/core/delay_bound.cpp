@@ -153,7 +153,7 @@ DelayBoundResult DelayBoundCalculator::calc_with_hp(StreamId j,
   // indirect relaxation can shift decisions near the horizon edge, which
   // is why the result records the horizon actually used).  One diagram is
   // reset() across the horizons instead of reconstructed from scratch.
-  Time horizon = std::max<Time>({s.deadline, config_.initial_horizon, 1});
+  Time horizon = std::max<Time>({s.deadline, kFirstPrefixHorizon, 1});
   TimingDiagram diagram(make_rows(hp), horizon, config_.carry_over);
   for (;;) {
     result.horizon_used = horizon;

@@ -39,7 +39,8 @@ class DelayBoundCalculator {
   /// Under kDeadline, Cal_U tries the horizons 4096, 8x that, ... below
   /// D_j, then D_j, and returns the first bound that lies at or before the
   /// diagram's exactness frontier (TimingDiagram::exact_until): bitwise
-  /// the bound at D_j, at a cost that follows U_j instead of D_j.
+  /// the bound at D_j, at a cost that follows U_j instead of D_j.  Under
+  /// kExtended the doubling search starts at max(D_j, this).
   static constexpr Time kFirstPrefixHorizon = 4096;
   static constexpr Time kPrefixGrowth = 8;
 

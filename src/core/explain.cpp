@@ -33,7 +33,8 @@ BoundProvenance explain_bound(const DelayBoundCalculator& calc, StreamId j,
 
   if (cfg.horizon == HorizonPolicy::kExtended) {
     // Replay the doubling schedule to count the resets the search made.
-    Time h = std::max<Time>({s.deadline, cfg.initial_horizon, 1});
+    Time h = std::max<Time>(
+        {s.deadline, DelayBoundCalculator::kFirstPrefixHorizon, 1});
     while (h < result.horizon_used) {
       h = std::min<Time>(h * 2, cfg.horizon_cap);
       ++p.horizon_doublings;

@@ -164,7 +164,8 @@ class IncrementalAnalyzer : public DirectBlocking {
   bool force_full() const { return force_full_; }
 
   /// Cumulative work counters, for regression tests ("two consecutive
-  /// bound_of calls do no re-analysis") and the service STATS verb.
+  /// bound_of calls do no re-analysis") and the service's METRICS
+  /// mirrors (wormrt_engine_*_total).
   struct Stats {
     std::uint64_t adds = 0;
     std::uint64_t removes = 0;

@@ -114,9 +114,10 @@ std::optional<Violation> diff_engines(const AdmissionController& want,
                     who + " " + std::to_string(g.handle_of(id)) + vs +
                     std::to_string(w.handle_of(id)));
     }
-    if (g.bound_at(id) != w.bound_at(id) + skew) {
+    const Time want_bound = w.bound_at(id) + skew;
+    if (g.bound_at(id) != want_bound) {
       return differ(who + " bound " + std::to_string(g.bound_at(id)) + vs +
-                    std::to_string(w.bound_at(id)) + " for stream " + stream);
+                    std::to_string(want_bound) + " for stream " + stream);
     }
     const core::MessageStream& sw = w.streams()[id];
     const core::MessageStream& sg = g.streams()[id];
@@ -655,12 +656,13 @@ std::optional<Violation> check_fault_invariants(
     for (std::size_t j = 0; j < survivors.size(); ++j) {
       const auto id = static_cast<StreamId>(j);
       const Time cached = ctrl.engine().bound_at(id);
-      if (cached != reference[j] + config.fault_oracle_skew) {
+      const Time want = reference[j] + config.fault_oracle_skew;
+      if (cached != want) {
         return fail(kInvariantFault,
                     when + ": surviving stream " + std::to_string(j) +
                         " cached bound " + std::to_string(cached) +
-                        " != from-scratch " + std::to_string(reference[j]) +
-                        " " + describe_stream(survivors[id]));
+                        " != from-scratch " + std::to_string(want) + " " +
+                        describe_stream(survivors[id]));
       }
       for (const topo::ChannelId ch : survivors[id].path.channels) {
         if (topo.channel_faulted(ch)) {

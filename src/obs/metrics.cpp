@@ -354,6 +354,7 @@ std::string Registry::to_json() const {
         out += ",\"max\":" + format_double(h.max());
         out += ",\"p50\":" + format_double(m.quantile(0.50));
         out += ",\"p99\":" + format_double(m.quantile(0.99));
+        out += ",\"p999\":" + format_double(m.quantile(0.999));
         break;
       }
     }

@@ -93,7 +93,6 @@ class Histogram {
   /// Estimated q-quantile (q in [0,1]) over the merged buckets.
   double quantile(double q) const;
   double p99() const { return quantile(0.99); }
-  double p999() const { return quantile(0.999); }
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
@@ -143,8 +142,9 @@ class Registry {
   /// plus _sum and _count.
   std::string to_prometheus() const;
 
-  /// JSON exposition: {"metrics":[{name,type,labels,...}]} with
-  /// count/sum/min/max/quantiles/buckets for histograms.
+  /// JSON exposition: {"metrics":[{name,type,labels,...}]} with a value
+  /// for counters and gauges, and count/sum/min/max/p50/p99/p999 for
+  /// histograms.
   std::string to_json() const;
 
   static Registry& global();

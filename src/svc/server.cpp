@@ -41,7 +41,7 @@ constexpr std::size_t kMaxPendingLines = 128;
 
 /// Lines one dispatch task serves before resubmitting itself to the
 /// pool: a deeply pipelined connection shares the dispatch workers
-/// fairly with everyone else's STATS probe.
+/// fairly with everyone else's METRICS or HEALTH probe.
 constexpr int kDispatchBudget = 64;
 
 constexpr int kMaxEpollEvents = 64;
@@ -492,7 +492,7 @@ struct Server::Impl {
       if (cp->dispatch_inflight) {
         // Budget exhausted with lines still queued: yield the worker
         // and come back, so one firehose connection cannot starve a
-        // STATS probe on another.
+        // METRICS or HEALTH probe on another.
         resubmit = !cp->dead && !cp->pending.empty();
         cp->dispatch_inflight = resubmit;
       }

@@ -160,10 +160,10 @@ class Client {
 
   /// call() with resilience: on transport failure, reconnects to the
   /// last connect_unix/connect_tcp endpoint and retries per \p policy.
-  /// Only idempotent verbs (QUERY, EXPLAIN, SNAPSHOT, STATS, METRICS)
-  /// are retried unless the policy opts in; non-retryable failures
-  /// surface immediately.  Returns the attempt count via \p attempts
-  /// when non-null.
+  /// Only idempotent verbs (QUERY, EXPLAIN, SNAPSHOT, METRICS, HEALTH,
+  /// HISTORY, PROMOTE) are retried unless the policy opts in;
+  /// non-retryable failures surface immediately.  Returns the attempt
+  /// count via \p attempts when non-null.
   bool call_with_retry(const std::string& request_line,
                        const RetryPolicy& policy, std::string* response_line,
                        std::string* error, int* attempts = nullptr);

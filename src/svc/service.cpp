@@ -7,6 +7,7 @@
 
 #include "core/stream_io.hpp"
 #include "obs/trace.hpp"
+#include "route/fault_aware.hpp"
 #include "svc/replication.hpp"
 #include "util/thread_pool.hpp"
 
@@ -38,23 +39,68 @@ JournalEntry entry_of(std::int64_t handle, const core::MessageStream& s) {
           s.period, s.length, s.deadline, s.route_order};
 }
 
-/// The channel a LINK_DOWN/LINK_UP record names, into \p channel
-/// (kNoChannel for the other types).  False + \p error when \p fabric
-/// has no such channel, which apply_record_locked then refuses.
-bool record_channel(const topo::Topology& fabric, const JournalRecord& record,
-                    topo::ChannelId* channel, std::string* error) {
-  const bool link = record.type == JournalRecord::Type::kLinkDown ||
-                    record.type == JournalRecord::Type::kLinkUp;
-  *channel = link ? fabric.channel_between(
-                        static_cast<topo::NodeId>(record.entry.src),
-                        static_cast<topo::NodeId>(record.entry.dst))
-                  : topo::kNoChannel;
-  if (link && *channel == topo::kNoChannel) {
-    *error = "journal record names channel " +
-             std::to_string(record.entry.src) + "->" +
-             std::to_string(record.entry.dst) +
+/// The one check a journal record passes before anything journals or
+/// applies it (a pulled record, a snapshot row or fault pair, a record
+/// recovery read).  An ADD passes REQUEST's own checks (two distinct
+/// nodes of \p fabric; a positive period, length and deadline) and
+/// carries a route order route::is_route_order accepts; a LINK_DOWN or
+/// LINK_UP names a channel of \p fabric.  False + \p error naming the
+/// record otherwise.
+bool check_record(const topo::Topology& fabric, const JournalRecord& record,
+                  std::string* error) {
+  const JournalEntry& e = record.entry;
+  const auto node = [&fabric](std::int64_t n) {
+    return n >= 0 && n < fabric.num_nodes();
+  };
+  const auto edge = [&e] {
+    return std::to_string(e.src) + "->" + std::to_string(e.dst);
+  };
+  if (record.type == JournalRecord::Type::kAdd) {
+    const int order = static_cast<int>(e.route_order);
+    const char* fault =
+        !node(e.src) || !node(e.dst) || e.src == e.dst
+            ? "does not join two distinct nodes of this topology"
+        : e.period <= 0 || e.length <= 0 || e.deadline <= 0
+            ? "has a non-positive period, length or deadline"
+        : order != e.route_order || !route::is_route_order(order)
+            ? "has an unknown route order"
+            : nullptr;
+    if (fault != nullptr) {
+      *error = "journal record adds handle " + std::to_string(e.handle) +
+               " on " + edge() + ", which " + fault;
+      return false;
+    }
+  } else if (record.type != JournalRecord::Type::kRemove &&
+             (!node(e.src) || !node(e.dst) ||
+              fabric.channel_between(static_cast<topo::NodeId>(e.src),
+                                     static_cast<topo::NodeId>(e.dst)) ==
+                  topo::kNoChannel)) {
+    *error = "journal record names channel " + edge() +
              " which this topology does not have";
     return false;
+  }
+  return true;
+}
+
+/// check_record over a snapshot image: each row as an ADD, each faulted
+/// channel as a LINK_DOWN.
+bool check_image(
+    const topo::Topology& fabric, const std::vector<JournalEntry>& entries,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
+    std::string* error) {
+  for (const JournalEntry& e : entries) {
+    if (!check_record(fabric, {JournalRecord::Type::kAdd, 0, e}, error)) {
+      return false;
+    }
+  }
+  for (const auto& [src, dst] : faulted) {
+    JournalEntry ends;
+    ends.src = src;
+    ends.dst = dst;
+    if (!check_record(fabric, {JournalRecord::Type::kLinkDown, 0, ends},
+                      error)) {
+      return false;
+    }
   }
   return true;
 }
@@ -68,58 +114,32 @@ Json handles_json(const std::vector<core::AdmissionController::Handle>& hs) {
   return out;
 }
 
-/// STATS's "verbs" block in wire order: each key reads one registry
-/// counter (family, and its label unless the family has none).
-struct StatsCounter {
-  const char* key;
-  const char* family;
-  const char* label;
-  const char* value;
-};
-constexpr StatsCounter kStatsVerbs[] = {
-    {"requests", "wormrt_requests_total", "verb", "REQUEST"},
-    {"admitted", "wormrt_admission_decisions_total", "decision", "admitted"},
-    {"rejected", "wormrt_admission_decisions_total", "decision", "rejected"},
-    {"removes", "wormrt_requests_total", "verb", "REMOVE"},
-    {"queries", "wormrt_requests_total", "verb", "QUERY"},
-    {"explains", "wormrt_requests_total", "verb", "EXPLAIN"},
-    {"snapshots", "wormrt_requests_total", "verb", "SNAPSHOT"},
-    {"stats", "wormrt_requests_total", "verb", "STATS"},
-    {"link_downs", "wormrt_requests_total", "verb", "LINK_DOWN"},
-    {"link_ups", "wormrt_requests_total", "verb", "LINK_UP"},
-    {"metrics", "wormrt_requests_total", "verb", "METRICS"},
-    {"reports", "wormrt_requests_total", "verb", "REPORT"},
-    {"healths", "wormrt_requests_total", "verb", "HEALTH"},
-    {"histories", "wormrt_requests_total", "verb", "HISTORY"},
-    {"link_evicted", "wormrt_link_streams_total", "outcome", "evicted"},
-    {"link_rerouted", "wormrt_link_streams_total", "outcome", "rerouted"},
-    {"errors", "wormrt_errors_total", nullptr, nullptr},
-};
+/// Samples each HISTORY series keeps (its ring capacity).
+constexpr std::size_t kHistoryCapacity = 512;
 
-/// The engine's work counters: STATS's "engine" block and the registry
-/// mirrors refresh_mirrors() keeps.
+/// The engine's work counters, as the registry mirrors refresh_mirrors()
+/// keeps.
 using EngineStats = core::IncrementalAnalyzer::Stats;
 struct EngineCounter {
-  const char* key;
   const char* metric;
   const char* help;
   std::uint64_t EngineStats::*field;
 };
 constexpr EngineCounter kEngineCounters[] = {
-    {"adds", "wormrt_engine_adds_total",
+    {"wormrt_engine_adds_total",
      "Stream additions the incremental engine performed.", &EngineStats::adds},
-    {"removes", "wormrt_engine_removes_total",
+    {"wormrt_engine_removes_total",
      "Stream removals the incremental engine performed.",
      &EngineStats::removes},
-    {"bound_recomputes", "wormrt_engine_bound_recomputes_total",
+    {"wormrt_engine_bound_recomputes_total",
      "Cal_U evaluations (dirty-set recomputations).",
      &EngineStats::bound_recomputes},
-    {"dirty_marked", "wormrt_engine_dirty_marked_total",
+    {"wormrt_engine_dirty_marked_total",
      "Established streams marked dirty across mutations.",
      &EngineStats::dirty_marked},
-    {"edge_updates", "wormrt_engine_edge_updates_total",
+    {"wormrt_engine_edge_updates_total",
      "Direct-blocking edges inserted or erased.", &EngineStats::edge_updates},
-    {"bound_cache_hits", "wormrt_engine_bound_cache_hits_total",
+    {"wormrt_engine_bound_cache_hits_total",
      "Bound lookups served from the cache with no re-analysis.",
      &EngineStats::bound_cache_hits},
 };
@@ -136,7 +156,6 @@ constexpr Service::Verb Service::kVerbs[] = {
     {"QUERY", &Service::do_query_locked, Lock::kHeld, false, true, true},
     {"EXPLAIN", &Service::do_explain_locked, Lock::kHeld, false, true, true},
     {"SNAPSHOT", &Service::do_snapshot_locked, Lock::kHeld, false, true, true},
-    {"STATS", &Service::do_stats_locked, Lock::kHeld, false, true, true},
     {"METRICS", &Service::do_metrics_locked, Lock::kHeld, false, true, true},
     {"LINK_DOWN", &Service::do_link_down, Lock::kOwn, true, false, true},
     {"LINK_UP", &Service::do_link_up, Lock::kOwn, true, false, true},
@@ -216,7 +235,7 @@ Service::Service(topo::Topology& topo, const route::RoutingAlgorithm& routing,
       metrics_(registry_),
       conformance_(registry_),
       channel_gauge_live_(topo.num_channels(), 0),
-      sampler_(options_.history_capacity) {
+      sampler_(kHistoryCapacity) {
   follower_.store(options_.follower, std::memory_order_release);
   setup_sampler();
   if (options_.sample_interval_ms > 0) {
@@ -324,22 +343,24 @@ bool Service::open_state(std::string* error) {
 
   // Recovery = install the snapshot image, then apply each post-snapshot
   // record in append order: the same two steps a follower runs for a
-  // REPL_SNAPSHOT and for each pulled record.
+  // REPL_SNAPSHOT and for each pulled record.  Every row is checked
+  // first, so a bad one refuses the open before the engine sees any.
   std::string why;
-  bool ok = install_state_locked(state.next_handle, state.snapshot,
-                                 state.faulted, &why);
-  recovery_.topology_mutations = state.faulted.size();
+  bool ok = check_image(topo_, state.snapshot, state.faulted, &why);
   for (std::size_t i = 0; ok && i < state.records.size(); ++i) {
-    topo::ChannelId channel = topo::kNoChannel;
-    ok = apply_record_locked(state.records[i], &channel, &why);
-    if (channel != topo::kNoChannel) {
-      ++recovery_.topology_mutations;
-    }
+    ok = check_record(topo_, state.records[i], &why);
   }
   if (!ok) {
     *error = options_.state_dir + ": " + why;
     journal_.reset();
     return false;
+  }
+  install_state_locked(state.next_handle, state.snapshot, state.faulted);
+  recovery_.topology_mutations = state.faulted.size();
+  for (const JournalRecord& record : state.records) {
+    if (apply_record_locked(record) != topo::kNoChannel) {
+      ++recovery_.topology_mutations;
+    }
   }
 
   recovery_.snapshot_entries = state.snapshot.size();
@@ -360,10 +381,9 @@ void Service::restore_locked(const JournalEntry& e) {
                 e.deadline, e.handle, static_cast<int>(e.route_order));
 }
 
-bool Service::install_state_locked(
+void Service::install_state_locked(
     std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-    std::string* error) {
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted) {
   while (ctrl_.size() > 0) {
     ctrl_.remove(ctrl_.engine().handle_of(static_cast<StreamId>(0)));
   }
@@ -374,16 +394,10 @@ bool Service::install_state_locked(
   // Fault flags before the rows: paths with non-primary route orders
   // exist only because of them.
   for (const auto& [src, dst] : faulted) {
-    const topo::ChannelId ch = topo_.channel_between(
-        static_cast<topo::NodeId>(src), static_cast<topo::NodeId>(dst));
-    if (ch == topo::kNoChannel) {
-      // The fingerprint checks upstream make this unreachable; a hit
-      // means the image and the fabric disagree — refuse to guess.
-      *error = "snapshot faults channel " + std::to_string(src) + "->" +
-               std::to_string(dst) + " which this topology does not have";
-      return false;
-    }
-    topo_.set_channel_faulted(ch, true);
+    topo_.set_channel_faulted(
+        topo_.channel_between(static_cast<topo::NodeId>(src),
+                              static_cast<topo::NodeId>(dst)),
+        true);
   }
   // Each restore forces the recorded handle and route order, so engine
   // order, paths and handle numbering come out exactly as captured.
@@ -393,27 +407,28 @@ bool Service::install_state_locked(
   // The image's next_handle also covers handles freed by removals above
   // the surviving maximum; records applied later raise it past their own.
   ctrl_.set_next_handle(std::max(ctrl_.next_handle(), next_handle));
-  return true;
 }
 
-bool Service::apply_record_locked(const JournalRecord& record,
-                                  topo::ChannelId* channel,
-                                  std::string* error) {
-  if (!record_channel(topo_, record, channel, error)) {
-    return false;
-  }
+topo::ChannelId Service::apply_record_locked(const JournalRecord& record) {
   if (record.type == JournalRecord::Type::kAdd) {
     restore_locked(record.entry);
-  } else if (record.type == JournalRecord::Type::kRemove) {
-    ctrl_.remove(record.entry.handle);
-  } else if (record.type == JournalRecord::Type::kLinkDown) {
-    // The cascade (evict / reroute / recompute) is deterministic given
-    // the engine state, so applying the one record redoes it bit for bit.
-    ctrl_.link_down(*channel);
-  } else {
-    ctrl_.link_up(*channel);
+    return topo::kNoChannel;
   }
-  return true;
+  if (record.type == JournalRecord::Type::kRemove) {
+    ctrl_.remove(record.entry.handle);
+    return topo::kNoChannel;
+  }
+  const topo::ChannelId channel =
+      topo_.channel_between(static_cast<topo::NodeId>(record.entry.src),
+                            static_cast<topo::NodeId>(record.entry.dst));
+  // The cascade (evict / reroute / recompute) is deterministic given the
+  // engine state, so applying the one record redoes it bit for bit.
+  if (record.type == JournalRecord::Type::kLinkDown) {
+    ctrl_.link_down(channel);
+  } else {
+    ctrl_.link_up(channel);
+  }
+  return channel;
 }
 
 void Service::capture_state_locked(
@@ -1099,48 +1114,6 @@ Json Service::do_shutdown_locked(const Json&, PendingAck*) {
   return reply;
 }
 
-Json Service::do_stats_locked(const Json&, PendingAck*) {
-  metrics_.served[served_row("STATS")]->inc();
-
-  // The wire format predates the metrics registry and is kept stable
-  // (asserted by the daemon e2e test): per-verb counts under "verbs",
-  // engine work counters under "engine", latency summary + rendered
-  // histogram at the top level.
-  Json verbs = Json::object();
-  for (const StatsCounter& c : kStatsVerbs) {
-    const obs::Labels labels =
-        c.label != nullptr ? obs::Labels{{c.label, c.value}} : obs::Labels{};
-    verbs.set(c.key, static_cast<std::int64_t>(
-                         registry_.counter(c.family, labels).value()));
-  }
-  const EngineStats& es = ctrl_.engine().stats();
-  Json engine = Json::object();
-  for (const EngineCounter& c : kEngineCounters) {
-    engine.set(c.key, static_cast<std::int64_t>(es.*c.field));
-  }
-
-  Json latency = Json::object();
-  const std::uint64_t count = metrics_.latency_us.count();
-  latency.set("count", static_cast<std::int64_t>(count));
-  if (count > 0) {
-    latency.set("mean_us", metrics_.latency_us.sum() /
-                               static_cast<double>(count));
-    latency.set("p50_us", metrics_.latency_us.quantile(0.50));
-    latency.set("p99_us", metrics_.latency_us.quantile(0.99));
-    latency.set("p999_us", metrics_.latency_us.p999());
-    latency.set("max_us", metrics_.latency_us.max());
-  }
-
-  Json reply = Json::object();
-  reply.set("ok", true);
-  reply.set("population", static_cast<std::int64_t>(ctrl_.size()));
-  reply.set("verbs", std::move(verbs));
-  reply.set("engine", std::move(engine));
-  reply.set("latency", std::move(latency));
-  reply.set("histogram", metrics_.latency_us.merged().render());
-  return reply;
-}
-
 Json Service::do_metrics_locked(const Json&, PendingAck*) {
   metrics_.served[served_row("METRICS")]->inc();
   refresh_mirrors();
@@ -1632,11 +1605,10 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
   // primary's LSNs, the whole pull in one commit), engine second
   // through recovery's own apply step — the durable LSN this follower
   // acks in its next pull must never run ahead of its disk.  A record
-  // apply_record_locked would refuse fails the pull before any of it is
-  // journaled, so the disk never runs ahead of the engine either.
-  topo::ChannelId channel = topo::kNoChannel;
+  // check_record refuses fails the pull before any of it is journaled,
+  // so the disk never runs ahead of the engine either.
   for (const JournalRecord& record : records) {
-    if (!record_channel(topo_, record, &channel, error)) {
+    if (!check_record(topo_, record, error)) {
       return false;
     }
   }
@@ -1644,9 +1616,7 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
     return false;
   }
   for (const JournalRecord& record : records) {
-    if (!apply_record_locked(record, &channel, error)) {
-      return false;
-    }
+    const topo::ChannelId channel = apply_record_locked(record);
     registry_
         .counter("wormrt_repl_records_applied_total", {},
                  "Replicated journal records applied on this follower.")
@@ -1702,14 +1672,16 @@ bool Service::bootstrap_replicated(
     *error = "follower requires a state dir";
     return false;
   }
-  // Durable install first (tmp+fsync->rename; the WAL is truncated and
-  // the LSN cursor moves to last_lsn+1), then the engine takes the same
-  // image through recovery's own install step.
-  if (!journal_->install_snapshot(last_lsn, snapshot_epoch, next_handle,
-                                  entries, faulted, error) ||
-      !install_state_locked(next_handle, entries, faulted, error)) {
+  // A bad row or fault pair refuses the image before anything is made
+  // durable.  Then the durable install (tmp+fsync->rename; the WAL is
+  // truncated and the LSN cursor moves to last_lsn+1), then the engine
+  // takes the same image through recovery's own install step.
+  if (!check_image(topo_, entries, faulted, error) ||
+      !journal_->install_snapshot(last_lsn, snapshot_epoch, next_handle,
+                                  entries, faulted, error)) {
     return false;
   }
+  install_state_locked(next_handle, entries, faulted);
   metrics_.population.set(static_cast<double>(ctrl_.size()));
   registry_
       .counter("wormrt_repl_snapshots_installed_total", {},
@@ -1947,11 +1919,6 @@ std::string Service::prometheus_text() const {
   std::lock_guard<std::mutex> lk(mu_);
   refresh_mirrors();
   return registry_.to_prometheus();
-}
-
-std::string Service::stats_text() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return do_stats_locked({}, nullptr).dump();
 }
 
 }  // namespace wormrt::svc

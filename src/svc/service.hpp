@@ -72,8 +72,6 @@ struct ServiceOptions {
   /// History sampler tick; 0 (default) disables the sampler thread —
   /// tests drive Sampler::sample_once() deterministically instead.
   int sample_interval_ms = 0;
-  /// Ring capacity of every sampled series.
-  std::size_t history_capacity = 512;
   /// JSONL audit log of admissions/removals/link mutations; empty =
   /// off.  Opened by open_state() (which therefore must be called even
   /// without a state dir when auditing is wanted).
@@ -150,11 +148,6 @@ class Service {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  /// The STATS reply as one JSON line — wormrtd's SIGTERM/SHUTDOWN dump,
-  /// so it prints the same numbers from the same code (and counts itself
-  /// as one STATS verb).
-  std::string stats_text();
-
   /// Prometheus text exposition of this service's registry, with the
   /// thread-pool and engine mirrors refreshed — what METRICS returns.
   std::string prometheus_text() const;
@@ -202,7 +195,8 @@ class Service {
   /// LSN, one commit), then the engine through apply_record_locked —
   /// recovery's own apply step — with one audit record each.  False +
   /// \p error on failure, with nothing applied when the commit failed or
-  /// a record names a channel this topology lacks — the session must
+  /// a record fails the check recovery runs (an ADD this topology cannot
+  /// carry, a link record naming a channel it lacks) — the session must
   /// stop rather than skip a record.
   bool apply_replicated(std::span<const JournalRecord> records,
                         std::string* error);
@@ -214,7 +208,8 @@ class Service {
   /// Installs a replication bootstrap snapshot on a follower: journal
   /// install (tmp+fsync->rename, WAL truncated) first, then the engine
   /// takes the image through install_state_locked — recovery's own
-  /// install step.
+  /// install step.  An image with a row or fault pair recovery would
+  /// refuse is refused before either, leaving the follower as it was.
   bool bootstrap_replicated(
       std::uint64_t last_lsn, std::uint64_t snapshot_epoch,
       std::int64_t next_handle, const std::vector<JournalEntry>& entries,
@@ -306,7 +301,6 @@ class Service {
   Json do_query_locked(const Json& request, PendingAck*);
   Json do_explain_locked(const Json& request, PendingAck*);
   Json do_snapshot_locked(const Json&, PendingAck*);
-  Json do_stats_locked(const Json&, PendingAck*);
   Json do_metrics_locked(const Json&, PendingAck*);
   Json do_report_locked(const Json& request, PendingAck*);
   Json do_health_locked(const Json&, PendingAck*);
@@ -390,21 +384,19 @@ class Service {
   /// state (recovery and follower bootstrap; mu_ held): clears the
   /// population and every fault flag, faults the image's channels,
   /// restores the rows in engine order under their recorded handles and
-  /// route orders, and raises next_handle to the image's.  False +
-  /// \p error when a faulted channel is not in this topology.
-  bool install_state_locked(
+  /// route orders, and raises next_handle to the image's.  The image
+  /// must have passed the row check (check_image in service.cpp).
+  void install_state_locked(
       std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-      std::string* error);
+      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted);
 
   /// The only map from a journal record to an engine call (recovery
   /// replay and follower apply; mu_ held): ADD restores the stream,
   /// REMOVE removes it, LINK_DOWN/LINK_UP resolve the record's
-  /// endpoints and redo the cascade.  \p channel receives a link
-  /// record's channel (kNoChannel otherwise).  False + \p error when
-  /// the topology has no such channel.
-  bool apply_record_locked(const JournalRecord& record,
-                           topo::ChannelId* channel, std::string* error);
+  /// endpoints and redo the cascade.  Returns a link record's channel
+  /// (kNoChannel otherwise).  The record must have passed the row check
+  /// (check_record in service.cpp).
+  topo::ChannelId apply_record_locked(const JournalRecord& record);
 
   /// Captures the engine population (in engine order, with forced
   /// handles and route orders) and the faulted channel set — the

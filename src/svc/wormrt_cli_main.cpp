@@ -3,7 +3,7 @@
 //   wormrt-cli --socket /tmp/wormrtd.sock request --src 0 --dst 5
 //       --priority 2 --period 50 --length 20 --deadline 250
 //   wormrt-cli --socket /tmp/wormrtd.sock query --handle 3
-//   wormrt-cli --port 4817 stats
+//   wormrt-cli --port 4817 metrics
 //   wormrt-cli --socket /tmp/wormrtd.sock raw '{"verb":"SNAPSHOT"}'
 //
 // Every invocation sends one protocol line and prints the one response
@@ -40,7 +40,6 @@ int usage(const char* program) {
       "                    down; crossing streams are rerouted or evicted\n"
       "  link-up   (--channel C | --src N --dst N)   repair a link\n"
       "  snapshot\n"
-      "  stats\n"
       "  metrics               Prometheus text exposition of the daemon\n"
       "  health            aggregate health; exit 0 ok, 1 degraded,\n"
       "                    2 critical, 3 transport failure\n"
@@ -118,8 +117,6 @@ int main(int argc, char** argv) {
     }
   } else if (command == "snapshot") {
     request.set("verb", "SNAPSHOT");
-  } else if (command == "stats") {
-    request.set("verb", "STATS");
   } else if (command == "metrics") {
     request.set("verb", "METRICS");
   } else if (command == "health") {

@@ -3,9 +3,9 @@
 // Serves the newline-delimited JSON protocol of DESIGN.md §7 over a
 // Unix-domain socket (--socket PATH) or loopback TCP (--port N; 0 picks
 // an ephemeral port).  Each REQUEST is decided by the incremental
-// analysis engine; metrics accumulate per verb and are dumped on STATS,
-// and the STATS reply goes to stderr as one JSON line on clean shutdown
-// (SIGTERM/SIGINT or the SHUTDOWN verb).
+// analysis engine; metrics accumulate in one registry that the METRICS
+// verb exposes, and the METRICS reply goes to stderr as one JSON line on
+// clean shutdown (SIGTERM/SIGINT or the SHUTDOWN verb).
 //
 //   ./wormrtd --socket /tmp/wormrtd.sock --mesh 8 --threads 0
 //   ./wormrtd --port 0 --mesh 16x16 --workers 8
@@ -108,7 +108,7 @@ int usage(const char* program) {
       "bytes (default 64 MiB)\n"
       "  --follow ENDPOINT  replicate from a primary (unix:PATH or "
       "HOST:PORT) instead of accepting mutations; requires --state-dir. "
-      "Reads (QUERY/STATS/METRICS/HEALTH/...) are served locally, "
+      "Reads (QUERY/METRICS/HEALTH/...) are served locally, "
       "mutations answer error \"not primary\" until PROMOTE\n"
       "  --follower-id ID  identity reported to the primary (default "
       "pid-<pid>)\n"
@@ -386,6 +386,7 @@ int main(int argc, char** argv) {
                    trace_path.c_str(), trace_error.c_str());
     }
   }
-  std::fprintf(stderr, "%s\n", service.stats_text().c_str());
+  std::fprintf(stderr, "%s\n",
+               service.handle_line(R"({"verb":"METRICS"})").c_str());
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace wormrt::util {
 
@@ -74,36 +73,6 @@ double Histogram::bucket_lo(std::size_t i) const {
 
 double Histogram::bucket_hi(std::size_t i) const {
   return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::render(std::size_t max_width) const {
-  std::size_t peak = 1;
-  for (const auto c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) {
-      continue;
-    }
-    const auto bar = std::max<std::size_t>(
-        1, counts_[i] * max_width / peak);
-    std::snprintf(line, sizeof line, "[%8.1f, %8.1f) %8zu ", bucket_lo(i),
-                  bucket_hi(i), counts_[i]);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  if (underflow_ != 0) {
-    std::snprintf(line, sizeof line, "underflow %zu\n", underflow_);
-    out += line;
-  }
-  if (overflow_ != 0) {
-    std::snprintf(line, sizeof line, "overflow %zu\n", overflow_);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace wormrt::util

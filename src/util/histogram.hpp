@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 /// \file histogram.hpp
@@ -46,9 +45,6 @@ class Histogram {
   double bucket_lo(std::size_t i) const;
   /// Exclusive upper edge of bucket \p i.
   double bucket_hi(std::size_t i) const;
-
-  /// Renders a compact ASCII bar chart, one line per non-empty bucket.
-  std::string render(std::size_t max_width = 50) const;
 
  private:
   double lo_;

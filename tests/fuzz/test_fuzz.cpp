@@ -149,6 +149,17 @@ TEST(Invariants, FaultOracleDetectsSkewedCache) {
     const auto violation = check_scenario(generate_scenario(seed), config);
     if (violation.has_value()) {
       EXPECT_EQ(violation->invariant, kInvariantFault) << violation->detail;
+      // As for replication: the report prints the skewed reference.
+      const std::size_t at = violation->detail.find("cached bound ");
+      ASSERT_NE(at, std::string::npos) << violation->detail;
+      long long cached = 0, reference = 0;
+      ASSERT_EQ(std::sscanf(violation->detail.c_str() + at,
+                            "cached bound %lld != from-scratch %lld", &cached,
+                            &reference),
+                2)
+          << violation->detail;
+      EXPECT_EQ(reference, cached + config.fault_oracle_skew)
+          << violation->detail;
       ++hits;
     }
   }
@@ -268,6 +279,16 @@ TEST(Invariants, ReplicationOracleDetectsSkewedReplay) {
     const auto violation = check_scenario(generate_scenario(seed), config);
     if (violation.has_value()) {
       EXPECT_EQ(violation->invariant, kInvariantReplication)
+          << violation->detail;
+      // The report prints the value it compared, the primary's bound
+      // plus the skew, so the two bounds it names differ by the skew.
+      long long follower = 0, primary = 0;
+      ASSERT_EQ(std::sscanf(violation->detail.c_str(),
+                            "follower bound %lld != primary %lld", &follower,
+                            &primary),
+                2)
+          << violation->detail;
+      EXPECT_EQ(primary, follower + config.replication_skew)
           << violation->detail;
       ++hits;
     }

@@ -352,6 +352,9 @@ TEST(ObsExposition, JsonParsesWithTheProtocolParser) {
   EXPECT_DOUBLE_EQ(hist.get("sum")->as_double(), 10.0);
   EXPECT_DOUBLE_EQ(hist.get("min")->as_double(), 2.0);
   EXPECT_DOUBLE_EQ(hist.get("max")->as_double(), 8.0);
+  EXPECT_DOUBLE_EQ(hist.get("p50")->as_double(), h.quantile(0.50));
+  EXPECT_DOUBLE_EQ(hist.get("p99")->as_double(), h.p99());
+  EXPECT_DOUBLE_EQ(hist.get("p999")->as_double(), h.quantile(0.999));
 }
 
 // ---------------------------------------------------------------------
@@ -365,7 +368,7 @@ TEST(ObsServiceScrape, CarriesAllDocumentedFamilies) {
   service.handle_line(
       R"({"verb":"REQUEST","src":0,"dst":5,"priority":2,"period":50,"length":20,"deadline":250})");
   service.handle_line(R"({"verb":"QUERY","handle":0})");
-  service.handle_line(R"({"verb":"STATS"})");
+  service.handle_line(R"({"verb":"METRICS"})");
   service.handle_line("not json");  // one error
 
   const std::string text = service.prometheus_text();
@@ -374,7 +377,8 @@ TEST(ObsServiceScrape, CarriesAllDocumentedFamilies) {
 
   EXPECT_EQ(scrape.values.at("wormrt_requests_total{verb=\"REQUEST\"}"), 1.0);
   EXPECT_EQ(scrape.values.at("wormrt_requests_total{verb=\"QUERY\"}"), 1.0);
-  EXPECT_EQ(scrape.values.at("wormrt_requests_total{verb=\"STATS\"}"), 1.0);
+  EXPECT_EQ(scrape.values.at("wormrt_requests_total{verb=\"METRICS\"}"),
+            1.0);
   EXPECT_EQ(scrape.values.at("wormrt_errors_total"), 1.0);
   EXPECT_EQ(
       scrape.values.at("wormrt_admission_decisions_total{decision=\"admitted\"}"),
@@ -403,13 +407,13 @@ TEST(ObsServiceScrape, TwoServicesDoNotShareCounters) {
   const route::XYRouting routing;
   svc::Service a(mesh, routing);
   svc::Service b(mesh, routing);
-  a.handle_line(R"({"verb":"STATS"})");
+  a.handle_line(R"({"verb":"METRICS"})");
   const PromScrape sa = parse_prometheus(a.prometheus_text());
   const PromScrape sb = parse_prometheus(b.prometheus_text());
   ASSERT_TRUE(sa.ok()) << sa.error;
   ASSERT_TRUE(sb.ok()) << sb.error;
-  EXPECT_EQ(sa.values.at("wormrt_requests_total{verb=\"STATS\"}"), 1.0);
-  EXPECT_EQ(sb.values.at("wormrt_requests_total{verb=\"STATS\"}"), 0.0);
+  EXPECT_EQ(sa.values.at("wormrt_requests_total{verb=\"METRICS\"}"), 1.0);
+  EXPECT_EQ(sb.values.at("wormrt_requests_total{verb=\"METRICS\"}"), 0.0);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 
 #include "core/admission.hpp"
 #include "core/stream_io.hpp"
+#include "metrics_reply.hpp"
 #include "route/dor.hpp"
 #include "svc/json.hpp"
 #include "svc/server.hpp"
@@ -35,6 +36,8 @@ namespace wormrt {
 namespace {
 
 using svc::Json;
+using svc::testing::metric_count;
+using svc::testing::verb_count;
 
 /// Runs a command, captures stdout, returns the exit status.
 int run(const std::string& command, std::string* out) {
@@ -185,15 +188,21 @@ TEST_F(DaemonE2E, DecisionsMatchInProcessReplay) {
   EXPECT_EQ(snap.get("csv")->as_string(),
             core::streams_to_csv(replay.snapshot()));
 
-  // STATS accounts for everything this test sent.
-  const Json stats = cli_json("stats");
-  EXPECT_EQ(stats.get("verbs")->get("requests")->as_int(), admits + rejects);
-  EXPECT_EQ(stats.get("verbs")->get("admitted")->as_int(), admits);
-  EXPECT_EQ(stats.get("verbs")->get("rejected")->as_int(), rejects);
-  EXPECT_EQ(stats.get("verbs")->get("removes")->as_int(), removes);
-  EXPECT_EQ(stats.get("population")->as_int(),
+  // METRICS accounts for everything this test sent.
+  const Json metrics = cli_json("raw '{\"verb\":\"METRICS\"}'");
+  EXPECT_EQ(verb_count(metrics, "REQUEST"), admits + rejects);
+  EXPECT_EQ(metric_count(metrics, "wormrt_admission_decisions_total",
+                         "decision", "admitted"),
+            admits);
+  EXPECT_EQ(metric_count(metrics, "wormrt_admission_decisions_total",
+                         "decision", "rejected"),
+            rejects);
+  EXPECT_EQ(verb_count(metrics, "REMOVE"), removes);
+  EXPECT_EQ(metric_count(metrics, "wormrt_population"),
             static_cast<std::int64_t>(replay.size()));
-  EXPECT_EQ(stats.get("latency")->get("count")->as_int(), admits + rejects);
+  EXPECT_EQ(metric_count(metrics, "wormrt_admission_latency_us", "", "",
+                         "count"),
+            admits + rejects);
 }
 
 TEST_F(DaemonE2E, CliExitCodesAndRawVerb) {
@@ -205,11 +214,11 @@ TEST_F(DaemonE2E, CliExitCodesAndRawVerb) {
   // Unknown handle: protocol-level error, exit 1.
   EXPECT_EQ(cli("query --handle 999", &out), 1);
   // Raw protocol line passthrough.
-  EXPECT_EQ(cli("raw '{\"verb\":\"STATS\"}'", &out), 0);
+  EXPECT_EQ(cli("raw '{\"verb\":\"METRICS\"}'", &out), 0);
   std::string error;
-  const Json stats = Json::parse(first_line(out), &error);
+  const Json metrics = Json::parse(first_line(out), &error);
   EXPECT_TRUE(error.empty()) << error;
-  EXPECT_EQ(stats.get("verbs")->get("requests")->as_int(), 1);
+  EXPECT_EQ(verb_count(metrics, "REQUEST"), 1);
   // Malformed raw line: error reply, exit 1.
   EXPECT_EQ(cli("raw 'not json'", &out), 1);
   EXPECT_NE(first_line(out).find("bad json"), std::string::npos) << out;
@@ -358,13 +367,13 @@ TEST_F(DaemonE2E, CliExitCodesCoverRejectionsAndTransportFailures) {
             1);
   // Nobody listening: transport failure -> 2.
   EXPECT_EQ(run(std::string(WORMRT_CLI_BIN) +
-                    " --socket /tmp/wormrt-no-such-daemon.sock stats",
+                    " --socket /tmp/wormrt-no-such-daemon.sock metrics",
                 &out),
             2);
   // Same with retries: still a transport failure once they run out.
   EXPECT_EQ(run(std::string(WORMRT_CLI_BIN) +
                     " --socket /tmp/wormrt-no-such-daemon.sock --retries 2 "
-                    "stats",
+                    "metrics",
                 &out),
             2);
 }
@@ -738,14 +747,14 @@ TEST(DaemonBatch, CliBatchCommandPipelinesStdinLines) {
              ",\"priority\":2,\"period\":50,\"length\":10,"
              "\"deadline\":250}\\n";
   }
-  lines += "{\"verb\":\"STATS\"}\\n";
+  lines += "{\"verb\":\"METRICS\"}\\n";
   std::string out;
   const int status = run("printf '" + lines + "' | " + WORMRT_CLI_BIN +
                              " --socket " + socket_path + " batch",
                          &out);
   EXPECT_EQ(status, 0) << out;
 
-  // Seven response lines, in request order: handles 0..5, then STATS
+  // Seven response lines, in request order: handles 0..5, then METRICS
   // counting exactly the six requests.
   std::istringstream responses(out);
   std::string line;
@@ -764,9 +773,9 @@ TEST(DaemonBatch, CliBatchCommandPipelinesStdinLines) {
   }
   ASSERT_TRUE(static_cast<bool>(std::getline(responses, line))) << out;
   std::string error;
-  const Json stats = Json::parse(line, &error);
+  const Json metrics = Json::parse(line, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(stats.get("verbs")->get("requests")->as_int(), 6);
+  EXPECT_EQ(verb_count(metrics, "REQUEST"), 6);
 
   run(std::string(WORMRT_CLI_BIN) + " --socket " + socket_path + " shutdown",
       &out);
@@ -834,7 +843,8 @@ TEST(TcpLatency, SequentialCallsAreNotNagleThrottled) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kCalls; ++i) {
     std::string reply;
-    ASSERT_TRUE(client.call("{\"verb\":\"STATS\"}", &reply, &error)) << error;
+    ASSERT_TRUE(client.call("{\"verb\":\"HISTORY\"}", &reply, &error))
+        << error;
   }
   const auto elapsed_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -1,5 +1,5 @@
-// REPORT / HEALTH / HISTORY verbs, the audit log, and the STATS <->
-// registry parity contract.  These are the observability verbs added
+// REPORT / HEALTH / HISTORY verbs, the audit log, and the agreement of
+// METRICS's two renderings.  These are the observability verbs added
 // by DESIGN.md §14: REPORT feeds observed latencies to the conformance
 // monitor, HEALTH aggregates everything a pager needs into one status,
 // HISTORY serves the sampler's bounded rings.
@@ -13,9 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "metrics_reply.hpp"
 #include "route/dor.hpp"
 #include "svc/json.hpp"
 #include "svc/service.hpp"
@@ -291,10 +293,11 @@ TEST_F(HealthHistoryTest, HostileHistoryPayloadsComeBackAsErrors) {
   EXPECT_TRUE(call(R"({"verb":"HISTORY"})").get("ok")->as_bool());
 }
 
-// --- STATS <-> registry parity ---------------------------------------
+// --- METRICS: the JSON block and the Prometheus text agree ------------
 
-TEST_F(HealthHistoryTest, StatsAndRegistryAgreeOnEveryMirroredCounter) {
-  // Drive a mixed workload so every mirrored counter is nonzero-ish.
+TEST_F(HealthHistoryTest, MetricsBlockAndTextAgreeOnEveryServiceCounter) {
+  // A mixed workload: two admissions, one REPORT, one of each read verb
+  // and one unknown verb.
   const std::int64_t handle = admit(0, 5, 2, 500, 20, 2500);
   admit(8, 13, 1, 600, 10, 3000);
   call(report_line(handle, 1.0));
@@ -304,76 +307,52 @@ TEST_F(HealthHistoryTest, StatsAndRegistryAgreeOnEveryMirroredCounter) {
   call(R"({"verb":"SNAPSHOT"})");
   call(R"({"verb":"nonsense"})");
 
-  const Json stats = call(R"({"verb":"STATS"})");
   const Json metrics = call(R"({"verb":"METRICS"})");
-  ASSERT_TRUE(stats.get("ok")->as_bool());
   ASSERT_TRUE(metrics.get("ok")->as_bool());
-
-  // Index the registry exposition by family name + one label pair.
-  const auto registry_value = [&](const std::string& name,
-                                  const std::string& label_key,
-                                  const std::string& label_value) {
-    for (const Json& m : metrics.get("metrics")->get("metrics")->items()) {
-      if (m.get("name")->as_string() != name) {
-        continue;
-      }
-      bool match = label_key.empty();
-      if (!match) {
-        const Json* labels = m.get("labels");
-        const Json* v = labels != nullptr && labels->is_object()
-                            ? labels->get(label_key)
-                            : nullptr;
-        match = v != nullptr && v->is_string() &&
-                v->as_string() == label_value;
-      }
-      if (match) {
-        return m.get("value")->as_double();
-      }
-    }
-    return -1.0;
+  const std::string text = metrics.get("prometheus")->as_string();
+  // The sample line "name{key="value"} N" (or "name N") of the text.
+  const auto text_value = [&text](const std::string& name,
+                                  const std::string& key,
+                                  const std::string& value) {
+    const std::string series =
+        key.empty() ? name + " " : name + "{" + key + "=\"" + value + "\"} ";
+    const std::size_t at = text.find("\n" + series);
+    return at == std::string::npos
+               ? std::int64_t{-1}
+               : std::stoll(text.substr(at + 1 + series.size()));
   };
 
-  const Json* verbs = stats.get("verbs");
-  const std::vector<std::pair<std::string, std::string>> mirrored = {
-      {"requests", "REQUEST"},   {"removes", "REMOVE"},
-      {"queries", "QUERY"},      {"explains", "EXPLAIN"},
-      {"snapshots", "SNAPSHOT"}, {"stats", "STATS"},
-      {"metrics", "METRICS"},    {"reports", "REPORT"},
-      {"healths", "HEALTH"},     {"histories", "HISTORY"},
-      {"link_downs", "LINK_DOWN"}, {"link_ups", "LINK_UP"},
-  };
-  for (const auto& [stats_key, verb_label] : mirrored) {
-    // STATS snapshots strictly before METRICS ran, and the verbs
-    // counted themselves in between — account for the self-counts.
-    const double adjustment =
-        stats_key == "metrics" ? 1.0 : 0.0;
-    EXPECT_DOUBLE_EQ(
-        static_cast<double>(verbs->get(stats_key)->as_int()) + adjustment,
-        registry_value("wormrt_requests_total", "verb", verb_label))
-        << stats_key;
+  // METRICS counts itself before it renders.
+  const std::vector<std::pair<std::string, std::int64_t>> verbs = {
+      {"REQUEST", 2}, {"REMOVE", 0},  {"QUERY", 1},     {"EXPLAIN", 0},
+      {"SNAPSHOT", 1}, {"METRICS", 1}, {"REPORT", 1},   {"HEALTH", 1},
+      {"HISTORY", 1}, {"LINK_DOWN", 0}, {"LINK_UP", 0}};
+  for (const auto& [verb, want] : verbs) {
+    EXPECT_EQ(svc::testing::verb_count(metrics, verb), want) << verb;
+    EXPECT_EQ(text_value("wormrt_requests_total", "verb", verb), want)
+        << verb;
   }
-  EXPECT_DOUBLE_EQ(static_cast<double>(verbs->get("admitted")->as_int()),
-                   registry_value("wormrt_admission_decisions_total",
-                                  "decision", "admitted"));
-  EXPECT_DOUBLE_EQ(static_cast<double>(verbs->get("rejected")->as_int()),
-                   registry_value("wormrt_admission_decisions_total",
-                                  "decision", "rejected"));
-  EXPECT_DOUBLE_EQ(static_cast<double>(verbs->get("errors")->as_int()),
-                   registry_value("wormrt_errors_total", "", ""));
-  EXPECT_DOUBLE_EQ(static_cast<double>(stats.get("population")->as_int()),
-                   registry_value("wormrt_population", "", ""));
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(verbs->get("link_evicted")->as_int()),
-      registry_value("wormrt_link_streams_total", "outcome", "evicted"));
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(verbs->get("link_rerouted")->as_int()),
-      registry_value("wormrt_link_streams_total", "outcome", "rerouted"));
+  const std::vector<std::tuple<std::string, std::string, std::string,
+                               std::int64_t>>
+      counters = {
+          {"wormrt_admission_decisions_total", "decision", "admitted", 2},
+          {"wormrt_admission_decisions_total", "decision", "rejected", 0},
+          {"wormrt_errors_total", "", "", 1},
+          {"wormrt_population", "", "", 2},
+          {"wormrt_link_streams_total", "outcome", "evicted", 0},
+          {"wormrt_link_streams_total", "outcome", "rerouted", 0},
+      };
+  for (const auto& [name, key, value, want] : counters) {
+    EXPECT_EQ(svc::testing::metric_count(metrics, name, key, value), want)
+        << name << " " << value;
+    EXPECT_EQ(text_value(name, key, value), want) << name << " " << value;
+  }
 
-  // Latency summary parity: the STATS histogram summary is the same
-  // family the registry exposes.
-  const std::int64_t latency_count =
-      stats.get("latency")->get("count")->as_int();
-  EXPECT_EQ(latency_count, verbs->get("requests")->as_int());
+  // One latency sample per REQUEST, in both renderings.
+  EXPECT_EQ(svc::testing::metric_count(metrics, "wormrt_admission_latency_us",
+                                       "", "", "count"),
+            2);
+  EXPECT_EQ(text_value("wormrt_admission_latency_us_count", "", ""), 2);
 }
 
 // --- audit log -------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "obs/metrics.hpp"
 
 #include "core/admission.hpp"
+#include "metrics_reply.hpp"
 #include "route/dor.hpp"
 #include "svc/journal.hpp"
 #include "svc/json.hpp"
@@ -1464,15 +1466,26 @@ TEST_F(JournalTest, FollowerRefusesMalformedReplicationRows) {
     EXPECT_EQ(follower.durable_lsn(), 0u) << row;
   }
 
-  for (const char* field :
-       {R"("faulted":[],"entries":[[0,0,5,2,100,null,100,0]])",
-        R"("faulted":[[1,"2"]],"entries":[])"}) {
+  // A malformed snapshot row, an entry row REQUEST would refuse, or a
+  // fault pair naming a channel (0->15) this mesh lacks refuses the
+  // image before it is made durable.
+  for (const auto& [field, why] :
+       {std::pair{R"("faulted":[],"entries":[[0,0,5,2,100,null,100,0]])",
+                  "REPL_SNAPSHOT entry row is malformed"},
+        std::pair{R"("faulted":[[1,"2"]],"entries":[])",
+                  "REPL_SNAPSHOT faulted row is malformed"},
+        std::pair{R"("faulted":[],"entries":[[0,0,999,2,50,10,40,0]])",
+                  "journal record adds handle 0 on 0->999, which does not "
+                  "join two distinct nodes of this topology"},
+        std::pair{R"("faulted":[[0,15]],"entries":[])",
+                  "journal record names channel 0->15 which this topology "
+                  "does not have"}}) {
     const Json snapshot = parse(
         std::string(R"({"ok":true,"lsn":1,"epoch":1,"next_handle":1,)") +
         field + "}");
     error.clear();
     EXPECT_FALSE(apply_snapshot_reply(follower, snapshot, &error)) << field;
-    EXPECT_NE(error.find("row is malformed"), std::string::npos) << error;
+    EXPECT_EQ(error, why) << field;
     EXPECT_EQ(follower.population(), 0u) << field;
     EXPECT_EQ(follower.durable_lsn(), 0u) << field;
   }
@@ -1649,15 +1662,28 @@ TEST_F(JournalTest, FollowerAppliesAPullAllOrNothing) {
   Service follower(mesh, routing, {}, follower_in(dir_));
   std::string error;
   ASSERT_TRUE(follower.open_state(&error)) << error;
-  // The second row is malformed, or names a channel (0->15) this mesh
-  // does not have: either way the first row is neither journaled nor
-  // applied.
+  // The second row is malformed, names a channel (0->15) this mesh does
+  // not have, or adds a stream REQUEST would refuse (a node beyond the
+  // mesh, equal endpoints, a zero length, an unknown route order): each
+  // way the first row is neither journaled nor applied.
   for (const auto& [second, why] :
        {std::pair{R"([1,2,1,1,"6",2,50,10,40,0])",
                   "REPL_PULL record row is malformed"},
         std::pair{R"([3,2,0,0,15,0,0,0,0,0])",
                   "journal record names channel 0->15 which this "
-                  "topology does not have"}}) {
+                  "topology does not have"},
+        std::pair{R"([1,2,1,0,999,2,50,10,40,0])",
+                  "journal record adds handle 1 on 0->999, which does not "
+                  "join two distinct nodes of this topology"},
+        std::pair{R"([1,2,1,3,3,2,50,10,40,0])",
+                  "journal record adds handle 1 on 3->3, which does not "
+                  "join two distinct nodes of this topology"},
+        std::pair{R"([1,2,1,0,5,2,50,0,40,0])",
+                  "journal record adds handle 1 on 0->5, which has a "
+                  "non-positive period, length or deadline"},
+        std::pair{R"([1,2,1,0,5,2,50,10,40,2])",
+                  "journal record adds handle 1 on 0->5, which has an "
+                  "unknown route order"}}) {
     std::string parse_error;
     const Json reply = Json::parse(
         std::string(R"({"ok":true,"records":[[1,1,0,0,5,2,50,10,40,0],)") +
@@ -1670,6 +1696,106 @@ TEST_F(JournalTest, FollowerAppliesAPullAllOrNothing) {
     EXPECT_EQ(follower.population(), 0u) << second;
     EXPECT_EQ(follower.durable_lsn(), 0u) << second;
   }
+}
+
+TEST_F(JournalTest, RecoveryRefusesABadAddAndNamesIt) {
+  // A CRC-valid ADD of a stream the fabric cannot carry, written as a
+  // journal record or as a snapshot row: open_state refuses the state
+  // dir, naming the row, before the engine takes any of it.
+  topo::Mesh mesh(4, 4);
+  const route::XYRouting routing;
+  JournalConfig fabric = config();
+  fabric.fingerprint = mesh.fingerprint();
+  const std::string why =
+      ": journal record adds handle 1 on 0->999, which does not join two "
+      "distinct nodes of this topology";
+  for (const bool in_snapshot : {false, true}) {
+    std::filesystem::remove_all(dir_);
+    {
+      Journal journal(fabric);
+      RecoveredState state;
+      std::string error;
+      ASSERT_TRUE(journal.open(&state, &error)) << error;
+      ASSERT_TRUE(
+          journal.append(JournalRecord::Type::kAdd, entry(0, 0, 5), &error))
+          << error;
+      if (in_snapshot) {
+        ASSERT_TRUE(journal.write_snapshot(
+            2, {entry(0, 0, 5), entry(1, 0, 999)}, {}, &error))
+            << error;
+      } else {
+        ASSERT_TRUE(journal.append(JournalRecord::Type::kAdd,
+                                   entry(1, 0, 999), &error))
+            << error;
+      }
+    }
+    ServiceOptions options;
+    options.state_dir = dir_;
+    Service service(mesh, routing, {}, options);
+    std::string error;
+    EXPECT_FALSE(service.open_state(&error)) << in_snapshot;
+    EXPECT_EQ(error, dir_ + why) << in_snapshot;
+    EXPECT_EQ(service.population(), 0u) << in_snapshot;
+  }
+}
+
+// --- semi-synchronous replication -------------------------------------
+
+TEST_F(JournalTest, SyncReplicationAcksOnTimeoutAndCountsIt) {
+  topo::Mesh mesh(4, 4);
+  const route::XYRouting routing;
+  ServiceOptions options;
+  options.state_dir = dir_;
+  options.sync_replication = true;
+  options.sync_replication_timeout_ms = 50;
+  Service primary(mesh, routing, {}, options);
+  std::string error;
+  ASSERT_TRUE(primary.open_state(&error)) << error;
+  Json metrics_verb = Json::object();
+  metrics_verb.set("verb", "METRICS");
+  const auto timeouts = [&] {
+    return testing::metric_count(primary.handle(metrics_verb),
+                                 "wormrt_repl_sync_timeouts_total");
+  };
+
+  // No follower: the REQUEST (LSN 1) is still acked, once the wait for
+  // one has timed out, and the degraded ack is counted and reported.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(primary.handle(request_line(0, 5, 2, 60, 8, 50))
+                  .get("admitted")
+                  ->as_bool());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(timeouts(), 1);
+  EXPECT_NE(primary.handle(metrics_verb)
+                .get("prometheus")
+                ->as_string()
+                .find("\nwormrt_repl_sync_timeouts_total 1\n"),
+            std::string::npos);
+  Json health_verb = Json::object();
+  health_verb.set("verb", "HEALTH");
+  const Json health = primary.handle(health_verb);
+  EXPECT_EQ(health.get("status")->as_string(), "degraded");
+  const std::vector<Json>& reasons = health.get("reasons")->items();
+  EXPECT_TRUE(std::any_of(reasons.begin(), reasons.end(), [](const Json& r) {
+    return r.as_string() ==
+           "replication_sync_timeouts: 1 acks degraded to async replication";
+  })) << health.dump();
+
+  // A follower whose pull reports LSN 2 durable covers the next REQUEST
+  // (LSN 2) in advance: its ack adds no timeout.
+  Json pull = Json::object();
+  pull.set("verb", "REPL_PULL");
+  pull.set("from_lsn", std::int64_t{2});
+  pull.set("durable_lsn", std::int64_t{2});
+  pull.set("follower_id", "f1");
+  pull.set("wait_ms", std::int64_t{0});
+  ASSERT_TRUE(primary.handle(pull).get("ok")->as_bool());
+  EXPECT_TRUE(primary.handle(request_line(1, 6, 2, 60, 8, 50))
+                  .get("admitted")
+                  ->as_bool());
+  EXPECT_EQ(primary.durable_lsn(), 2u);
+  EXPECT_EQ(timeouts(), 1);
 }
 
 }  // namespace

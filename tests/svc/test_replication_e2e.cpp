@@ -457,7 +457,7 @@ TEST(ReplicationE2E, CliServerListExitCodes) {
   std::string out;
   // Nobody listening anywhere: transport failure.
   EXPECT_EQ(run(std::string(WORMRT_CLI_BIN) + " --server unix:" + dead +
-                    ",unix:" + dead + "2 stats",
+                    ",unix:" + dead + "2 metrics",
                 &out),
             2);
 
@@ -468,7 +468,7 @@ TEST(ReplicationE2E, CliServerListExitCodes) {
                                 f_dir});
   daemon.wait_ready();
   EXPECT_EQ(run(std::string(WORMRT_CLI_BIN) + " --server unix:" + dead +
-                    ",unix:" + f_sock + " stats",
+                    ",unix:" + f_sock + " metrics",
                 &out),
             0)
       << out;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics_reply.hpp"
 #include "svc/json.hpp"
 
 #include "route/dor.hpp"
@@ -130,7 +131,7 @@ TEST_F(ServerLimits, NewlineFreeGarbageIsShedAtTheLineCap) {
   // A well-behaved client on a fresh connection is unaffected.
   const int fd2 = raw_connect(server_->port());
   ASSERT_GE(fd2, 0);
-  ASSERT_TRUE(send_all(fd2, "{\"verb\":\"STATS\"}\n"));
+  ASSERT_TRUE(send_all(fd2, "{\"verb\":\"HISTORY\"}\n"));
   EXPECT_NE(read_reply(fd2).find("\"ok\":true"), std::string::npos);
   ::close(fd2);
 }
@@ -142,7 +143,7 @@ TEST_F(ServerLimits, ALineJustUnderTheCapStillParses) {
   const int fd = raw_connect(server_->port());
   ASSERT_GE(fd, 0);
   // Pad a valid request to just under the cap with an ignored field.
-  std::string line = "{\"verb\":\"STATS\",\"pad\":\"";
+  std::string line = "{\"verb\":\"HISTORY\",\"pad\":\"";
   line.append(4096 - line.size() - 3, 'x');
   line += "\"}\n";
   ASSERT_TRUE(send_all(fd, line));
@@ -164,7 +165,7 @@ TEST_F(ServerLimits, ConnectionsBeyondTheCapAreShedWithAnHonestReply) {
   ASSERT_TRUE(first.connect_tcp("127.0.0.1", server_->port(), &error))
       << error;
   std::string reply;
-  ASSERT_TRUE(first.call("{\"verb\":\"STATS\"}", &reply, &error)) << error;
+  ASSERT_TRUE(first.call("{\"verb\":\"HISTORY\"}", &reply, &error)) << error;
 
   // The second is shed at accept: one reply, then the boot.
   const int fd = raw_connect(server_->port());
@@ -179,7 +180,7 @@ TEST_F(ServerLimits, ConnectionsBeyondTheCapAreShedWithAnHonestReply) {
   for (int i = 0; i < 100; ++i) {  // the close needs a moment to land
     const int fd2 = raw_connect(server_->port());
     ASSERT_GE(fd2, 0);
-    if (send_all(fd2, "{\"verb\":\"STATS\"}\n") &&
+    if (send_all(fd2, "{\"verb\":\"HISTORY\"}\n") &&
         read_reply(fd2).find("\"ok\":true") != std::string::npos) {
       ::close(fd2);
       return;
@@ -206,7 +207,7 @@ TEST_F(ServerLimits, IdleConnectionsAreReaped) {
 TEST_F(ServerLimits, IdleConnectionsNeverStarveNewClients) {
   // Regression for the thread-per-connection accept stall: with one
   // dispatch worker, a single idle connection used to pin the only
-  // worker inside recv() forever, so a second client's STATS never got
+  // worker inside recv() forever, so a second client's request never got
   // an answer (and under a connection flood, accept itself stalled
   // behind the full submit queue).  The event loop owns reads and
   // accepts now; idle connections cost no worker at all.
@@ -229,9 +230,9 @@ TEST_F(ServerLimits, IdleConnectionsNeverStarveNewClients) {
   timeval tv = {};
   tv.tv_sec = 5;
   ASSERT_EQ(::setsockopt(probe, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv), 0);
-  ASSERT_TRUE(send_all(probe, "{\"verb\":\"STATS\"}\n"));
+  ASSERT_TRUE(send_all(probe, "{\"verb\":\"HISTORY\"}\n"));
   EXPECT_NE(read_reply(probe).find("\"ok\":true"), std::string::npos)
-      << "STATS probe starved behind idle connections";
+      << "HISTORY probe starved behind idle connections";
   ::close(probe);
   for (const int fd : idlers) {
     ::close(fd);
@@ -264,7 +265,7 @@ TEST_F(ServerLimits, PipelinedRequestsAnswerInOrder) {
     req.set("deadline", std::int64_t{100000});
     requests.push_back(req.dump());
   }
-  requests.push_back("{\"verb\":\"STATS\"}");
+  requests.push_back("{\"verb\":\"METRICS\"}");
 
   std::vector<std::string> responses;
   ASSERT_TRUE(client.call_pipelined(requests, &responses, &error)) << error;
@@ -280,9 +281,9 @@ TEST_F(ServerLimits, PipelinedRequestsAnswerInOrder) {
         << "responses arrived out of request order";
   }
   std::string parse_error;
-  const Json stats = Json::parse(responses.back(), &parse_error);
+  const Json metrics = Json::parse(responses.back(), &parse_error);
   ASSERT_TRUE(parse_error.empty()) << parse_error;
-  EXPECT_EQ(stats.get("verbs")->get("requests")->as_int(), 24);
+  EXPECT_EQ(testing::verb_count(metrics, "REQUEST"), 24);
   client.close();
 }
 
@@ -302,7 +303,7 @@ TEST_F(ServerLimits, StopIsPromptWithOpenIdleConnections) {
   std::string error, reply;
   ASSERT_TRUE(client.connect_tcp("127.0.0.1", server_->port(), &error))
       << error;
-  ASSERT_TRUE(client.call("{\"verb\":\"STATS\"}", &reply, &error)) << error;
+  ASSERT_TRUE(client.call("{\"verb\":\"HISTORY\"}", &reply, &error)) << error;
 
   // stop() must wake every epoll loop via its eventfd instead of
   // waiting out the 30 s idle timer (or for the idlers to speak).
@@ -377,7 +378,7 @@ TEST(ClientRetry, IdempotentCallsSurviveAServerRestart) {
   Client client;
   ASSERT_TRUE(client.connect_unix(path, &error)) << error;
   std::string reply;
-  ASSERT_TRUE(client.call("{\"verb\":\"STATS\"}", &reply, &error)) << error;
+  ASSERT_TRUE(client.call("{\"verb\":\"METRICS\"}", &reply, &error)) << error;
 
   // Bounce the server: the client's socket now points at a dead peer.
   a.reset();
@@ -386,14 +387,14 @@ TEST(ClientRetry, IdempotentCallsSurviveAServerRestart) {
   ASSERT_TRUE(b.start(&error)) << error;
 
   // A plain call fails...
-  EXPECT_FALSE(client.call("{\"verb\":\"STATS\"}", &reply, &error));
+  EXPECT_FALSE(client.call("{\"verb\":\"METRICS\"}", &reply, &error));
 
   // ...the retrying call reconnects to the remembered endpoint.
   RetryPolicy policy;
   policy.max_retries = 3;
   policy.base_delay_ms = 1;
   int attempts = 0;
-  ASSERT_TRUE(client.call_with_retry("{\"verb\":\"STATS\"}", policy, &reply,
+  ASSERT_TRUE(client.call_with_retry("{\"verb\":\"METRICS\"}", policy, &reply,
                                      &error, &attempts))
       << error;
   EXPECT_GE(attempts, 2);
@@ -426,15 +427,16 @@ TEST(ClientRetry, IdempotentCallsSurviveAServerRestart) {
 TEST(ClientRetry, VerbClassificationIsExplicit) {
   // Reads replay harmlessly, and PROMOTE on a primary only reports the
   // standing role.
-  for (const char* verb : {"QUERY", "EXPLAIN", "SNAPSHOT", "STATS",
-                           "METRICS", "HEALTH", "HISTORY", "PROMOTE"}) {
+  for (const char* verb : {"QUERY", "EXPLAIN", "SNAPSHOT", "METRICS",
+                           "HEALTH", "HISTORY", "PROMOTE"}) {
     EXPECT_TRUE(Client::idempotent_verb(verb)) << verb;
   }
   // A resent REPORT double-counts an observation; the rest mutate state
   // or a replication cursor.
   for (const char* verb :
        {"REQUEST", "REMOVE", "SHUTDOWN", "REPORT", "BATCH", "LINK_DOWN",
-        "LINK_UP", "REPL_HELLO", "REPL_SNAPSHOT", "REPL_PULL", "", "bogus"}) {
+        "LINK_UP", "REPL_HELLO", "REPL_SNAPSHOT", "REPL_PULL", "STATS", "",
+        "bogus"}) {
     EXPECT_FALSE(Client::idempotent_verb(verb)) << verb;
   }
 }

@@ -15,6 +15,7 @@
 
 #include "core/admission.hpp"
 #include "core/stream_io.hpp"
+#include "metrics_reply.hpp"
 #include "route/dor.hpp"
 #include "svc/json.hpp"
 #include "svc/server.hpp"
@@ -26,6 +27,9 @@ namespace wormrt {
 namespace {
 
 using svc::Json;
+using svc::testing::metric_child;
+using svc::testing::metric_count;
+using svc::testing::verb_count;
 
 TEST(Json, RoundTripsScalarsArraysAndObjects) {
   Json obj = Json::object();
@@ -275,9 +279,9 @@ TEST_F(ServiceTest, ValidationAndErrorPaths) {
   EXPECT_TRUE(removed.get("ok")->as_bool());
   EXPECT_FALSE(removed.get("removed")->as_bool());
 
-  const Json stats = call(R"({"verb":"STATS"})");
-  EXPECT_TRUE(stats.get("ok")->as_bool());
-  EXPECT_GE(stats.get("verbs")->get("errors")->as_int(), 9);
+  const Json metrics = call(R"({"verb":"METRICS"})");
+  EXPECT_TRUE(metrics.get("ok")->as_bool());
+  EXPECT_GE(metric_count(metrics, "wormrt_errors_total"), 9);
 }
 
 TEST_F(ServiceTest, HostileLinesNeverEscapeAsExceptions) {
@@ -323,10 +327,11 @@ TEST_F(ServiceTest, ShutdownVerbRaisesTheFlag) {
 TEST_F(ServiceTest, StatsCountLatencySamplesPerRequest) {
   call(request_line(0, 5, 2, 50, 20, 250));
   call(request_line(16, 21, 1, 60, 10, 300));
-  const Json stats = call(R"({"verb":"STATS"})");
-  EXPECT_EQ(stats.get("latency")->get("count")->as_int(), 2);
-  EXPECT_GT(stats.get("latency")->get("p99_us")->as_double(), 0.0);
-  EXPECT_FALSE(stats.get("histogram")->as_string().empty());
+  const Json metrics = call(R"({"verb":"METRICS"})");
+  const Json* latency = metric_child(metrics, "wormrt_admission_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->get("count")->as_int(), 2);
+  EXPECT_GT(latency->get("p99")->as_double(), 0.0);
 }
 
 TEST_F(ServiceTest, MetricsVerbReturnsPrometheusTextAndJson) {
@@ -420,9 +425,9 @@ TEST_F(ServiceTest, StatsCountsExplainsAndCacheHits) {
   e.set("verb", "EXPLAIN");
   e.set("handle", admitted.get("handle")->as_int());
   call(e.dump());
-  const Json stats = call(R"({"verb":"STATS"})");
-  EXPECT_EQ(stats.get("verbs")->get("explains")->as_int(), 1);
-  EXPECT_GE(stats.get("engine")->get("bound_cache_hits")->as_int(), 0);
+  const Json metrics = call(R"({"verb":"METRICS"})");
+  EXPECT_EQ(verb_count(metrics, "EXPLAIN"), 1);
+  EXPECT_GE(metric_count(metrics, "wormrt_engine_bound_cache_hits_total"), 0);
 }
 
 TEST_F(ServiceTest, BatchVerbDispatchesSubRequestsInOrder) {
@@ -466,11 +471,13 @@ TEST_F(ServiceTest, BatchVerbDispatchesSubRequestsInOrder) {
   // A failing sub-request fails alone; the batch itself is still ok.
   EXPECT_FALSE(replies[3].get("ok")->as_bool());
 
-  // STATS counts the sub-verbs, not the envelope.
-  const Json stats = call(R"({"verb":"STATS"})");
-  EXPECT_EQ(stats.get("verbs")->get("requests")->as_int(), 2);
-  EXPECT_EQ(stats.get("verbs")->get("admitted")->as_int(), 2);
-  EXPECT_EQ(stats.get("population")->as_int(), 2);
+  // METRICS counts the sub-verbs, not the envelope.
+  const Json metrics = call(R"({"verb":"METRICS"})");
+  EXPECT_EQ(verb_count(metrics, "REQUEST"), 2);
+  EXPECT_EQ(metric_count(metrics, "wormrt_admission_decisions_total",
+                         "decision", "admitted"),
+            2);
+  EXPECT_EQ(metric_count(metrics, "wormrt_population"), 2);
 }
 
 TEST_F(ServiceTest, BatchVerbRejectsAbuse) {
@@ -493,9 +500,9 @@ TEST_F(ServiceTest, BatchVerbRejectsAbuse) {
   big.set("verb", "BATCH");
   Json many = Json::array();
   for (int i = 0; i < 4097; ++i) {
-    Json stats = Json::object();
-    stats.set("verb", "STATS");
-    many.push_back(std::move(stats));
+    Json metrics = Json::object();
+    metrics.set("verb", "METRICS");
+    many.push_back(std::move(metrics));
   }
   big.set("requests", std::move(many));
   const Json refused = call(big.dump());
@@ -546,9 +553,9 @@ TEST_F(ServiceTest, IntegerFieldsAcceptOnlyJsonIntegers) {
 TEST_F(ServiceTest, EveryVerbHasOneClassification) {
   const std::vector<std::string> verbs = {
       "REQUEST",   "REMOVE",   "QUERY",      "EXPLAIN",       "SNAPSHOT",
-      "STATS",     "METRICS",  "REPORT",     "HEALTH",        "HISTORY",
-      "BATCH",     "LINK_DOWN", "LINK_UP",   "SHUTDOWN",      "REPL_HELLO",
-      "REPL_SNAPSHOT", "REPL_PULL", "PROMOTE"};
+      "METRICS",   "REPORT",   "HEALTH",     "HISTORY",       "BATCH",
+      "LINK_DOWN", "LINK_UP",  "SHUTDOWN",   "REPL_HELLO",    "REPL_SNAPSHOT",
+      "REPL_PULL", "PROMOTE"};
   const std::vector<std::string> primary_only = {
       "REQUEST", "REMOVE",     "BATCH",         "LINK_DOWN",
       "LINK_UP", "REPL_HELLO", "REPL_SNAPSHOT", "REPL_PULL"};
@@ -619,29 +626,9 @@ TEST_F(ServiceTest, EveryVerbHasOneClassification) {
   EXPECT_EQ(error_of(replies.back()), "unknown verb: FROBNICATE");
   EXPECT_EQ(error_of(call(R"({"verb":"FROBNICATE"})")),
             "unknown verb: FROBNICATE");
-
-  // STATS keeps its key order.
-  const auto keys_of = [](const Json& object) {
-    std::vector<std::string> keys;
-    for (const auto& member : object.members()) {
-      keys.push_back(member.first);
-    }
-    return keys;
-  };
-  const Json stats = call(R"({"verb":"STATS"})");
-  EXPECT_EQ(keys_of(stats),
-            (std::vector<std::string>{"ok", "population", "verbs", "engine",
-                                      "latency", "histogram"}));
-  EXPECT_EQ(keys_of(*stats.get("verbs")),
-            (std::vector<std::string>{
-                "requests", "admitted", "rejected", "removes", "queries",
-                "explains", "snapshots", "stats", "link_downs", "link_ups",
-                "metrics", "reports", "healths", "histories", "link_evicted",
-                "link_rerouted", "errors"}));
-  EXPECT_EQ(keys_of(*stats.get("engine")),
-            (std::vector<std::string>{"adds", "removes", "bound_recomputes",
-                                      "dirty_marked", "edge_updates",
-                                      "bound_cache_hits"}));
+  // METRICS is the one metrics exposition: STATS is gone, not aliased.
+  EXPECT_EQ(service_.handle_line(R"({"verb":"STATS"})"),
+            R"({"ok":false,"error":"unknown verb: STATS"})");
 
   // METRICS keeps its exposition order: the service's own families
   // first, the per-verb counters in registration order.
@@ -654,7 +641,6 @@ TEST_F(ServiceTest, EveryVerbHasOneClassification) {
         "wormrt_requests_total{verb=\"QUERY\"}",
         "wormrt_requests_total{verb=\"EXPLAIN\"}",
         "wormrt_requests_total{verb=\"SNAPSHOT\"}",
-        "wormrt_requests_total{verb=\"STATS\"}",
         "wormrt_requests_total{verb=\"METRICS\"}",
         "wormrt_requests_total{verb=\"LINK_DOWN\"}",
         "wormrt_requests_total{verb=\"LINK_UP\"}",
@@ -762,10 +748,10 @@ TEST_F(ServiceLinkTest, LinkDownEvictsReroutesAndReportsTheCascade) {
   EXPECT_TRUE(upr.get("evicted")->items().empty());
   EXPECT_TRUE(upr.get("rerouted")->items().empty());
 
-  // Both mutations are visible in STATS.
-  const Json stats = call(R"({"verb":"STATS"})");
-  EXPECT_EQ(stats.get("verbs")->get("link_downs")->as_int(), 1);
-  EXPECT_EQ(stats.get("verbs")->get("link_ups")->as_int(), 1);
+  // Both mutations are visible in METRICS.
+  const Json metrics = call(R"({"verb":"METRICS"})");
+  EXPECT_EQ(verb_count(metrics, "LINK_DOWN"), 1);
+  EXPECT_EQ(verb_count(metrics, "LINK_UP"), 1);
 }
 
 TEST_F(ServiceLinkTest, LinkVerbsRejectNoOpsBadAddressingAndBatch) {
@@ -897,16 +883,17 @@ TEST(ServerSocket, ServesClientsOverUnixSocket) {
   }
 
   std::string response;
-  ASSERT_TRUE(client.call(R"({"verb":"STATS"})", &response, &error)) << error;
-  const Json stats = Json::parse(response, &error);
+  ASSERT_TRUE(client.call(R"({"verb":"METRICS"})", &response, &error))
+      << error;
+  const Json metrics = Json::parse(response, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(stats.get("verbs")->get("requests")->as_int(), 40);
-  EXPECT_GE(stats.get("verbs")->get("queries")->as_int(), 40);
-  EXPECT_EQ(stats.get("population")->as_int(),
+  EXPECT_EQ(verb_count(metrics, "REQUEST"), 40);
+  EXPECT_GE(verb_count(metrics, "QUERY"), 40);
+  EXPECT_EQ(metric_count(metrics, "wormrt_population"),
             static_cast<std::int64_t>(replay.size()));
 
   server.stop();
-  EXPECT_FALSE(client.call(R"({"verb":"STATS"})", &response, &error));
+  EXPECT_FALSE(client.call(R"({"verb":"METRICS"})", &response, &error));
 }
 
 TEST(ServerSocket, ServesClientsOverLoopbackTcp) {

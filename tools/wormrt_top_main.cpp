@@ -4,9 +4,9 @@
 //   wormrt-top --port 4817 --interval-ms 250
 //   wormrt-top --socket /tmp/wormrtd.sock --once       # one plain snapshot
 //
-// Each refresh polls the daemon's HEALTH, STATS and HISTORY verbs and
+// Each refresh polls the daemon's HEALTH, METRICS and HISTORY verbs and
 // renders: a health banner with machine-readable reasons, verb counters
-// with per-second rates (delta of two consecutive STATS polls), dispatch
+// with per-second rates (delta of two consecutive METRICS polls), dispatch
 // latency quantiles, the tightest-slack streams joined with reported
 // conformance observations, the busiest channels as utilization bars,
 // and sparklines of the sampled history series.
@@ -87,6 +87,39 @@ bool poll(Client& client, const char* verb, Json* out, std::string* error) {
   return true;
 }
 
+/// The child \p name of a METRICS reply's "metrics" block whose label
+/// \p key reads \p value (any child when \p key is null), or nullptr.
+const Json* metric(const Json& metrics, const std::string& name,
+                   const char* key = nullptr, const char* value = nullptr) {
+  const Json* block = metrics.get("metrics");
+  const Json* list = block != nullptr ? block->get("metrics") : nullptr;
+  if (list == nullptr || !list->is_array()) {
+    return nullptr;
+  }
+  for (const Json& child : list->items()) {
+    if (str_or(child.get("name"), "") != name) {
+      continue;
+    }
+    const Json* labels = child.get("labels");
+    if (key == nullptr ||
+        (labels != nullptr && str_or(labels->get(key), "") == value)) {
+      return &child;
+    }
+  }
+  return nullptr;
+}
+
+/// A counter's or gauge's value from a METRICS reply (0 when absent).
+std::int64_t count_of(const Json& metrics, const std::string& name,
+                      const char* key = nullptr, const char* value = nullptr) {
+  const Json* child = metric(metrics, name, key, value);
+  return int_or(child != nullptr ? child->get("value") : nullptr, 0);
+}
+
+std::int64_t verb_count(const Json& metrics, const char* verb) {
+  return count_of(metrics, "wormrt_requests_total", "verb", verb);
+}
+
 /// "#####----- 50.0%" — fixed-width ASCII utilization bar.
 std::string bar(double fraction, int width) {
   fraction = std::min(1.0, std::max(0.0, fraction));
@@ -130,15 +163,11 @@ struct RateTracker {
   double reports_per_s = 0.0;
   double removes_per_s = 0.0;
 
-  void update(const Json& stats) {
-    const Json* verbs = stats.get("verbs");
-    if (verbs == nullptr || !verbs->is_object()) {
-      return;
-    }
+  void update(const Json& metrics) {
     const auto now = std::chrono::steady_clock::now();
-    const std::int64_t requests_now = int_or(verbs->get("requests"), 0);
-    const std::int64_t reports_now = int_or(verbs->get("reports"), 0);
-    const std::int64_t removes_now = int_or(verbs->get("removes"), 0);
+    const std::int64_t requests_now = verb_count(metrics, "REQUEST");
+    const std::int64_t reports_now = verb_count(metrics, "REPORT");
+    const std::int64_t removes_now = verb_count(metrics, "REMOVE");
     if (primed) {
       const double dt =
           std::chrono::duration<double>(now - at).count();
@@ -157,7 +186,7 @@ struct RateTracker {
   }
 };
 
-void render(const Json& health, const Json& stats, const Json& history,
+void render(const Json& health, const Json& metrics, const Json& history,
             const RateTracker& rates, int top_n) {
   // --- health banner ---------------------------------------------------
   const std::string status = str_or(health.get("status"), "unknown");
@@ -213,38 +242,40 @@ void render(const Json& health, const Json& stats, const Json& history,
   }
 
   // --- verbs + rates ---------------------------------------------------
-  const Json* verbs = stats.get("verbs");
-  if (verbs != nullptr && verbs->is_object()) {
+  if (metric(metrics, "wormrt_requests_total") != nullptr) {
     std::printf(
         "population %-6lld requests %-8lld (%.1f/s)  removes %-8lld "
         "(%.1f/s)  reports %-8lld (%.1f/s)  errors %lld\n",
-        static_cast<long long>(int_or(stats.get("population"), 0)),
-        static_cast<long long>(int_or(verbs->get("requests"), 0)),
+        static_cast<long long>(count_of(metrics, "wormrt_population")),
+        static_cast<long long>(verb_count(metrics, "REQUEST")),
         rates.requests_per_s,
-        static_cast<long long>(int_or(verbs->get("removes"), 0)),
+        static_cast<long long>(verb_count(metrics, "REMOVE")),
         rates.removes_per_s,
-        static_cast<long long>(int_or(verbs->get("reports"), 0)),
+        static_cast<long long>(verb_count(metrics, "REPORT")),
         rates.reports_per_s,
-        static_cast<long long>(int_or(verbs->get("errors"), 0)));
+        static_cast<long long>(count_of(metrics, "wormrt_errors_total")));
     std::printf(
         "admitted %lld  rejected %lld  link_downs %lld  link_evicted "
         "%lld  link_rerouted %lld\n",
-        static_cast<long long>(int_or(verbs->get("admitted"), 0)),
-        static_cast<long long>(int_or(verbs->get("rejected"), 0)),
-        static_cast<long long>(int_or(verbs->get("link_downs"), 0)),
-        static_cast<long long>(int_or(verbs->get("link_evicted"), 0)),
-        static_cast<long long>(int_or(verbs->get("link_rerouted"), 0)));
+        static_cast<long long>(count_of(metrics,
+                                        "wormrt_admission_decisions_total",
+                                        "decision", "admitted")),
+        static_cast<long long>(count_of(metrics,
+                                        "wormrt_admission_decisions_total",
+                                        "decision", "rejected")),
+        static_cast<long long>(verb_count(metrics, "LINK_DOWN")),
+        static_cast<long long>(count_of(metrics, "wormrt_link_streams_total",
+                                        "outcome", "evicted")),
+        static_cast<long long>(count_of(metrics, "wormrt_link_streams_total",
+                                        "outcome", "rerouted")));
   }
-  const Json* latency = stats.get("latency");
-  if (latency != nullptr && latency->is_object() &&
-      int_or(latency->get("count"), 0) > 0) {
+  const Json* latency = metric(metrics, "wormrt_admission_latency_us");
+  if (latency != nullptr && int_or(latency->get("count"), 0) > 0) {
     std::printf(
         "dispatch latency: p50 %.0fus  p99 %.0fus  p999 %.0fus  max "
         "%.0fus  (n=%lld)\n",
-        num_or(latency->get("p50_us"), 0.0),
-        num_or(latency->get("p99_us"), 0.0),
-        num_or(latency->get("p999_us"), 0.0),
-        num_or(latency->get("max_us"), 0.0),
+        num_or(latency->get("p50"), 0.0), num_or(latency->get("p99"), 0.0),
+        num_or(latency->get("p999"), 0.0), num_or(latency->get("max"), 0.0),
         static_cast<long long>(int_or(latency->get("count"), 0)));
   }
 
@@ -385,7 +416,7 @@ int main(int argc, char** argv) {
 
   RateTracker rates;
   Json health = Json::object();
-  Json stats = Json::object();
+  Json metrics = Json::object();
   Json history = Json::object();
   bool ever_polled = false;
   while (g_stop == 0) {
@@ -396,9 +427,9 @@ int main(int argc, char** argv) {
     } else {
       polled = false;
     }
-    if (poll(client, "STATS", &fresh, &error)) {
-      stats = std::move(fresh);
-      rates.update(stats);
+    if (poll(client, "METRICS", &fresh, &error)) {
+      metrics = std::move(fresh);
+      rates.update(metrics);
     } else {
       polled = false;
     }
@@ -418,7 +449,7 @@ int main(int argc, char** argv) {
       // Home + clear-to-end redraw keeps the refresh flicker-free.
       std::printf("\x1b[H\x1b[2J");
     }
-    render(health, stats, history, rates, top_n);
+    render(health, metrics, history, rates, top_n);
     if (!polled) {
       std::printf("(poll failed: %s — showing last good data)\n",
                   error.c_str());
