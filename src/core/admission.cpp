@@ -199,11 +199,28 @@ AdmissionController::LinkMutation AdmissionController::link_up(
 void AdmissionController::restore(topo::NodeId src, topo::NodeId dst,
                                   Priority priority, Time period, Time length,
                                   Time deadline, Handle handle,
-                                  int route_order) {
-  engine_.add_stream(make_stream_with_order(topo_, /*id=*/0, src, dst,
-                                            priority, period, length, deadline,
-                                            route_order),
-                     handle);
+                                  int route_order, StreamId position) {
+  MessageStream stream = make_stream_with_order(
+      topo_, /*id=*/0, src, dst, priority, period, length, deadline,
+      route_order);
+  if (position == kNoStream ||
+      static_cast<std::size_t>(position) >= engine_.size()) {
+    engine_.add_stream(std::move(stream), handle);
+    return;
+  }
+  // Lift from the back (no id shifts), then re-add in engine order.
+  std::vector<std::pair<Handle, MessageStream>> lifted;
+  engine_.begin_batch();
+  while (engine_.size() > static_cast<std::size_t>(position)) {
+    const auto last = static_cast<StreamId>(engine_.size() - 1);
+    lifted.emplace_back(engine_.handle_of(last), engine_.streams()[last]);
+    engine_.remove_stream(lifted.back().first);
+  }
+  engine_.add_stream(std::move(stream), handle);
+  for (auto it = lifted.rbegin(); it != lifted.rend(); ++it) {
+    engine_.add_stream(std::move(it->second), it->first);
+  }
+  engine_.end_batch();
 }
 
 void AdmissionController::unadmit(Handle handle) {

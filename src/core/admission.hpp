@@ -157,9 +157,17 @@ class AdmissionController {
   /// digraph, bounds, handle numbering) bit for bit — rejected requests
   /// leave no trace (their trial handle is released on rollback), so
   /// the admitted mutation sequence fully determines the state.
+  ///
+  /// A \p position below size() re-inserts the stream at that dense id
+  /// instead of appending it: the streams from there on are lifted and
+  /// re-added under their own handles inside one engine batch (exact,
+  /// see IncrementalAnalyzer::begin_batch).  That undoes a teardown
+  /// whose commit failed, restoring the engine order the journal — and
+  /// so recovery and every follower — still has.
   void restore(topo::NodeId src, topo::NodeId dst, Priority priority,
                Time period, Time length, Time deadline, Handle handle,
-               int route_order = route::kRouteOrderPrimary);
+               int route_order = route::kRouteOrderPrimary,
+               StreamId position = kNoStream);
 
   /// Undoes an admission that could not be made durable (journal append
   /// failed): removes the stream and returns the handle to the pool.

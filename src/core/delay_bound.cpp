@@ -105,8 +105,9 @@ void DelayBoundCalculator::evaluate(StreamId j, const HpSet& hp,
   result.bound = diagram.accumulate_free(streams_[j].latency);
 }
 
-DelayBoundResult DelayBoundCalculator::calc_with_hp(StreamId j,
-                                                    const HpSet& hp) const {
+DelayBoundResult DelayBoundCalculator::calc_with_hp(
+    StreamId j, const HpSet& hp,
+    std::optional<TimingDiagram>* final_diagram) const {
   OBS_SPAN("cal_u");
   const auto& s = streams_[j];
   DelayBoundResult result;
@@ -126,6 +127,7 @@ DelayBoundResult DelayBoundCalculator::calc_with_hp(StreamId j,
       // Even a contention-free diagram cannot accumulate `latency` free
       // slots before the deadline: infeasible without building anything.
       result.bound = kNoTime;
+      result.deadline_pruned = true;
       return result;
     }
     // Prefix rungs up to D_j itself: a bound at or before the diagram's
@@ -140,11 +142,15 @@ DelayBoundResult DelayBoundCalculator::calc_with_hp(StreamId j,
       evaluate(j, hp, diagram, result);
       if (prefix == horizon ||
           (result.bound != kNoTime && result.bound <= diagram.exact_until())) {
-        return result;
+        break;
       }
       prefix = std::min(prefix * kPrefixGrowth, horizon);
       diagram.reset(prefix);
     }
+    if (final_diagram != nullptr) {
+      final_diagram->emplace(std::move(diagram));
+    }
+    return result;
   }
 
   // Extended search: doubling horizons until the bound converges or the
@@ -159,11 +165,16 @@ DelayBoundResult DelayBoundCalculator::calc_with_hp(StreamId j,
     result.horizon_used = horizon;
     evaluate(j, hp, diagram, result);
     if (result.bound != kNoTime || horizon >= config_.horizon_cap) {
-      return result;
+      break;
     }
     horizon = std::min<Time>(horizon * 2, config_.horizon_cap);
+    ++result.horizon_doublings;
     diagram.reset(horizon);
   }
+  if (final_diagram != nullptr) {
+    final_diagram->emplace(std::move(diagram));
+  }
+  return result;
 }
 
 DelayBoundResult DelayBoundCalculator::calc(StreamId j) const {

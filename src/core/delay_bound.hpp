@@ -27,6 +27,11 @@ struct DelayBoundResult {
   int indirect_elements = 0;
   /// Number of DIRECT elements in the HP set.
   int direct_elements = 0;
+  /// Horizon doublings the kExtended search made (0 under kDeadline).
+  int horizon_doublings = 0;
+  /// True when L_j alone exceeds the deadline horizon: infeasibility was
+  /// proved without building a diagram.
+  bool deadline_pruned = false;
 };
 
 /// Computes delay upper bounds for the streams of one StreamSet.
@@ -61,8 +66,13 @@ class DelayBoundCalculator {
 
   /// Cal_U(j) against an explicit HP set (used to reproduce the paper's
   /// published Section 4.4 variant, whose HP_3 differs from the
-  /// channel-overlap-consistent one; see DESIGN.md).
-  DelayBoundResult calc_with_hp(StreamId j, const HpSet& hp) const;
+  /// channel-overlap-consistent one; see DESIGN.md).  A non-null
+  /// \p final_diagram receives the diagram the bound was read from,
+  /// relaxed when the relaxation ran (left empty when deadline_pruned)
+  /// — what EXPLAIN attributes the bound to.
+  DelayBoundResult calc_with_hp(
+      StreamId j, const HpSet& hp,
+      std::optional<TimingDiagram>* final_diagram = nullptr) const;
 
   /// Builds the (optionally relaxed) timing diagram of stream \p j at a
   /// fixed horizon — the figures bench renders these as in Figs. 4-9.

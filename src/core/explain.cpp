@@ -1,7 +1,7 @@
 #include "core/explain.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "obs/trace.hpp"
 
@@ -11,43 +11,25 @@ BoundProvenance explain_bound(const DelayBoundCalculator& calc, StreamId j,
                               const HpSet& hp) {
   OBS_SPAN("explain_bound");
   const MessageStream& s = calc.streams()[j];
-  const AnalysisConfig& cfg = calc.config();
 
   BoundProvenance p;
   p.stream = j;
   p.deadline = s.deadline;
   p.base_latency = s.latency;
 
-  const DelayBoundResult result = calc.calc_with_hp(j, hp);
+  std::optional<TimingDiagram> final_diagram;
+  const DelayBoundResult result = calc.calc_with_hp(j, hp, &final_diagram);
   p.bound = result.bound;
   p.horizon_used = result.horizon_used;
+  p.horizon_doublings = result.horizon_doublings;
   p.suppressed_instances = result.suppressed_instances;
-
-  if (cfg.horizon == HorizonPolicy::kDeadline &&
-      s.latency > std::max<Time>(s.deadline, 1)) {
-    // calc_with_hp proved infeasibility before building a diagram; there
-    // are no interference terms to attribute the failure to.
-    p.deadline_pruned = true;
+  p.deadline_pruned = result.deadline_pruned;
+  if (p.deadline_pruned) {
+    // No diagram was built: there are no interference terms to
+    // attribute the failure to.
     return p;
   }
-
-  if (cfg.horizon == HorizonPolicy::kExtended) {
-    // Replay the doubling schedule to count the resets the search made.
-    Time h = std::max<Time>(
-        {s.deadline, DelayBoundCalculator::kFirstPrefixHorizon, 1});
-    while (h < result.horizon_used) {
-      h = std::min<Time>(h * 2, cfg.horizon_cap);
-      ++p.horizon_doublings;
-    }
-  }
-
-  // Rebuild the diagram exactly as the reported bound saw it: same
-  // horizon, same relaxation decision (the condition mirrors
-  // DelayBoundCalculator::evaluate).
-  const bool relaxed = cfg.relaxation == IndirectRelaxation::kInstance &&
-                       result.indirect_elements > 0 && !cfg.carry_over;
-  const TimingDiagram diagram =
-      calc.build_diagram(j, hp, result.horizon_used, relaxed);
+  const TimingDiagram& diagram = *final_diagram;
 
   // Attribute: slots in [0, bound) partition into L_j free slots plus
   // the disjoint per-row allocations — the sum identity.  Without a

@@ -3,10 +3,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -263,64 +265,6 @@ std::optional<Violation> check_engine_invariants(
   return std::nullopt;
 }
 
-/// The protocol transport: either Service::handle_line directly or the
-/// same service behind a real Server socket and a blocking Client.
-/// Owns a private topology instance: LINK verbs mutate fault flags, so
-/// the replica must not share fault state with the in-process oracle it
-/// is compared against.
-class ProtocolReplica {
- public:
-  ProtocolReplica(const TopoSpec& spec, const route::RoutingAlgorithm& routing,
-                  const CheckConfig& config)
-      : topo_(spec.build()), service_(*topo_, routing, config.analysis) {
-    if (config.protocol_over_socket) {
-      svc::ServerConfig server_config;
-      server_config.tcp_port = 0;  // ephemeral loopback
-      server_config.workers = 2;
-      server_ = std::make_unique<svc::Server>(service_, server_config);
-      std::string error;
-      if (!server_->start(&error)) {
-        transport_error_ = "server start failed: " + error;
-        return;
-      }
-      if (!client_.connect_tcp("127.0.0.1", server_->port(), &error)) {
-        transport_error_ = "client connect failed: " + error;
-      }
-    }
-  }
-
-  ~ProtocolReplica() {
-    client_.close();
-    if (server_ != nullptr) {
-      server_->stop();
-    }
-  }
-
-  const std::string& transport_error() const { return transport_error_; }
-
-  /// One request line in, one parsed reply out (empty Json + error text
-  /// on transport or parse failure).
-  Json roundtrip(const Json& request, std::string* error) {
-    const std::string line = request.dump();
-    std::string reply_line;
-    if (server_ != nullptr) {
-      if (!client_.call(line, &reply_line, error)) {
-        return Json();
-      }
-    } else {
-      reply_line = service_.handle_line(line);
-    }
-    return Json::parse(reply_line, error);
-  }
-
- private:
-  std::unique_ptr<topo::Topology> topo_;  // before service_: init order
-  svc::Service service_;
-  std::unique_ptr<svc::Server> server_;
-  svc::Client client_;
-  std::string transport_error_;
-};
-
 Json request_json(const Op& op) {
   Json req = Json::object();
   req.set("verb", "REQUEST");
@@ -333,20 +277,78 @@ Json request_json(const Op& op) {
   return req;
 }
 
-Json link_json(const Op& op) {
+AdmissionController::Decision decide(AdmissionController& ctrl,
+                                     const Op& op) {
+  return ctrl.request(op.src, op.dst, op.priority, op.period, op.length,
+                      op.deadline);
+}
+
+Json handle_json(const char* verb, AdmissionController::Handle handle) {
   Json req = Json::object();
-  req.set("verb", op.kind == Op::Kind::kLinkDown ? "LINK_DOWN" : "LINK_UP");
-  req.set("src", static_cast<std::int64_t>(op.src));
-  req.set("dst", static_cast<std::int64_t>(op.dst));
+  req.set("verb", verb);
+  req.set("handle", handle);
   return req;
 }
 
-/// Compares a LINK_DOWN/LINK_UP wire reply against the in-process
-/// LinkMutation.  A no-op mutation (changed == false) must come back as
-/// an error reply; a real one must report the identical evicted and
-/// rerouted handle sets.
+using Handles = std::vector<AdmissionController::Handle>;
+
+/// The handle array under \p key of a reply (nullopt when absent).
+std::optional<Handles> handles_in(const Json& reply, const char* key) {
+  const Json* arr = reply.get(key);
+  if (arr == nullptr || !arr->is_array()) {
+    return std::nullopt;
+  }
+  Handles out;
+  for (const Json& h : arr->items()) {
+    out.push_back(h.as_int());
+  }
+  return out;
+}
+
+std::string describe_handles(const Handles& handles) {
+  std::string out = "[";
+  for (const AdmissionController::Handle h : handles) {
+    out += (out.size() > 1 ? "," : "") + std::to_string(h);
+  }
+  return out + "]";
+}
+
+/// The churn driver's reply check for a REQUEST: ok, admitted, bound,
+/// the handle of an admission and would_break must equal the in-process
+/// decision.
+std::optional<std::string> diff_decision(
+    const Json& reply, const AdmissionController::Decision& d) {
+  const Json* ok = reply.get("ok");
+  const Json* admitted = reply.get("admitted");
+  const Json* bound = reply.get("bound");
+  const Json* handle = reply.get("handle");
+  const std::optional<Handles> breaks = handles_in(reply, "would_break");
+  if (ok == nullptr || !ok->as_bool() || admitted == nullptr ||
+      bound == nullptr || !breaks.has_value()) {
+    return "malformed REQUEST reply " + reply.dump();
+  }
+  if (admitted->as_bool() != d.admitted || bound->as_int() != d.bound) {
+    return "wire decision admitted=" + std::to_string(admitted->as_bool()) +
+           " bound=" + std::to_string(bound->as_int()) +
+           " != in-process admitted=" + std::to_string(d.admitted) +
+           " bound=" + std::to_string(d.bound);
+  }
+  if (d.admitted && (handle == nullptr || handle->as_int() != d.handle)) {
+    return "wire handle " + (handle == nullptr ? "missing" : handle->dump()) +
+           " != in-process " + std::to_string(d.handle);
+  }
+  if (*breaks != d.would_break) {
+    return "wire would_break " + describe_handles(*breaks) +
+           " != in-process " + describe_handles(d.would_break);
+  }
+  return std::nullopt;
+}
+
+/// The churn driver's reply check for LINK_DOWN/LINK_UP.  A no-op
+/// mutation (changed == false) must come back as an error reply; a real
+/// one must report the identical evicted and rerouted handle lists.
 std::optional<std::string> diff_link_reply(
-    const Json& reply, const core::AdmissionController::LinkMutation& m) {
+    const Json& reply, const AdmissionController::LinkMutation& m) {
   const Json* ok = reply.get("ok");
   if (ok == nullptr || !ok->is_bool()) {
     return "malformed LINK reply";
@@ -358,23 +360,196 @@ std::optional<std::string> diff_link_reply(
   if (!m.changed) {
     return std::nullopt;
   }
-  for (const char* key : {"evicted", "rerouted"}) {
-    const Json* arr = reply.get(key);
-    const auto& want = std::string(key) == "evicted" ? m.evicted : m.rerouted;
-    if (arr == nullptr || !arr->is_array() ||
-        arr->items().size() != want.size()) {
-      return std::string(key) + " handle list size mismatch";
-    }
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      if (arr->items()[k].as_int() != want[k]) {
-        return std::string(key) + "[" + std::to_string(k) + "] = " +
-               std::to_string(arr->items()[k].as_int()) +
-               " != " + std::to_string(want[k]);
-      }
+  for (const auto& [key, want] :
+       {std::pair{"evicted", &m.evicted}, std::pair{"rerouted", &m.rerouted}}) {
+    const std::optional<Handles> got = handles_in(reply, key);
+    if (got != *want) {
+      return std::string("wire ") + key + " " +
+             (got.has_value() ? describe_handles(*got) : "missing") +
+             " != in-process " + describe_handles(*want);
     }
   }
   return std::nullopt;
 }
+
+/// How the churn driver reaches the Service under test: Service::handle,
+/// Service::handle_line, or a real Server socket and a blocking Client
+/// (framing, EINTR retry, the worker pool).
+class ServiceTransport {
+ public:
+  enum class Mode { kHandle, kLine, kSocket };
+
+  ServiceTransport(svc::Service& service, Mode mode)
+      : service_(service), mode_(mode) {
+    if (mode != Mode::kSocket) {
+      return;
+    }
+    svc::ServerConfig server_config;
+    server_config.tcp_port = 0;  // ephemeral loopback
+    server_config.workers = 2;
+    server_ = std::make_unique<svc::Server>(service_, server_config);
+    std::string error;
+    if (!server_->start(&error)) {
+      error_ = "server start failed: " + error;
+    } else if (!client_.connect_tcp("127.0.0.1", server_->port(), &error)) {
+      error_ = "client connect failed: " + error;
+    }
+  }
+
+  ~ServiceTransport() {
+    client_.close();
+    if (server_ != nullptr) {
+      server_->stop();
+    }
+  }
+  ServiceTransport(const ServiceTransport&) = delete;
+  ServiceTransport& operator=(const ServiceTransport&) = delete;
+
+  /// Why the socket could not be set up ("" when it could).
+  const std::string& error() const { return error_; }
+
+  /// One request in, one reply out (empty Json + error text on transport
+  /// or parse failure).
+  Json call(const Json& request, std::string* error) {
+    if (mode_ == Mode::kHandle) {
+      return service_.handle(request);
+    }
+    const std::string line = request.dump();
+    std::string reply_line;
+    if (mode_ == Mode::kLine) {
+      reply_line = service_.handle_line(line);
+    } else if (!client_.call(line, &reply_line, error)) {
+      return Json();
+    }
+    return Json::parse(reply_line, error);
+  }
+
+ private:
+  svc::Service& service_;
+  Mode mode_;
+  std::unique_ptr<svc::Server> server_;
+  svc::Client client_;
+  std::string error_;
+};
+
+/// The churn replay behind the protocol/flit, fault-repair, recovery and
+/// replication oracles.  Each op is applied to an in-process
+/// AdmissionController on a private topology instance (link mutations
+/// flip fault flags in place) and, when a ServiceTransport is given,
+/// sent to the Service under test, whose reply must equal the in-process
+/// outcome.  The driver owns the op -> handle map: a REMOVE whose add
+/// was rejected, removed or evicted is skipped on both sides.
+class ChurnDriver {
+ public:
+  /// One applied op, handed to the per-op hook.
+  struct Step {
+    std::size_t index;
+    /// The in-process mutation of a LINK op that names a channel;
+    /// nullptr for every other op.
+    const AdmissionController::LinkMutation* link;
+  };
+  using Hook = std::function<std::optional<Violation>(const Step&)>;
+
+  ChurnDriver(const Scenario& scenario, const route::RoutingAlgorithm& routing,
+              const AnalysisConfig& analysis)
+      : scenario_(scenario),
+        topo_(scenario.topo.build()),
+        ctrl_(*topo_, routing, analysis),
+        handle_of_op_(scenario.ops.size(), -1) {}
+
+  /// Replays ops [0, \p end), running \p hook after every op that was
+  /// not skipped.  The first reply that differs from the in-process
+  /// outcome, or the hook's first violation, ends the replay; reply
+  /// differences are reported under \p invariant.
+  std::optional<Violation> replay(std::size_t end, ServiceTransport* service,
+                                  const char* invariant,
+                                  const Hook& hook = nullptr) {
+    for (std::size_t i = 0; i < end; ++i) {
+      const Op& op = scenario_.ops[i];
+      Json request;
+      AdmissionController::Decision decision;
+      bool removed = false;
+      AdmissionController::LinkMutation mutation;
+      const AdmissionController::LinkMutation* link = nullptr;
+      if (op.kind == Op::Kind::kAdd) {
+        decision = decide(ctrl_, op);
+        if (decision.admitted) {
+          handle_of_op_[i] = decision.handle;
+        }
+        request = request_json(op);
+      } else if (op.kind == Op::Kind::kRemove) {
+        auto& handle = handle_of_op_[static_cast<std::size_t>(op.target)];
+        if (handle < 0) {
+          continue;
+        }
+        removed = ctrl_.remove(handle);
+        request = handle_json("REMOVE", handle);
+        handle = -1;
+      } else {
+        // A shrunk scenario may name a pair with no channel between: the
+        // in-process side has nothing to apply and the Service must
+        // refuse it, as it refuses a no-op mutation.
+        const topo::ChannelId channel = topo_->channel_between(op.src, op.dst);
+        if (channel != topo::kNoChannel) {
+          mutation = op.kind == Op::Kind::kLinkDown ? ctrl_.link_down(channel)
+                                                    : ctrl_.link_up(channel);
+          link = &mutation;
+          for (const auto victim : mutation.evicted) {
+            std::replace(handle_of_op_.begin(), handle_of_op_.end(), victim,
+                         AdmissionController::Handle{-1});
+          }
+        }
+        request = Json::object();
+        request.set("verb",
+                    op.kind == Op::Kind::kLinkDown ? "LINK_DOWN" : "LINK_UP");
+        request.set("src", static_cast<std::int64_t>(op.src));
+        request.set("dst", static_cast<std::int64_t>(op.dst));
+      }
+      if (service != nullptr) {
+        std::string error;
+        const Json reply = service->call(request, &error);
+        std::optional<std::string> diff;
+        if (!error.empty()) {
+          diff = error;
+        } else if (op.kind == Op::Kind::kAdd) {
+          diff = diff_decision(reply, decision);
+        } else if (op.kind == Op::Kind::kRemove) {
+          const Json* wire = reply.get("removed");
+          if (wire == nullptr || wire->as_bool() != removed) {
+            diff = "wire removed " +
+                   (wire == nullptr ? "missing" : wire->dump()) +
+                   " != in-process " + std::to_string(removed);
+          }
+        } else {
+          diff = diff_link_reply(reply, mutation);
+        }
+        if (diff.has_value()) {
+          return fail(invariant, "op " + std::to_string(i) + ": " + *diff);
+        }
+      }
+      if (hook != nullptr) {
+        if (auto violation = hook({i, link})) {
+          return violation;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  AdmissionController& reference() { return ctrl_; }
+  const topo::Topology& topology() const { return *topo_; }
+  /// Live handle of each op's admission (-1: rejected, removed, evicted,
+  /// or not an add).
+  const std::vector<AdmissionController::Handle>& handles() const {
+    return handle_of_op_;
+  }
+
+ private:
+  const Scenario& scenario_;
+  std::unique_ptr<topo::Topology> topo_;  // before ctrl_: init order
+  AdmissionController ctrl_;
+  std::vector<AdmissionController::Handle> handle_of_op_;
+};
 
 /// Flit-accurate soundness + protocol: replay the churn through the
 /// admission gate, mirror every decision over the wire protocol, then
@@ -383,149 +558,47 @@ std::optional<std::string> diff_link_reply(
 std::optional<Violation> check_admission_invariants(
     const Scenario& scenario, const route::RoutingAlgorithm& routing,
     const CheckConfig& config) {
-  // Private topology instance: link mutations flip fault flags in place,
-  // and the replica keeps its own copy for the same reason.
-  const std::unique_ptr<topo::Topology> topo_owned = scenario.topo.build();
-  topo::Topology& topo = *topo_owned;
-  AdmissionController ctrl(topo, routing, config.analysis);
-  std::unique_ptr<ProtocolReplica> replica;
+  ChurnDriver churn(scenario, routing, config.analysis);
+  const AdmissionController& ctrl = churn.reference();
+  const topo::Topology& topo = churn.topology();
+  // The replica gets its own fabric too: LINK verbs flip its fault flags.
+  std::unique_ptr<topo::Topology> replica_topo;
+  std::unique_ptr<svc::Service> replica;
+  std::unique_ptr<ServiceTransport> wire;
   if (config.check_protocol) {
-    replica = std::make_unique<ProtocolReplica>(scenario.topo, routing, config);
-    if (!replica->transport_error().empty()) {
-      return fail(kInvariantProtocol, replica->transport_error());
+    replica_topo = scenario.topo.build();
+    replica = std::make_unique<svc::Service>(*replica_topo, routing,
+                                             config.analysis);
+    wire = std::make_unique<ServiceTransport>(
+        *replica, config.protocol_over_socket
+                      ? ServiceTransport::Mode::kSocket
+                      : ServiceTransport::Mode::kLine);
+    if (!wire->error().empty()) {
+      return fail(kInvariantProtocol, wire->error());
     }
   }
-
-  std::vector<AdmissionController::Handle> handle_of_op(scenario.ops.size(),
-                                                        -1);
-  for (std::size_t i = 0; i < scenario.ops.size(); ++i) {
-    const Op& op = scenario.ops[i];
-    if (op.kind == Op::Kind::kAdd) {
-      const auto decision = ctrl.request(op.src, op.dst, op.priority,
-                                         op.period, op.length, op.deadline);
-      if (decision.admitted) {
-        handle_of_op[i] = decision.handle;
-      }
-      if (replica == nullptr) {
-        continue;
-      }
-      std::string error;
-      const Json reply = replica->roundtrip(request_json(op), &error);
-      if (!error.empty()) {
-        return fail(kInvariantProtocol, "op " + std::to_string(i) + ": " + error);
-      }
-      const Json* ok = reply.get("ok");
-      const Json* admitted = reply.get("admitted");
-      const Json* bound = reply.get("bound");
-      const Json* would_break = reply.get("would_break");
-      if (ok == nullptr || !ok->as_bool() || admitted == nullptr ||
-          bound == nullptr || would_break == nullptr) {
-        return fail(kInvariantProtocol,
-                    "op " + std::to_string(i) + ": malformed REQUEST reply");
-      }
-      if (admitted->as_bool() != decision.admitted ||
-          bound->as_int() != decision.bound) {
-        return fail(kInvariantProtocol,
-                    "op " + std::to_string(i) + ": wire decision admitted=" +
-                        std::to_string(admitted->as_bool()) + " bound=" +
-                        std::to_string(bound->as_int()) +
-                        " != in-process admitted=" +
-                        std::to_string(decision.admitted) +
-                        " bound=" + std::to_string(decision.bound));
-      }
-      if (decision.admitted &&
-          (reply.get("handle") == nullptr ||
-           reply.get("handle")->as_int() != decision.handle)) {
-        return fail(kInvariantProtocol,
-                    "op " + std::to_string(i) + ": wire handle mismatch");
-      }
-      if (would_break->items().size() != decision.would_break.size()) {
-        return fail(kInvariantProtocol,
-                    "op " + std::to_string(i) + ": would_break size mismatch");
-      }
-      for (std::size_t k = 0; k < decision.would_break.size(); ++k) {
-        if (would_break->items()[k].as_int() != decision.would_break[k]) {
-          return fail(kInvariantProtocol,
-                      "op " + std::to_string(i) + ": would_break[" +
-                          std::to_string(k) + "] mismatch");
-        }
-      }
-    } else if (op.kind == Op::Kind::kRemove) {
-      auto& handle = handle_of_op[static_cast<std::size_t>(op.target)];
-      if (handle < 0) {
-        continue;  // the referenced add was rejected or already removed
-      }
-      const bool removed = ctrl.remove(handle);
-      if (replica != nullptr) {
-        Json req = Json::object();
-        req.set("verb", "REMOVE");
-        req.set("handle", handle);
-        std::string error;
-        const Json reply = replica->roundtrip(req, &error);
-        if (!error.empty()) {
-          return fail(kInvariantProtocol,
-                      "op " + std::to_string(i) + ": " + error);
-        }
-        const Json* wire_removed = reply.get("removed");
-        if (wire_removed == nullptr || wire_removed->as_bool() != removed) {
-          return fail(kInvariantProtocol,
-                      "op " + std::to_string(i) + ": wire removed flag != " +
-                          std::to_string(removed));
-        }
-      }
-      handle = -1;
-    } else {
-      const topo::ChannelId channel = topo.channel_between(op.src, op.dst);
-      if (channel == topo::kNoChannel) {
-        continue;  // shrunk scenarios may reference a non-channel pair
-      }
-      const auto mutation = op.kind == Op::Kind::kLinkDown
-                                ? ctrl.link_down(channel)
-                                : ctrl.link_up(channel);
-      // Evicted streams are gone from both sides: forget their handles so
-      // the REMOVE path and the final QUERY sweep see survivors only.
-      for (const auto victim : mutation.evicted) {
-        for (auto& handle : handle_of_op) {
-          if (handle == victim) {
-            handle = -1;
-          }
-        }
-      }
-      if (replica != nullptr) {
-        std::string error;
-        const Json reply = replica->roundtrip(link_json(op), &error);
-        if (!error.empty()) {
-          return fail(kInvariantProtocol,
-                      "op " + std::to_string(i) + ": " + error);
-        }
-        if (const auto diff = diff_link_reply(reply, mutation)) {
-          return fail(kInvariantProtocol,
-                      "op " + std::to_string(i) + ": " + *diff);
-        }
-      }
-    }
+  if (auto violation =
+          churn.replay(scenario.ops.size(), wire.get(), kInvariantProtocol)) {
+    return violation;
   }
 
   // Cached bounds served over the wire must match the replica's cache.
-  if (replica != nullptr) {
-    for (std::size_t i = 0; i < handle_of_op.size(); ++i) {
-      if (handle_of_op[i] < 0) {
+  if (wire != nullptr) {
+    for (const AdmissionController::Handle handle : churn.handles()) {
+      if (handle < 0) {
         continue;
       }
-      Json req = Json::object();
-      req.set("verb", "QUERY");
-      req.set("handle", handle_of_op[i]);
       std::string error;
-      const Json reply = replica->roundtrip(req, &error);
+      const Json reply = wire->call(handle_json("QUERY", handle), &error);
       if (!error.empty()) {
         return fail(kInvariantProtocol, "QUERY: " + error);
       }
-      const auto expected = ctrl.bound_of(handle_of_op[i]);
+      const auto expected = ctrl.bound_of(handle);
       const Json* bound = reply.get("bound");
       if (!expected.has_value() || bound == nullptr ||
           bound->as_int() != *expected) {
         return fail(kInvariantProtocol,
-                    "QUERY handle " + std::to_string(handle_of_op[i]) +
+                    "QUERY handle " + std::to_string(handle) +
                         ": wire bound != cached bound");
       }
     }
@@ -644,12 +717,8 @@ std::optional<Violation> check_admission_invariants(
 std::optional<Violation> check_fault_invariants(
     const Scenario& scenario, const route::RoutingAlgorithm& routing,
     const CheckConfig& config) {
-  const std::unique_ptr<topo::Topology> topo_owned = scenario.topo.build();
-  topo::Topology& topo = *topo_owned;
-  AdmissionController ctrl(topo, routing, config.analysis);
-  std::vector<AdmissionController::Handle> handle_of_op(scenario.ops.size(),
-                                                        -1);
-
+  ChurnDriver churn(scenario, routing, config.analysis);
+  const AdmissionController& ctrl = churn.reference();
   const auto audit = [&](const std::string& when) -> std::optional<Violation> {
     const StreamSet survivors = ctrl.snapshot();
     const std::vector<Time> reference = bounds_of(survivors, config.analysis);
@@ -665,7 +734,7 @@ std::optional<Violation> check_fault_invariants(
                         describe_stream(survivors[id]));
       }
       for (const topo::ChannelId ch : survivors[id].path.channels) {
-        if (topo.channel_faulted(ch)) {
+        if (churn.topology().channel_faulted(ch)) {
           return fail(kInvariantFault,
                       when + ": surviving stream " + std::to_string(j) +
                           " still routed across faulted channel " +
@@ -676,40 +745,13 @@ std::optional<Violation> check_fault_invariants(
     }
     return std::nullopt;
   };
-
-  for (std::size_t i = 0; i < scenario.ops.size(); ++i) {
-    const Op& op = scenario.ops[i];
-    if (op.kind == Op::Kind::kAdd) {
-      const auto decision = ctrl.request(op.src, op.dst, op.priority,
-                                         op.period, op.length, op.deadline);
-      if (decision.admitted) {
-        handle_of_op[i] = decision.handle;
-      }
-    } else if (op.kind == Op::Kind::kRemove) {
-      auto& handle = handle_of_op[static_cast<std::size_t>(op.target)];
-      if (handle >= 0) {
-        ctrl.remove(handle);
-        handle = -1;
-      }
-    } else {
-      const topo::ChannelId channel = topo.channel_between(op.src, op.dst);
-      if (channel == topo::kNoChannel) {
-        continue;
-      }
-      const auto mutation = op.kind == Op::Kind::kLinkDown
-                                ? ctrl.link_down(channel)
-                                : ctrl.link_up(channel);
-      for (const auto victim : mutation.evicted) {
-        for (auto& handle : handle_of_op) {
-          if (handle == victim) {
-            handle = -1;
-          }
-        }
-      }
-      if (auto violation = audit("after op " + std::to_string(i))) {
-        return violation;
-      }
-    }
+  const auto audit_link = [&](const ChurnDriver::Step& step) {
+    return step.link != nullptr ? audit("after op " + std::to_string(step.index))
+                                : std::nullopt;
+  };
+  if (auto violation = churn.replay(scenario.ops.size(), nullptr,
+                                    kInvariantFault, audit_link)) {
+    return violation;
   }
   // One end-of-run audit regardless: scenarios without link churn keep
   // the oracle (and its detection knob) from being silently vacuous.
@@ -783,8 +825,9 @@ struct StateDir {
   std::string path;
 };
 
-/// Recovery: run a journaled Service next to a plain in-process oracle,
-/// crash the service at a random point of the churn (dropping it,
+/// Recovery: the churn driver replays a prefix of the churn into a
+/// journaled Service and its in-process oracle, checking every reply;
+/// then crash the service at that random point (dropping it,
 /// possibly mid-append via an injected torn write, possibly with
 /// garbage appended to the WAL afterwards), reopen from the state dir,
 /// and require the recovered engine — population order, parameters,
@@ -794,11 +837,11 @@ struct StateDir {
 std::optional<Violation> check_recovery_invariants(
     const Scenario& scenario, const route::RoutingAlgorithm& routing,
     const CheckConfig& config) {
-  // Three private topology instances: link mutations flip fault flags in
-  // place, so oracle, crashed primary, and recovered service each need
-  // their own fabric (recovery itself re-applies the fault history to
-  // the recovered instance — that replay is part of what's under test).
-  const std::unique_ptr<topo::Topology> oracle_topo = scenario.topo.build();
+  // Private topology instances: link mutations flip fault flags in
+  // place, so oracle (the driver's), crashed primary, and recovered
+  // service each need their own fabric (recovery itself re-applies the
+  // fault history to the recovered instance — that replay is part of
+  // what's under test).
   const std::unique_ptr<topo::Topology> primary_topo = scenario.topo.build();
   const std::unique_ptr<topo::Topology> recovered_topo = scenario.topo.build();
   const StateDir state_dir(config.recovery_tmp_root, "recovery");
@@ -827,9 +870,8 @@ std::optional<Violation> check_recovery_invariants(
   options.journal_fsync = false;
   options.journal_faults = &faults;
 
-  AdmissionController oracle(*oracle_topo, routing, config.analysis);
-  std::vector<AdmissionController::Handle> handle_of_op(scenario.ops.size(),
-                                                        -1);
+  ChurnDriver churn(scenario, routing, config.analysis);
+  AdmissionController& oracle = churn.reference();
   std::optional<Op> doomed;
   {
     svc::Service primary(*primary_topo, routing, config.analysis, options);
@@ -837,69 +879,9 @@ std::optional<Violation> check_recovery_invariants(
     if (!primary.open_state(&err)) {
       return fail(kInvariantRecovery, "primary open_state: " + err);
     }
-    for (std::size_t i = 0; i < crash_at; ++i) {
-      const Op& op = scenario.ops[i];
-      if (op.kind == Op::Kind::kAdd) {
-        const auto decision = oracle.request(op.src, op.dst, op.priority,
-                                             op.period, op.length, op.deadline);
-        const Json reply = primary.handle(request_json(op));
-        const Json* ok = reply.get("ok");
-        const Json* admitted = reply.get("admitted");
-        if (ok == nullptr || !ok->as_bool() || admitted == nullptr ||
-            admitted->as_bool() != decision.admitted ||
-            (decision.admitted &&
-             (reply.get("handle") == nullptr ||
-              reply.get("handle")->as_int() != decision.handle))) {
-          return fail(kInvariantRecovery,
-                      "op " + std::to_string(i) +
-                          ": journaled service diverged from the oracle "
-                          "before any crash");
-        }
-        if (decision.admitted) {
-          handle_of_op[i] = decision.handle;
-        }
-      } else if (op.kind == Op::Kind::kRemove) {
-        auto& handle = handle_of_op[static_cast<std::size_t>(op.target)];
-        if (handle < 0) {
-          continue;
-        }
-        const bool removed = oracle.remove(handle);
-        Json req = Json::object();
-        req.set("verb", "REMOVE");
-        req.set("handle", handle);
-        const Json reply = primary.handle(req);
-        const Json* wire_removed = reply.get("removed");
-        if (wire_removed == nullptr || wire_removed->as_bool() != removed) {
-          return fail(kInvariantRecovery,
-                      "op " + std::to_string(i) +
-                          ": REMOVE diverged from the oracle before any "
-                          "crash");
-        }
-        handle = -1;
-      } else {
-        const topo::ChannelId channel =
-            oracle_topo->channel_between(op.src, op.dst);
-        if (channel == topo::kNoChannel) {
-          continue;
-        }
-        const auto mutation = op.kind == Op::Kind::kLinkDown
-                                  ? oracle.link_down(channel)
-                                  : oracle.link_up(channel);
-        for (const auto victim : mutation.evicted) {
-          for (auto& handle : handle_of_op) {
-            if (handle == victim) {
-              handle = -1;
-            }
-          }
-        }
-        const Json reply = primary.handle(link_json(op));
-        if (const auto diff = diff_link_reply(reply, mutation)) {
-          return fail(kInvariantRecovery,
-                      "op " + std::to_string(i) +
-                          ": LINK mutation diverged from the oracle before "
-                          "any crash: " + *diff);
-        }
-      }
+    ServiceTransport wire(primary, ServiceTransport::Mode::kHandle);
+    if (auto violation = churn.replay(crash_at, &wire, kInvariantRecovery)) {
+      return violation;
     }
 
     // Half the time, die mid-append: arm a torn write and fire one extra
@@ -909,7 +891,7 @@ std::optional<Violation> check_recovery_invariants(
     // must reproduce the state WITHOUT it.
     if (rng.bernoulli(0.5)) {
       faults.arm_torn_write(static_cast<std::size_t>(rng.uniform_int(0, 72)));
-      doomed = random_probe(rng, *oracle_topo, scenario);
+      doomed = random_probe(rng, churn.topology(), scenario);
       primary.handle(request_json(*doomed));
     }
   }  // ~Service == the crash: nothing beyond append()'s writes survives
@@ -978,8 +960,7 @@ std::optional<Violation> check_recovery_invariants(
     // acknowledged prefix with or without the in-flight op — so retry
     // the comparison against the extended oracle before declaring a
     // violation.
-    oracle.request(doomed->src, doomed->dst, doomed->priority, doomed->period,
-                   doomed->length, doomed->deadline);
+    decide(oracle, *doomed);
     if (!compare_state().has_value()) {
       mismatch = std::nullopt;
     }
@@ -990,36 +971,26 @@ std::optional<Violation> check_recovery_invariants(
 
   // The next admission decision must also come out identically — the
   // recovered daemon continues exactly where the crashed one left off.
-  const Op probe = random_probe(rng, *oracle_topo, scenario);
-  const auto decision = oracle.request(probe.src, probe.dst, probe.priority,
-                                       probe.period, probe.length,
-                                       probe.deadline);
-  const Json reply = recovered.handle(request_json(probe));
-  const Json* ok = reply.get("ok");
-  const Json* admitted = reply.get("admitted");
-  const Json* bound = reply.get("bound");
-  if (ok == nullptr || !ok->as_bool() || admitted == nullptr ||
-      bound == nullptr || admitted->as_bool() != decision.admitted ||
-      bound->as_int() != decision.bound ||
-      (decision.admitted &&
-       (reply.get("handle") == nullptr ||
-        reply.get("handle")->as_int() != decision.handle))) {
+  const Op probe = random_probe(rng, churn.topology(), scenario);
+  if (const auto diff = diff_decision(recovered.handle(request_json(probe)),
+                                      decide(oracle, probe))) {
     return fail(kInvariantRecovery,
                 "post-recovery admission decision diverged from the oracle" +
-                    where);
+                    where + ": " + *diff);
   }
   return std::nullopt;
 }
 
-/// Replication: ship the churn from a journaled primary to an
-/// in-process follower through the REPL_* verbs — the exact code path
-/// `wormrtd --follow` drives over sockets (Service::handle plus the
-/// shared apply_snapshot_reply / apply_pull_reply helpers), minus the
-/// transport.  The follower is crashed and rebooted at random points
+/// Replication: the churn driver replays the churn into a journaled
+/// primary (every reply checked against its in-process reference) while
+/// an in-process follower pulls it through the REPL_* verbs — the exact
+/// code path `wormrtd --follow` drives over sockets (Service::handle plus
+/// the shared apply_snapshot_reply / apply_pull_reply helpers), minus
+/// the transport.  The follower is crashed and rebooted at random points
 /// (recovery + re-handshake + resume), and small primary buffers force
 /// the snapshot-bootstrap path mid-churn.  After catch-up the follower
-/// must equal the primary bitwise, and once PROMOTEd it must make the
-/// identical next admission decision.
+/// must equal the primary bitwise, and once PROMOTEd it and the primary
+/// must both make the reference's next admission decision.
 std::optional<Violation> check_replication_invariants(
     const Scenario& scenario, const route::RoutingAlgorithm& routing,
     const CheckConfig& config) {
@@ -1136,53 +1107,28 @@ std::optional<Violation> check_replication_invariants(
     return std::nullopt;
   };
 
-  // Churn on the primary, interleaved with pulls and follower crashes.
-  std::vector<std::int64_t> handle_of_op(scenario.ops.size(), -1);
-  for (std::size_t i = 0; i < scenario.ops.size(); ++i) {
-    const Op& op = scenario.ops[i];
-    if (op.kind == Op::Kind::kAdd) {
-      const Json reply = primary.handle(request_json(op));
-      const Json* admitted = reply.get("admitted");
-      if (admitted != nullptr && admitted->as_bool() &&
-          reply.get("handle") != nullptr) {
-        handle_of_op[i] = reply.get("handle")->as_int();
-      }
-    } else if (op.kind == Op::Kind::kRemove) {
-      auto& handle = handle_of_op[static_cast<std::size_t>(op.target)];
-      if (handle < 0) {
-        continue;
-      }
-      Json req = Json::object();
-      req.set("verb", "REMOVE");
-      req.set("handle", handle);
-      primary.handle(req);
-      handle = -1;
-    } else {
-      const Json reply = primary.handle(link_json(op));
-      const Json* evicted = reply.get("evicted");
-      if (evicted != nullptr && evicted->is_array()) {
-        for (const Json& victim : evicted->items()) {
-          for (auto& handle : handle_of_op) {
-            if (handle == victim.as_int()) {
-              handle = -1;
-            }
-          }
-        }
-      }
-    }
+  // Churn on the primary next to an in-process reference, each applied
+  // op followed by a pull (p = 0.6) and a follower crash (p = 0.04).
+  const auto pull_or_crash =
+      [&](const ChurnDriver::Step& step) -> std::optional<Violation> {
     if (rng.bernoulli(0.6)) {
       bool progressed = false;
       if (auto pull_err = pull_once(&progressed)) {
         return fail(kInvariantReplication,
-                    "op " + std::to_string(i) + ": " + *pull_err);
+                    "op " + std::to_string(step.index) + ": " + *pull_err);
       }
     }
     if (rng.bernoulli(0.04)) {
       follower.reset();  // SIGKILL-equivalent: nothing flushed beyond disk
-      if (auto violation = boot_follower()) {
-        return violation;
-      }
+      return boot_follower();
     }
+    return std::nullopt;
+  };
+  ChurnDriver churn(scenario, routing, config.analysis);
+  ServiceTransport wire(primary, ServiceTransport::Mode::kHandle);
+  if (auto violation = churn.replay(scenario.ops.size(), &wire,
+                                    kInvariantReplication, pull_or_crash)) {
+    return violation;
   }
   if (auto catch_err = catch_up()) {
     return fail(kInvariantReplication, *catch_err);
@@ -1198,7 +1144,7 @@ std::optional<Violation> check_replication_invariants(
 
   // Failover decision parity: promote the follower (epoch bump through
   // the same verb wormrt-cli drives) and require its next admission
-  // decision to be bitwise the primary's.
+  // decision, and the primary's, to be the in-process reference's.
   Json promote_req = Json::object();
   promote_req.set("verb", "PROMOTE");
   const Json promoted = follower->handle(promote_req);
@@ -1207,19 +1153,15 @@ std::optional<Violation> check_replication_invariants(
     return fail(kInvariantReplication,
                 "PROMOTE refused: " + promoted.dump());
   }
-  const Op probe = random_probe(rng, *primary_topo, scenario);
-  const Json p_reply = primary.handle(request_json(probe));
-  const Json f_reply = follower->handle(request_json(probe));
-  for (const char* key : {"ok", "admitted", "bound", "handle"}) {
-    const Json* pv = p_reply.get(key);
-    const Json* fv = f_reply.get(key);
-    const bool p_has = pv != nullptr, f_has = fv != nullptr;
-    if (p_has != f_has ||
-        (p_has && pv->dump() != fv->dump())) {
+  const Op probe = random_probe(rng, churn.topology(), scenario);
+  const auto decision = decide(churn.reference(), probe);
+  for (svc::Service* side : {&primary, follower.get()}) {
+    if (const auto diff =
+            diff_decision(side->handle(request_json(probe)), decision)) {
       return fail(kInvariantReplication,
-                  std::string("post-promotion decision diverged on \"") +
-                      key + "\": primary " + p_reply.dump() +
-                      " != follower " + f_reply.dump());
+                  std::string("post-promotion decision diverged on the ") +
+                      (side == &primary ? "primary" : "follower") + ": " +
+                      *diff);
     }
   }
   return std::nullopt;

@@ -10,20 +10,26 @@
 /// The seven differential oracles every fuzz scenario is checked against
 /// (DESIGN.md §8).  Each one validates the optimised production path —
 /// bit-packed diagrams, the incremental dirty-set engine, the wire
-/// protocol, the write-ahead journal — against an independent witness:
+/// protocol, the write-ahead journal — against an independent witness.
+///
+/// Four of them share one churn replay: each op goes to an in-process
+/// AdmissionController and, when the oracle has a Service under test, to
+/// that Service (Service::handle, handle_line or a loopback socket).  The
+/// replay keeps the op -> handle map, forgets evicted victims, checks
+/// every reply with one comparator (REQUEST: ok, admitted, bound, handle,
+/// would_break; REMOVE: removed; LINK: evicted and rerouted) and then
+/// runs the oracle's per-op hook.  Only equivalence/monotonicity keeps a
+/// loop of its own: it drives a bare IncrementalAnalyzer, with no
+/// admission gate and no links.
 ///
 ///   flit-soundness
 ///                 the admitted population replayed through the
-///                 event-driven flit-accurate router (flitsim: per-stream
-///                 lanes, real VC buffers, credit flow control,
-///                 injection/ejection ports) on every topology, at the
-///                 synchronized critical instant and under random phases
-///                 — no delivered message may exceed its stream's bound
-///                 U_i.  Only streams whose period leaves headroom for
-///                 the 2-cycle credit round trip between back-to-back
-///                 messages (U_i + 2 <= T_i) are checked: conservative
-///                 VC reallocation is real-router behavior the idealized
-///                 analysis model does not charge (DESIGN.md §12).
+///                 event-driven flit-accurate router (flitsim) on every
+///                 topology, at the synchronized critical instant and
+///                 under random phases — no delivered message may exceed
+///                 its stream's bound U_i.  Only streams with headroom
+///                 for the 2-cycle credit round trip (U_i + 2 <= T_i)
+///                 are checked (DESIGN.md §12).
 ///   equivalence   IncrementalAnalyzer bounds after every mutation of
 ///                 the churn must be bitwise identical to a from-scratch
 ///                 determine_feasibility of the same population.
@@ -31,34 +37,28 @@
 ///                 pessimistic configs (carry-over, no relaxation) never
 ///                 yield a smaller bound; adding a strictly higher-
 ///                 priority stream never improves anyone's bound.
-///   protocol      every decision replayed through Service::handle_line
-///                 (optionally over a real socket) matches the
-///                 in-process AdmissionController byte for byte.
-///   recovery      a journaled Service is crashed at a random point of
-///                 the churn (possibly mid-append, leaving a torn tail)
-///                 and reopened; the recovered engine state — bounds,
-///                 handle numbering, population order, next handle,
-///                 fault flags, route orders — must match an in-process
-///                 oracle that applied exactly the acknowledged prefix,
-///                 and the next admission decision must come out
-///                 identically.
-///   fault-repair  the churn (including link_down / link_up mutations)
-///                 replayed through the admission controller; after
-///                 every topology mutation and at the end, every
-///                 surviving stream's cached bound must be bitwise
-///                 identical to a from-scratch analysis of the
-///                 surviving set, and no surviving path may cross a
-///                 faulted channel.
-///   replication   the churn applied to a journaled primary while an
-///                 in-process follower replays shipped records through
-///                 the REPL_* verbs (the same code path wormrtd
-///                 --follow drives over sockets), with random follower
-///                 crashes/reboots and forced snapshot bootstraps mid-
-///                 churn; after catch-up the follower's engine state —
-///                 population order, parameters, bounds, handles, next
-///                 handle, routes, fault flags — must equal the
-///                 primary's bitwise, and after PROMOTE the follower's
-///                 next admission decision must match the primary's.
+///   protocol      the replay through Service::handle_line (optionally
+///                 over a real socket): every reply passes the
+///                 comparator, and QUERY of every live handle returns
+///                 the cached bound.
+///   recovery      the replay through a journaled Service up to a random
+///                 crash point (possibly mid-append, leaving a torn
+///                 tail); the reopened engine — bounds, handles, order,
+///                 next handle, fault flags, route orders — must equal
+///                 the in-process oracle of exactly the acknowledged
+///                 prefix, and make the identical next decision.
+///   fault-repair  the replay with no Service; after every link
+///                 mutation (the hook) and at the end, every surviving
+///                 bound must equal a from-scratch analysis of the
+///                 survivors, and no surviving path may cross a faulted
+///                 channel.
+///   replication   the replay through a journaled primary while an
+///                 in-process follower pulls it through the REPL_* verbs
+///                 (the hook pulls and crashes the follower; small
+///                 buffers force snapshot bootstraps); after catch-up the
+///                 follower's engine must equal the primary's bitwise,
+///                 and after PROMOTE both must make the in-process
+///                 reference's next admission decision.
 
 namespace wormrt::fuzz {
 

@@ -184,7 +184,28 @@ double Histogram::max() const {
   return m;
 }
 
-double Histogram::quantile(double q) const { return merged().quantile(q); }
+std::vector<double> Histogram::quantiles(
+    std::initializer_list<double> qs) const {
+  util::Histogram all(lo_, hi_, buckets_);
+  double lo = 0.0;
+  double hi = 0.0;
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    if (s.hist.total() == 0) {
+      continue;
+    }
+    lo = all.total() == 0 ? s.min : std::min(lo, s.min);
+    hi = all.total() == 0 ? s.max : std::max(hi, s.max);
+    all.merge(s.hist);
+  }
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (const double q : qs) {
+    out.push_back(all.total() == 0 ? all.quantile(q)
+                                   : std::clamp(all.quantile(q), lo, hi));
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -346,15 +367,15 @@ std::string Registry::to_json() const {
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e.histogram;
-        const util::Histogram m = h.merged();
+        const std::vector<double> q = h.quantiles({0.50, 0.99, 0.999});
         out += "\"type\":\"histogram\"";
         out += ",\"count\":" + std::to_string(h.count());
         out += ",\"sum\":" + format_double(h.sum());
         out += ",\"min\":" + format_double(h.min());
         out += ",\"max\":" + format_double(h.max());
-        out += ",\"p50\":" + format_double(m.quantile(0.50));
-        out += ",\"p99\":" + format_double(m.quantile(0.99));
-        out += ",\"p999\":" + format_double(m.quantile(0.999));
+        out += ",\"p50\":" + format_double(q[0]);
+        out += ",\"p99\":" + format_double(q[1]);
+        out += ",\"p999\":" + format_double(q[2]);
         break;
       }
     }

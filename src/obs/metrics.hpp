@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -90,9 +91,13 @@ class Histogram {
   /// Smallest / largest observed value; 0 when empty.
   double min() const;
   double max() const;
-  /// Estimated q-quantile (q in [0,1]) over the merged buckets.
-  double quantile(double q) const;
+  /// Estimated q-quantile (q in [0,1]) over the merged buckets, clamped
+  /// into [min(), max()]: interpolation inside the rank's bucket never
+  /// reports a value beyond the ones observed.
+  double quantile(double q) const { return quantiles({q})[0]; }
   double p99() const { return quantile(0.99); }
+  /// quantile() at each of \p qs, from one merged view.
+  std::vector<double> quantiles(std::initializer_list<double> qs) const;
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }

@@ -656,13 +656,14 @@ void Journal::stage_record_locked(const JournalRecord& record) {
 }
 
 bool Journal::stage(JournalRecord::Type type, const JournalEntry& entry,
-                    std::uint64_t* lsn, std::string* error) {
+                    std::uint64_t* lsn, std::string* error,
+                    std::int64_t position) {
   std::lock_guard<std::mutex> lk(mu_);
   if (!stageable_locked(error)) {
     return false;
   }
   *lsn = next_lsn_++;
-  stage_record_locked({type, *lsn, entry});
+  stage_record_locked({type, *lsn, entry, position});
   return true;
 }
 

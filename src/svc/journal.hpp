@@ -131,6 +131,9 @@ struct JournalRecord {
   Type type = Type::kAdd;
   std::uint64_t lsn = 0;
   JournalEntry entry;
+  /// A staged REMOVE's engine position, kept in memory like its
+  /// parameter block: a failed commit re-inserts the stream there.
+  std::int64_t position = -1;
 };
 
 struct JournalConfig {
@@ -225,8 +228,10 @@ class Journal {
   /// lock that orders their state mutations so replay order equals
   /// apply order.  False + \p error when the journal is closed, poisoned,
   /// or holds failed records not yet taken (nothing is staged then).
+  /// \p position is kept in memory only (JournalRecord::position).
   bool stage(JournalRecord::Type type, const JournalEntry& entry,
-             std::uint64_t* lsn, std::string* error);
+             std::uint64_t* lsn, std::string* error,
+             std::int64_t position = -1);
 
   /// Blocks until every record with LSN <= \p lsn is durable (one
   /// waiter becomes the commit leader and writes + fsyncs the whole

@@ -374,11 +374,12 @@ bool Service::open_state(std::string* error) {
   return true;
 }
 
-void Service::restore_locked(const JournalEntry& e) {
+void Service::restore_locked(const JournalEntry& e, std::int64_t position) {
   ctrl_.restore(static_cast<topo::NodeId>(e.src),
                 static_cast<topo::NodeId>(e.dst),
                 static_cast<Priority>(e.priority), e.period, e.length,
-                e.deadline, e.handle, static_cast<int>(e.route_order));
+                e.deadline, e.handle, static_cast<int>(e.route_order),
+                static_cast<StreamId>(position));
 }
 
 void Service::install_state_locked(
@@ -761,13 +762,13 @@ void Service::roll_back_failed_locked() {
   }
   const std::vector<JournalRecord> failed = journal_->take_failed();
   // Undo newest-first: each unadmit() then reverses the engine's most
-  // recent admission, and a rolled-back REMOVE's restore() cannot sit
-  // above a staged ADD it predates.
+  // recent admission, and each rolled-back REMOVE goes back to the
+  // engine position it had, so the live order is the journal's.
   for (const JournalRecord& m : failed) {
     if (m.type == JournalRecord::Type::kAdd) {
       ctrl_.unadmit(m.entry.handle);
     } else if (m.type == JournalRecord::Type::kRemove) {
-      restore_locked(m.entry);
+      restore_locked(m.entry, m.position);
     }  // A link record fails before its cascade runs: nothing to undo.
   }
   if (!failed.empty()) {
@@ -918,11 +919,13 @@ Json Service::do_remove_locked(const Json& request, PendingAck* ack) {
   if (journal_ != nullptr && stream != nullptr) {
     // Journal the teardown BEFORE applying it, so a stage failure
     // leaves the engine untouched; the journal's tail keeps the full
-    // parameter block (not on disk — REMOVE records stay handle-only) so
-    // a failed commit can restore the stream.
+    // parameter block and the engine position (not on disk — REMOVE
+    // records stay handle-only) so a failed commit can restore the
+    // stream where it was.
     std::string err;
     if (!journal_->stage(JournalRecord::Type::kRemove,
-                         entry_of(handle, *stream), &ack->lsn, &err)) {
+                         entry_of(handle, *stream), &ack->lsn, &err,
+                         ctrl_.engine().id_of(handle))) {
       return error_reply("teardown not durable: " + err);
     }
   }

@@ -376,9 +376,9 @@ class Service {
   void maybe_compact();
 
   /// Re-establishes a journaled stream under its recorded handle and
-  /// route order — replay, snapshot install and the rollback of a failed
-  /// REMOVE (mu_ held).
-  void restore_locked(const JournalEntry& e);
+  /// route order — replay, snapshot install and, at the engine
+  /// \p position it had, the rollback of a failed REMOVE (mu_ held).
+  void restore_locked(const JournalEntry& e, std::int64_t position = -1);
 
   /// The only code that turns a snapshot image into engine + fault
   /// state (recovery and follower bootstrap; mu_ held): clears the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <regex>
 #include <string>
 
 #include "fuzz/fuzzer.hpp"
@@ -296,6 +297,73 @@ TEST(Invariants, ReplicationOracleDetectsSkewedReplay) {
   // Scenarios whose churn leaves the population empty cannot trip the
   // bound comparison; across ten seeds at least one must.
   EXPECT_GT(hits, 0);
+}
+
+TEST(Invariants, DetectionProofFindingsArePinned) {
+  // What each injection mode finds on a fixed seed block, folded into one
+  // FNV-1a digest per mode: an oracle that still fires but now reports a
+  // different finding (another invariant, op, stream or number) changes
+  // the digest.  Each mode runs only the oracle it targets.  State dirs
+  // carry a random mkdtemp suffix, so their paths are masked first.  A
+  // change that moves a finding must say why before it re-records.
+  struct Mode {
+    const char* name;
+    void (*inject)(CheckConfig&);
+    std::uint64_t digest;
+  };
+  const Mode modes[] = {
+      {"soundness_tightening",
+       [](CheckConfig& c) {
+         c.check_fault = c.check_recovery = c.check_replication = false;
+         c.soundness_tightening = 40;
+       },
+       3801337652827813466ull},
+      {"fault_oracle_skew",
+       [](CheckConfig& c) {
+         c.check_flit = c.check_protocol = false;
+         c.check_recovery = c.check_replication = false;
+         c.fault_oracle_skew = 1;
+       },
+       721073140008352708ull},
+      {"replication_skew",
+       [](CheckConfig& c) {
+         c.check_flit = c.check_protocol = false;
+         c.check_fault = c.check_recovery = false;
+         c.replication_skew = 1;
+       },
+       3691520641723330016ull},
+      {"recovery_corrupt_acknowledged",
+       [](CheckConfig& c) {
+         c.check_flit = c.check_protocol = false;
+         c.check_fault = c.check_replication = false;
+         c.recovery_corrupt_acknowledged = true;
+       },
+       2263497527446162593ull},
+  };
+  const std::regex state_dir("/[^ :]*wormrt-[a-z-]+-[A-Za-z0-9]{6}");
+  for (const Mode& mode : modes) {
+    CheckConfig config;
+    config.check_equivalence = false;
+    config.check_monotonicity = false;
+    mode.inject(config);
+    std::uint64_t digest = 14695981039346656037ull;
+    std::string findings;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      const auto v = check_scenario(generate_scenario(seed), config);
+      const std::string line =
+          std::to_string(seed) + " " +
+          (v.has_value() ? v->invariant + ": " +
+                               std::regex_replace(v->detail, state_dir,
+                                                  "<state-dir>")
+                         : std::string("clean")) +
+          "\n";
+      for (const unsigned char c : line) {
+        digest = (digest ^ c) * 1099511628211ull;
+      }
+      findings += line;
+    }
+    EXPECT_EQ(digest, mode.digest) << mode.name << " found:\n" << findings;
+  }
 }
 
 // ------------------------------------------------------------------ shrink

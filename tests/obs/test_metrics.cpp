@@ -258,6 +258,39 @@ TEST(ObsConcurrency, HistogramCountAndSumAreExact) {
   EXPECT_LE(h.max(), 999.0);
 }
 
+TEST(ObsHistogram, QuantilesStayWithinTheObservedRange) {
+  // Twelve samples in the bucket [30, 40), the largest 39: interpolating
+  // the top ranks inside the bucket reaches its upper edge, 40, which no
+  // sample had.  Every estimate, here and in the JSON block, stays <= 39.
+  Registry reg;
+  Histogram& h = reg.histogram("dispatch_us", 0.0, 100.0, 10);
+  for (const double x : {30.0, 31.0, 32.0, 33.0, 34.0, 35.0, 36.0, 37.0, 38.0,
+                         39.0, 35.0, 36.0}) {
+    h.observe(x);
+  }
+  ASSERT_EQ(h.max(), 39.0);
+  EXPECT_LE(h.p99(), 39.0);
+  EXPECT_LE(h.quantile(0.999), 39.0);
+  EXPECT_GE(h.quantile(0.0), 30.0);
+
+  std::string error;
+  const Json doc = Json::parse(reg.to_json(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const Json& hist = doc.get("metrics")->items()[0];
+  EXPECT_LE(hist.get("p99")->as_double(), 39.0);
+  EXPECT_LE(hist.get("p999")->as_double(), 39.0);
+  EXPECT_DOUBLE_EQ(hist.get("max")->as_double(), 39.0);
+}
+
+TEST(ObsHistogram, OneSampleIsEveryQuantile) {
+  Registry reg;
+  Histogram& h = reg.histogram("one_us", 0.0, 100.0, 10);
+  h.observe(7.5);
+  for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_DOUBLE_EQ(h.quantile(q), 7.5) << "q " << q;
+  }
+}
+
 TEST(ObsConcurrency, ConcurrentRegistrationYieldsOneInstance) {
   Registry reg;
   constexpr int kThreads = 8;

@@ -764,19 +764,55 @@ Json handle_verb(const char* verb, std::int64_t handle) {
   return j;
 }
 
+/// \p got holds the same engine as \p want: population, next handle,
+/// and per position the handle, bound, endpoints and route order.
+void expect_same_engine(const core::AdmissionController& got,
+                        const core::AdmissionController& want) {
+  const core::IncrementalAnalyzer& g = got.engine();
+  const core::IncrementalAnalyzer& w = want.engine();
+  ASSERT_EQ(g.size(), w.size());
+  EXPECT_EQ(got.next_handle(), want.next_handle());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const auto id = static_cast<StreamId>(i);
+    EXPECT_EQ(g.handle_of(id), w.handle_of(id)) << "position " << i;
+    EXPECT_EQ(g.bound_at(id), w.bound_at(id)) << "position " << i;
+    EXPECT_EQ(g.streams()[id].src, w.streams()[id].src);
+    EXPECT_EQ(g.streams()[id].dst, w.streams()[id].dst);
+    EXPECT_EQ(g.streams()[id].route_order, w.streams()[id].route_order);
+  }
+}
+
 /// Runs \p body once per (commit fault, group commit on/off) pair.  Each
 /// run opens a journaled Service on a 4x4 mesh in a fresh \p dir, admits
 /// two acknowledged streams (handles 0 and 1), arms the fault — an fsync
-/// EIO or a torn write, both of which fail the next covering commit —
-/// and calls body(service, mesh, journal_error).  A Service reopened on
-/// \p dir afterwards must hold exactly the acknowledged streams, equal
-/// to a controller that saw only those two requests.
+/// EIO, a torn write, or a clean ENOSPC write error, each of which fails
+/// the next covering commit — and calls body(service, mesh,
+/// journal_error).  Right after the body the live engine must equal a
+/// controller that saw only the acknowledged requests, in the same
+/// order.  A clean write error leaves the journal writable, so one more
+/// REQUEST must then be acknowledged with the controller's decision.  A
+/// Service reopened on \p dir afterwards must equal the controller too.
 template <typename Body>
 void for_each_commit_failure(const std::string& dir, Body body) {
   const route::XYRouting routing;
+  struct Fault {
+    const char* name;
+    std::string error;
+    void (*arm)(util::FaultInjector&);
+    bool writable;  // the journal takes records again afterwards
+  };
+  const Fault kinds[] = {
+      {"fsync EIO", std::string("fsync (injected): ") + std::strerror(EIO),
+       [](util::FaultInjector& f) { f.arm_fsync_error(EIO); }, false},
+      {"torn write", std::string("write (injected): ") + std::strerror(EIO),
+       [](util::FaultInjector& f) { f.arm_torn_write(12); }, false},
+      {"clean ENOSPC",
+       std::string("write (injected): ") + std::strerror(ENOSPC),
+       [](util::FaultInjector& f) { f.arm_write_error(ENOSPC); }, true},
+  };
   for (const bool group_commit : {true, false}) {
-    for (const bool torn : {false, true}) {
-      SCOPED_TRACE(std::string(torn ? "torn write" : "fsync EIO") +
+    for (const Fault& kind : kinds) {
+      SCOPED_TRACE(std::string(kind.name) +
                    (group_commit ? ", group commit" : ", serial commit"));
       std::filesystem::remove_all(dir);
       topo::Mesh oracle_mesh(4, 4);
@@ -797,15 +833,19 @@ void for_each_commit_failure(const std::string& dir, Body body) {
                           ->as_bool());
           ASSERT_TRUE(acknowledged.request(src, dst, 2, 60, 8, 50).admitted);
         }
-        if (torn) {
-          faults.arm_torn_write(12);
-        } else {
-          faults.arm_fsync_error(EIO);
-        }
-        body(service, mesh,
-             std::string(torn ? "write (injected): " : "fsync (injected): ") +
-                 std::strerror(EIO));
+        kind.arm(faults);
+        body(service, mesh, kind.error);
         EXPECT_EQ(faults.faults_injected(), 1u);
+        expect_same_engine(service.controller(), acknowledged);
+        if (kind.writable) {
+          const Json reply = service.handle(request_line(3, 12, 2, 60, 8, 50));
+          const auto want = acknowledged.request(3, 12, 2, 60, 8, 50);
+          ASSERT_TRUE(reply.get("ok")->as_bool()) << reply.dump();
+          ASSERT_TRUE(want.admitted);
+          EXPECT_EQ(reply.get("handle")->as_int(), want.handle);
+          EXPECT_EQ(reply.get("bound")->as_int(), want.bound);
+          expect_same_engine(service.controller(), acknowledged);
+        }
       }
 
       topo::Mesh reopen_mesh(4, 4);
@@ -814,21 +854,8 @@ void for_each_commit_failure(const std::string& dir, Body body) {
       Service reopened(reopen_mesh, routing, {}, reopen_options);
       std::string error;
       ASSERT_TRUE(reopened.open_state(&error)) << error;
-      const core::IncrementalAnalyzer& want = acknowledged.engine();
-      const core::IncrementalAnalyzer& got = reopened.controller().engine();
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(reopened.controller().next_handle(),
-                acknowledged.next_handle());
       EXPECT_EQ(reopen_mesh.channels().num_faulted(), 0u);
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        const auto id = static_cast<StreamId>(i);
-        EXPECT_EQ(got.handle_of(id), want.handle_of(id));
-        EXPECT_EQ(got.bound_at(id), want.bound_at(id));
-        EXPECT_EQ(got.streams()[id].src, want.streams()[id].src);
-        EXPECT_EQ(got.streams()[id].dst, want.streams()[id].dst);
-        EXPECT_EQ(got.streams()[id].route_order,
-                  want.streams()[id].route_order);
-      }
+      expect_same_engine(reopened.controller(), acknowledged);
     }
   }
   std::filesystem::remove_all(dir);
