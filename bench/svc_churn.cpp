@@ -486,7 +486,6 @@ ReplResult run_replication(topo::Mesh& primary_mesh, topo::Mesh& follower_mesh,
   svc::ReplicaConfig replica_config;
   replica_config.endpoint = std::string("unix:") + path;
   replica_config.follower_id = "bench";
-  replica_config.fingerprint = follower_mesh.fingerprint();
   svc::ReplicaSession replica(follower, replica_config);
   follower.set_promote_hook([&replica] { replica.stop(); });
   replica.start();

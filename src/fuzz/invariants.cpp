@@ -983,14 +983,15 @@ std::optional<Violation> check_recovery_invariants(
 
 /// Replication: the churn driver replays the churn into a journaled
 /// primary (every reply checked against its in-process reference) while
-/// an in-process follower pulls it through the REPL_* verbs — the exact
-/// code path `wormrtd --follow` drives over sockets (Service::handle plus
-/// the shared apply_snapshot_reply / apply_pull_reply helpers), minus
-/// the transport.  The follower is crashed and rebooted at random points
-/// (recovery + re-handshake + resume), and small primary buffers force
-/// the snapshot-bootstrap path mid-churn.  After catch-up the follower
-/// must equal the primary bitwise, and once PROMOTEd it and the primary
-/// must both make the reference's next admission decision.
+/// an in-process follower pulls it through the REPL_* verbs with the
+/// follower step `wormrtd --follow` ships (svc::hello, svc::bootstrap,
+/// svc::pull_once), over Service::handle instead of a socket.  The
+/// follower is crashed and rebooted at random points (recovery, then
+/// the handshake a reconnecting session sends, then resume), and small
+/// primary buffers force the snapshot-bootstrap path mid-churn.  After
+/// catch-up the follower must equal the primary bitwise, and once
+/// PROMOTEd it and the primary must both make the reference's next
+/// admission decision.
 std::optional<Violation> check_replication_invariants(
     const Scenario& scenario, const route::RoutingAlgorithm& routing,
     const CheckConfig& config) {
@@ -1027,6 +1028,16 @@ std::optional<Violation> check_replication_invariants(
   follower_options.journal_fsync = false;
   follower_options.follower = true;
 
+  // The primary as the follower step sees it: its verb dispatch, where
+  // wormrtd's session has a socket.
+  const svc::PrimaryCall call_primary = [&primary](const Json& request,
+                                                   Json* reply,
+                                                   std::string*) {
+    *reply = primary.handle(request);
+    return true;
+  };
+  const std::string follower_id = "oracle";
+
   // Follower incarnations: a crash drops the Service object (and its
   // topology instance, which carries replicated fault flags) and boots
   // a fresh one from the surviving state dir — recovery, re-handshake,
@@ -1037,10 +1048,19 @@ std::optional<Violation> check_replication_invariants(
     follower_topos.push_back(scenario.topo.build());
     follower = std::make_unique<svc::Service>(
         *follower_topos.back(), routing, config.analysis, follower_options);
-    std::string open_err;
-    if (!follower->open_state(&open_err)) {
+    std::string boot_err;
+    if (!follower->open_state(&boot_err)) {
       return fail(kInvariantReplication,
-                  "follower open_state: " + open_err);
+                  "follower open_state: " + boot_err);
+    }
+    svc::HelloReply handshake;
+    if (!svc::hello(call_primary, follower_id,
+                    follower->controller().topology().fingerprint(),
+                    follower->epoch(), follower->durable_lsn(), &handshake,
+                    &boot_err) ||
+        (handshake.snapshot_needed &&
+         !svc::bootstrap(call_primary, *follower, &boot_err))) {
+      return fail(kInvariantReplication, "follower handshake: " + boot_err);
     }
     return std::nullopt;
   };
@@ -1048,44 +1068,6 @@ std::optional<Violation> check_replication_invariants(
     return violation;
   }
 
-  // One pull round trip through the primary's verb dispatch, exactly as
-  // a ReplicaSession would issue it.  Returns an error string on any
-  // protocol or apply failure.
-  const auto pull_once = [&](bool* progressed) -> std::optional<std::string> {
-    *progressed = false;
-    Json pull = Json::object();
-    pull.set("verb", "REPL_PULL");
-    pull.set("follower_id", "oracle");
-    pull.set("from_lsn",
-             static_cast<std::int64_t>(follower->durable_lsn() + 1));
-    pull.set("durable_lsn",
-             static_cast<std::int64_t>(follower->durable_lsn()));
-    pull.set("wait_ms", static_cast<std::int64_t>(0));
-    const Json reply = primary.handle(pull);
-    const Json* ok = reply.get("ok");
-    if (ok == nullptr || !ok->as_bool()) {
-      return "REPL_PULL refused: " + reply.dump();
-    }
-    if (reply.get("snapshot_needed") != nullptr &&
-        reply.get("snapshot_needed")->as_bool()) {
-      Json snap_req = Json::object();
-      snap_req.set("verb", "REPL_SNAPSHOT");
-      const Json snap = primary.handle(snap_req);
-      std::string apply_err;
-      if (!svc::apply_snapshot_reply(*follower, snap, &apply_err)) {
-        return "snapshot bootstrap: " + apply_err;
-      }
-      *progressed = true;
-      return std::nullopt;
-    }
-    std::uint64_t applied = 0;
-    std::string apply_err;
-    if (!svc::apply_pull_reply(*follower, reply, &applied, &apply_err)) {
-      return "apply_pull_reply: " + apply_err;
-    }
-    *progressed = applied > 0;
-    return std::nullopt;
-  };
   const auto catch_up = [&]() -> std::optional<std::string> {
     for (int rounds = 0; follower->durable_lsn() < primary.durable_lsn();
          ++rounds) {
@@ -1094,13 +1076,15 @@ std::optional<Violation> check_replication_invariants(
                std::to_string(follower->durable_lsn()) + ", primary " +
                std::to_string(primary.durable_lsn()) + ")";
       }
-      bool progressed = false;
-      if (auto pull_err = pull_once(&progressed)) {
+      const std::uint64_t before = follower->durable_lsn();
+      std::string pull_err;
+      if (!svc::pull_once(call_primary, *follower, follower_id, 0,
+                          &pull_err)) {
         return pull_err;
       }
-      if (!progressed) {
+      if (follower->durable_lsn() == before) {
         return "catch-up stalled without progress (follower durable " +
-               std::to_string(follower->durable_lsn()) + ", primary " +
+               std::to_string(before) + ", primary " +
                std::to_string(primary.durable_lsn()) + ")";
       }
     }
@@ -1111,12 +1095,11 @@ std::optional<Violation> check_replication_invariants(
   // op followed by a pull (p = 0.6) and a follower crash (p = 0.04).
   const auto pull_or_crash =
       [&](const ChurnDriver::Step& step) -> std::optional<Violation> {
-    if (rng.bernoulli(0.6)) {
-      bool progressed = false;
-      if (auto pull_err = pull_once(&progressed)) {
-        return fail(kInvariantReplication,
-                    "op " + std::to_string(step.index) + ": " + *pull_err);
-      }
+    std::string pull_err;
+    if (rng.bernoulli(0.6) &&
+        !svc::pull_once(call_primary, *follower, follower_id, 0, &pull_err)) {
+      return fail(kInvariantReplication,
+                  "op " + std::to_string(step.index) + ": " + pull_err);
     }
     if (rng.bernoulli(0.04)) {
       follower.reset();  // SIGKILL-equivalent: nothing flushed beyond disk

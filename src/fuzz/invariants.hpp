@@ -53,12 +53,14 @@
 ///                 survivors, and no surviving path may cross a faulted
 ///                 channel.
 ///   replication   the replay through a journaled primary while an
-///                 in-process follower pulls it through the REPL_* verbs
-///                 (the hook pulls and crashes the follower; small
-///                 buffers force snapshot bootstraps); after catch-up the
-///                 follower's engine must equal the primary's bitwise,
-///                 and after PROMOTE both must make the in-process
-///                 reference's next admission decision.
+///                 in-process follower pulls it with the follower step
+///                 wormrtd --follow ships (svc::hello at each boot,
+///                 svc::bootstrap when told, svc::pull_once; the hook
+///                 pulls and crashes the follower; small buffers force
+///                 snapshot bootstraps); after catch-up the follower's
+///                 engine must equal the primary's bitwise, and after
+///                 PROMOTE both must make the in-process reference's
+///                 next admission decision.
 
 namespace wormrt::fuzz {
 

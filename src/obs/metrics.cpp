@@ -28,30 +28,6 @@ std::string escape_label(const std::string& v) {
   return out;
 }
 
-/// Escapes a string for embedding in JSON output.
-std::string escape_json(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Renders {k1="v1",k2="v2"}; empty string when there are no labels.
 std::string render_labels(const Labels& labels) {
   if (labels.empty()) {
@@ -76,6 +52,10 @@ std::string render_labels_plus(const Labels& labels, const std::string& key,
   return render_labels(all);
 }
 
+/// True when both expositions write \p v as an integer: a whole number
+/// below 1e15.
+bool whole(double v) { return std::abs(v) < 1e15 && v == std::trunc(v); }
+
 std::string format_double(double v) {
   if (v == std::numeric_limits<double>::infinity()) {
     return "+Inf";
@@ -83,13 +63,16 @@ std::string format_double(double v) {
   char buf[64];
   // %.17g round-trips doubles; trim to %g-style readability for the
   // common integral values.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  if (whole(v)) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof buf, "%.17g", v);
   }
   return buf;
+}
+
+util::Json json_number(double v) {
+  return whole(v) ? util::Json(static_cast<std::int64_t>(v)) : util::Json(v);
 }
 
 std::string key_of(const std::string& name, const Labels& labels) {
@@ -338,50 +321,44 @@ std::string Registry::to_prometheus() const {
   return out;
 }
 
-std::string Registry::to_json() const {
+util::Json Registry::to_json() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::string out = "{\"metrics\":[";
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    if (i > 0) {
-      out += ",";
+  util::Json list = util::Json::array();
+  for (const Entry& e : entries_) {
+    util::Json entry = util::Json::object();
+    entry.set("name", e.name);
+    util::Json labels = util::Json::object();
+    for (const auto& [key, value] : e.labels) {
+      labels.set(key, value);
     }
-    out += "{\"name\":\"" + escape_json(e.name) + "\",";
-    out += "\"labels\":{";
-    for (std::size_t j = 0; j < e.labels.size(); ++j) {
-      if (j > 0) {
-        out += ",";
-      }
-      out += "\"" + escape_json(e.labels[j].first) + "\":\"" +
-             escape_json(e.labels[j].second) + "\"";
-    }
-    out += "},";
+    entry.set("labels", std::move(labels));
     switch (e.kind) {
       case Kind::kCounter:
-        out += "\"type\":\"counter\",\"value\":" +
-               std::to_string(e.counter->value());
+        entry.set("type", "counter");
+        entry.set("value", static_cast<std::int64_t>(e.counter->value()));
         break;
       case Kind::kGauge:
-        out += "\"type\":\"gauge\",\"value\":" +
-               format_double(e.gauge->value());
+        entry.set("type", "gauge");
+        entry.set("value", json_number(e.gauge->value()));
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e.histogram;
         const std::vector<double> q = h.quantiles({0.50, 0.99, 0.999});
-        out += "\"type\":\"histogram\"";
-        out += ",\"count\":" + std::to_string(h.count());
-        out += ",\"sum\":" + format_double(h.sum());
-        out += ",\"min\":" + format_double(h.min());
-        out += ",\"max\":" + format_double(h.max());
-        out += ",\"p50\":" + format_double(q[0]);
-        out += ",\"p99\":" + format_double(q[1]);
-        out += ",\"p999\":" + format_double(q[2]);
+        entry.set("type", "histogram");
+        entry.set("count", static_cast<std::int64_t>(h.count()));
+        entry.set("sum", json_number(h.sum()));
+        entry.set("min", json_number(h.min()));
+        entry.set("max", json_number(h.max()));
+        entry.set("p50", json_number(q[0]));
+        entry.set("p99", json_number(q[1]));
+        entry.set("p999", json_number(q[2]));
         break;
       }
     }
-    out += "}";
+    list.push_back(std::move(entry));
   }
-  out += "]}";
+  util::Json out = util::Json::object();
+  out.set("metrics", std::move(list));
   return out;
 }
 

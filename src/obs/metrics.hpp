@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/histogram.hpp"
+#include "util/json.hpp"
 
 /// \file metrics.hpp
 /// The process-wide metrics registry: named counters, gauges and
@@ -147,10 +148,11 @@ class Registry {
   /// plus _sum and _count.
   std::string to_prometheus() const;
 
-  /// JSON exposition: {"metrics":[{name,type,labels,...}]} with a value
+  /// JSON exposition: {"metrics":[{name,labels,type,...}]} with a value
   /// for counters and gauges, and count/sum/min/max/p50/p99/p999 for
-  /// histograms.
-  std::string to_json() const;
+  /// histograms — the block METRICS embeds in its reply.  A whole number
+  /// below 1e15 is an integer, as in the text exposition.
+  util::Json to_json() const;
 
   static Registry& global();
 

@@ -401,15 +401,19 @@ Journal::Metrics::Metrics(obs::Registry& reg)
       discarded_bytes(reg.counter(
           "wormrt_journal_discarded_tail_bytes_total", {},
           "Torn/corrupt WAL tail bytes discarded at recovery.")),
-      // 50µs buckets: the old 1ms buckets could not resolve the
-      // group-commit win against the serial baseline (DESIGN.md §14).
-      fsync_us(reg.histogram("wormrt_journal_fsync_us", 0.0, 50000.0, 1000,
-                             {}, "WAL fsync latency in microseconds.")),
+      fsync_us(fsync_histogram(reg)),
       group_commits(reg.counter("wormrt_journal_group_commits_total", {},
                                 "Leader commits (one write + fsync each).")),
       group_commit_batch(reg.histogram(
           "wormrt_journal_group_commit_batch_size", 0.0, 128.0, 32, {},
           "Records made durable per leader commit.")) {}
+
+obs::Histogram& Journal::fsync_histogram(obs::Registry& registry) {
+  // 50µs buckets: the old 1ms buckets could not resolve the group-commit
+  // win against the serial baseline (DESIGN.md §14).
+  return registry.histogram("wormrt_journal_fsync_us", 0.0, 50000.0, 1000, {},
+                            "WAL fsync latency in microseconds.");
+}
 
 Journal::Journal(JournalConfig config, obs::Registry* registry)
     : config_(std::move(config)) {

@@ -207,6 +207,10 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
+  /// wormrt_journal_fsync_us in \p registry (registered on first use):
+  /// the journal's fsyncs observe it; HEALTH and the sampler read its p99.
+  static obs::Histogram& fsync_histogram(obs::Registry& registry);
+
   /// Reads snapshot + journal into \p state, repairs a torn journal
   /// tail, and opens the journal for appending.  False + \p error on an
   /// unrecoverable problem (unreadable dir, corrupt snapshot).

@@ -46,6 +46,33 @@ bool decode_row(const Json& row, std::size_t head_size, std::int64_t* head,
   return true;
 }
 
+/// False + \p error naming \p verb and the primary's reason unless
+/// \p reply says ok.
+bool accepted(const Json& reply, const char* verb, std::string* error) {
+  const Json* ok = reply.get("ok");
+  if (ok != nullptr && ok->as_bool()) {
+    return true;
+  }
+  const Json* err = reply.get("error");
+  *error = std::string(verb) + " failed: " +
+           (err != nullptr && err->is_string() ? err->as_string()
+                                               : reply.dump());
+  return false;
+}
+
+/// \p reply's unsigned field \p key, \p fallback when absent.
+std::uint64_t u64_field(const Json& reply, const char* key,
+                        std::uint64_t fallback = 0) {
+  const Json* v = reply.get(key);
+  return v != nullptr ? static_cast<std::uint64_t>(v->as_int()) : fallback;
+}
+
+/// The session's REPL_PULL long-poll window, its client I/O deadline
+/// (comfortably above the window) and its reconnect backoff.
+constexpr int kPullWaitMs = 1000;
+constexpr int kTimeoutMs = 10000;
+constexpr int kReconnectDelayMs = 200;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -98,15 +125,6 @@ bool Replicator::wait_follower_durable(std::uint64_t lsn, int timeout_ms) {
   return follower_cv_.wait_until(lk, deadline, covered);
 }
 
-std::uint64_t Replicator::max_follower_durable() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t best = 0;
-  for (const auto& [id, info] : followers_) {
-    best = std::max(best, info.durable_lsn);
-  }
-  return best;
-}
-
 std::vector<Replicator::FollowerInfo> Replicator::followers() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<FollowerInfo> out;
@@ -117,28 +135,13 @@ std::vector<Replicator::FollowerInfo> Replicator::followers() const {
   return out;
 }
 
-void Replicator::set_fence(std::uint64_t fence_lsn) {
-  std::lock_guard<std::mutex> lk(mu_);
-  fence_lsn_ = fence_lsn;
-}
-
-std::uint64_t Replicator::fence_lsn() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return fence_lsn_;
-}
-
 // ---------------------------------------------------------------------------
 // Reply application (shared with the fuzz oracle)
 // ---------------------------------------------------------------------------
 
 bool apply_snapshot_reply(Service& service, const Json& reply,
                           std::string* error) {
-  const Json* ok = reply.get("ok");
-  if (ok == nullptr || !ok->as_bool()) {
-    const Json* err = reply.get("error");
-    *error = "REPL_SNAPSHOT failed: " +
-             (err != nullptr && err->is_string() ? err->as_string()
-                                                 : reply.dump());
+  if (!accepted(reply, "REPL_SNAPSHOT", error)) {
     return false;
   }
   const Json* lsn = reply.get("lsn");
@@ -180,12 +183,7 @@ bool apply_snapshot_reply(Service& service, const Json& reply,
 
 bool apply_pull_reply(Service& service, const Json& reply,
                       std::uint64_t* applied, std::string* error) {
-  const Json* ok = reply.get("ok");
-  if (ok == nullptr || !ok->as_bool()) {
-    const Json* err = reply.get("error");
-    *error = "REPL_PULL failed: " +
-             (err != nullptr && err->is_string() ? err->as_string()
-                                                 : reply.dump());
+  if (!accepted(reply, "REPL_PULL", error)) {
     return false;
   }
   const Json* records = reply.get("records");
@@ -219,41 +217,79 @@ bool apply_pull_reply(Service& service, const Json& reply,
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint parsing
+// The follower's step (ReplicaSession, wormrtd's preflight, the fuzz oracle)
 // ---------------------------------------------------------------------------
 
-bool parse_endpoint(const std::string& spec, bool* is_unix,
-                    std::string* path_or_host, int* port) {
-  if (spec.empty()) {
+PrimaryCall primary_at(Client& client) {
+  return [&client](const Json& request, Json* reply, std::string* error) {
+    std::string line;
+    if (!client.call(request.dump(), &line, error)) {
+      return false;
+    }
+    std::string parse_error;
+    *reply = Json::parse(line, &parse_error);
+    if (!parse_error.empty()) {
+      *error = "primary sent bad json: " + parse_error;
+      return false;
+    }
+    return true;
+  };
+}
+
+bool hello(const PrimaryCall& primary, const std::string& follower_id,
+           std::uint64_t fingerprint, std::uint64_t epoch,
+           std::uint64_t durable_lsn, HelloReply* reply, std::string* error) {
+  Json request = Json::object();
+  request.set("verb", "REPL_HELLO");
+  request.set("follower_id", follower_id);
+  request.set("fingerprint", static_cast<std::int64_t>(fingerprint));
+  request.set("epoch", static_cast<std::int64_t>(epoch));
+  request.set("durable_lsn", static_cast<std::int64_t>(durable_lsn));
+  Json answer;
+  if (!primary(request, &answer, error) ||
+      !accepted(answer, "REPL_HELLO", error)) {
     return false;
   }
-  if (spec.rfind("unix:", 0) == 0) {
-    *is_unix = true;
-    *path_or_host = spec.substr(5);
-    *port = 0;
-    return !path_or_host->empty();
+  reply->epoch = u64_field(answer, "epoch", 1);
+  reply->fence_lsn = u64_field(answer, "fence_lsn");
+  reply->durable_lsn = u64_field(answer, "durable_lsn");
+  const Json* snapshot_needed = answer.get("snapshot_needed");
+  reply->snapshot_needed =
+      snapshot_needed != nullptr && snapshot_needed->as_bool();
+  return true;
+}
+
+bool bootstrap(const PrimaryCall& primary, Service& follower,
+               std::string* error) {
+  Json request = Json::object();
+  request.set("verb", "REPL_SNAPSHOT");
+  Json reply;
+  return primary(request, &reply, error) &&
+         apply_snapshot_reply(follower, reply, error);
+}
+
+bool pull_once(const PrimaryCall& primary, Service& follower,
+               const std::string& follower_id, int wait_ms,
+               std::string* error) {
+  const std::uint64_t durable = follower.durable_lsn();
+  Json request = Json::object();
+  request.set("verb", "REPL_PULL");
+  request.set("follower_id", follower_id);
+  request.set("from_lsn", static_cast<std::int64_t>(durable + 1));
+  request.set("durable_lsn", static_cast<std::int64_t>(durable));
+  request.set("wait_ms", static_cast<std::int64_t>(wait_ms));
+  Json reply;
+  if (!primary(request, &reply, error)) {
+    return false;
   }
-  const std::size_t colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size() &&
-      spec.find('/') == std::string::npos) {
-    bool digits = true;
-    for (std::size_t i = colon + 1; i < spec.size(); ++i) {
-      if (spec[i] < '0' || spec[i] > '9') {
-        digits = false;
-        break;
-      }
-    }
-    if (digits) {
-      *is_unix = false;
-      *path_or_host = spec.substr(0, colon);
-      *port = std::stoi(spec.substr(colon + 1));
-      return !path_or_host->empty() && *port > 0 && *port < 65536;
-    }
+  const Json* snapshot_needed = reply.get("snapshot_needed");
+  if (snapshot_needed != nullptr && snapshot_needed->as_bool()
+          ? !bootstrap(primary, follower, error)
+          : !apply_pull_reply(follower, reply, nullptr, error)) {
+    return false;
   }
-  // Bare socket path ("/run/wormrtd.sock" or a relative path).
-  *is_unix = true;
-  *path_or_host = spec;
-  *port = 0;
+  follower.note_replica_progress(u64_field(reply, "durable_lsn"),
+                                 u64_field(reply, "epoch"), true);
   return true;
 }
 
@@ -289,149 +325,48 @@ void ReplicaSession::stop() {
   running_.store(false, std::memory_order_release);
 }
 
-bool ReplicaSession::connect_primary(Client* client, std::string* error) {
-  bool is_unix = false;
-  std::string target;
-  int port = 0;
-  if (!parse_endpoint(config_.endpoint, &is_unix, &target, &port)) {
-    *error = "bad primary endpoint: " + config_.endpoint;
-    return false;
-  }
-  client->set_timeout_ms(config_.timeout_ms);
-  return is_unix ? client->connect_unix(target, error)
-                 : client->connect_tcp(target, port, error);
-}
-
-bool ReplicaSession::call_verb(Client* client, const Json& request,
-                               Json* reply, std::string* error) {
-  std::string line;
-  if (!client->call(request.dump(), &line, error)) {
-    return false;
-  }
-  std::string parse_error;
-  *reply = Json::parse(line, &parse_error);
-  if (!parse_error.empty()) {
-    *error = "primary sent bad json: " + parse_error;
-    return false;
-  }
-  return true;
-}
-
 void ReplicaSession::run() {
-  // Interruptible backoff: sleeps in small slices so stop() (and thus
-  // PROMOTE) never waits out a full reconnect delay.
-  const auto backoff = [this] {
-    int left = std::max(config_.reconnect_delay_ms, 1);
-    while (left > 0 && !stop_.load(std::memory_order_acquire)) {
-      const int slice = std::min(left, 20);
-      std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-      left -= slice;
-    }
+  const auto stopping = [this] {
+    return stop_.load(std::memory_order_acquire);
   };
-  while (!stop_.load(std::memory_order_acquire)) {
+  const std::uint64_t fingerprint =
+      service_.controller().topology().fingerprint();
+  while (!stopping()) {
     Client client;
+    client.set_timeout_ms(kTimeoutMs);
+    const PrimaryCall primary = primary_at(client);
     std::string error;
-    if (!connect_primary(&client, &error)) {
-      service_.note_replica_progress(0, 0, false);
-      backoff();
-      continue;
+    // Handshake: prove we replay the same fabric and learn whether our
+    // journal is close enough to stream from.  A refusal — "not primary"
+    // (follower chains are not supported) or a fingerprint mismatch — is
+    // retried with backoff, so an operator can fix the topology or
+    // promote without a restart.
+    HelloReply handshake;
+    bool live = client.connect_spec(config_.endpoint, &error) &&
+                hello(primary, config_.follower_id, fingerprint,
+                      service_.epoch(), service_.durable_lsn(), &handshake,
+                      &error);
+    if (live) {
+      // Connected as of the handshake: a snapshot bootstrap can take a
+      // while, and HEALTH must not call a live session disconnected
+      // before its first pull completes.
+      service_.note_replica_progress(handshake.durable_lsn, handshake.epoch,
+                                     true);
+      live = !handshake.snapshot_needed ||
+             bootstrap(primary, service_, &error);
     }
-    // Handshake: prove we are replaying the same fabric, learn the
-    // primary's epoch/durable position, find out whether our journal is
-    // close enough to stream or we must bootstrap from a snapshot.
-    Json hello = Json::object();
-    hello.set("verb", "REPL_HELLO");
-    hello.set("follower_id", config_.follower_id);
-    hello.set("fingerprint", static_cast<std::int64_t>(config_.fingerprint));
-    hello.set("epoch", static_cast<std::int64_t>(service_.epoch()));
-    hello.set("durable_lsn",
-              static_cast<std::int64_t>(service_.durable_lsn()));
-    Json reply;
-    if (!call_verb(&client, hello, &reply, &error)) {
-      service_.note_replica_progress(0, 0, false);
-      backoff();
-      continue;
+    while (live && !stopping()) {
+      live = pull_once(primary, service_, config_.follower_id, kPullWaitMs,
+                       &error);
     }
-    const Json* ok = reply.get("ok");
-    if (ok == nullptr || !ok->as_bool()) {
-      // "not primary" (follower chains are not supported) or a
-      // fingerprint mismatch; both are retried with backoff so an
-      // operator can fix the topology / promote without a restart, and
-      // both are loud on stderr via the daemon's progress gauge.
-      service_.note_replica_progress(0, 0, false);
-      backoff();
-      continue;
+    if (stopping()) {
+      break;
     }
-    bool snapshot_needed =
-        reply.get("snapshot_needed") != nullptr &&
-        reply.get("snapshot_needed")->as_bool();
-    // Connected as of the handshake — a snapshot bootstrap can take a
-    // while, and HEALTH must not call a live session disconnected
-    // before its first pull completes.
-    {
-      const Json* p_durable = reply.get("durable_lsn");
-      const Json* p_epoch = reply.get("epoch");
-      service_.note_replica_progress(
-          p_durable != nullptr
-              ? static_cast<std::uint64_t>(p_durable->as_int())
-              : 0,
-          p_epoch != nullptr ? static_cast<std::uint64_t>(p_epoch->as_int())
-                             : 0,
-          true);
-    }
-    bool session_ok = true;
-    while (session_ok && !stop_.load(std::memory_order_acquire)) {
-      if (snapshot_needed) {
-        Json req = Json::object();
-        req.set("verb", "REPL_SNAPSHOT");
-        Json snap;
-        if (!call_verb(&client, req, &snap, &error) ||
-            !apply_snapshot_reply(service_, snap, &error)) {
-          session_ok = false;
-          break;
-        }
-        snapshot_needed = false;
-      }
-      Json pull = Json::object();
-      pull.set("verb", "REPL_PULL");
-      pull.set("follower_id", config_.follower_id);
-      pull.set("from_lsn",
-               static_cast<std::int64_t>(service_.durable_lsn() + 1));
-      pull.set("durable_lsn",
-               static_cast<std::int64_t>(service_.durable_lsn()));
-      pull.set("wait_ms", static_cast<std::int64_t>(config_.pull_wait_ms));
-      Json batch;
-      if (!call_verb(&client, pull, &batch, &error)) {
-        session_ok = false;
-        break;
-      }
-      const Json* pull_ok = batch.get("ok");
-      if (pull_ok == nullptr || !pull_ok->as_bool()) {
-        session_ok = false;
-        break;
-      }
-      if (batch.get("snapshot_needed") != nullptr &&
-          batch.get("snapshot_needed")->as_bool()) {
-        snapshot_needed = true;
-        continue;
-      }
-      std::uint64_t applied = 0;
-      if (!apply_pull_reply(service_, batch, &applied, &error)) {
-        session_ok = false;
-        break;
-      }
-      const Json* durable = batch.get("durable_lsn");
-      const Json* epoch = batch.get("epoch");
-      service_.note_replica_progress(
-          durable != nullptr ? static_cast<std::uint64_t>(durable->as_int())
-                             : 0,
-          epoch != nullptr ? static_cast<std::uint64_t>(epoch->as_int()) : 0,
-          true);
-    }
-    client.close();
-    if (!stop_.load(std::memory_order_acquire)) {
-      service_.note_replica_progress(0, 0, false);
-      backoff();
+    service_.note_replica_progress(0, 0, false);
+    // Interruptible backoff: sleeps in small slices so stop() (and thus
+    // PROMOTE) never waits out a full reconnect delay.
+    for (int left = kReconnectDelayMs; left > 0 && !stopping(); left -= 20) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
   running_.store(false, std::memory_order_release);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <mutex>
@@ -25,14 +26,18 @@
 ///   Replicator      primary-side follower registry: each follower's
 ///                   acknowledged durable LSN, the --sync-replication
 ///                   wait on it, and the fence for REPL_HELLO.
+///   hello, bootstrap, pull_once
+///                   the follower's side of the REPL_* verbs, the one
+///                   place each request is built and its reply applied —
+///                   a pull through Service::apply_replicated: journal
+///                   first (one fsync), engine second, through the apply
+///                   step recovery replays with.  ReplicaSession and the
+///                   fuzz replication oracle run all three, wormrtd's
+///                   --follow preflight runs hello.
 ///   ReplicaSession  follower-side pull loop: a thread that connects to
-///                   the primary with the ordinary svc::Client, performs
-///                   the HELLO handshake (fingerprint + epoch check),
-///                   bootstraps from a snapshot when it is behind the
-///                   tail's floor, then long-polls REPL_PULL and applies
-///                   each pull through Service::apply_replicated —
-///                   journal first (one fsync), engine second, through
-///                   the same apply step recovery replays with.
+///                   the primary with the ordinary svc::Client, sends
+///                   hello (fingerprint + epoch check), bootstraps from a
+///                   snapshot when told, then long-polls with pull_once.
 ///
 /// Wire protocol (newline-delimited JSON, like every other verb):
 ///   REPL_HELLO  {follower_id, fingerprint, epoch, durable_lsn}
@@ -73,6 +78,9 @@ class Service;
 /// journal's tail (Journal::read_durable).  Thread-safe; owns no I/O.
 class Replicator {
  public:
+  /// \p fence_lsn: see fence_lsn().
+  explicit Replicator(std::uint64_t fence_lsn = 0) : fence_lsn_(fence_lsn) {}
+
   /// Records a follower's acknowledged durable LSN (from its REPL_PULL
   /// request) and wakes --sync-replication waiters.
   void note_follower(const std::string& follower_id,
@@ -83,9 +91,6 @@ class Replicator {
   /// counts it and degrades to async — semi-synchronous semantics).
   bool wait_follower_durable(std::uint64_t lsn, int timeout_ms);
 
-  /// Highest LSN any follower has acknowledged durable (0 when none).
-  std::uint64_t max_follower_durable() const;
-
   struct FollowerInfo {
     std::string id;
     std::uint64_t durable_lsn = 0;
@@ -95,18 +100,17 @@ class Replicator {
 
   /// Fencing metadata for REPL_HELLO replies: the highest old-epoch LSN
   /// the current primary incarnation carried over (its durable LSN at
-  /// promotion).  Zero until this primary was promoted from a follower
+  /// promotion).  Zero unless this primary was promoted from a follower
   /// in this process lifetime — a deposed rejoiner then gets fence_lsn 0
   /// and re-bootstraps, which is pessimistic but never merges a stale
   /// tail.
-  void set_fence(std::uint64_t fence_lsn);
-  std::uint64_t fence_lsn() const;
+  std::uint64_t fence_lsn() const { return fence_lsn_; }
 
  private:
+  const std::uint64_t fence_lsn_;
   mutable std::mutex mu_;
   std::condition_variable follower_cv_;  ///< note_follower -> sync waits
   std::map<std::string, FollowerInfo> followers_;
-  std::uint64_t fence_lsn_ = 0;
 };
 
 /// One replication wire row: \p head — [type, lsn] for a REPL_PULL
@@ -131,28 +135,59 @@ bool apply_snapshot_reply(Service& service, const Json& reply,
 bool apply_pull_reply(Service& service, const Json& reply,
                       std::uint64_t* applied, std::string* error);
 
-/// Follower-side pull loop configuration.
+/// The primary as one request -> reply round trip: a Client call
+/// (primary_at) for ReplicaSession and wormrtd's preflight,
+/// Service::handle for the fuzz oracle.  False + error on no reply.
+using PrimaryCall =
+    std::function<bool(const Json& request, Json* reply, std::string* error)>;
+
+/// The primary behind \p client.
+PrimaryCall primary_at(Client& client);
+
+/// What REPL_HELLO tells a follower.
+struct HelloReply {
+  std::uint64_t epoch = 1;  ///< the primary's fencing epoch
+  std::uint64_t fence_lsn = 0;
+  std::uint64_t durable_lsn = 0;
+  bool snapshot_needed = false;
+};
+
+/// Sends REPL_HELLO for a follower on the fabric \p fingerprint whose
+/// journal holds (\p epoch, \p durable_lsn).  False + \p error when the
+/// call failed or the primary refused, with the primary's reason (e.g.
+/// "topology fingerprint mismatch: ...").
+bool hello(const PrimaryCall& primary, const std::string& follower_id,
+           std::uint64_t fingerprint, std::uint64_t epoch,
+           std::uint64_t durable_lsn, HelloReply* reply, std::string* error);
+
+/// Sends REPL_SNAPSHOT and installs the image (apply_snapshot_reply).
+bool bootstrap(const PrimaryCall& primary, Service& follower,
+               std::string* error);
+
+/// One follower step: one REPL_PULL for the records past \p follower's
+/// durable LSN (which is also its ack), long-polling up to \p wait_ms;
+/// bootstraps when the reply says snapshot_needed, else applies the
+/// records (apply_pull_reply), then notes the primary's position
+/// (Service::note_replica_progress).  The follower's durable LSN rises
+/// unless the primary had nothing new.
+bool pull_once(const PrimaryCall& primary, Service& follower,
+               const std::string& follower_id, int wait_ms,
+               std::string* error);
+
+/// Follower-side pull loop configuration.  The handshake asserts the
+/// fingerprint of the follower Service's own topology.
 struct ReplicaConfig {
-  /// Primary endpoint: "unix:PATH", "HOST:PORT", or a bare socket path.
+  /// Primary endpoint spec (Client::connect_spec).
   std::string endpoint;
   /// Identity reported in HELLO/PULL (shows up in the primary's
   /// per-follower lag gauges).  Empty = "pid-<pid>".
   std::string follower_id;
-  /// Fabric fingerprint to assert in the handshake (hard mismatch).
-  std::uint64_t fingerprint = 0;
-  /// REPL_PULL long-poll window.
-  int pull_wait_ms = 1000;
-  /// Client I/O deadline; must comfortably exceed pull_wait_ms.
-  int timeout_ms = 10000;
-  /// Backoff between reconnect attempts.
-  int reconnect_delay_ms = 200;
 };
 
-/// The follower's replication thread: connect -> HELLO -> (bootstrap)
-/// -> pull/apply until stop().  Reconnects with backoff on transport
-/// errors; re-bootstraps when the primary reports snapshot_needed.
-/// Progress (primary durable LSN, epoch, connected) is pushed into the
-/// Service for its lag gauges and HEALTH checks.
+/// The follower's replication thread: connect -> hello -> (bootstrap)
+/// -> pull_once until stop().  Reconnects with backoff on transport
+/// errors and refusals.  Progress (primary durable LSN, epoch, connected)
+/// is pushed into the Service for its lag gauges and HEALTH checks.
 class ReplicaSession {
  public:
   ReplicaSession(Service& service, ReplicaConfig config);
@@ -173,9 +208,6 @@ class ReplicaSession {
 
  private:
   void run();
-  bool connect_primary(Client* client, std::string* error);
-  bool call_verb(Client* client, const Json& request, Json* reply,
-                 std::string* error);
 
   Service& service_;
   ReplicaConfig config_;
@@ -184,10 +216,5 @@ class ReplicaSession {
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
 };
-
-/// Parses "unix:PATH" | "HOST:PORT" | bare-path endpoint specs (shared
-/// with the client's --server list).  Returns false on empty specs.
-bool parse_endpoint(const std::string& spec, bool* is_unix,
-                    std::string* path_or_host, int* port);
 
 }  // namespace wormrt::svc

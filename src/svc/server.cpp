@@ -19,12 +19,12 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "svc/json.hpp"
-#include "svc/replication.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -856,46 +856,56 @@ void Client::close() {
   buffer_.clear();
 }
 
-bool Client::connect_unix(const std::string& path, std::string* error) {
-  // Remember the endpoint before close() so reconnect() can pass the
-  // member back into this function.
-  const std::string target = path;
-  close();
-  endpoint_ = Endpoint::kUnix;
-  unix_path_ = target;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (target.size() >= sizeof(addr.sun_path)) {
+bool Client::connect_spec(const std::string& spec, std::string* error) {
+  // "HOST:PORT" when only digits follow the last colon and no '/'
+  // appears; otherwise a socket path, "unix:"-prefixed or bare.
+  const bool prefixed = spec.rfind("unix:", 0) == 0;
+  const std::size_t colon = spec.rfind(':');
+  const bool tcp = !prefixed && colon != std::string::npos &&
+                   colon + 1 < spec.size() &&
+                   spec.find('/') == std::string::npos &&
+                   spec.find_first_not_of("0123456789", colon + 1) ==
+                       std::string::npos;
+  const std::string target = prefixed ? spec.substr(5)
+                             : tcp    ? spec.substr(0, colon)
+                                      : spec;
+  // At most five digits, so stoi cannot overflow.
+  const int port = tcp && spec.size() - colon <= 6
+                       ? std::stoi(spec.substr(colon + 1))
+                       : 0;
+  if (target.empty() || (tcp && (port < 1 || port > 65535))) {
     if (error != nullptr) {
-      *error = "unix socket path too long";
+      *error = "bad endpoint: " + spec;
     }
     return false;
   }
-  std::strncpy(addr.sun_path, target.c_str(), sizeof(addr.sun_path) - 1);
-  fd_ = open_client_socket(reinterpret_cast<sockaddr*>(&addr), sizeof addr,
-                           timeout_ms_, target, error);
-  return fd_ >= 0;
-}
-
-bool Client::connect_tcp(const std::string& host, int port,
-                         std::string* error) {
-  const std::string target_host = host;
+  spec_ = spec;
   close();
-  endpoint_ = Endpoint::kTcp;
-  tcp_host_ = target_host;
-  tcp_port_ = port;
+  if (!tcp) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (target.size() >= sizeof(addr.sun_path)) {
+      if (error != nullptr) {
+        *error = "unix socket path too long";
+      }
+      return false;
+    }
+    std::strncpy(addr.sun_path, target.c_str(), sizeof(addr.sun_path) - 1);
+    fd_ = open_client_socket(reinterpret_cast<sockaddr*>(&addr), sizeof addr,
+                             timeout_ms_, target, error);
+    return fd_ >= 0;
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, target_host.c_str(), &addr.sin_addr) != 1) {
+  if (::inet_pton(AF_INET, target.c_str(), &addr.sin_addr) != 1) {
     if (error != nullptr) {
-      *error = "bad host address: " + target_host;
+      *error = "bad host address: " + target;
     }
     return false;
   }
   fd_ = open_client_socket(reinterpret_cast<sockaddr*>(&addr), sizeof addr,
-                           timeout_ms_,
-                           target_host + ":" + std::to_string(port), error);
+                           timeout_ms_, spec_, error);
   return fd_ >= 0;
 }
 
@@ -903,57 +913,22 @@ bool Client::reconnect(std::string* error) {
   if (!endpoints_.empty()) {
     return connect_spec(endpoints_[active_endpoint_], error);
   }
-  switch (endpoint_) {
-    case Endpoint::kUnix:
-      return connect_unix(unix_path_, error);
-    case Endpoint::kTcp:
-      return connect_tcp(tcp_host_, tcp_port_, error);
-    case Endpoint::kNone:
-      break;
-  }
-  if (error != nullptr) {
-    *error = "not connected";
-  }
-  return false;
-}
-
-bool Client::connect_spec(const std::string& spec, std::string* error) {
-  bool is_unix = false;
-  std::string target;
-  int port = 0;
-  if (!parse_endpoint(spec, &is_unix, &target, &port)) {
+  if (spec_.empty()) {
     if (error != nullptr) {
-      *error = "bad endpoint: " + spec;
+      *error = "not connected";
     }
     return false;
   }
-  return is_unix ? connect_unix(target, error)
-                 : connect_tcp(target, port, error);
-}
-
-bool Client::rotate_endpoint(std::string* error) {
-  if (endpoints_.empty()) {
-    if (error != nullptr) {
-      *error = "no endpoint list installed";
-    }
-    return false;
-  }
-  active_endpoint_ = (active_endpoint_ + 1) % endpoints_.size();
-  return true;
+  return connect_spec(spec_, error);
 }
 
 bool Client::connect_endpoints(const std::string& spec_list,
                                std::string* error) {
   std::vector<std::string> specs;
-  std::string spec;
-  for (std::size_t i = 0; i <= spec_list.size(); ++i) {
-    if (i == spec_list.size() || spec_list[i] == ',') {
-      if (!spec.empty()) {
-        specs.push_back(spec);
-        spec.clear();
-      }
-    } else {
-      spec.push_back(spec_list[i]);
+  std::istringstream list(spec_list);
+  for (std::string spec; std::getline(list, spec, ',');) {
+    if (!spec.empty()) {
+      specs.push_back(spec);
     }
   }
   if (specs.empty()) {
@@ -1035,7 +1010,7 @@ bool Client::call_with_retry(const std::string& request_line,
         // the refusal reply in hand.
         ++rotations;
         close();
-        rotate_endpoint(&err);
+        active_endpoint_ = (active_endpoint_ + 1) % endpoints_.size();
         continue;
       }
       return true;
@@ -1056,8 +1031,8 @@ bool Client::call_with_retry(const std::string& request_line,
                                                   sleep_ms * 3)));
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     close();  // a fresh connection for the next attempt
-    if (!endpoints_.empty()) {
-      rotate_endpoint(nullptr);  // next attempt lands on the next node
+    if (!endpoints_.empty()) {  // the next attempt lands on the next node
+      active_endpoint_ = (active_endpoint_ + 1) % endpoints_.size();
     }
   }
 }

@@ -125,8 +125,16 @@ class Client {
   /// subsequent connects.  <= 0 (default) = block forever.
   void set_timeout_ms(int timeout_ms) { timeout_ms_ = timeout_ms; }
 
-  bool connect_unix(const std::string& path, std::string* error);
-  bool connect_tcp(const std::string& host, int port, std::string* error);
+  /// Connects to one endpoint spec — "unix:PATH", "HOST:PORT" (IPv4), or
+  /// a bare socket path — and remembers it for call_with_retry's
+  /// reconnect.  A spec that does not parse fails with "bad endpoint:".
+  bool connect_spec(const std::string& spec, std::string* error);
+  bool connect_unix(const std::string& path, std::string* error) {
+    return connect_spec("unix:" + path, error);
+  }
+  bool connect_tcp(const std::string& host, int port, std::string* error) {
+    return connect_spec(host + ":" + std::to_string(port), error);
+  }
   bool connected() const { return fd_ >= 0; }
 
   /// Failover endpoint list: a comma-separated sequence of endpoint
@@ -159,7 +167,7 @@ class Client {
                       std::string* error);
 
   /// call() with resilience: on transport failure, reconnects to the
-  /// last connect_unix/connect_tcp endpoint and retries per \p policy.
+  /// last endpoint connected to and retries per \p policy.
   /// Only idempotent verbs (QUERY, EXPLAIN, SNAPSHOT, METRICS, HEALTH,
   /// HISTORY, PROMOTE) are retried unless the policy opts in;
   /// non-retryable failures surface immediately.  Returns the attempt
@@ -175,20 +183,14 @@ class Client {
 
  private:
   bool reconnect(std::string* error);
-  bool connect_spec(const std::string& spec, std::string* error);
-  bool rotate_endpoint(std::string* error);
   bool read_line(std::string* response_line, std::string* error);
 
   int fd_ = -1;
   int timeout_ms_ = 0;
   std::string buffer_;  // bytes received past the last response line
 
-  /// Last endpoint, for call_with_retry's reconnect.
-  enum class Endpoint { kNone, kUnix, kTcp };
-  Endpoint endpoint_ = Endpoint::kNone;
-  std::string unix_path_;
-  std::string tcp_host_;
-  int tcp_port_ = -1;
+  /// Last endpoint spec, for call_with_retry's reconnect.
+  std::string spec_;
 
   /// Failover list from connect_endpoints; empty = single-endpoint.
   std::vector<std::string> endpoints_;

@@ -259,19 +259,9 @@ void Service::setup_sampler() {
   sampler_.add_series("admission_p99_us",
                       [this] { return metrics_.latency_us.p99(); });
   sampler_.add_series("fsync_p99_us", [this] {
-    return registry_
-        .histogram("wormrt_journal_fsync_us", 0.0, 50000.0, 1000, {})
-        .p99();
+    return Journal::fsync_histogram(registry_).p99();
   });
-  sampler_.add_series("sheds_total", [this] {
-    double total = 0.0;
-    for (const char* reason : {"overloaded", "line_too_long", "idle_timeout"}) {
-      total += static_cast<double>(
-          registry_.counter("wormrt_server_sheds_total", {{"reason", reason}})
-              .value());
-    }
-    return total;
-  });
+  sampler_.add_series("sheds_total", [this] { return sheds_total(); });
   sampler_.add_series("dirty_marked_total", [this] {
     std::lock_guard<std::mutex> lk(mu_);
     return static_cast<double>(ctrl_.engine().stats().dirty_marked);
@@ -280,32 +270,64 @@ void Service::setup_sampler() {
     return static_cast<double>(conformance_.total_violations());
   });
   sampler_.add_series("population", [this] {
-    return metrics_.population.value();
+    std::lock_guard<std::mutex> lk(mu_);
+    return static_cast<double>(ctrl_.size());
   });
   sampler_.add_series("threadpool_queue_depth", [] {
     return static_cast<double>(util::ThreadPool::shared().stats().queue_depth);
   });
   sampler_.add_series("replication_lag", [this] {
     std::lock_guard<std::mutex> lk(mu_);
-    return static_cast<double>(replication_lag_locked());
+    return static_cast<double>(replication_status_locked().lag);
   });
 }
 
-std::uint64_t Service::replication_lag_locked() const {
-  if (journal_ == nullptr) {
-    return 0;
+Service::ReplicationStatus Service::replication_status_locked() const {
+  ReplicationStatus s;
+  s.follower = follower_.load(std::memory_order_acquire);
+  if (journal_ != nullptr) {
+    s.epoch = journal_->epoch();
+    s.durable_lsn = journal_->durable_lsn();
   }
-  const std::uint64_t local = journal_->durable_lsn();
-  if (follower_.load(std::memory_order_acquire)) {
-    const std::uint64_t primary =
+  if (s.follower) {
+    s.connected = replica_connected_.load(std::memory_order_relaxed);
+    s.primary_durable_lsn =
         replica_primary_durable_.load(std::memory_order_relaxed);
-    return primary > local ? primary - local : 0;
+    s.primary_epoch = replica_primary_epoch_.load(std::memory_order_relaxed);
+    if (journal_ != nullptr && s.primary_durable_lsn > s.durable_lsn) {
+      s.lag = s.primary_durable_lsn - s.durable_lsn;
+    }
+  } else if (repl_ != nullptr) {  // only a journaled primary has one
+    s.serving = true;
+    for (const Replicator::FollowerInfo& info : repl_->followers()) {
+      const std::uint64_t lag =
+          s.durable_lsn > info.durable_lsn ? s.durable_lsn - info.durable_lsn
+                                           : 0;
+      s.followers.push_back({info.id, info.durable_lsn, lag,
+                             info.last_seen_ms});
+      // The slowest follower's lag: one that pulled once and died keeps
+      // the primary degraded until it is back.
+      s.lag = std::max(s.lag, lag);
+    }
   }
-  if (repl_ == nullptr || repl_->followers().empty()) {
-    return 0;
+  return s;
+}
+
+obs::Counter& Service::sync_timeouts() const {
+  return registry_.counter(
+      "wormrt_repl_sync_timeouts_total", {},
+      "Mutation acks that degraded to async replication because no "
+      "follower confirmed durability in time.");
+}
+
+double Service::sheds_total() const {
+  double total = 0.0;
+  for (const char* reason : {"overloaded", "line_too_long", "idle_timeout"}) {
+    total += static_cast<double>(
+        registry_.counter("wormrt_server_sheds_total", {{"reason", reason}})
+            .value());
   }
-  const std::uint64_t acked = repl_->max_follower_durable();
-  return local > acked ? local - acked : 0;
+  return total;
 }
 
 void Service::flush_observability() {
@@ -367,7 +389,6 @@ bool Service::open_state(std::string* error) {
   recovery_.journal_records = state.records.size();
   recovery_.skipped_records = state.skipped_records;
   recovery_.discarded_bytes = state.discarded_bytes;
-  metrics_.population.set(static_cast<double>(ctrl_.size()));
   if (!options_.follower) {
     repl_ = std::make_unique<Replicator>();
   }
@@ -476,7 +497,7 @@ std::size_t Service::population() const {
   return ctrl_.size();
 }
 
-std::vector<Service::ChannelLoad> Service::refresh_mirrors() const {
+Service::Mirrors Service::refresh_mirrors() const {
   const util::ThreadPool::Stats pool = util::ThreadPool::shared().stats();
   registry_
       .gauge("wormrt_threadpool_workers", {},
@@ -567,46 +588,38 @@ std::vector<Service::ChannelLoad> Service::refresh_mirrors() const {
   }
 
   // Replication mirrors (DESIGN.md §15).
-  const bool follower = follower_.load(std::memory_order_acquire);
+  ReplicationStatus repl = replication_status_locked();
   registry_
       .gauge("wormrt_repl_role", {},
              "Replication role: 0 = primary, 1 = follower.")
-      .set(follower ? 1.0 : 0.0);
+      .set(repl.follower ? 1.0 : 0.0);
   registry_
       .gauge("wormrt_repl_epoch", {},
              "Fencing epoch of the local journal (bumped by PROMOTE).")
-      .set(static_cast<double>(journal_ != nullptr ? journal_->epoch() : 1));
-  if (follower) {
+      .set(static_cast<double>(repl.epoch));
+  const auto lag_gauge = [this](const std::string& follower) -> obs::Gauge& {
+    return registry_.gauge("wormrt_repl_lag_records", {{"follower", follower}},
+                           "Journal records the primary has durable that "
+                           "this node has not (follower view).");
+  };
+  if (repl.follower) {
     registry_
         .gauge("wormrt_repl_connected", {},
                "1 while the follower's pull session is live.")
-        .set(replica_connected_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
-    registry_
-        .gauge("wormrt_repl_lag_records", {{"follower", "self"}},
-               "Journal records the primary has durable that this node "
-               "has not (follower view).")
-        .set(static_cast<double>(replication_lag_locked()));
-  } else if (repl_ != nullptr && journal_ != nullptr) {
-    const std::vector<Replicator::FollowerInfo> followers =
-        repl_->followers();
+        .set(repl.connected ? 1.0 : 0.0);
+    lag_gauge("self").set(static_cast<double>(repl.lag));
+  } else if (repl.serving) {
     registry_
         .gauge("wormrt_repl_followers", {},
                "Followers that have performed the replication handshake.")
-        .set(static_cast<double>(followers.size()));
-    const std::uint64_t local = journal_->durable_lsn();
-    for (const Replicator::FollowerInfo& info : followers) {
-      registry_
-          .gauge("wormrt_repl_lag_records", {{"follower", info.id}},
-                 "Journal records the primary has durable that this node "
-                 "has not (follower view).")
-          .set(local > info.durable_lsn
-                   ? static_cast<double>(local - info.durable_lsn)
-                   : 0.0);
+        .set(static_cast<double>(repl.followers.size()));
+    for (const ReplicationStatus::Follower& f : repl.followers) {
+      lag_gauge(f.id).set(static_cast<double>(f.lag));
     }
   }
 
   metrics_.population.set(static_cast<double>(ctrl_.size()));
-  return loads;
+  return {std::move(loads), std::move(repl)};
 }
 
 Json Service::error_reply(const std::string& what) {
@@ -771,9 +784,6 @@ void Service::roll_back_failed_locked() {
       restore_locked(m.entry, m.position);
     }  // A link record fails before its cascade runs: nothing to undo.
   }
-  if (!failed.empty()) {
-    metrics_.population.set(static_cast<double>(ctrl_.size()));
-  }
 }
 
 Json Service::provenance_json(const core::BoundProvenance& p) {
@@ -859,12 +869,10 @@ Json Service::do_request_locked(const Json& request, PendingAck* ack) {
             entry_of(decision.handle, *ctrl_.engine().find(decision.handle)),
             &ack->lsn, &err)) {
       ctrl_.unadmit(decision.handle);
-      metrics_.population.set(static_cast<double>(ctrl_.size()));
       return error_reply("admission not durable: " + err);
     }
     ack->is_add = true;
   }
-  metrics_.population.set(static_cast<double>(ctrl_.size()));
 
   Json reply = Json::object();
   reply.set("ok", true);
@@ -930,7 +938,6 @@ Json Service::do_remove_locked(const Json& request, PendingAck* ack) {
     }
   }
   const bool removed = ctrl_.remove(handle);
-  metrics_.population.set(static_cast<double>(ctrl_.size()));
   if (audit_ != nullptr && removed) {
     Json rec = Json::object();
     rec.set("event", "remove");
@@ -1028,7 +1035,6 @@ Json Service::do_link(const Json& request, bool down) {
       down ? ctrl_.link_down(channel) : ctrl_.link_up(channel);
   metrics_.link_evicted.inc(m.evicted.size());
   metrics_.link_rerouted.inc(m.rerouted.size());
-  metrics_.population.set(static_cast<double>(ctrl_.size()));
   maybe_compact();
 
   Json reply = Json::object();
@@ -1123,11 +1129,7 @@ Json Service::do_metrics_locked(const Json&, PendingAck*) {
   Json reply = Json::object();
   reply.set("ok", true);
   reply.set("prometheus", registry_.to_prometheus());
-  std::string parse_error;
-  Json exposition = Json::parse(registry_.to_json(), &parse_error);
-  if (parse_error.empty()) {
-    reply.set("metrics", std::move(exposition));
-  }
+  reply.set("metrics", registry_.to_json());
   return reply;
 }
 
@@ -1209,7 +1211,8 @@ Json Service::do_report_locked(const Json& request, PendingAck*) {
   return reply;
 }
 
-std::string Service::health_status_locked(std::vector<std::string>* reasons,
+std::string Service::health_status_locked(const ReplicationStatus& repl,
+                                          std::vector<std::string>* reasons,
                                           Json* checks) const {
   // Thresholds: conservative constants, documented in DESIGN.md §14.
   // "critical" is reserved for lost durability — the daemon is up but
@@ -1244,8 +1247,7 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
       degrade("journal_commit_failed: mutations through LSN " +
               std::to_string(failed) + " could not be made durable");
     }
-    const obs::Histogram& fsync = registry_.histogram(
-        "wormrt_journal_fsync_us", 0.0, 50000.0, 1000, {});
+    const obs::Histogram& fsync = Journal::fsync_histogram(registry_);
     const double p99 = fsync.count() > 0 ? fsync.p99() : 0.0;
     checks->set("fsync_p99_us", p99);
     if (p99 > kFsyncP99DegradedUs) {
@@ -1273,13 +1275,7 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
             " workers");
   }
 
-  double sheds = 0.0;
-  for (const char* reason : {"overloaded", "line_too_long", "idle_timeout"}) {
-    sheds += static_cast<double>(
-        registry_.counter("wormrt_server_sheds_total", {{"reason", reason}})
-            .value());
-  }
-  checks->set("sheds_total", sheds);
+  checks->set("sheds_total", sheds_total());
   // Sheds degrade only while they are RECENT (the last minute of
   // history): a shed an hour ago must not fail today's readiness probe.
   const obs::TimeSeries* shed_series = sampler_.find("sheds_total");
@@ -1298,36 +1294,31 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
     degrade("audit_write_failures: " + std::to_string(audit_->failures()));
   }
 
-  // Replication (DESIGN.md §15).  A follower degrades when its pull
-  // session is down or it trails the primary by more than the
-  // configured record budget; a primary degrades when --sync-replication
+  // Replication (DESIGN.md §15).  Either role degrades when it trails by
+  // more than the configured record budget: a follower its primary, a
+  // primary through its slowest follower.  A follower also degrades
+  // when its pull session is down; a primary when --sync-replication
   // acks had to go out without follower coverage.
-  const bool follower = follower_.load(std::memory_order_acquire);
-  if (follower) {
-    const std::uint64_t lag = replication_lag_locked();
-    checks->set("replication_lag", static_cast<std::int64_t>(lag));
-    if (!replica_connected_.load(std::memory_order_relaxed)) {
-      degrade("replication_disconnected: the pull session to the "
-              "primary is down");
-    }
-    if (lag > options_.repl_lag_degraded) {
-      degrade("replication_lag_high: " + std::to_string(lag) +
-              " records behind the primary (budget " +
-              std::to_string(options_.repl_lag_degraded) + ")");
-    }
-  } else if (repl_ != nullptr && journal_ != nullptr) {
-    const std::uint64_t lag = replication_lag_locked();
-    checks->set("replication_lag", static_cast<std::int64_t>(lag));
-    if (lag > options_.repl_lag_degraded) {
-      degrade("replication_lag_high: slowest follower is " +
-              std::to_string(lag) + " records behind (budget " +
-              std::to_string(options_.repl_lag_degraded) + ")");
-    }
-    const std::uint64_t sync_timeouts =
-        registry_.counter("wormrt_repl_sync_timeouts_total", {}).value();
-    if (options_.sync_replication && sync_timeouts > 0) {
-      degrade("replication_sync_timeouts: " +
-              std::to_string(sync_timeouts) +
+  if (repl.follower || repl.serving) {
+    checks->set("replication_lag", static_cast<std::int64_t>(repl.lag));
+  }
+  if (repl.follower && !repl.connected) {
+    degrade("replication_disconnected: the pull session to the primary "
+            "is down");
+  }
+  if (repl.lag > options_.repl_lag_degraded) {
+    const std::string lag = std::to_string(repl.lag);
+    degrade("replication_lag_high: " +
+            (repl.follower ? lag + " records behind the primary"
+                           : "slowest follower is " + lag + " records behind") +
+            " (budget " + std::to_string(options_.repl_lag_degraded) + ")");
+  }
+  // Read on every journaled primary: the read registers the counter,
+  // and METRICS lists it from a primary's first HEALTH on.
+  if (repl.serving) {
+    const std::uint64_t timeouts = sync_timeouts().value();
+    if (options_.sync_replication && timeouts > 0) {
+      degrade("replication_sync_timeouts: " + std::to_string(timeouts) +
               " acks degraded to async replication");
     }
   }
@@ -1341,11 +1332,12 @@ std::string Service::health_status_locked(std::vector<std::string>* reasons,
 Json Service::do_health_locked(const Json&, PendingAck*) {
   OBS_SPAN("verb_health");
   metrics_.served[served_row("HEALTH")]->inc();
-  std::vector<ChannelLoad> busy = refresh_mirrors();
+  Mirrors mirrors = refresh_mirrors();
+  const ReplicationStatus& repl = mirrors.replication;
 
   std::vector<std::string> reasons;
   Json checks = Json::object();
-  const std::string status = health_status_locked(&reasons, &checks);
+  const std::string status = health_status_locked(repl, &reasons, &checks);
 
   Json reply = Json::object();
   reply.set("ok", true);
@@ -1359,41 +1351,31 @@ Json Service::do_health_locked(const Json&, PendingAck*) {
   reply.set("checks", std::move(checks));
 
   // Replication identity + progress, for wormrt-top and the smoke
-  // scripts (absent only on a state-less primary with no journal).
-  Json repl = Json::object();
-  const bool follower = follower_.load(std::memory_order_acquire);
-  repl.set("role", follower ? "follower" : "primary");
-  repl.set("epoch", static_cast<std::int64_t>(
-                        journal_ != nullptr ? journal_->epoch() : 1));
-  repl.set("durable_lsn", static_cast<std::int64_t>(
-                              journal_ != nullptr ? journal_->durable_lsn()
-                                                  : 0));
-  if (follower) {
-    repl.set("connected",
-             replica_connected_.load(std::memory_order_relaxed));
-    repl.set("primary_durable_lsn",
-             static_cast<std::int64_t>(
-                 replica_primary_durable_.load(std::memory_order_relaxed)));
-    repl.set("primary_epoch",
-             static_cast<std::int64_t>(
-                 replica_primary_epoch_.load(std::memory_order_relaxed)));
-  } else if (repl_ != nullptr && journal_ != nullptr) {
-    repl.set("sync", options_.sync_replication);
-    const std::uint64_t local = journal_->durable_lsn();
-    Json followers_json = Json::array();
-    for (const Replicator::FollowerInfo& info : repl_->followers()) {
-      Json f = Json::object();
-      f.set("id", info.id);
-      f.set("durable_lsn", static_cast<std::int64_t>(info.durable_lsn));
-      f.set("lag", static_cast<std::int64_t>(
-                       local > info.durable_lsn ? local - info.durable_lsn
-                                                : 0));
-      f.set("last_seen_ms", info.last_seen_ms);
-      followers_json.push_back(std::move(f));
+  // scripts (role, epoch and durable LSN alone on a journal-less primary).
+  Json replication = Json::object();
+  replication.set("role", repl.follower ? "follower" : "primary");
+  replication.set("epoch", static_cast<std::int64_t>(repl.epoch));
+  replication.set("durable_lsn", static_cast<std::int64_t>(repl.durable_lsn));
+  if (repl.follower) {
+    replication.set("connected", repl.connected);
+    replication.set("primary_durable_lsn",
+                    static_cast<std::int64_t>(repl.primary_durable_lsn));
+    replication.set("primary_epoch",
+                    static_cast<std::int64_t>(repl.primary_epoch));
+  } else if (repl.serving) {
+    replication.set("sync", options_.sync_replication);
+    Json followers = Json::array();
+    for (const ReplicationStatus::Follower& f : repl.followers) {
+      Json follower = Json::object();
+      follower.set("id", f.id);
+      follower.set("durable_lsn", static_cast<std::int64_t>(f.durable_lsn));
+      follower.set("lag", static_cast<std::int64_t>(f.lag));
+      follower.set("last_seen_ms", f.last_seen_ms);
+      followers.push_back(std::move(follower));
     }
-    repl.set("followers", std::move(followers_json));
+    replication.set("followers", std::move(followers));
   }
-  reply.set("replication", std::move(repl));
+  reply.set("replication", std::move(replication));
 
   // Conformance: every established stream with its CURRENT bound and
   // slack, joined with the monitor's observations, tightest slack
@@ -1466,6 +1448,7 @@ Json Service::do_health_locked(const Json&, PendingAck*) {
   // (sum of length/period of the streams crossing each), from the loads
   // refresh_mirrors() just gauged.
   constexpr std::size_t kMaxChannels = 16;
+  std::vector<ChannelLoad>& busy = mirrors.loads;
   std::sort(busy.begin(), busy.end(),
             [](const ChannelLoad& a, const ChannelLoad& b) {
               if (a.utilization != b.utilization) {
@@ -1582,11 +1565,7 @@ void Service::sync_replication_wait(std::uint64_t lsn) {
     // Semi-synchronous degrade: the mutation is durable locally and
     // will ship when a follower catches up, but this ack went out
     // without follower coverage — counted, and HEALTH says so.
-    registry_
-        .counter("wormrt_repl_sync_timeouts_total", {},
-                 "Mutation acks that degraded to async replication "
-                 "because no follower confirmed durability in time.")
-        .inc();
+    sync_timeouts().inc();
   }
 }
 
@@ -1630,21 +1609,11 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
     // One line per replicated record, carrying the primary's LSN — the
     // smoke test diffs (lsn, event, handle) against the primary's
     // audit log to prove decision-history equality.
+    static constexpr const char* kEvents[] = {
+        nullptr, "replicated_add", "replicated_remove",
+        "replicated_link_down", "replicated_link_up"};  // by record type
     Json rec = Json::object();
-    switch (record.type) {
-      case JournalRecord::Type::kAdd:
-        rec.set("event", "replicated_add");
-        break;
-      case JournalRecord::Type::kRemove:
-        rec.set("event", "replicated_remove");
-        break;
-      case JournalRecord::Type::kLinkDown:
-        rec.set("event", "replicated_link_down");
-        break;
-      case JournalRecord::Type::kLinkUp:
-        rec.set("event", "replicated_link_up");
-        break;
-    }
+    rec.set("event", kEvents[static_cast<int>(record.type)]);
     if (channel == topo::kNoChannel) {
       rec.set("handle", record.entry.handle);
     } else {
@@ -1656,7 +1625,6 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
     rec.set("durable", true);
     audit_->append(std::move(rec));
   }
-  metrics_.population.set(static_cast<double>(ctrl_.size()));
   maybe_compact();
   return true;
 }
@@ -1685,7 +1653,6 @@ bool Service::bootstrap_replicated(
     return false;
   }
   install_state_locked(next_handle, entries, faulted);
-  metrics_.population.set(static_cast<double>(ctrl_.size()));
   registry_
       .counter("wormrt_repl_snapshots_installed_total", {},
                "Replication bootstrap snapshots installed on this "
@@ -1893,8 +1860,7 @@ Json Service::do_promote(const Json&, PendingAck*) {
                                   &err)) {
       return error_reply("promotion failed: epoch bump not durable: " + err);
     }
-    repl_ = std::make_unique<Replicator>();
-    repl_->set_fence(fence);
+    repl_ = std::make_unique<Replicator>(fence);
     follower_.store(false, std::memory_order_release);
     if (audit_ != nullptr) {
       Json rec = Json::object();

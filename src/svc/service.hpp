@@ -227,10 +227,6 @@ class Service {
   /// replicated apply races the promotion.
   void set_promote_hook(std::function<void()> hook);
 
-  /// The primary-side follower registry (REPL_PULL acks feed it), or
-  /// nullptr on a follower / journal-less service.
-  Replicator* replicator() { return repl_.get(); }
-
   /// How a verb's handler holds mu_.
   enum class Lock : std::uint8_t {
     kHeld,    ///< dispatch holds mu_ around the handler
@@ -272,7 +268,7 @@ class Service {
     obs::Counter& rejected;
     obs::Counter& errors;     ///< wormrt_errors_total
     obs::Histogram& latency_us;  ///< wormrt_admission_latency_us
-    obs::Gauge& population;   ///< wormrt_population
+    obs::Gauge& population;   ///< wormrt_population (refresh_mirrors)
   };
 
   /// The journal work a kStaged handler leaves for the commit path.
@@ -345,25 +341,56 @@ class Service {
     double utilization;  ///< sum of length/period over its streams
   };
 
-  /// Mirrors ThreadPool::shared().stats() and the engine's work counters
-  /// into registry_ (call with mu_ held, before any exposition).  Also
-  /// refreshes the per-channel occupancy/utilization gauges from the
-  /// engine's channel index — returning the occupied channels' loads,
-  /// in channel order, for HEALTH's heatmap — and purges conformance
-  /// records of departed streams.
-  std::vector<ChannelLoad> refresh_mirrors() const;
+  /// The replication figures the daemon reports, derived in one pass
+  /// (mu_ held) for the wormrt_repl_* gauges, HEALTH and HISTORY; only
+  /// the sync-timeout count is read from its counter (sync_timeouts).
+  struct ReplicationStatus {
+    bool follower = false;
+    std::uint64_t epoch = 1;  ///< the local journal's
+    std::uint64_t durable_lsn = 0;
+    /// A follower's session, and its primary's last reported position.
+    bool connected = false;
+    std::uint64_t primary_durable_lsn = 0;
+    std::uint64_t primary_epoch = 0;
+    /// A journaled primary: its followers (REPL_PULL registers them).
+    bool serving = false;
+    struct Follower {
+      std::string id;
+      std::uint64_t durable_lsn, lag;
+      std::int64_t last_seen_ms;
+    };
+    std::vector<Follower> followers;
+    /// What HEALTH checks: a follower's records behind its primary, a
+    /// primary's slowest follower's lag.
+    std::uint64_t lag = 0;
+  };
+  ReplicationStatus replication_status_locked() const;
 
-  /// Records behind: a follower's lag to the primary's last reported
-  /// durable LSN, or a primary's lead over its furthest follower (0
-  /// without a journal or followers).  mu_ held.
-  std::uint64_t replication_lag_locked() const;
+  /// wormrt_repl_sync_timeouts_total (registered on first use).
+  obs::Counter& sync_timeouts() const;
+  /// wormrt_server_sheds_total over its reasons (the Server counts them).
+  double sheds_total() const;
+
+  /// Mirrors ThreadPool::shared().stats(), the engine's work counters,
+  /// the population and the replication status into registry_ (call
+  /// with mu_ held, before any exposition).  Also refreshes the
+  /// per-channel occupancy/utilization gauges from the engine's channel
+  /// index and purges conformance records of departed streams.  Returns
+  /// what HEALTH reads too: the occupied channels' loads, in channel
+  /// order, and the replication status.
+  struct Mirrors {
+    std::vector<ChannelLoad> loads;
+    ReplicationStatus replication;
+  };
+  Mirrors refresh_mirrors() const;
 
   /// Registers the sampler's series + probes (constructor only).
   void setup_sampler();
 
   /// HEALTH aggregation (mu_ held): fills \p reasons and returns
   /// "ok" | "degraded" | "critical".
-  std::string health_status_locked(std::vector<std::string>* reasons,
+  std::string health_status_locked(const ReplicationStatus& replication,
+                                   std::vector<std::string>* reasons,
                                    Json* checks) const;
 
   /// Provenance as a wire object {bound, base_latency, terms, text, ...}.

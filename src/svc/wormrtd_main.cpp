@@ -126,67 +126,39 @@ int usage(const char* program) {
 /// Pre-flight handshake for --follow: learn the primary's fencing epoch
 /// and fence LSN so the local journal open can detect (and refuse) a
 /// deposed primary's unreplicated tail, and hard-fail on a topology
-/// fingerprint mismatch before any replay happens.  Retries until the
-/// primary answers or a signal arrives.
+/// fingerprint mismatch or a malformed endpoint before any replay
+/// happens.  Retries until the primary answers or a signal arrives.
 bool follower_preflight(const std::string& endpoint,
-                        std::uint64_t fingerprint, std::uint64_t* epoch,
-                        std::uint64_t* fence_lsn, bool* fatal) {
+                        std::uint64_t fingerprint,
+                        wormrt::svc::HelloReply* reply, bool* fatal) {
   using namespace wormrt;
   *fatal = false;
-  bool is_unix = false;
-  std::string target;
-  int port = 0;
-  if (!svc::parse_endpoint(endpoint, &is_unix, &target, &port)) {
-    std::fprintf(stderr, "wormrtd: bad --follow endpoint: %s\n",
-                 endpoint.c_str());
-    *fatal = true;
-    return false;
-  }
+  const std::string follower_id = "preflight-" + std::to_string(::getpid());
   bool warned = false;
   while (g_signalled == 0) {
     svc::Client client;
     client.set_timeout_ms(5000);
     std::string error;
-    const bool connected =
-        is_unix ? client.connect_unix(target, &error)
-                : client.connect_tcp(target, port, &error);
-    if (connected) {
-      svc::Json hello = svc::Json::object();
-      hello.set("verb", "REPL_HELLO");
-      hello.set("follower_id", "preflight-" + std::to_string(::getpid()));
-      hello.set("fingerprint", static_cast<std::int64_t>(fingerprint));
-      hello.set("epoch", static_cast<std::int64_t>(1));
-      hello.set("durable_lsn", static_cast<std::int64_t>(0));
-      std::string line;
-      if (client.call(hello.dump(), &line, &error)) {
-        std::string parse_error;
-        const svc::Json reply = svc::Json::parse(line, &parse_error);
-        const svc::Json* ok = reply.get("ok");
-        if (parse_error.empty() && ok != nullptr && ok->as_bool()) {
-          const svc::Json* e = reply.get("epoch");
-          const svc::Json* f = reply.get("fence_lsn");
-          *epoch = e != nullptr ? static_cast<std::uint64_t>(e->as_int()) : 1;
-          *fence_lsn =
-              f != nullptr ? static_cast<std::uint64_t>(f->as_int()) : 0;
-          return true;
-        }
-        const svc::Json* err = reply.get("error");
-        const std::string what =
-            err != nullptr && err->is_string() ? err->as_string() : line;
-        if (what.find("fingerprint mismatch") != std::string::npos) {
-          std::fprintf(stderr,
-                       "wormrtd: primary at %s runs a different fabric: "
-                       "%s\n",
-                       endpoint.c_str(), what.c_str());
-          *fatal = true;
-          return false;
-        }
-        error = what;
-      }
+    if (client.connect_spec(endpoint, &error) &&
+        svc::hello(svc::primary_at(client), follower_id, fingerprint, 1, 0,
+                   reply, &error)) {
+      return true;
+    }
+    if (error.rfind("bad endpoint", 0) == 0) {
+      std::fprintf(stderr, "wormrtd: bad --follow endpoint: %s\n",
+                   endpoint.c_str());
+      *fatal = true;
+      return false;
+    }
+    if (error.find("fingerprint mismatch") != std::string::npos) {
+      std::fprintf(stderr,
+                   "wormrtd: primary at %s runs a different fabric: %s\n",
+                   endpoint.c_str(), error.c_str());
+      *fatal = true;
+      return false;
     }
     if (!warned) {
-      std::fprintf(stderr,
-                   "wormrtd: waiting for primary at %s (%s)\n",
+      std::fprintf(stderr, "wormrtd: waiting for primary at %s (%s)\n",
                    endpoint.c_str(), error.c_str());
       warned = true;
     }
@@ -272,11 +244,13 @@ int main(int argc, char** argv) {
     // Fencing pre-flight: learn the primary's epoch + fence so replay
     // refuses a deposed primary's unreplicated tail (DESIGN.md §15).
     bool fatal = false;
-    if (!follower_preflight(follow_endpoint, mesh.fingerprint(),
-                            &service_options.repl_min_epoch,
-                            &service_options.repl_fence_lsn, &fatal)) {
+    svc::HelloReply primary;
+    if (!follower_preflight(follow_endpoint, mesh.fingerprint(), &primary,
+                            &fatal)) {
       return fatal ? 1 : 0;  // signal during wait = clean exit
     }
+    service_options.repl_min_epoch = primary.epoch;
+    service_options.repl_fence_lsn = primary.fence_lsn;
   }
 
   svc::Service service(mesh, routing, config, service_options);
@@ -343,7 +317,6 @@ int main(int argc, char** argv) {
     svc::ReplicaConfig replica_config;
     replica_config.endpoint = follow_endpoint;
     replica_config.follower_id = args.get_string("follower-id", "");
-    replica_config.fingerprint = mesh.fingerprint();
     replica = std::make_unique<svc::ReplicaSession>(service,
                                                     replica_config);
     // PROMOTE tears the pull loop down before the epoch bump, so no

@@ -1,9 +1,9 @@
 // The obs metrics registry: exact totals under concurrency, idempotent
 // registration, and both exposition formats.  The Prometheus text is
 // validated by a small parser (structure, TYPE lines, cumulative
-// histogram buckets) rather than substring checks, and the JSON
-// exposition must parse with the same svc::Json parser the daemon's
-// clients use.  The svc::Service migration is covered end to end: every
+// histogram buckets) rather than substring checks; the JSON block is a
+// Json value, and the METRICS reply's rendering of it is pinned byte for
+// byte.  The svc::Service migration is covered end to end: every
 // documented family — verb counters, the admission latency histogram,
 // thread-pool gauges, engine cache stats — must appear in a scrape.
 
@@ -273,9 +273,7 @@ TEST(ObsHistogram, QuantilesStayWithinTheObservedRange) {
   EXPECT_LE(h.quantile(0.999), 39.0);
   EXPECT_GE(h.quantile(0.0), 30.0);
 
-  std::string error;
-  const Json doc = Json::parse(reg.to_json(), &error);
-  ASSERT_TRUE(error.empty()) << error;
+  const Json doc = reg.to_json();
   const Json& hist = doc.get("metrics")->items()[0];
   EXPECT_LE(hist.get("p99")->as_double(), 39.0);
   EXPECT_LE(hist.get("p999")->as_double(), 39.0);
@@ -353,7 +351,7 @@ TEST(ObsExposition, LabelValuesAreEscaped) {
       << text;
 }
 
-TEST(ObsExposition, JsonParsesWithTheProtocolParser) {
+TEST(ObsExposition, JsonBlockCarriesEveryKind) {
   Registry reg;
   reg.counter("c_total", {{"verb", "X"}}).inc(4);
   reg.gauge("g").set(1.25);
@@ -361,9 +359,7 @@ TEST(ObsExposition, JsonParsesWithTheProtocolParser) {
   h.observe(2.0);
   h.observe(8.0);
 
-  std::string error;
-  const Json doc = Json::parse(reg.to_json(), &error);
-  ASSERT_TRUE(error.empty()) << error;
+  const Json doc = reg.to_json();
   const Json* metrics = doc.get("metrics");
   ASSERT_NE(metrics, nullptr);
   ASSERT_TRUE(metrics->is_array());
@@ -433,6 +429,46 @@ TEST(ObsServiceScrape, CarriesAllDocumentedFamilies) {
   EXPECT_GE(scrape.values.at("wormrt_engine_edge_updates_total"), 0.0);
   EXPECT_GE(scrape.values.at("wormrt_engine_bound_cache_hits_total"), 1.0);
   EXPECT_EQ(scrape.types.at("wormrt_admission_latency_us"), "histogram");
+}
+
+TEST(ObsServiceScrape, MetricsReplyBlockTextIsPinned) {
+  // The METRICS reply's JSON block, byte for byte, for entries of every
+  // kind: integral and fractional gauges (a whole value below 1e15 is
+  // written as an integer), label keys and values that need escaping,
+  // and a histogram with an overflow sample.
+  topo::Mesh mesh(4, 4);
+  const route::XYRouting routing;
+  svc::Service service(mesh, routing);
+  Registry& reg = service.registry();
+  reg.counter("pin_total", {{"verb", "a\"b\\c"}}, "Counter.").inc(3);
+  reg.counter("pin_total", {{"verb", "ctl\n\t\r\x01\b\f"}}).inc(1);
+  reg.gauge("pin_gauge", {{"k\"ey", "caf\xc3\xa9"}}).set(42.0);
+  reg.gauge("pin_gauge", {{"k\"ey", "frac"}}).set(0.1);
+  reg.gauge("pin_gauge", {{"k\"ey", "neg"}}).set(-2.5);
+  reg.gauge("pin_gauge", {{"k\"ey", "e15"}}).set(1e15);
+  reg.gauge("pin_gauge", {{"k\"ey", "e20"}}).set(1e20);
+  reg.gauge("pin_gauge", {{"k\"ey", "zero"}}).set(-0.0);
+  Histogram& h = reg.histogram("pin_us", 0.0, 100.0, 10, {{"path", "/a b"}});
+  for (const double x : {5.0, 15.5, 15.5, 99.0, 250.0}) {
+    h.observe(x);
+  }
+  reg.histogram("pin_us", 0.0, 100.0, 10, {{"path", "empty"}});
+
+  const std::string line = service.handle_line(R"({"verb":"METRICS"})");
+  const std::string pinned =
+      R"x({"name":"pin_total","labels":{"verb":"a\"b\\c"},"type":"counter","value":3},)x"
+      R"x({"name":"pin_total","labels":{"verb":"ctl\n\t\r\u0001\b\f"},"type":"counter","value":1},)x"
+      R"x({"name":"pin_gauge","labels":{"k\"ey":")x"
+      "caf\xc3\xa9"
+      R"x("},"type":"gauge","value":42},)x"
+      R"x({"name":"pin_gauge","labels":{"k\"ey":"frac"},"type":"gauge","value":0.10000000000000001},)x"
+      R"x({"name":"pin_gauge","labels":{"k\"ey":"neg"},"type":"gauge","value":-2.5},)x"
+      R"x({"name":"pin_gauge","labels":{"k\"ey":"e15"},"type":"gauge","value":1000000000000000},)x"
+      R"x({"name":"pin_gauge","labels":{"k\"ey":"e20"},"type":"gauge","value":1e+20},)x"
+      R"x({"name":"pin_gauge","labels":{"k\"ey":"zero"},"type":"gauge","value":0},)x"
+      R"x({"name":"pin_us","labels":{"path":"/a b"},"type":"histogram","count":5,"sum":385,"min":5,"max":250,"p50":20,"p99":100,"p999":100},)x"
+      R"x({"name":"pin_us","labels":{"path":"empty"},"type":"histogram","count":0,"sum":0,"min":0,"max":0,"p50":0,"p99":0,"p999":0})x";
+  EXPECT_NE(line.find(pinned), std::string::npos) << line;
 }
 
 TEST(ObsServiceScrape, TwoServicesDoNotShareCounters) {

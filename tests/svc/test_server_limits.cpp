@@ -441,5 +441,23 @@ TEST(ClientRetry, VerbClassificationIsExplicit) {
   }
 }
 
+TEST(ClientConnect, MalformedEndpointSpecsAreRefused) {
+  // Each spec fails before any socket is opened, with one error prefix
+  // (wormrtd's --follow preflight exits on it) — an overlong port
+  // included, which must not throw out of the parse.
+  for (const char* spec : {"", "unix:", ":5000", "127.0.0.1:0",
+                           "127.0.0.1:65536", "127.0.0.1:99999999999"}) {
+    Client client;
+    std::string error;
+    EXPECT_FALSE(client.connect_spec(spec, &error)) << spec;
+    EXPECT_EQ(error, std::string("bad endpoint: ") + spec);
+  }
+  Client client;
+  std::string error;
+  EXPECT_FALSE(client.connect_endpoints("127.0.0.1:99999999999", &error));
+  EXPECT_EQ(error,
+            "no endpoint reachable, last: bad endpoint: 127.0.0.1:99999999999");
+}
+
 }  // namespace
 }  // namespace wormrt::svc
