@@ -59,8 +59,9 @@ echo "wrote $FLITSIM_OUT"
 
 # Service-layer throughput: admission churn through the socket server in
 # four modes (no journal, durable serial, durable pipelined with group
-# commit, pipelined with fsync off).  Emits p50/p99 per mode plus the
-# pipelined-vs-serial speedup ratios the perf-smoke CI step checks.
+# commit, pipelined with fsync off), replication rounds and the replay
+# figures.  Emits p50/p99 per mode plus the pipelined-vs-serial speedup
+# ratios the perf-smoke CI step checks; the defaults are CI's settings.
 SVC_BIN="$BUILD_DIR/bench/svc_churn"
 SVC_OUT="$(dirname "$OUT")/BENCH_service.json"
 if [[ ! -x "$SVC_BIN" ]]; then
@@ -69,7 +70,7 @@ if [[ ! -x "$SVC_BIN" ]]; then
 fi
 
 "$SVC_BIN" \
-  --ops "${SVC_OPS:-4000}" \
+  --ops "${SVC_OPS:-2000}" \
   --clients "${SVC_CLIENTS:-4}" \
   --pipeline-clients "${SVC_PIPELINE_CLIENTS:-8}" \
   --batch-window "${SVC_BATCH_WINDOW:-16}" \

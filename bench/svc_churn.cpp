@@ -27,7 +27,12 @@
 //      The headline ratios (socket_durable_pipelined and
 //      socket_pipelined over socket_durable_serial) quantify what
 //      group commit + pipelining buy; --min-durable-speedup /
-//      --min-nofsync-speedup turn them into CI floors (exit 1 below).
+//      --min-nofsync-speedup turn them into CI floors (exit 1 below),
+//   4. replication, async and sync, over three interleaved rounds per
+//      mode (the median and every round are reported),
+//   5. replay: a fresh Service's recovery of a churned state dir and a
+//      fresh follower's REPL_SNAPSHOT install of the same state, each
+//      with its population and Cal_U count.
 
 #include <algorithm>
 #include <chrono>
@@ -36,6 +41,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -600,19 +606,176 @@ ReplResult run_replication(topo::Mesh& primary_mesh, topo::Mesh& follower_mesh,
   return r;
 }
 
+/// The measured figures of a replication run, in JSON key order.
+struct ReplFigure {
+  const char* name;
+  double ReplResult::*field;
+};
+constexpr ReplFigure kReplFigures[] = {
+    {"throughput_rps", &ReplResult::throughput_rps},
+    {"p50_us", &ReplResult::p50_us},
+    {"p99_us", &ReplResult::p99_us},
+    {"lag_p50_records", &ReplResult::lag_p50_records},
+    {"lag_p99_records", &ReplResult::lag_p99_records},
+    {"lag_max_records", &ReplResult::lag_max_records},
+    {"catchup_ms", &ReplResult::catchup_ms},
+    {"records_per_pull", &ReplResult::records_per_pull},
+    {"promote_us", &ReplResult::promote_us},
+    {"failover_us", &ReplResult::failover_us},
+};
+
+/// Each figure's median over \p rounds; calls and errors are totals.
+ReplResult median_of(const std::vector<ReplResult>& rounds) {
+  ReplResult m;
+  for (const ReplFigure& f : kReplFigures) {
+    util::SampleSet values;
+    for (const ReplResult& r : rounds) {
+      values.add(r.*f.field);
+    }
+    m.*f.field = values.percentile(50);
+  }
+  for (const ReplResult& r : rounds) {
+    m.calls += r.calls;
+    m.errors += r.errors;
+  }
+  return m;
+}
+
 Json to_json(const ReplResult& r) {
   Json j = Json::object();
-  j.set("throughput_rps", r.throughput_rps);
-  j.set("p50_us", r.p50_us);
-  j.set("p99_us", r.p99_us);
-  j.set("lag_p50_records", r.lag_p50_records);
-  j.set("lag_p99_records", r.lag_p99_records);
-  j.set("lag_max_records", r.lag_max_records);
-  j.set("catchup_ms", r.catchup_ms);
-  j.set("records_per_pull", r.records_per_pull);
-  j.set("promote_us", r.promote_us);
-  j.set("failover_us", r.failover_us);
+  for (const ReplFigure& f : kReplFigures) {
+    j.set(f.name, r.*f.field);
+  }
   j.set("calls", static_cast<std::int64_t>(r.calls));
+  j.set("errors", static_cast<std::int64_t>(r.errors));
+  return j;
+}
+
+struct ReplayResult {
+  double recovery_ms = 0;  // median over kReplayRounds fresh Services
+  std::uint64_t recovery_population = 0;
+  std::uint64_t recovery_bound_recomputes = 0;  // Cal_U calls of one
+  double bootstrap_ms = 0;  // median over kReplayRounds fresh followers
+  std::uint64_t bootstrap_population = 0;
+  std::uint64_t bootstrap_bound_recomputes = 0;
+  std::uint64_t errors = 0;
+};
+
+constexpr int kReplayRounds = 3;
+
+/// Replay cost after churn: `ops` teardown + re-establishment cycles
+/// through a journaled in-process Service (compacting every 256
+/// appends, as wormrtd does), then the time a fresh Service's
+/// open_state takes on that state dir (recovery) and the time a fresh
+/// follower takes to install the primary's REPL_SNAPSHOT reply
+/// (bootstrap).  fsync is off throughout: the figures are the replay's,
+/// not the disk's.
+ReplayResult run_replay(int side, const route::XYRouting& routing,
+                        const core::StreamSet& streams, int ops) {
+  const std::string tag = std::to_string(::getpid());
+  const std::string dir = "/tmp/wormrt-replay-bench-" + tag;
+  const std::string f_dir = dir + "-follower";
+  std::filesystem::remove_all(dir);
+  svc::ServiceOptions options;
+  options.state_dir = dir;
+  options.journal_fsync = false;
+  topo::Mesh mesh(side, side);
+  svc::Service primary(mesh, routing, {}, options);
+  ReplayResult r;
+  std::string error;
+  if (!primary.open_state(&error)) {
+    std::fprintf(stderr, "svc_churn: %s\n", error.c_str());
+    ++r.errors;
+    return r;
+  }
+  const auto call = [&](const Json& request) {
+    const Json reply = primary.handle(request);
+    const Json* ok = reply.get("ok");
+    if (ok == nullptr || !ok->as_bool()) {
+      ++r.errors;
+    }
+    const Json* h = reply.get("handle");
+    return h != nullptr ? h->as_int() : std::int64_t{-1};
+  };
+  std::vector<std::int64_t> handles;
+  for (const core::MessageStream& s : streams) {
+    handles.push_back(call(request_json(s)));
+  }
+  for (int op = 0; op < ops; ++op) {
+    const std::size_t idx = static_cast<std::size_t>(op) % handles.size();
+    if (handles[idx] >= 0) {
+      Json rm = Json::object();
+      rm.set("verb", "REMOVE");
+      rm.set("handle", handles[idx]);
+      call(rm);
+    }
+    handles[idx] = call(request_json(streams[static_cast<StreamId>(idx)]));
+  }
+
+  util::SampleSet recovery;
+  for (int round = 0; round < kReplayRounds; ++round) {
+    topo::Mesh m(side, side);
+    svc::Service recovered(m, routing, {}, options);
+    const double t0 = now_us();
+    if (!recovered.open_state(&error)) {
+      std::fprintf(stderr, "svc_churn: %s\n", error.c_str());
+      ++r.errors;
+      return r;
+    }
+    recovery.add((now_us() - t0) / 1000.0);
+    r.recovery_population = recovered.population();
+    r.recovery_bound_recomputes =
+        recovered.controller().engine().stats().bound_recomputes;
+  }
+  r.recovery_ms = recovery.percentile(50);
+
+  Json snapshot_verb = Json::object();
+  snapshot_verb.set("verb", "REPL_SNAPSHOT");
+  const Json image = primary.handle(snapshot_verb);
+  util::SampleSet bootstrap;
+  for (int round = 0; round < kReplayRounds; ++round) {
+    std::filesystem::remove_all(f_dir);
+    svc::ServiceOptions f_options;
+    f_options.state_dir = f_dir;
+    f_options.follower = true;
+    f_options.journal_fsync = false;
+    topo::Mesh m(side, side);
+    svc::Service follower(m, routing, {}, f_options);
+    if (!follower.open_state(&error)) {
+      std::fprintf(stderr, "svc_churn: %s\n", error.c_str());
+      ++r.errors;
+      return r;
+    }
+    const double t0 = now_us();
+    if (!svc::apply_snapshot_reply(follower, image, &error)) {
+      std::fprintf(stderr, "svc_churn: %s\n", error.c_str());
+      ++r.errors;
+      return r;
+    }
+    bootstrap.add((now_us() - t0) / 1000.0);
+    r.bootstrap_population = follower.population();
+    r.bootstrap_bound_recomputes =
+        follower.controller().engine().stats().bound_recomputes;
+  }
+  r.bootstrap_ms = bootstrap.percentile(50);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(f_dir);
+  return r;
+}
+
+Json to_json(const ReplayResult& r) {
+  Json j = Json::object();
+  j.set("rounds", std::int64_t{kReplayRounds});
+  j.set("recovery_ms", r.recovery_ms);
+  j.set("recovery_population",
+        static_cast<std::int64_t>(r.recovery_population));
+  j.set("recovery_bound_recomputes",
+        static_cast<std::int64_t>(r.recovery_bound_recomputes));
+  j.set("bootstrap_ms", r.bootstrap_ms);
+  j.set("bootstrap_population",
+        static_cast<std::int64_t>(r.bootstrap_population));
+  j.set("bootstrap_bound_recomputes",
+        static_cast<std::int64_t>(r.bootstrap_bound_recomputes));
   j.set("errors", static_cast<std::int64_t>(r.errors));
   return j;
 }
@@ -756,28 +919,50 @@ int main(int argc, char** argv) {
               obs_overhead_pct);
 
   // Replication: a follower replays the primary's journal while the
-  // churn runs; then the primary dies and the survivor takes over.  The
-  // follower mutates its own fabric instance during replay, so it gets
-  // a private mesh.
-  topo::Mesh follower_mesh(side, side);
+  // churn runs; then the primary dies and the survivor takes over.  One
+  // run spreads several-fold on a shared host, so each mode runs
+  // kReplRounds rounds, interleaved, and reports the median.  Every run
+  // gets private meshes: replay mutates a fabric's fault flags.
+  constexpr int kReplRounds = 3;
   const int repl_ops = std::min(ops, 600);
-  const ReplResult repl_async = run_replication(
-      mesh, follower_mesh, routing, streams, repl_ops, /*sync=*/false);
-  std::printf("  replication async:  %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
-              "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
-              repl_async.throughput_rps, repl_async.p50_us, repl_async.p99_us,
-              repl_async.lag_p99_records, repl_async.failover_us,
-              repl_async.records_per_pull);
-  topo::Mesh sync_primary_mesh(side, side);
-  topo::Mesh sync_follower_mesh(side, side);
-  const ReplResult repl_sync =
-      run_replication(sync_primary_mesh, sync_follower_mesh, routing, streams,
-                      repl_ops, /*sync=*/true);
-  std::printf("  replication sync:   %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
-              "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
-              repl_sync.throughput_rps, repl_sync.p50_us, repl_sync.p99_us,
-              repl_sync.lag_p99_records, repl_sync.failover_us,
-              repl_sync.records_per_pull);
+  std::vector<ReplResult> async_rounds, sync_rounds;
+  for (int round = 0; round < kReplRounds; ++round) {
+    for (const bool sync : {false, true}) {
+      topo::Mesh primary_mesh(side, side);
+      topo::Mesh follower_mesh(side, side);
+      (sync ? sync_rounds : async_rounds)
+          .push_back(run_replication(primary_mesh, follower_mesh, routing,
+                                     streams, repl_ops, sync));
+    }
+  }
+  const ReplResult repl_async = median_of(async_rounds);
+  const ReplResult repl_sync = median_of(sync_rounds);
+  const auto report_repl = [](const char* label, const ReplResult& r) {
+    std::printf("  %-20s %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
+                "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
+                label, r.throughput_rps, r.p50_us, r.p99_us,
+                r.lag_p99_records, r.failover_us, r.records_per_pull);
+  };
+  for (const auto& [mode, median, rounds] :
+       {std::tuple{"async", &repl_async, &async_rounds},
+        std::tuple{"sync", &repl_sync, &sync_rounds}}) {
+    report_repl((std::string("replication ") + mode + ":").c_str(), *median);
+    for (std::size_t i = 0; i < rounds->size(); ++i) {
+      report_repl(("  round " + std::to_string(i + 1) + ":").c_str(),
+                  (*rounds)[i]);
+    }
+  }
+
+  const ReplayResult replay = run_replay(side, routing, streams, ops);
+  std::printf("  replay after churn:  recovery %.1f ms (%llu streams, "
+              "%llu Cal_U)  bootstrap %.1f ms (%llu streams, %llu Cal_U)\n",
+              replay.recovery_ms,
+              static_cast<unsigned long long>(replay.recovery_population),
+              static_cast<unsigned long long>(replay.recovery_bound_recomputes),
+              replay.bootstrap_ms,
+              static_cast<unsigned long long>(replay.bootstrap_population),
+              static_cast<unsigned long long>(
+                  replay.bootstrap_bound_recomputes));
 
   const double durable_speedup =
       durable_serial.throughput_rps > 0
@@ -820,9 +1005,20 @@ int main(int argc, char** argv) {
   doc.set("obs_overhead_pct", obs_overhead_pct);
   Json repl = Json::object();
   repl.set("ops", std::int64_t{repl_ops});
-  repl.set("async", to_json(repl_async));
-  repl.set("sync", to_json(repl_sync));
+  repl.set("rounds", std::int64_t{kReplRounds});
+  for (const auto& [mode, median, rounds] :
+       {std::tuple{"async", &repl_async, &async_rounds},
+        std::tuple{"sync", &repl_sync, &sync_rounds}}) {
+    Json row = to_json(*median);
+    Json per_round = Json::array();
+    for (const ReplResult& r : *rounds) {
+      per_round.push_back(to_json(r));
+    }
+    row.set("rounds", std::move(per_round));
+    repl.set(mode, std::move(row));
+  }
   doc.set("replication", std::move(repl));
+  doc.set("replay", to_json(replay));
 
   std::ofstream out(out_path);
   out << doc.dump() << "\n";
@@ -850,7 +1046,8 @@ int main(int argc, char** argv) {
   const std::uint64_t total_errors = socket.errors + durable_serial.errors +
                                      durable_pipelined.errors +
                                      nofsync_pipelined.errors +
-                                     repl_async.errors + repl_sync.errors;
+                                     repl_async.errors + repl_sync.errors +
+                                     replay.errors;
   if (total_errors != 0) {
     return 1;
   }

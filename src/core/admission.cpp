@@ -210,7 +210,6 @@ void AdmissionController::restore(topo::NodeId src, topo::NodeId dst,
   }
   // Lift from the back (no id shifts), then re-add in engine order.
   std::vector<std::pair<Handle, MessageStream>> lifted;
-  engine_.begin_batch();
   while (engine_.size() > static_cast<std::size_t>(position)) {
     const auto last = static_cast<StreamId>(engine_.size() - 1);
     lifted.emplace_back(engine_.handle_of(last), engine_.streams()[last]);
@@ -220,7 +219,6 @@ void AdmissionController::restore(topo::NodeId src, topo::NodeId dst,
   for (auto it = lifted.rbegin(); it != lifted.rend(); ++it) {
     engine_.add_stream(std::move(it->second), it->first);
   }
-  engine_.end_batch();
 }
 
 void AdmissionController::unadmit(Handle handle) {

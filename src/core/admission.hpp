@@ -160,10 +160,10 @@ class AdmissionController {
   ///
   /// A \p position below size() re-inserts the stream at that dense id
   /// instead of appending it: the streams from there on are lifted and
-  /// re-added under their own handles inside one engine batch (exact,
-  /// see IncrementalAnalyzer::begin_batch).  That undoes a teardown
-  /// whose commit failed, restoring the engine order the journal — and
-  /// so recovery and every follower — still has.
+  /// re-added under their own handles.  That undoes a teardown whose
+  /// commit failed, restoring the engine order the journal — and so
+  /// recovery and every follower — still has.  Call it inside a batch,
+  /// which recomputes each lifted stream once.
   void restore(topo::NodeId src, topo::NodeId dst, Priority priority,
                Time period, Time length, Time deadline, Handle handle,
                int route_order = route::kRouteOrderPrimary,
@@ -173,6 +173,13 @@ class AdmissionController {
   /// failed): removes the stream and returns the handle to the pool.
   /// Only valid for the most recently admitted handle.
   void unadmit(Handle handle);
+
+  /// The engine's exact batch (IncrementalAnalyzer::begin_batch):
+  /// restore(), remove() and unadmit() in between recompute nothing, and
+  /// end_batch() computes each surviving stream they touched once.
+  /// request() and the link mutations read settled bounds: not in one.
+  void begin_batch() { engine_.begin_batch(); }
+  void end_batch() { engine_.end_batch(); }
 
   /// Durable handle-numbering state (see restore()).
   Handle next_handle() const { return engine_.next_handle(); }

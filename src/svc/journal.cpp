@@ -79,6 +79,25 @@ std::int64_t get_i64(const char* p) {
   return static_cast<std::int64_t>(get_u64(p));
 }
 
+/// A row's columns (kEntryColumns), as snapshot rows and ADD records
+/// carry them.
+void put_entry(std::string& out, const JournalEntry& e) {
+  for (const auto column : kEntryColumns) {
+    put_i64(out, e.*column);
+  }
+}
+
+/// The row whose first \p columns columns start at \p p; a legacy row
+/// of 7 predates route orders and reads as order 0 (primary), which is
+/// what every stream used then.
+JournalEntry get_entry(const char* p, std::size_t columns) {
+  JournalEntry e;
+  for (std::size_t i = 0; i < columns; ++i) {
+    e.*kEntryColumns[i] = get_i64(p + 8 * i);
+  }
+  return e;
+}
+
 std::string frame(const std::string& payload) {
   std::string out;
   out.reserve(8 + payload.size());
@@ -96,14 +115,7 @@ std::string encode_record(JournalRecord::Type type, std::uint64_t lsn,
   put_u64(payload, lsn);
   switch (type) {
     case JournalRecord::Type::kAdd:
-      put_i64(payload, e.handle);
-      put_i64(payload, e.src);
-      put_i64(payload, e.dst);
-      put_i64(payload, e.priority);
-      put_i64(payload, e.period);
-      put_i64(payload, e.length);
-      put_i64(payload, e.deadline);
-      put_i64(payload, e.route_order);
+      put_entry(payload, e);
       break;
     case JournalRecord::Type::kRemove:
       put_i64(payload, e.handle);
@@ -232,13 +244,15 @@ bool parse_snapshot(const std::string& data, RecoveredState* state,
     }
     const std::uint64_t fault_count = get_u64(q);
     q += 8;
-    if (static_cast<std::uint64_t>(end - q) < fault_count * 16 + 8) {
+    // Divided, not multiplied: a huge count must not wrap past the check.
+    if (end - q < 8 ||
+        fault_count > static_cast<std::uint64_t>(end - q - 8) / 16) {
       *error = "snapshot.bin is corrupt (count disagrees with payload size)";
       return false;
     }
-    state->faulted.reserve(fault_count);
+    state->snapshot.faulted.reserve(fault_count);
     for (std::uint64_t i = 0; i < fault_count; ++i, q += 16) {
-      state->faulted.emplace_back(get_i64(q), get_i64(q + 8));
+      state->snapshot.faulted.emplace_back(get_i64(q), get_i64(q + 8));
     }
   }
   if (end - q < 8) {
@@ -247,28 +261,18 @@ bool parse_snapshot(const std::string& data, RecoveredState* state,
   }
   const std::uint64_t count = get_u64(q);
   q += 8;
-  const std::size_t row_size = (v1 ? 7 : 8) * 8;
-  if (static_cast<std::uint64_t>(end - q) != count * row_size) {
+  const std::size_t columns = v1 ? 7 : 8;
+  const auto rows_bytes = static_cast<std::uint64_t>(end - q);
+  if (rows_bytes % (columns * 8) != 0 || rows_bytes / (columns * 8) != count) {
     *error = "snapshot.bin is corrupt (count disagrees with payload size)";
     return false;
   }
   state->had_snapshot = true;
   state->snapshot_lsn = last_lsn;
-  state->next_handle = next_handle;
-  state->snapshot.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i, q += row_size) {
-    JournalEntry e;
-    e.handle = get_i64(q);
-    e.src = get_i64(q + 8);
-    e.dst = get_i64(q + 16);
-    e.priority = get_i64(q + 24);
-    e.period = get_i64(q + 32);
-    e.length = get_i64(q + 40);
-    e.deadline = get_i64(q + 48);
-    if (v2 || v3) {
-      e.route_order = get_i64(q + 56);
-    }
-    state->snapshot.push_back(e);
+  state->snapshot.next_handle = next_handle;
+  state->snapshot.rows.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i, q += columns * 8) {
+    state->snapshot.rows.push_back(get_entry(q, columns));
   }
   return true;
 }
@@ -319,16 +323,7 @@ std::size_t parse_journal(const std::string& data, RecoveredState* state) {
     rec.type = static_cast<JournalRecord::Type>(type);
     rec.lsn = get_u64(p + 1);
     if (is_add) {
-      rec.entry.handle = get_i64(p + 9);
-      rec.entry.src = get_i64(p + 17);
-      rec.entry.dst = get_i64(p + 25);
-      rec.entry.priority = get_i64(p + 33);
-      rec.entry.period = get_i64(p + 41);
-      rec.entry.length = get_i64(p + 49);
-      rec.entry.deadline = get_i64(p + 57);
-      // Legacy ADD records predate route orders: order 0 (primary) is
-      // what every stream used then.
-      rec.entry.route_order = len == kAddPayload ? get_i64(p + 65) : 0;
+      rec.entry = get_entry(p + 9, len == kAddPayload ? 8 : 7);
     } else if (is_remove) {
       rec.entry.handle = get_i64(p + 9);
     } else {
@@ -613,7 +608,7 @@ bool Journal::open(RecoveredState* state, std::string* error) {
   appends_since_snapshot_ = state->records.size();
 
   if (metrics_ != nullptr) {
-    metrics_->replayed_snapshot.inc(state->snapshot.size());
+    metrics_->replayed_snapshot.inc(state->snapshot.rows.size());
     metrics_->replayed_records.inc(state->records.size());
     metrics_->skipped_records.inc(state->skipped_records);
     metrics_->discarded_bytes.inc(state->discarded_bytes);
@@ -839,10 +834,7 @@ bool Journal::flush_staged(std::string* error) {
   return wait_durable(target, error);
 }
 
-bool Journal::write_snapshot(
-    std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-    std::string* error) {
+bool Journal::write_snapshot(const StateImage& image, std::string* error) {
   // The snapshot's LSN watermark covers every LSN assigned so far, so
   // staged records must be durable before the snapshot claims them.
   // (Callers serialise mutations against snapshotting, so nothing new
@@ -870,36 +862,26 @@ bool Journal::write_snapshot(
     return false;
   }
   // Every record assigned so far is folded in.
-  return snapshot_locked(next_lsn_ - 1, next_handle, entries, faulted, error);
+  return snapshot_locked(next_lsn_ - 1, image, error);
 }
 
-bool Journal::snapshot_locked(
-    std::uint64_t last_lsn, std::int64_t next_handle,
-    const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-    std::string* error) {
+bool Journal::snapshot_locked(std::uint64_t last_lsn, const StateImage& image,
+                              std::string* error) {
   std::string payload;
-  payload.reserve(56 + faulted.size() * 16 + entries.size() * 8 * 8);
+  payload.reserve(56 + image.faulted.size() * 16 + image.rows.size() * 8 * 8);
   payload.append(kSnapshotMagic, 8);
   put_u64(payload, config_.fingerprint);
   put_u64(payload, epoch_);
   put_u64(payload, last_lsn);
-  put_i64(payload, next_handle);
-  put_u64(payload, faulted.size());
-  for (const auto& [src, dst] : faulted) {
+  put_i64(payload, image.next_handle);
+  put_u64(payload, image.faulted.size());
+  for (const auto& [src, dst] : image.faulted) {
     put_i64(payload, src);
     put_i64(payload, dst);
   }
-  put_u64(payload, entries.size());
-  for (const JournalEntry& e : entries) {
-    put_i64(payload, e.handle);
-    put_i64(payload, e.src);
-    put_i64(payload, e.dst);
-    put_i64(payload, e.priority);
-    put_i64(payload, e.period);
-    put_i64(payload, e.length);
-    put_i64(payload, e.deadline);
-    put_i64(payload, e.route_order);
+  put_u64(payload, image.rows.size());
+  for (const JournalEntry& e : image.rows) {
+    put_entry(payload, e);
   }
 
   const std::string tmp = config_.dir + "/" + kSnapshotTmp;
@@ -1010,11 +992,8 @@ bool Journal::append_replica(std::span<const JournalRecord> records,
   return wait_or_drop(records.back().lsn, error);
 }
 
-bool Journal::install_snapshot(
-    std::uint64_t last_lsn, std::uint64_t epoch, std::int64_t next_handle,
-    const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-    std::string* error) {
+bool Journal::install_snapshot(std::uint64_t last_lsn, std::uint64_t epoch,
+                               const StateImage& image, std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) {
     *error = "journal is not open";
@@ -1030,7 +1009,7 @@ bool Journal::install_snapshot(
     return false;
   }
   epoch_ = std::max(epoch_, epoch);
-  if (!snapshot_locked(last_lsn, next_handle, entries, faulted, error)) {
+  if (!snapshot_locked(last_lsn, image, error)) {
     return false;
   }
   // The bootstrap state supersedes whatever LSN history was here: the

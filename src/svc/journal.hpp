@@ -121,6 +121,13 @@ struct JournalEntry {
   bool operator==(const JournalEntry&) const = default;
 };
 
+/// A row's eight columns in the order snapshot rows, ADD records and
+/// replication wire rows carry them (legacy rows lack route_order).
+inline constexpr std::int64_t JournalEntry::*kEntryColumns[] = {
+    &JournalEntry::handle,   &JournalEntry::src,    &JournalEntry::dst,
+    &JournalEntry::priority, &JournalEntry::period, &JournalEntry::length,
+    &JournalEntry::deadline, &JournalEntry::route_order};
+
 struct JournalRecord {
   enum class Type : std::uint8_t {
     kAdd = 1,
@@ -166,12 +173,26 @@ struct JournalConfig {
   std::size_t tail_records = 4096;
 };
 
+/// The durable admission state as one value: what a snapshot file holds,
+/// what compaction, PROMOTE and REPL_SNAPSHOT capture, and what recovery
+/// and a follower's bootstrap install.
+struct StateImage {
+  /// The handle the next admission draws; it also covers handles freed
+  /// by removals above the surviving maximum.
+  std::int64_t next_handle = 0;
+  /// The population in engine order, under recorded handles and route
+  /// orders.
+  std::vector<JournalEntry> rows;
+  /// Faulted channels as (src,dst) endpoint pairs in channel-id order —
+  /// applied to the topology before the rows.
+  std::vector<std::pair<std::int64_t, std::int64_t>> faulted;
+};
+
 /// Everything recovery learned from the state dir, in replay order.
 struct RecoveredState {
   bool had_snapshot = false;
   /// Journal LSNs <= this are already folded into `snapshot`.
   std::uint64_t snapshot_lsn = 0;
-  std::int64_t next_handle = 0;
   /// Topology fingerprints found in the snapshot / journal header.
   /// (Absent on legacy V1 state; Journal::open verifies present ones
   /// against JournalConfig::fingerprint.)
@@ -183,11 +204,8 @@ struct RecoveredState {
   /// the two when both are present).  Legacy state without an epoch
   /// reads as epoch 1 — the first primary incarnation.
   std::uint64_t epoch = 1;
-  /// Channels faulted at snapshot time, as (src,dst) endpoint pairs in
-  /// channel-id order — applied to the topology before the rows.
-  std::vector<std::pair<std::int64_t, std::int64_t>> faulted;
-  /// The snapshotted population in engine order (replay first).
-  std::vector<JournalEntry> snapshot;
+  /// The snapshotted state (replay first; empty without a snapshot).
+  StateImage snapshot;
   /// Post-snapshot mutations in append order (replay second).
   std::vector<JournalRecord> records;
   /// Stale records skipped by LSN (a crash between snapshot rename and
@@ -296,26 +314,19 @@ class Journal {
     return append_replica(std::span<const JournalRecord>(&record, 1), error);
   }
 
-  /// Installs a replication bootstrap snapshot: the primary's full
-  /// population as of its LSN \p last_lsn under \p epoch.  Same
-  /// tmp+fsync+rename discipline as write_snapshot, then the LSN cursor
-  /// and the floor move to last_lsn.  Existing journal records are
-  /// truncated away — the snapshot supersedes them.
-  bool install_snapshot(
-      std::uint64_t last_lsn, std::uint64_t epoch, std::int64_t next_handle,
-      const std::vector<JournalEntry>& entries,
-      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-      std::string* error);
+  /// Installs a replication bootstrap snapshot: the primary's \p image
+  /// as of its LSN \p last_lsn under \p epoch.  Same tmp+fsync+rename
+  /// discipline as write_snapshot, then the LSN cursor and the floor
+  /// move to last_lsn.  Existing journal records are truncated away —
+  /// the snapshot supersedes them.
+  bool install_snapshot(std::uint64_t last_lsn, std::uint64_t epoch,
+                        const StateImage& image, std::string* error);
 
   /// Compacts the full population into the snapshot file and truncates
   /// the journal.  The caller passes the authoritative controller state
-  /// (entries in engine order) plus the currently faulted channels as
-  /// (src,dst) endpoint pairs.  False + \p error on failure; the
-  /// previous snapshot and journal stay intact in that case.
-  bool write_snapshot(
-      std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-      std::string* error);
+  /// as \p image.  False + \p error on failure; the previous snapshot
+  /// and journal stay intact in that case.
+  bool write_snapshot(const StateImage& image, std::string* error);
 
   /// Appends staged since the last successful write_snapshot (or open).
   std::uint64_t appends_since_snapshot() const {
@@ -349,11 +360,8 @@ class Journal {
   /// snapshot blob (claiming LSNs <= \p last_lsn), truncates the
   /// journal, re-stamps the header.  Called with mu_ held, no leader
   /// active, nothing pending.
-  bool snapshot_locked(
-      std::uint64_t last_lsn, std::int64_t next_handle,
-      const std::vector<JournalEntry>& entries,
-      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-      std::string* error);
+  bool snapshot_locked(std::uint64_t last_lsn, const StateImage& image,
+                       std::string* error);
 
   JournalConfig config_;
   int fd_ = -1;

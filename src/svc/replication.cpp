@@ -13,11 +13,6 @@ namespace wormrt::svc {
 
 namespace {
 
-/// The eight JournalEntry columns of a wire row, in wire order.
-constexpr std::int64_t JournalEntry::*kEntryColumns[] = {
-    &JournalEntry::handle, &JournalEntry::src,      &JournalEntry::dst,
-    &JournalEntry::priority, &JournalEntry::period, &JournalEntry::length,
-    &JournalEntry::deadline, &JournalEntry::route_order};
 constexpr std::size_t kNumEntryColumns = std::size(kEntryColumns);
 
 /// True when \p row is an array of exactly \p n integers.
@@ -91,6 +86,29 @@ Json encode_row(std::initializer_list<std::int64_t> head,
   return row;
 }
 
+Json encode_snapshot_reply(std::uint64_t lsn, std::uint64_t epoch,
+                           const StateImage& image) {
+  Json reply = Json::object();
+  reply.set("ok", true);
+  reply.set("lsn", static_cast<std::int64_t>(lsn));
+  reply.set("epoch", static_cast<std::int64_t>(epoch));
+  reply.set("next_handle", image.next_handle);
+  Json faults = Json::array();
+  for (const auto& [src, dst] : image.faulted) {
+    Json pair = Json::array();
+    pair.push_back(src);
+    pair.push_back(dst);
+    faults.push_back(std::move(pair));
+  }
+  reply.set("faulted", std::move(faults));
+  Json rows = Json::array();
+  for (const JournalEntry& e : image.rows) {
+    rows.push_back(encode_row({}, e));
+  }
+  reply.set("entries", std::move(rows));
+  return reply;
+}
+
 // ---------------------------------------------------------------------------
 // Replicator
 // ---------------------------------------------------------------------------
@@ -156,29 +174,29 @@ bool apply_snapshot_reply(Service& service, const Json& reply,
     *error = "REPL_SNAPSHOT reply is malformed: " + reply.dump();
     return false;
   }
-  std::vector<JournalEntry> rows;
-  rows.reserve(entries->items().size());
+  StateImage image;
+  image.next_handle = next_handle->as_int();
+  image.rows.reserve(entries->items().size());
   for (const Json& row : entries->items()) {
     JournalEntry e;
     if (!decode_row(row, 0, nullptr, &e)) {
       *error = "REPL_SNAPSHOT entry row is malformed";
       return false;
     }
-    rows.push_back(e);
+    image.rows.push_back(e);
   }
-  std::vector<std::pair<std::int64_t, std::int64_t>> faults;
-  faults.reserve(faulted->items().size());
+  image.faulted.reserve(faulted->items().size());
   for (const Json& pair : faulted->items()) {
     if (!int_row(pair, 2)) {
       *error = "REPL_SNAPSHOT faulted row is malformed";
       return false;
     }
-    faults.emplace_back(pair.items()[0].as_int(), pair.items()[1].as_int());
+    image.faulted.emplace_back(pair.items()[0].as_int(),
+                               pair.items()[1].as_int());
   }
   return service.bootstrap_replicated(
       static_cast<std::uint64_t>(lsn->as_int()),
-      static_cast<std::uint64_t>(epoch->as_int()), next_handle->as_int(),
-      rows, faults, error);
+      static_cast<std::uint64_t>(epoch->as_int()), image, error);
 }
 
 bool apply_pull_reply(Service& service, const Json& reply,

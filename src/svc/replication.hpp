@@ -121,10 +121,15 @@ class Replicator {
 Json encode_row(std::initializer_list<std::int64_t> head,
                 const JournalEntry& entry);
 
+/// The REPL_SNAPSHOT reply carrying \p image, the primary's durable state
+/// as of \p lsn under \p epoch — the only writer of the wire image.
+Json encode_snapshot_reply(std::uint64_t lsn, std::uint64_t epoch,
+                           const StateImage& image);
+
 /// Applies one REPL_SNAPSHOT reply to a follower Service (journal
-/// install + engine rebuild).  Shared by ReplicaSession and the fuzz
-/// oracle's in-process replication harness, so both exercise the same
-/// code path.  False + \p error on malformed replies or install failure.
+/// install + engine rebuild): the wire image's only reader, shared by
+/// ReplicaSession and the fuzz oracle's in-process replication harness.
+/// False + \p error on malformed replies or install failure.
 bool apply_snapshot_reply(Service& service, const Json& reply,
                           std::string* error);
 

@@ -39,6 +39,11 @@ JournalEntry entry_of(std::int64_t handle, const core::MessageStream& s) {
           s.period, s.length, s.deadline, s.route_order};
 }
 
+bool is_link(const JournalRecord& record) {
+  return record.type == JournalRecord::Type::kLinkDown ||
+         record.type == JournalRecord::Type::kLinkUp;
+}
+
 /// The one check a journal record passes before anything journals or
 /// applies it (a pulled record, a snapshot row or fault pair, a record
 /// recovery read).  An ADD passes REQUEST's own checks (two distinct
@@ -84,20 +89,17 @@ bool check_record(const topo::Topology& fabric, const JournalRecord& record,
 
 /// check_record over a snapshot image: each row as an ADD, each faulted
 /// channel as a LINK_DOWN.
-bool check_image(
-    const topo::Topology& fabric, const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-    std::string* error) {
-  for (const JournalEntry& e : entries) {
+bool check_image(const topo::Topology& fabric, const StateImage& image,
+                 std::string* error) {
+  for (const JournalEntry& e : image.rows) {
     if (!check_record(fabric, {JournalRecord::Type::kAdd, 0, e}, error)) {
       return false;
     }
   }
-  for (const auto& [src, dst] : faulted) {
-    JournalEntry ends;
-    ends.src = src;
-    ends.dst = dst;
-    if (!check_record(fabric, {JournalRecord::Type::kLinkDown, 0, ends},
+  for (const auto& [src, dst] : image.faulted) {
+    if (!check_record(fabric,
+                      {JournalRecord::Type::kLinkDown, 0,
+                       {.src = src, .dst = dst}},
                       error)) {
       return false;
     }
@@ -259,7 +261,10 @@ void Service::setup_sampler() {
   sampler_.add_series("admission_p99_us",
                       [this] { return metrics_.latency_us.p99(); });
   sampler_.add_series("fsync_p99_us", [this] {
-    return Journal::fsync_histogram(registry_).p99();
+    // Without a journal the read would only register an empty histogram.
+    std::lock_guard<std::mutex> lk(mu_);
+    return journal_ != nullptr ? Journal::fsync_histogram(registry_).p99()
+                               : 0.0;
   });
   sampler_.add_series("sheds_total", [this] { return sheds_total(); });
   sampler_.add_series("dirty_marked_total", [this] {
@@ -364,11 +369,11 @@ bool Service::open_state(std::string* error) {
   }
 
   // Recovery = install the snapshot image, then apply each post-snapshot
-  // record in append order: the same two steps a follower runs for a
-  // REPL_SNAPSHOT and for each pulled record.  Every row is checked
-  // first, so a bad one refuses the open before the engine sees any.
+  // record in append order: the replay a follower runs for a
+  // REPL_SNAPSHOT and for each pull.  Every row is checked first, so a
+  // bad one refuses the open before the engine sees any.
   std::string why;
-  bool ok = check_image(topo_, state.snapshot, state.faulted, &why);
+  bool ok = check_image(topo_, state.snapshot, &why);
   for (std::size_t i = 0; ok && i < state.records.size(); ++i) {
     ok = check_record(topo_, state.records[i], &why);
   }
@@ -377,15 +382,12 @@ bool Service::open_state(std::string* error) {
     journal_.reset();
     return false;
   }
-  install_state_locked(state.next_handle, state.snapshot, state.faulted);
-  recovery_.topology_mutations = state.faulted.size();
-  for (const JournalRecord& record : state.records) {
-    if (apply_record_locked(record) != topo::kNoChannel) {
-      ++recovery_.topology_mutations;
-    }
-  }
+  replay_locked(&state.snapshot, state.records);
+  recovery_.topology_mutations =
+      state.snapshot.faulted.size() +
+      std::count_if(state.records.begin(), state.records.end(), is_link);
 
-  recovery_.snapshot_entries = state.snapshot.size();
+  recovery_.snapshot_entries = state.snapshot.rows.size();
   recovery_.journal_records = state.records.size();
   recovery_.skipped_records = state.skipped_records;
   recovery_.discarded_bytes = state.discarded_bytes;
@@ -403,76 +405,83 @@ void Service::restore_locked(const JournalEntry& e, std::int64_t position) {
                 static_cast<StreamId>(position));
 }
 
-void Service::install_state_locked(
-    std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted) {
-  while (ctrl_.size() > 0) {
-    ctrl_.remove(ctrl_.engine().handle_of(static_cast<StreamId>(0)));
+void Service::replay_locked(const StateImage* image,
+                            std::span<const JournalRecord> records) {
+  // The one place a replay batch ends: each stream the run restored or
+  // disturbed gets its one Cal_U here, and the bounds are settled.
+  const auto end_run = [this] { ctrl_.end_batch(); };
+  ctrl_.begin_batch();
+  if (image != nullptr) {
+    // Emptied from the back, so no removal shifts an id.
+    while (ctrl_.size() > 0) {
+      ctrl_.remove(ctrl_.engine().handle_of(
+          static_cast<StreamId>(ctrl_.size() - 1)));
+    }
+    // Stops at the last faulted channel: no work on a fresh fabric.
+    for (topo::ChannelId c = 0; topo_.channels().num_faulted() > 0; ++c) {
+      topo_.set_channel_faulted(c, false);
+    }
+    // Fault flags before the rows: paths with non-primary route orders
+    // exist only because of them.
+    for (const auto& [src, dst] : image->faulted) {
+      topo_.set_channel_faulted(
+          topo_.channel_between(static_cast<topo::NodeId>(src),
+                                static_cast<topo::NodeId>(dst)),
+          true);
+    }
+    // Each restore forces the recorded handle and route order, so engine
+    // order, paths and handle numbering come out exactly as captured.
+    for (const JournalEntry& e : image->rows) {
+      restore_locked(e);
+    }
+    // The image's next_handle also covers handles freed by removals
+    // above the surviving maximum; records applied later raise it past
+    // their own.
+    ctrl_.set_next_handle(std::max(ctrl_.next_handle(), image->next_handle));
   }
-  // Stops at the last faulted channel: no work on a fresh fabric.
-  for (topo::ChannelId c = 0; topo_.channels().num_faulted() > 0; ++c) {
-    topo_.set_channel_faulted(c, false);
+  for (const JournalRecord& record : records) {
+    if (record.type == JournalRecord::Type::kAdd) {
+      restore_locked(record.entry);
+    } else if (record.type == JournalRecord::Type::kRemove) {
+      ctrl_.remove(record.entry.handle);
+    } else {
+      // The cascade (evict / reroute / recompute) reads settled bounds
+      // and batches itself; it is deterministic given the engine state,
+      // so applying the one record redoes it bit for bit.
+      end_run();
+      const topo::ChannelId channel =
+          topo_.channel_between(static_cast<topo::NodeId>(record.entry.src),
+                                static_cast<topo::NodeId>(record.entry.dst));
+      if (record.type == JournalRecord::Type::kLinkDown) {
+        ctrl_.link_down(channel);
+      } else {
+        ctrl_.link_up(channel);
+      }
+      ctrl_.begin_batch();
+    }
   }
-  // Fault flags before the rows: paths with non-primary route orders
-  // exist only because of them.
-  for (const auto& [src, dst] : faulted) {
-    topo_.set_channel_faulted(
-        topo_.channel_between(static_cast<topo::NodeId>(src),
-                              static_cast<topo::NodeId>(dst)),
-        true);
-  }
-  // Each restore forces the recorded handle and route order, so engine
-  // order, paths and handle numbering come out exactly as captured.
-  for (const JournalEntry& e : entries) {
-    restore_locked(e);
-  }
-  // The image's next_handle also covers handles freed by removals above
-  // the surviving maximum; records applied later raise it past their own.
-  ctrl_.set_next_handle(std::max(ctrl_.next_handle(), next_handle));
+  end_run();
 }
 
-topo::ChannelId Service::apply_record_locked(const JournalRecord& record) {
-  if (record.type == JournalRecord::Type::kAdd) {
-    restore_locked(record.entry);
-    return topo::kNoChannel;
-  }
-  if (record.type == JournalRecord::Type::kRemove) {
-    ctrl_.remove(record.entry.handle);
-    return topo::kNoChannel;
-  }
-  const topo::ChannelId channel =
-      topo_.channel_between(static_cast<topo::NodeId>(record.entry.src),
-                            static_cast<topo::NodeId>(record.entry.dst));
-  // The cascade (evict / reroute / recompute) is deterministic given the
-  // engine state, so applying the one record redoes it bit for bit.
-  if (record.type == JournalRecord::Type::kLinkDown) {
-    ctrl_.link_down(channel);
-  } else {
-    ctrl_.link_up(channel);
-  }
-  return channel;
-}
-
-void Service::capture_state_locked(
-    std::vector<JournalEntry>* entries,
-    std::vector<std::pair<std::int64_t, std::int64_t>>* faulted) const {
+StateImage Service::capture_state_locked() const {
   const core::IncrementalAnalyzer& engine = ctrl_.engine();
   const core::StreamSet& streams = engine.streams();
-  entries->clear();
-  entries->reserve(streams.size());
+  StateImage image;
+  image.next_handle = ctrl_.next_handle();
+  image.rows.reserve(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const auto id = static_cast<StreamId>(i);
-    entries->push_back(entry_of(engine.handle_of(id), streams[id]));
+    image.rows.push_back(entry_of(engine.handle_of(id), streams[id]));
   }
-  faulted->clear();
   const topo::ChannelGraph& channels = topo_.channels();
   for (std::size_t i = 0; i < channels.size(); ++i) {
     const auto id = static_cast<topo::ChannelId>(i);
     if (channels.is_faulted(id)) {
       const topo::Channel& ch = channels.channel(id);
-      faulted->emplace_back(ch.src, ch.dst);
+      image.faulted.emplace_back(ch.src, ch.dst);
     }
   }
+  return image;
 }
 
 void Service::maybe_compact() {
@@ -480,11 +489,8 @@ void Service::maybe_compact() {
       journal_->appends_since_snapshot() < options_.compact_every) {
     return;
   }
-  std::vector<JournalEntry> entries;
-  std::vector<std::pair<std::int64_t, std::int64_t>> faulted;
-  capture_state_locked(&entries, &faulted);
   std::string err;
-  if (!journal_->write_snapshot(ctrl_.next_handle(), entries, faulted, &err)) {
+  if (!journal_->write_snapshot(capture_state_locked(), &err)) {
     registry_
         .counter("wormrt_journal_compaction_failures_total", {},
                  "Snapshot compactions that failed (journal kept intact).")
@@ -774,9 +780,14 @@ void Service::roll_back_failed_locked() {
     return;
   }
   const std::vector<JournalRecord> failed = journal_->take_failed();
+  if (failed.empty()) {
+    return;  // the common case: no batch, no work
+  }
   // Undo newest-first: each unadmit() then reverses the engine's most
   // recent admission, and each rolled-back REMOVE goes back to the
-  // engine position it had, so the live order is the journal's.
+  // engine position it had, so the live order is the journal's.  One
+  // batch recomputes each disturbed survivor once.
+  ctrl_.begin_batch();
   for (const JournalRecord& m : failed) {
     if (m.type == JournalRecord::Type::kAdd) {
       ctrl_.unadmit(m.entry.handle);
@@ -784,6 +795,7 @@ void Service::roll_back_failed_locked() {
       restore_locked(m.entry, m.position);
     }  // A link record fails before its cascade runs: nothing to undo.
   }
+  ctrl_.end_batch();
 }
 
 Json Service::provenance_json(const core::BoundProvenance& p) {
@@ -1585,7 +1597,7 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
   }
   // WAL discipline, same as the primary: journal first (under the
   // primary's LSNs, the whole pull in one commit), engine second
-  // through recovery's own apply step — the durable LSN this follower
+  // through recovery's own replay — the durable LSN this follower
   // acks in its next pull must never run ahead of its disk.  A record
   // check_record refuses fails the pull before any of it is journaled,
   // so the disk never runs ahead of the engine either.
@@ -1597,27 +1609,27 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
   if (!journal_->append_replica(records, error)) {
     return false;
   }
-  for (const JournalRecord& record : records) {
-    const topo::ChannelId channel = apply_record_locked(record);
-    registry_
-        .counter("wormrt_repl_records_applied_total", {},
-                 "Replicated journal records applied on this follower.")
-        .inc();
-    if (audit_ == nullptr) {
-      continue;
-    }
-    // One line per replicated record, carrying the primary's LSN — the
-    // smoke test diffs (lsn, event, handle) against the primary's
-    // audit log to prove decision-history equality.
-    static constexpr const char* kEvents[] = {
-        nullptr, "replicated_add", "replicated_remove",
-        "replicated_link_down", "replicated_link_up"};  // by record type
+  replay_locked(nullptr, records);
+  registry_
+      .counter("wormrt_repl_records_applied_total", {},
+               "Replicated journal records applied on this follower.")
+      .inc(records.size());
+  // One audit line per replicated record, carrying the primary's LSN —
+  // the smoke test diffs (lsn, event, handle) against the primary's
+  // audit log to prove decision-history equality.
+  static constexpr const char* kEvents[] = {
+      nullptr, "replicated_add", "replicated_remove", "replicated_link_down",
+      "replicated_link_up"};  // by record type
+  for (std::size_t i = 0; audit_ != nullptr && i < records.size(); ++i) {
+    const JournalRecord& record = records[i];
     Json rec = Json::object();
     rec.set("event", kEvents[static_cast<int>(record.type)]);
-    if (channel == topo::kNoChannel) {
+    if (!is_link(record)) {
       rec.set("handle", record.entry.handle);
     } else {
-      rec.set("channel", static_cast<std::int64_t>(channel));
+      rec.set("channel", static_cast<std::int64_t>(topo_.channel_between(
+                             static_cast<topo::NodeId>(record.entry.src),
+                             static_cast<topo::NodeId>(record.entry.dst))));
       rec.set("src", record.entry.src);
       rec.set("dst", record.entry.dst);
     }
@@ -1629,11 +1641,10 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
   return true;
 }
 
-bool Service::bootstrap_replicated(
-    std::uint64_t last_lsn, std::uint64_t snapshot_epoch,
-    std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-    std::string* error) {
+bool Service::bootstrap_replicated(std::uint64_t last_lsn,
+                                   std::uint64_t snapshot_epoch,
+                                   const StateImage& image,
+                                   std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   if (!is_follower()) {
     *error = "not a follower";
@@ -1646,13 +1657,12 @@ bool Service::bootstrap_replicated(
   // A bad row or fault pair refuses the image before anything is made
   // durable.  Then the durable install (tmp+fsync->rename; the WAL is
   // truncated and the LSN cursor moves to last_lsn+1), then the engine
-  // takes the same image through recovery's own install step.
-  if (!check_image(topo_, entries, faulted, error) ||
-      !journal_->install_snapshot(last_lsn, snapshot_epoch, next_handle,
-                                  entries, faulted, error)) {
+  // takes the same image through recovery's own replay.
+  if (!check_image(topo_, image, error) ||
+      !journal_->install_snapshot(last_lsn, snapshot_epoch, image, error)) {
     return false;
   }
-  install_state_locked(next_handle, entries, faulted);
+  replay_locked(&image, {});
   registry_
       .counter("wormrt_repl_snapshots_installed_total", {},
                "Replication bootstrap snapshots installed on this "
@@ -1663,7 +1673,7 @@ bool Service::bootstrap_replicated(
     rec.set("event", "replicated_bootstrap");
     rec.set("lsn", static_cast<std::int64_t>(last_lsn));
     rec.set("epoch", static_cast<std::int64_t>(snapshot_epoch));
-    rec.set("entries", static_cast<std::int64_t>(entries.size()));
+    rec.set("entries", static_cast<std::int64_t>(image.rows.size()));
     audit_->append(std::move(rec));
   }
   return true;
@@ -1724,27 +1734,9 @@ Json Service::do_repl_snapshot(const Json&, PendingAck*) {
   std::string err;
   static_cast<void>(journal_->flush_staged(&err));
   roll_back_failed_locked();
-  std::vector<JournalEntry> entries;
-  std::vector<std::pair<std::int64_t, std::int64_t>> faulted;
-  capture_state_locked(&entries, &faulted);
-  Json reply = Json::object();
-  reply.set("ok", true);
-  reply.set("lsn", static_cast<std::int64_t>(journal_->durable_lsn()));
-  reply.set("epoch", static_cast<std::int64_t>(journal_->epoch()));
-  reply.set("next_handle", ctrl_.next_handle());
-  Json faults = Json::array();
-  for (const auto& [src, dst] : faulted) {
-    Json pair = Json::array();
-    pair.push_back(src);
-    pair.push_back(dst);
-    faults.push_back(std::move(pair));
-  }
-  reply.set("faulted", std::move(faults));
-  Json rows = Json::array();
-  for (const JournalEntry& e : entries) {
-    rows.push_back(encode_row({}, e));
-  }
-  reply.set("entries", std::move(rows));
+  Json reply = encode_snapshot_reply(journal_->durable_lsn(),
+                                     journal_->epoch(),
+                                     capture_state_locked());
   registry_
       .counter("wormrt_repl_snapshots_shipped_total", {},
                "Replication bootstrap snapshots served to followers.")
@@ -1852,12 +1844,8 @@ Json Service::do_promote(const Json&, PendingAck*) {
     // The epoch bump is durable only once a snapshot re-stamps both
     // files; until then a crash falls back to the follower epoch, which
     // is safe (the promotion just has to be redone).
-    std::vector<JournalEntry> entries;
-    std::vector<std::pair<std::int64_t, std::int64_t>> faulted;
-    capture_state_locked(&entries, &faulted);
     std::string err;
-    if (!journal_->write_snapshot(ctrl_.next_handle(), entries, faulted,
-                                  &err)) {
+    if (!journal_->write_snapshot(capture_state_locked(), &err)) {
       return error_reply("promotion failed: epoch bump not durable: " + err);
     }
     repl_ = std::make_unique<Replicator>(fence);

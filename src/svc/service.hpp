@@ -192,8 +192,8 @@ class Service {
 
   /// Applies one pull of replicated records on a follower: journal
   /// first (Journal::append_replica — every record under the primary's
-  /// LSN, one commit), then the engine through apply_record_locked —
-  /// recovery's own apply step — with one audit record each.  False +
+  /// LSN, one commit), then the engine through replay_locked — the
+  /// replay recovery runs — with one audit record each.  False +
   /// \p error on failure, with nothing applied when the commit failed or
   /// a record fails the check recovery runs (an ADD this topology cannot
   /// carry, a link record naming a channel it lacks) — the session must
@@ -207,14 +207,12 @@ class Service {
 
   /// Installs a replication bootstrap snapshot on a follower: journal
   /// install (tmp+fsync->rename, WAL truncated) first, then the engine
-  /// takes the image through install_state_locked — recovery's own
-  /// install step.  An image with a row or fault pair recovery would
+  /// takes the image through replay_locked, as recovery installs
+  /// snapshot.bin.  An image with a row or fault pair recovery would
   /// refuse is refused before either, leaving the follower as it was.
-  bool bootstrap_replicated(
-      std::uint64_t last_lsn, std::uint64_t snapshot_epoch,
-      std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted,
-      std::string* error);
+  bool bootstrap_replicated(std::uint64_t last_lsn,
+                            std::uint64_t snapshot_epoch,
+                            const StateImage& image, std::string* error);
 
   /// Follower-side progress from the replica session, for the lag
   /// gauges and HEALTH: the primary's durable LSN + epoch as of the
@@ -329,9 +327,9 @@ class Service {
   bool report_one_locked(std::int64_t handle, double observed, Json* out);
 
   /// Rolls back the mutations of the journal's failed commits, newest
-  /// first (mu_ held).  Called by failing waiters AND by every mutator
-  /// before it decides, so no admission is ever judged against doomed
-  /// state.
+  /// first, in one engine batch (mu_ held).  Called by failing waiters
+  /// AND by every mutator before it decides, so no admission is ever
+  /// judged against doomed state.
   void roll_back_failed_locked();
 
   /// One occupied channel as the heatmap gauges see it.
@@ -403,35 +401,30 @@ class Service {
   void maybe_compact();
 
   /// Re-establishes a journaled stream under its recorded handle and
-  /// route order — replay, snapshot install and, at the engine
-  /// \p position it had, the rollback of a failed REMOVE (mu_ held).
+  /// route order — replay and, at the engine \p position it had, the
+  /// rollback of a failed REMOVE (mu_ held, inside an engine batch).
   void restore_locked(const JournalEntry& e, std::int64_t position = -1);
 
-  /// The only code that turns a snapshot image into engine + fault
-  /// state (recovery and follower bootstrap; mu_ held): clears the
-  /// population and every fault flag, faults the image's channels,
-  /// restores the rows in engine order under their recorded handles and
-  /// route orders, and raises next_handle to the image's.  The image
-  /// must have passed the row check (check_image in service.cpp).
-  void install_state_locked(
-      std::int64_t next_handle, const std::vector<JournalEntry>& entries,
-      const std::vector<std::pair<std::int64_t, std::int64_t>>& faulted);
+  /// The only code that turns durable state into engine + fault state
+  /// (recovery, follower bootstrap and follower pull; mu_ held).  With
+  /// an \p image it first empties the population, clears every fault
+  /// flag, faults the image's channels, restores the rows in engine
+  /// order under their recorded handles and route orders, and raises
+  /// next_handle to the image's.  Then each record in order: ADD
+  /// restores the stream, REMOVE removes it, LINK_DOWN/LINK_UP resolve
+  /// the endpoints and redo the cascade.  The rows and each run of
+  /// ADD/REMOVE records share one engine batch, so every surviving
+  /// bound of a run is computed once; the batch ends before a link
+  /// record, whose cascade reads settled bounds and batches itself.
+  /// Everything must have passed the row check (check_image /
+  /// check_record in service.cpp).
+  void replay_locked(const StateImage* image,
+                     std::span<const JournalRecord> records);
 
-  /// The only map from a journal record to an engine call (recovery
-  /// replay and follower apply; mu_ held): ADD restores the stream,
-  /// REMOVE removes it, LINK_DOWN/LINK_UP resolve the record's
-  /// endpoints and redo the cascade.  Returns a link record's channel
-  /// (kNoChannel otherwise).  The record must have passed the row check
-  /// (check_record in service.cpp).
-  topo::ChannelId apply_record_locked(const JournalRecord& record);
-
-  /// Captures the engine population (in engine order, with forced
-  /// handles and route orders) and the faulted channel set — the
-  /// snapshot-shaped view compaction, REPL_SNAPSHOT, and PROMOTE all
-  /// serialize (mu_ held).
-  void capture_state_locked(
-      std::vector<JournalEntry>* entries,
-      std::vector<std::pair<std::int64_t, std::int64_t>>* faulted) const;
+  /// The engine population (in engine order, with forced handles and
+  /// route orders), next handle and faulted channel set — the one view
+  /// compaction, REPL_SNAPSHOT, and PROMOTE serialize (mu_ held).
+  StateImage capture_state_locked() const;
 
   topo::Topology& topo_;
   ServiceOptions options_;

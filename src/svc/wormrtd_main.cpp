@@ -19,6 +19,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,24 +38,22 @@ volatile std::sig_atomic_t g_signalled = 0;
 
 void on_signal(int) { g_signalled = 1; }
 
-/// "--mesh 8" -> 8x8, "--mesh 16x16" -> 16x16.
+/// One mesh radix: a whole number from 2 to INT_MAX.
+bool parse_radix(const std::string& text, long long* radix) {
+  char* end = nullptr;
+  *radix = std::strtoll(text.c_str(), &end, 10);
+  return end != nullptr && *end == '\0' && *radix >= 2 &&
+         *radix <= std::numeric_limits<int>::max();
+}
+
+/// "--mesh 8" -> 8x8, "--mesh 16x16" -> 16x16.  False unless both radixes
+/// and the node count fit an int.
 bool parse_mesh(const std::string& spec, int* cols, int* rows) {
   const std::size_t x = spec.find('x');
-  char* end = nullptr;
-  if (x == std::string::npos) {
-    const long n = std::strtol(spec.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n < 2) {
-      return false;
-    }
-    *cols = *rows = static_cast<int>(n);
-    return true;
-  }
-  const long c = std::strtol(spec.substr(0, x).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || c < 2) {
-    return false;
-  }
-  const long r = std::strtol(spec.substr(x + 1).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || r < 2) {
+  long long c = 0, r = 0;
+  if (!parse_radix(spec.substr(0, x), &c) ||
+      !parse_radix(x == std::string::npos ? spec : spec.substr(x + 1), &r) ||
+      c * r > std::numeric_limits<int>::max()) {
     return false;
   }
   *cols = static_cast<int>(c);
@@ -180,6 +179,10 @@ int main(int argc, char** argv) {
   const std::int64_t tcp_port = args.get_int("port", -1);
   if (socket_path.empty() && tcp_port < 0) {
     return usage(args.program().c_str());
+  }
+  if (args.has("port") && (tcp_port < 0 || tcp_port > 65535)) {
+    std::fprintf(stderr, "wormrtd: bad --port (want 0-65535)\n");
+    return 2;
   }
 
   int cols = 8, rows = 8;

@@ -783,6 +783,30 @@ TEST(DaemonBatch, CliBatchCommandPipelinesStdinLines) {
   ::unlink(socket_path);
 }
 
+TEST(DaemonFlags, OutOfRangeMeshAndPortExitTwo) {
+  // A value an int cannot hold is refused, not narrowed (4294967298
+  // narrows to a 2x2 mesh, 4294967296 to port 0, an ephemeral one),
+  // before a mesh is built or a socket opened.  `timeout` keeps a daemon
+  // that starts anyway from hanging the test.
+  const std::string socket =
+      "/tmp/wormrtd-flags-" + std::to_string(::getpid()) + ".sock";
+  for (const std::string& flags :
+       {"--socket " + socket + " --mesh 4294967298",
+        "--socket " + socket + " --mesh 4x4294967298",
+        "--socket " + socket + " --mesh 46341x46341",  // > INT_MAX nodes
+        std::string("--port 4294967296"), std::string("--port 65536"),
+        "--socket " + socket + " --port -2"}) {
+    std::string out;
+    EXPECT_EQ(run("timeout 10 " + std::string(WORMRTD_BIN) + " " + flags +
+                      " 2>/dev/null",
+                  &out),
+              2)
+        << flags;
+    EXPECT_EQ(out.find("READY"), std::string::npos) << flags;
+  }
+  ::unlink(socket.c_str());
+}
+
 TEST(DaemonShutdown, ShutdownIsPromptDespiteIdleConnections) {
   // A daemon with open idle connections must still stop quickly: the
   // eventfd wake-up, not the 30 s idle timer, ends the epoll loops.

@@ -280,6 +280,38 @@ TEST_F(HealthHistoryTest, HistoryFiltersBySeriesNameAndWindow) {
   EXPECT_GE(empty.get("now_ms")->as_int(), 0);
 }
 
+TEST_F(HealthHistoryTest, SamplerReadsTheFsyncHistogramOnlyWithAJournal) {
+  // Without a journal the fsync_p99_us series reads 0 and registers
+  // nothing: no fsync can ever land in the histogram.
+  service_.sampler().sample_once();
+  EXPECT_EQ(service_.prometheus_text().find("wormrt_journal_fsync_us"),
+            std::string::npos);
+  const Json history =
+      call(R"({"verb":"HISTORY","series":["fsync_p99_us"]})");
+  ASSERT_EQ(history.get("series")->items().size(), 1u);
+  const auto& samples =
+      history.get("series")->items()[0].get("samples")->items();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_DOUBLE_EQ(samples[0].items()[1].as_double(), 0.0);
+
+  // A journaled service still exposes it.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("wormrt-sampler-fsync-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  topo::Mesh mesh(8, 8);
+  svc::ServiceOptions options;
+  options.state_dir = dir;
+  svc::Service journaled(mesh, routing_, {}, options);
+  std::string error;
+  ASSERT_TRUE(journaled.open_state(&error)) << error;
+  journaled.sampler().sample_once();
+  EXPECT_NE(journaled.prometheus_text().find("wormrt_journal_fsync_us"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(HealthHistoryTest, HostileHistoryPayloadsComeBackAsErrors) {
   const std::vector<std::string> hostile = {
       R"({"verb":"HISTORY","series":"population"})",  // non-array filter

@@ -133,7 +133,7 @@ TEST_F(JournalTest, FreshDirOpensEmptyAndRecordsReplayInOrder) {
     std::string error;
     ASSERT_TRUE(journal.open(&state, &error)) << error;
     EXPECT_FALSE(state.had_snapshot);
-    EXPECT_TRUE(state.snapshot.empty());
+    EXPECT_TRUE(state.snapshot.rows.empty());
     EXPECT_TRUE(state.records.empty());
     seed_three_records(journal);  // re-open of an open dir is also fine
   }
@@ -178,7 +178,7 @@ TEST_F(JournalTest, SnapshotCompactsAndTruncatesTheJournal) {
 
   const std::vector<JournalEntry> population = {entry(2, 3, 7)};
   std::string error;
-  ASSERT_TRUE(journal.write_snapshot(3, population, {}, &error)) << error;
+  ASSERT_TRUE(journal.write_snapshot({3, population, {}}, &error)) << error;
   EXPECT_EQ(journal.appends_since_snapshot(), 0u);
   EXPECT_EQ(size_of(wal()), 0);
 
@@ -189,9 +189,9 @@ TEST_F(JournalTest, SnapshotCompactsAndTruncatesTheJournal) {
   ASSERT_TRUE(Journal::recover(dir_, &state, &error)) << error;
   EXPECT_TRUE(state.had_snapshot);
   EXPECT_EQ(state.snapshot_lsn, 3u);
-  EXPECT_EQ(state.next_handle, 3);
-  ASSERT_EQ(state.snapshot.size(), 1u);
-  EXPECT_EQ(state.snapshot[0], entry(2, 3, 7));
+  EXPECT_EQ(state.snapshot.next_handle, 3);
+  ASSERT_EQ(state.snapshot.rows.size(), 1u);
+  EXPECT_EQ(state.snapshot.rows[0], entry(2, 3, 7));
   ASSERT_EQ(state.records.size(), 1u);
   EXPECT_EQ(state.records[0].lsn, 4u);  // LSNs keep counting across it
 }
@@ -205,7 +205,7 @@ TEST_F(JournalTest, StaleRecordsLeftByACrashedCompactionAreSkipped) {
   // state by saving the journal bytes across write_snapshot.
   const std::string old_records = read_bytes(wal());
   std::string error;
-  ASSERT_TRUE(journal.write_snapshot(3, {entry(2, 3, 7)}, {}, &error)) << error;
+  ASSERT_TRUE(journal.write_snapshot({3, {entry(2, 3, 7)}, {}}, &error)) << error;
   append_bytes(wal(), old_records);
 
   RecoveredState state;
@@ -213,8 +213,8 @@ TEST_F(JournalTest, StaleRecordsLeftByACrashedCompactionAreSkipped) {
   EXPECT_TRUE(state.had_snapshot);
   EXPECT_EQ(state.skipped_records, 3u);  // all three predate the snapshot
   EXPECT_TRUE(state.records.empty());
-  ASSERT_EQ(state.snapshot.size(), 1u);
-  EXPECT_EQ(state.snapshot[0], entry(2, 3, 7));
+  ASSERT_EQ(state.snapshot.rows.size(), 1u);
+  EXPECT_EQ(state.snapshot.rows[0], entry(2, 3, 7));
 }
 
 TEST_F(JournalTest, TornTailIsDiscardedAndRepairedOnOpen) {
@@ -305,7 +305,7 @@ TEST_F(JournalTest, CorruptSnapshotIsAHardError) {
   Journal journal(config());
   seed_three_records(journal);
   std::string error;
-  ASSERT_TRUE(journal.write_snapshot(3, {entry(2, 3, 7)}, {}, &error)) << error;
+  ASSERT_TRUE(journal.write_snapshot({3, {entry(2, 3, 7)}, {}}, &error)) << error;
 
   flip_byte_at(snap(), size_of(snap()) / 2);
   RecoveredState state;
@@ -415,7 +415,7 @@ TEST_F(JournalTest, FailedRecordsWaitForRollbackBeforeAnythingStages) {
   EXPECT_FALSE(journal.stage(JournalRecord::Type::kAdd, entry(2), &lsn,
                              &error));
   EXPECT_NE(error.find("No space"), std::string::npos) << error;
-  EXPECT_FALSE(journal.write_snapshot(2, {entry(1)}, {}, &error));
+  EXPECT_FALSE(journal.write_snapshot({2, {entry(1)}, {}}, &error));
   EXPECT_NE(error.find("No space"), std::string::npos) << error;
 
   // Handed back newest first, the REMOVE with its full entry.
@@ -1238,7 +1238,7 @@ TEST_F(JournalTest, SnapshotCarriesFingerprintAndFaultSet) {
     ASSERT_TRUE(journal.append(JournalRecord::Type::kLinkDown,
                                link_endpoints(2, 3), &error))
         << error;
-    ASSERT_TRUE(journal.write_snapshot(2, {entry(1, 0, 5)}, faulted, &error))
+    ASSERT_TRUE(journal.write_snapshot({2, {entry(1, 0, 5)}, faulted}, &error))
         << error;
     // Compaction truncates the WAL back down to just the header stamp.
     EXPECT_EQ(size_of(wal()), 8 + 33);
@@ -1248,9 +1248,9 @@ TEST_F(JournalTest, SnapshotCarriesFingerprintAndFaultSet) {
   EXPECT_TRUE(state.had_snapshot);
   EXPECT_TRUE(state.has_snapshot_fingerprint);
   EXPECT_EQ(state.snapshot_fingerprint, kFabric);
-  EXPECT_EQ(state.faulted, faulted);
-  ASSERT_EQ(state.snapshot.size(), 1u);
-  EXPECT_EQ(state.snapshot[0], entry(1, 0, 5));
+  EXPECT_EQ(state.snapshot.faulted, faulted);
+  ASSERT_EQ(state.snapshot.rows.size(), 1u);
+  EXPECT_EQ(state.snapshot.rows[0], entry(1, 0, 5));
   EXPECT_TRUE(state.records.empty());
 
   // A different fabric must not adopt this snapshot either.
@@ -1301,14 +1301,37 @@ TEST_F(JournalTest, LegacyV1SnapshotStillReplays) {
   ASSERT_TRUE(Journal::recover(dir_, &state, &error)) << error;
   EXPECT_TRUE(state.had_snapshot);
   EXPECT_FALSE(state.has_snapshot_fingerprint);
-  EXPECT_TRUE(state.faulted.empty());
+  EXPECT_TRUE(state.snapshot.faulted.empty());
   EXPECT_EQ(state.snapshot_lsn, 3u);
-  EXPECT_EQ(state.next_handle, 5);
-  ASSERT_EQ(state.snapshot.size(), 1u);
-  EXPECT_EQ(state.snapshot[0].handle, 2);
-  EXPECT_EQ(state.snapshot[0].src, 3);
-  EXPECT_EQ(state.snapshot[0].dst, 7);
-  EXPECT_EQ(state.snapshot[0].route_order, 0);  // legacy = primary order
+  EXPECT_EQ(state.snapshot.next_handle, 5);
+  ASSERT_EQ(state.snapshot.rows.size(), 1u);
+  EXPECT_EQ(state.snapshot.rows[0].handle, 2);
+  EXPECT_EQ(state.snapshot.rows[0].src, 3);
+  EXPECT_EQ(state.snapshot.rows[0].dst, 7);
+  EXPECT_EQ(state.snapshot.rows[0].route_order, 0);  // legacy = primary order
+}
+
+TEST_F(JournalTest, SnapshotCountsPastThePayloadAreCorrupt) {
+  // CRC-valid snapshots whose fault or row count times its record size
+  // wraps to the bytes present: refused as corrupt, never reserved.
+  for (const auto& [faults, rows] :
+       {std::pair{std::uint64_t{1} << 60, std::uint64_t{0}},
+        std::pair{std::uint64_t{0}, std::uint64_t{1} << 58}}) {
+    std::string payload = "WRTSNAP3";
+    for (const std::uint64_t v : {0, 1, 0, 0}) {  // fingerprint, epoch,
+      put_u64le(&payload, v);                      // last_lsn, next_handle
+    }
+    put_u64le(&payload, faults);
+    put_u64le(&payload, rows);
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    append_bytes(snap(), framed(payload));
+    RecoveredState state;
+    std::string error;
+    EXPECT_FALSE(Journal::recover(dir_, &state, &error)) << faults;
+    EXPECT_EQ(error,
+              "snapshot.bin is corrupt (count disagrees with payload size)");
+  }
 }
 
 TEST_F(JournalTest, LegacyV1AddRecordsDefaultToPrimaryOrder) {
@@ -1346,7 +1369,7 @@ TEST_F(JournalTest, FencingEpochRoundTripsAndOnlyRaises) {
     journal.set_epoch(2);  // demotion is not a thing; lowering is ignored
     EXPECT_EQ(journal.epoch(), 4u);
     // Promotion makes the bump durable by re-stamping both files.
-    ASSERT_TRUE(journal.write_snapshot(1, {}, {}, &error)) << error;
+    ASSERT_TRUE(journal.write_snapshot({1, {}, {}}, &error)) << error;
   }
   Journal journal(config());
   RecoveredState state;
@@ -1375,7 +1398,7 @@ TEST_F(JournalTest, ReplicaAppendAndInstallSnapshotTrackThePrimaryCursor) {
 
   // A mid-life bootstrap snapshot supersedes everything and rebases the
   // cursor at the primary's LSN under the primary's epoch.
-  ASSERT_TRUE(journal.install_snapshot(10, 3, 7, {entry(5)}, {}, &error))
+  ASSERT_TRUE(journal.install_snapshot(10, 3, {7, {entry(5)}, {}}, &error))
       << error;
   EXPECT_EQ(journal.durable_lsn(), 10u);
   EXPECT_EQ(journal.epoch(), 3u);
@@ -1386,10 +1409,10 @@ TEST_F(JournalTest, ReplicaAppendAndInstallSnapshotTrackThePrimaryCursor) {
   RecoveredState recovered;
   ASSERT_TRUE(Journal::recover(dir_, &recovered, &error)) << error;
   EXPECT_EQ(recovered.snapshot_lsn, 10u);
-  EXPECT_EQ(recovered.next_handle, 7);
+  EXPECT_EQ(recovered.snapshot.next_handle, 7);
   EXPECT_EQ(recovered.epoch, 3u);
-  ASSERT_EQ(recovered.snapshot.size(), 1u);
-  EXPECT_EQ(recovered.snapshot[0], entry(5));
+  ASSERT_EQ(recovered.snapshot.rows.size(), 1u);
+  EXPECT_EQ(recovered.snapshot.rows[0], entry(5));
   ASSERT_EQ(recovered.records.size(), 1u);
   EXPECT_EQ(recovered.records[0].lsn, 11u);
   EXPECT_EQ(recovered.records[0].entry, entry(6));
@@ -1748,7 +1771,7 @@ TEST_F(JournalTest, RecoveryRefusesABadAddAndNamesIt) {
           << error;
       if (in_snapshot) {
         ASSERT_TRUE(journal.write_snapshot(
-            2, {entry(0, 0, 5), entry(1, 0, 999)}, {}, &error))
+            {2, {entry(0, 0, 5), entry(1, 0, 999)}, {}}, &error))
             << error;
       } else {
         ASSERT_TRUE(journal.append(JournalRecord::Type::kAdd,
@@ -1764,6 +1787,209 @@ TEST_F(JournalTest, RecoveryRefusesABadAddAndNamesIt) {
     EXPECT_EQ(error, dir_ + why) << in_snapshot;
     EXPECT_EQ(service.population(), 0u) << in_snapshot;
   }
+}
+
+// --- replay: one engine batch per run --------------------------------
+
+/// Has \p primary (a journaled 4x4-mesh Service) acknowledge REQUESTs
+/// whose paths cross at three priorities — so each admission's dirty
+/// closure holds established streams — and tear every third stream down.
+void churn_crossing_streams(Service& primary) {
+  std::vector<std::int64_t> handles;
+  for (int i = 0; i < 18; ++i) {
+    const int src = i % 16;
+    const int dst = (i * 5 + 3) % 16;
+    if (src == dst) {
+      continue;
+    }
+    const Json reply =
+        primary.handle(request_line(src, dst, 1 + i % 3, 300, 4, 300));
+    ASSERT_TRUE(reply.get("ok")->as_bool()) << reply.dump();
+    if (reply.get("admitted")->as_bool()) {
+      handles.push_back(reply.get("handle")->as_int());
+    }
+  }
+  ASSERT_GE(handles.size(), 9u);
+  for (std::size_t i = 0; i < handles.size(); i += 3) {
+    ASSERT_TRUE(primary.handle(handle_verb("REMOVE", handles[i]))
+                    .get("removed")
+                    ->as_bool());
+  }
+}
+
+TEST_F(JournalTest, ReplayComputesEachSurvivingBoundOnce) {
+  // Recovery rebuilds the population in one engine batch, so it costs
+  // one Cal_U per surviving stream however the state dir splits it:
+  // all in the WAL, all in the snapshot, or a snapshot and a WAL tail.
+  const route::XYRouting routing;
+  for (const std::uint64_t compact_every : {1000u, 1u, 7u}) {
+    SCOPED_TRACE("compact_every " + std::to_string(compact_every));
+    std::filesystem::remove_all(dir_);
+    ServiceOptions options;
+    options.state_dir = dir_;
+    options.journal_fsync = false;
+    options.compact_every = compact_every;
+    topo::Mesh mesh(4, 4);
+    Service primary(mesh, routing, {}, options);
+    std::string error;
+    ASSERT_TRUE(primary.open_state(&error)) << error;
+    churn_crossing_streams(primary);
+
+    topo::Mesh recovered_mesh(4, 4);
+    Service recovered(recovered_mesh, routing, {}, options);
+    ASSERT_TRUE(recovered.open_state(&error)) << error;
+    expect_same_engine(recovered.controller(), primary.controller());
+    EXPECT_EQ(recovered.controller().engine().stats().bound_recomputes,
+              recovered.population());
+  }
+
+  // A REPL_SNAPSHOT install costs the same, on a fresh follower and on
+  // one that already holds the population.
+  std::filesystem::remove_all(dir_);
+  ServiceOptions options;
+  options.state_dir = dir_;
+  options.journal_fsync = false;
+  topo::Mesh mesh(4, 4);
+  Service primary(mesh, routing, {}, options);
+  std::string error;
+  ASSERT_TRUE(primary.open_state(&error)) << error;
+  churn_crossing_streams(primary);
+  Json snapshot_verb = Json::object();
+  snapshot_verb.set("verb", "REPL_SNAPSHOT");
+  const Json image = primary.handle(snapshot_verb);
+
+  const std::string follower_dir = dir_ + "-follower";
+  std::filesystem::remove_all(follower_dir);
+  topo::Mesh follower_mesh(4, 4);
+  Service follower(follower_mesh, routing, {}, follower_in(follower_dir));
+  ASSERT_TRUE(follower.open_state(&error)) << error;
+  const core::IncrementalAnalyzer::Stats& stats =
+      follower.controller().engine().stats();
+  for (const char* holding : {"a fresh follower", "a follower holding it"}) {
+    SCOPED_TRACE(holding);
+    const std::uint64_t before = stats.bound_recomputes;
+    ASSERT_TRUE(apply_snapshot_reply(follower, image, &error)) << error;
+    expect_same_engine(follower.controller(), primary.controller());
+    EXPECT_EQ(stats.bound_recomputes - before, follower.population());
+  }
+  std::filesystem::remove_all(follower_dir);
+}
+
+TEST_F(JournalTest, ReplayEndsItsBatchAtALinkRecord) {
+  // ADD/REMOVE runs on both sides of a LINK_DOWN whose cascade reroutes
+  // one victim and evicts another: recovery from the WAL, and a follower
+  // applying the whole history as one pull, rebuild exactly the engine a
+  // controller running the same operations one by one holds.
+  const route::XYRouting routing;
+  topo::Mesh oracle_mesh(4, 4);
+  core::AdmissionController oracle(oracle_mesh, routing);
+  topo::Mesh live_mesh(4, 4);
+  ServiceOptions options;
+  options.state_dir = dir_;
+  Service primary(live_mesh, routing, {}, options);
+  std::string error;
+  ASSERT_TRUE(primary.open_state(&error)) << error;
+  const auto request = [&](int src, int dst) {
+    const auto want = oracle.request(src, dst, 2, 200, 6, 200);
+    const Json reply = primary.handle(request_line(src, dst, 2, 200, 6, 200));
+    const Json* handle = reply.get("handle");
+    EXPECT_TRUE(want.admitted);
+    EXPECT_TRUE(handle != nullptr && handle->as_int() == want.handle);
+    return want.handle;
+  };
+  const auto remove = [&](std::int64_t handle) {
+    EXPECT_TRUE(oracle.remove(handle));
+    EXPECT_TRUE(
+        primary.handle(handle_verb("REMOVE", handle)).get("removed")->as_bool());
+  };
+  // Node (x,y) is y*4+x; channel 1->2 is on row 0.  0->6 can detour over
+  // row 1, 0->3 cannot leave row 0.
+  request(0, 6);
+  request(0, 3);
+  remove(request(12, 15));
+  const std::int64_t row_one = request(4, 7);
+  Json down = Json::object();
+  down.set("verb", "LINK_DOWN");
+  down.set("src", std::int64_t{1});
+  down.set("dst", std::int64_t{2});
+  ASSERT_TRUE(primary.handle(down).get("ok")->as_bool());
+  const auto m = oracle.link_down(oracle_mesh.channel_between(1, 2));
+  EXPECT_EQ(m.rerouted.size(), 1u);
+  EXPECT_EQ(m.evicted.size(), 1u);
+  request(1, 14);
+  remove(row_one);
+  request(5, 9);
+
+  const auto expect_same_fabric = [&oracle_mesh](const topo::Mesh& got) {
+    for (std::size_t c = 0; c < oracle_mesh.num_channels(); ++c) {
+      const auto id = static_cast<topo::ChannelId>(c);
+      EXPECT_EQ(got.channel_faulted(id), oracle_mesh.channel_faulted(id))
+          << "channel " << c;
+    }
+  };
+  topo::Mesh recovered_mesh(4, 4);
+  Service recovered(recovered_mesh, routing, {}, options);
+  ASSERT_TRUE(recovered.open_state(&error)) << error;
+  EXPECT_EQ(recovered.recovery_info().journal_records, 9u);
+  expect_same_engine(recovered.controller(), oracle);
+  expect_same_fabric(recovered_mesh);
+
+  const std::string follower_dir = dir_ + "-follower";
+  std::filesystem::remove_all(follower_dir);
+  topo::Mesh follower_mesh(4, 4);
+  Service follower(follower_mesh, routing, {}, follower_in(follower_dir));
+  ASSERT_TRUE(follower.open_state(&error)) << error;
+  const Json pull = pull_from(primary, 1);
+  ASSERT_EQ(pulled_lsns(pull).size(), 9u);
+  ASSERT_TRUE(apply_pull_reply(follower, pull, nullptr, &error)) << error;
+  expect_same_engine(follower.controller(), oracle);
+  expect_same_fabric(follower_mesh);
+  std::filesystem::remove_all(follower_dir);
+}
+
+TEST_F(JournalTest, SnapshotFileAndReplSnapshotReplyBytesArePinned) {
+  // One fixed state — a detour, an eviction, a faulted channel, a freed
+  // handle — as compaction writes it to snapshot.bin and as REPL_SNAPSHOT
+  // ships it.  The bytes are pinned: how the image is passed around must
+  // not change what reaches the disk or the wire.
+  const route::XYRouting routing;
+  topo::Mesh mesh(4, 4);
+  ServiceOptions options;
+  options.state_dir = dir_;
+  options.compact_every = 1;  // the last mutation leaves it all in the snapshot
+  Service primary(mesh, routing, {}, options);
+  std::string error;
+  ASSERT_TRUE(primary.open_state(&error)) << error;
+  const auto admit = [&primary](int src, int dst) {
+    ASSERT_TRUE(primary.handle(request_line(src, dst, 2, 200, 6, 200))
+                    .get("admitted")
+                    ->as_bool());
+  };
+  admit(0, 6);    // handle 0, rerouted by the LINK_DOWN
+  admit(0, 3);    // handle 1, evicted by it
+  admit(12, 15);  // handle 2
+  admit(4, 7);    // handle 3
+  Json down = Json::object();
+  down.set("verb", "LINK_DOWN");
+  down.set("src", std::int64_t{1});
+  down.set("dst", std::int64_t{2});
+  ASSERT_TRUE(primary.handle(down).get("ok")->as_bool());
+  admit(1, 14);  // handle 4, on the detour order
+  admit(5, 9);   // handle 5, torn down: next_handle stays 6
+  ASSERT_TRUE(
+      primary.handle(handle_verb("REMOVE", 5)).get("removed")->as_bool());
+
+  const std::string file = read_bytes(snap());
+  // 8 frame + 48 head + 16 fault pair + 8 row count + 4 x 64-byte rows.
+  EXPECT_EQ(file.size(), 336u);
+  EXPECT_EQ(util::crc32(file.data(), file.size()), 0xb5a978a0u);
+  Json snapshot_verb = Json::object();
+  snapshot_verb.set("verb", "REPL_SNAPSHOT");
+  EXPECT_EQ(primary.handle(snapshot_verb).dump(),
+            R"({"ok":true,"lsn":8,"epoch":1,"next_handle":6,)"
+            R"("faulted":[[1,2]],"entries":[[2,12,15,2,200,6,200,0],)"
+            R"([3,4,7,2,200,6,200,0],[0,0,6,2,200,6,200,1],)"
+            R"([4,1,14,2,200,6,200,1]]})");
 }
 
 // --- semi-synchronous replication -------------------------------------
