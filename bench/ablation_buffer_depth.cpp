@@ -29,7 +29,7 @@ int main() {
       params.num_streams = 20;
       params.priority_levels = 4;
       params.replications = 3;
-      params.vc_buffer_depth = depth;
+      params.analysis.vc_buffer_depth = depth;
       params.analysis.ejection_port_overlap = ports;
       params.analysis.injection_port_overlap = ports;
       const bench::ExperimentResult r = bench::run_experiment(params);

@@ -99,7 +99,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
     fc.warmup = params.sim_warmup;
     fc.vc_mode = params.policy;
     fc.num_vcs = params.num_vcs_override;
-    fc.vc_buffer_depth = params.vc_buffer_depth;
+    fc.vc_buffer_depth = params.analysis.vc_buffer_depth;
     // Every delivery is checked against its bound, warm-up included: the
     // synchronized t = 0 release is the analysis' critical instant.
     fc.on_delivery = [&](StreamId stream, Time generated, Time delivered) {
@@ -186,7 +186,7 @@ std::string format_table(const ExperimentParams& params,
          std::to_string(params.replications) + " replication(s), " +
          std::string(core::to_string(params.pattern)) + " traffic, flitsim " +
          flitsim::to_string(params.policy) + ", depth-" +
-         std::to_string(params.vc_buffer_depth) + " buffers\n";
+         std::to_string(params.analysis.vc_buffer_depth) + " buffers\n";
   util::Table table({"P", "streams", "ratio(actual/U)", "min", "max",
                      "avg actual", "avg U"});
   for (const auto& row : result.rows) {

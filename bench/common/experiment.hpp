@@ -46,15 +46,15 @@ struct ExperimentParams {
   /// then adds blocking the analysis does not charge — see
   /// EXPERIMENTS.md and the policy ablation) or one of the baselines.
   flitsim::VcMode policy = flitsim::VcMode::kPerStreamLane;
-  /// Flit buffer depth per VC.  Depth 1 (canonical wormhole) exposes the
-  /// 2-cycle credit round trip the analysis does not model, so it lies
-  /// outside the bound's validity domain; depth >= 2 hides it — see the
-  /// buffer-depth ablation and EXPERIMENTS.md.
-  int vc_buffer_depth = 2;
   /// Virtual channels per physical channel; 0 means "one per priority
   /// level" (the paper's provisioning).  Song's throttle-and-preempt
   /// policy is the reason to set it lower.
   int num_vcs_override = 0;
+  /// The analysed fabric; flitsim simulates its vc_buffer_depth.  Depth 1
+  /// (canonical wormhole) exposes the 2-cycle credit round trip the
+  /// analysis does not model, so it lies outside the bound's validity
+  /// domain; depth >= 2 hides it — see the buffer-depth ablation and
+  /// EXPERIMENTS.md.
   core::AnalysisConfig analysis;
   /// Channel-utilization ceiling enforced by the period adjustment; <= 0
   /// disables the stability guard (the paper's literal pipeline).

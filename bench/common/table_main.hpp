@@ -25,8 +25,8 @@ inline int run_table_bench(int argc, char** argv, ExperimentParams params,
   params.replications = static_cast<int>(
       args.get_int("reps", params.replications));
   params.sim_duration = args.get_int("duration", params.sim_duration);
-  params.vc_buffer_depth = static_cast<int>(
-      args.get_int("depth", params.vc_buffer_depth));
+  params.analysis.vc_buffer_depth = static_cast<int>(
+      args.get_int("depth", params.analysis.vc_buffer_depth));
   const bool ports = args.get_bool("ports", true);
   params.analysis.ejection_port_overlap = ports;
   params.analysis.injection_port_overlap = ports;

@@ -16,17 +16,20 @@
 //   3. end-to-end over a real Unix-domain socket, four ways:
 //        socket                   no journal, one call per request
 //                                 (the wire-overhead reference)
-//        socket_durable_serial    journal + fsync, group commit OFF —
-//                                 one fsync per mutation, the PR-5
-//                                 durability baseline
-//        socket_durable_pipelined journal + fsync, group commit ON,
-//                                 clients pipeline BATCH lines — many
-//                                 admissions share one fsync
+//        socket_durable_serial    journal + fsync, ONE client making one
+//                                 call at a time — serial by
+//                                 construction: one fsync per mutation,
+//                                 the durability baseline
+//        socket_durable_pipelined journal + fsync, clients pipeline
+//                                 BATCH lines — many admissions share
+//                                 one group-commit fsync
 //        socket_pipelined         journal, fsync off, pipelined BATCH —
 //                                 the engine/wire ceiling
-//      The headline ratios (socket_durable_pipelined and
-//      socket_pipelined over socket_durable_serial) quantify what
-//      group commit + pipelining buy; --min-durable-speedup /
+//      The last three run as three interleaved rounds, each row the
+//      median (every round is reported).  The headline ratios
+//      (socket_durable_pipelined and socket_pipelined over
+//      socket_durable_serial, medians over medians) quantify what group
+//      commit + pipelining buy; --min-durable-speedup /
 //      --min-nofsync-speedup turn them into CI floors (exit 1 below),
 //   4. replication, async and sync, over three interleaved rounds per
 //      mode (the median and every round are reported),
@@ -121,7 +124,6 @@ struct SocketMode {
   const char* name;        // console + JSON label
   bool journal = false;    // state dir + write-ahead journal
   bool fsync = true;       // fsync per group commit (when journal)
-  bool group_commit = true;
   int batch_window = 0;    // 0 = one call per request; >0 = BATCH lines
                            // of this many churn steps, pipelined
   int sample_interval_ms = 0;  // >0: run the HISTORY sampler thread
@@ -167,7 +169,6 @@ SocketResult run_socket(topo::Mesh& mesh,
     std::filesystem::remove_all(state_dir);
     options.state_dir = state_dir;
     options.journal_fsync = mode.fsync;
-    options.group_commit = mode.group_commit;
   }
   options.sample_interval_ms = mode.sample_interval_ms;
   svc::Service service(mesh, routing, {}, options);
@@ -405,7 +406,6 @@ Json to_json(const SocketMode& mode, int clients, const SocketResult& r) {
   j.set("clients", std::int64_t{clients});
   j.set("journal", mode.journal);
   j.set("fsync", mode.journal && mode.fsync);
-  j.set("group_commit", mode.journal && mode.group_commit);
   j.set("batch_window", std::int64_t{mode.batch_window});
   j.set("latency_scope",
         std::string(mode.batch_window > 0 ? "per_round" : "per_call"));
@@ -606,12 +606,24 @@ ReplResult run_replication(topo::Mesh& primary_mesh, topo::Mesh& follower_mesh,
   return r;
 }
 
-/// The measured figures of a replication run, in JSON key order.
-struct ReplFigure {
+/// A measured figure of a run, under its JSON key.
+template <typename Result>
+struct Figure {
   const char* name;
-  double ReplResult::*field;
+  double Result::*field;
 };
-constexpr ReplFigure kReplFigures[] = {
+
+/// The figures of a socket run that a median row reports.
+constexpr Figure<SocketResult> kSocketFigures[] = {
+    {"throughput_rps", &SocketResult::throughput_rps},
+    {"p50_us", &SocketResult::p50_us},
+    {"p99_us", &SocketResult::p99_us},
+    {"mean_commit_batch", &SocketResult::mean_commit_batch},
+    {"fsync_total_us", &SocketResult::fsync_total_us},
+};
+
+/// The measured figures of a replication run, in JSON key order.
+constexpr Figure<ReplResult> kReplFigures[] = {
     {"throughput_rps", &ReplResult::throughput_rps},
     {"p50_us", &ReplResult::p50_us},
     {"p99_us", &ReplResult::p99_us},
@@ -624,17 +636,20 @@ constexpr ReplFigure kReplFigures[] = {
     {"failover_us", &ReplResult::failover_us},
 };
 
-/// Each figure's median over \p rounds; calls and errors are totals.
-ReplResult median_of(const std::vector<ReplResult>& rounds) {
-  ReplResult m;
-  for (const ReplFigure& f : kReplFigures) {
+/// Each of \p figures' median over \p rounds; calls and errors are
+/// totals.
+template <typename Result, std::size_t N>
+Result median_of(const std::vector<Result>& rounds,
+                 const Figure<Result> (&figures)[N]) {
+  Result m;
+  for (const Figure<Result>& f : figures) {
     util::SampleSet values;
-    for (const ReplResult& r : rounds) {
+    for (const Result& r : rounds) {
       values.add(r.*f.field);
     }
     m.*f.field = values.percentile(50);
   }
-  for (const ReplResult& r : rounds) {
+  for (const Result& r : rounds) {
     m.calls += r.calls;
     m.errors += r.errors;
   }
@@ -643,7 +658,7 @@ ReplResult median_of(const std::vector<ReplResult>& rounds) {
 
 Json to_json(const ReplResult& r) {
   Json j = Json::object();
-  for (const ReplFigure& f : kReplFigures) {
+  for (const Figure<ReplResult>& f : kReplFigures) {
     j.set(f.name, r.*f.field);
   }
   j.set("calls", static_cast<std::int64_t>(r.calls));
@@ -847,11 +862,11 @@ int main(int argc, char** argv) {
                              : 0;
   std::printf("  incremental vs full speedup: %.2fx\n", speedup);
 
-  const SocketMode kPlain = {"socket", false, true, true, 0};
-  const SocketMode kDurableSerial = {"durable-serial", true, true, false, 0};
-  const SocketMode kDurablePipelined = {"durable-pipelined", true, true, true,
+  const SocketMode kPlain = {"socket", false, true, 0};
+  const SocketMode kDurableSerial = {"durable-serial", true, true, 0};
+  const SocketMode kDurablePipelined = {"durable-pipelined", true, true,
                                         batch_window};
-  const SocketMode kNoFsyncPipelined = {"nofsync-pipelined", true, false, true,
+  const SocketMode kNoFsyncPipelined = {"nofsync-pipelined", true, false,
                                         batch_window};
 
   const auto report = [&](const char* label, int mode_clients,
@@ -871,15 +886,43 @@ int main(int argc, char** argv) {
   const SocketResult socket =
       run_socket(mesh, routing, streams, ops, clients, kPlain);
   report("socket", clients, socket);
-  const SocketResult durable_serial =
-      run_socket(mesh, routing, streams, ops, clients, kDurableSerial);
-  report("socket durable serial", clients, durable_serial);
-  const SocketResult durable_pipelined = run_socket(
-      mesh, routing, streams, ops, pipeline_clients, kDurablePipelined);
-  report("socket durable pipelined", pipeline_clients, durable_pipelined);
-  const SocketResult nofsync_pipelined = run_socket(
-      mesh, routing, streams, ops, pipeline_clients, kNoFsyncPipelined);
-  report("socket nofsync pipelined", pipeline_clients, nofsync_pipelined);
+
+  // The rows the speedup floors divide.  One run of each spreads several
+  // fold on a shared host, so they run kSocketRounds interleaved rounds
+  // and each row is the median.  The serial row is one client making one
+  // call at a time: each mutation then waits for its own fsync.
+  constexpr int kSocketRounds = 3;
+  struct GatedRow {
+    const char* label;
+    const SocketMode* mode;
+    int clients;
+    std::vector<SocketResult> rounds;
+    SocketResult median;
+  };
+  GatedRow gated[] = {
+      {"socket durable serial", &kDurableSerial, 1, {}, {}},
+      {"socket durable pipelined", &kDurablePipelined, pipeline_clients, {},
+       {}},
+      {"socket nofsync pipelined", &kNoFsyncPipelined, pipeline_clients, {},
+       {}},
+  };
+  for (int round = 0; round < kSocketRounds; ++round) {
+    for (GatedRow& row : gated) {
+      row.rounds.push_back(run_socket(mesh, routing, streams, ops,
+                                      row.clients, *row.mode));
+    }
+  }
+  for (GatedRow& row : gated) {
+    row.median = median_of(row.rounds, kSocketFigures);
+    report(row.label, row.clients, row.median);
+    for (std::size_t i = 0; i < row.rounds.size(); ++i) {
+      report(("  round " + std::to_string(i + 1)).c_str(), row.clients,
+             row.rounds[i]);
+    }
+  }
+  const SocketResult& durable_serial = gated[0].median;
+  const SocketResult& durable_pipelined = gated[1].median;
+  const SocketResult& nofsync_pipelined = gated[2].median;
 
   // Observability A/B: durable-pipelined with the HISTORY sampler
   // ticking fast (25ms vs the daemon's 1s default) AND a REPORT sweep
@@ -935,8 +978,8 @@ int main(int argc, char** argv) {
                                      streams, repl_ops, sync));
     }
   }
-  const ReplResult repl_async = median_of(async_rounds);
-  const ReplResult repl_sync = median_of(sync_rounds);
+  const ReplResult repl_async = median_of(async_rounds, kReplFigures);
+  const ReplResult repl_sync = median_of(sync_rounds, kReplFigures);
   const auto report_repl = [](const char* label, const ReplResult& r) {
     std::printf("  %-20s %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
                 "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
@@ -972,8 +1015,8 @@ int main(int argc, char** argv) {
       durable_serial.throughput_rps > 0
           ? nofsync_pipelined.throughput_rps / durable_serial.throughput_rps
           : 0;
-  std::printf("  group commit + pipelining vs durable serial: %.2fx "
-              "(fsync on), %.2fx (fsync off)\n",
+  std::printf("  group commit + pipelining vs durable serial (medians): "
+              "%.2fx (fsync on), %.2fx (fsync off)\n",
               durable_speedup, nofsync_speedup);
 
   // Where the numbers came from: the socket and replication rows scale
@@ -992,12 +1035,18 @@ int main(int argc, char** argv) {
   doc.set("full_recompute", to_json(full));
   doc.set("incremental_vs_full_speedup", speedup);
   doc.set("socket", to_json(kPlain, clients, socket));
-  doc.set("socket_durable_serial",
-          to_json(kDurableSerial, clients, durable_serial));
-  doc.set("socket_durable_pipelined",
-          to_json(kDurablePipelined, pipeline_clients, durable_pipelined));
-  doc.set("socket_pipelined",
-          to_json(kNoFsyncPipelined, pipeline_clients, nofsync_pipelined));
+  for (const auto& [key, row] :
+       {std::pair{"socket_durable_serial", &gated[0]},
+        std::pair{"socket_durable_pipelined", &gated[1]},
+        std::pair{"socket_pipelined", &gated[2]}}) {
+    Json median = to_json(*row->mode, row->clients, row->median);
+    Json per_round = Json::array();
+    for (const SocketResult& r : row->rounds) {
+      per_round.push_back(to_json(*row->mode, row->clients, r));
+    }
+    median.set("rounds", std::move(per_round));
+    doc.set(key, std::move(median));
+  }
   doc.set("speedup_durable_pipelined_vs_serial", durable_speedup);
   doc.set("speedup_nofsync_pipelined_vs_serial", nofsync_speedup);
   doc.set("socket_obs_pipelined",

@@ -11,6 +11,26 @@ bool flit_valid(Time bound, Time period) {
   return bound != kNoTime && bound + 2 <= period;
 }
 
+// A new AnalysisConfig field must feed the fingerprint and
+// kContractSettings, unless it changes no result, like num_threads.
+static_assert(sizeof(AnalysisConfig) == 40, "update contract_fingerprint");
+
+std::uint64_t contract_fingerprint(const topo::Topology& topology,
+                                   const AnalysisConfig& c) {
+  const auto u = [](auto v) { return static_cast<std::uint64_t>(v); };
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a, as the topology's
+  for (const std::uint64_t v :
+       {topology.fingerprint(), u(c.vc_buffer_depth), u(c.credit_slack_guard),
+        u(c.ejection_port_overlap), u(c.injection_port_overlap),
+        u(c.same_priority_blocks), u(c.carry_over), u(c.relaxation),
+        u(c.horizon), u(c.horizon_cap)}) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((v >> (8 * byte)) & 0xff)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
 AdmissionController::AdmissionController(topo::Topology& topo,
                                          const route::RoutingAlgorithm& routing,
                                          AnalysisConfig config, Mode mode)

@@ -49,6 +49,20 @@ namespace wormrt::core {
 /// report.
 bool flit_valid(Time bound, Time period);
 
+/// The fabric contract a bound is promised for, as one value: the
+/// topology's fingerprint and every AnalysisConfig field but num_threads,
+/// which changes no result.  wormrtd stamps it into its state dir and
+/// REPL_HELLO and refuses state or a follower under another (DESIGN.md
+/// §10).
+std::uint64_t contract_fingerprint(const topo::Topology& topology,
+                                   const AnalysisConfig& config);
+
+/// What the fingerprint covers, named by every error that refuses one.
+inline constexpr char kContractSettings[] =
+    "topology, vc_buffer_depth, credit_slack_guard, ejection_port_overlap, "
+    "injection_port_overlap, same_priority_blocks, carry_over, relaxation, "
+    "horizon, horizon_cap";
+
 class AdmissionController {
  public:
   /// Stable handle for an admitted channel (survives removals).

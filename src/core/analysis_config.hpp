@@ -7,6 +7,8 @@
 /// \file analysis_config.hpp
 /// Knobs of the delay-bound analysis.  The defaults reproduce the paper's
 /// algorithm (Section 4); the alternatives exist for the ablation benches.
+/// With the topology they are the fabric contract a bound is promised for
+/// (core::contract_fingerprint in admission.hpp).
 
 namespace wormrt::core {
 

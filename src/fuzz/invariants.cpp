@@ -643,7 +643,7 @@ std::optional<Violation> check_admission_invariants(
     flitsim::FlitSimConfig flit_config;
     flit_config.duration = config.sim_duration;
     flit_config.warmup = 0;
-    flit_config.vc_buffer_depth = config.flit_buffer_depth;
+    flit_config.vc_buffer_depth = config.analysis.vc_buffer_depth;
     flit_config.record_arrivals = true;
     if (phase > 0) {
       flit_config.random_phase = true;
@@ -1055,7 +1055,8 @@ std::optional<Violation> check_replication_invariants(
     }
     svc::HelloReply handshake;
     if (!svc::hello(call_primary, follower_id,
-                    follower->controller().topology().fingerprint(),
+                    core::contract_fingerprint(*follower_topos.back(),
+                                               config.analysis),
                     follower->epoch(), follower->durable_lsn(), &handshake,
                     &boot_err) ||
         (handshake.snapshot_needed &&

@@ -79,6 +79,8 @@ struct Violation {
 };
 
 struct CheckConfig {
+  /// The fabric contract under test; the flit oracle simulates its
+  /// vc_buffer_depth (>= 2 hides the credit round trip, DESIGN.md §12).
   core::AnalysisConfig analysis;
 
   /// Flit-accurate soundness.
@@ -95,11 +97,6 @@ struct CheckConfig {
   /// Random-phase simulations per scenario on top of the synchronized
   /// (critical instant) run.
   int phase_seeds = 1;
-
-  /// Per-VC buffer depth of the flit-accurate oracle.  Must be >= 2 so
-  /// the credit round trip is hidden and the pipeline matches the
-  /// analysis model L_i = h + C - 1 (see DESIGN.md §12).
-  int flit_buffer_depth = 4;
 
   /// Replay the protocol through an in-process Server + Client over a
   /// loopback TCP socket instead of calling handle_line directly —

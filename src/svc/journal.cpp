@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
+#include "core/admission.hpp"
 #include "util/crc32.hpp"
 
 namespace wormrt::svc {
@@ -19,22 +21,21 @@ namespace {
 constexpr char kJournalFile[] = "journal.wal";
 constexpr char kSnapshotFile[] = "snapshot.bin";
 constexpr char kSnapshotTmp[] = "snapshot.tmp";
-constexpr char kSnapshotMagicV1[8] = {'W', 'R', 'T', 'S', 'N', 'A', 'P', '1'};
-constexpr char kSnapshotMagicV2[8] = {'W', 'R', 'T', 'S', 'N', 'A', 'P', '2'};
-constexpr char kSnapshotMagic[8] = {'W', 'R', 'T', 'S', 'N', 'A', 'P', '3'};
-constexpr char kHeaderMagicV1[8] = {'W', 'R', 'T', 'J', 'H', 'D', 'R', '1'};
-constexpr char kHeaderMagic[8] = {'W', 'R', 'T', 'J', 'H', 'D', 'R', '2'};
+// The one format this build writes and reads (8 bytes each, without the
+// NUL); a magic changes with the layout or a stamped value's meaning.
+constexpr char kSnapshotMagic[] = "WRTSNAP4";
+constexpr char kHeaderMagic[] = "WRTJHDR3";
 
-// Journal payload: type(1) + lsn(8) + handle(8) [+ 7 params x 8 for ADD].
-constexpr std::size_t kRemovePayload = 1 + 8 + 8;
-constexpr std::size_t kAddPayloadV1 = kRemovePayload + 6 * 8;  // no route_order
-constexpr std::size_t kAddPayload = kRemovePayload + 7 * 8;
-// LINK_DOWN / LINK_UP: type(1) + lsn(8) + src(8) + dst(8).
-constexpr std::size_t kLinkPayload = 1 + 8 + 8 + 8;
-// Header: type 0 (1) + lsn 0 (8) + magic (8) + fingerprint (8)
-// [+ epoch (8) since WRTJHDR2].
-constexpr std::size_t kHeaderPayloadV1 = 1 + 8 + 8 + 8;
-constexpr std::size_t kHeaderPayload = kHeaderPayloadV1 + 8;
+constexpr std::size_t kRowBytes = std::size(kEntryColumns) * 8;
+// Payload size by record type: type(1) + lsn(8), then for the header
+// (type 0, only the first frame) magic, fingerprint and epoch; for ADD a
+// row; for REMOVE a handle; for LINK_DOWN / LINK_UP a channel's src, dst.
+constexpr std::size_t kPayload[] = {9 + 24, 9 + kRowBytes, 9 + 8, 9 + 16,
+                                    9 + 16};
+constexpr std::size_t kHeaderPayload = kPayload[0];
+// Snapshot head: magic, fingerprint, epoch, last_lsn, next_handle,
+// fault count (8 each); the row count follows the fault pairs.
+constexpr std::size_t kSnapshotHead = 6 * 8;
 // Any frame claiming a larger payload than the biggest snapshot we could
 // plausibly write is garbage bytes, not a record.
 constexpr std::uint32_t kMaxPayload = 64u << 20;
@@ -87,15 +88,40 @@ void put_entry(std::string& out, const JournalEntry& e) {
   }
 }
 
-/// The row whose first \p columns columns start at \p p; a legacy row
-/// of 7 predates route orders and reads as order 0 (primary), which is
-/// what every stream used then.
-JournalEntry get_entry(const char* p, std::size_t columns) {
+/// The row whose columns start at \p p.
+JournalEntry get_entry(const char* p) {
   JournalEntry e;
-  for (std::size_t i = 0; i < columns; ++i) {
-    e.*kEntryColumns[i] = get_i64(p + 8 * i);
+  for (const auto column : kEntryColumns) {
+    e.*column = get_i64(p);
+    p += 8;
   }
   return e;
+}
+
+/// The magic at \p p as text, an unprintable byte as '?'.
+std::string magic_at(const char* p) {
+  std::string out(p, 8);
+  std::replace_if(out.begin(), out.end(),
+                  [](char c) { return c < ' ' || c > '~'; }, '?');
+  return out;
+}
+
+/// False + \p error when \p dir's \p file is stamped \p found, not
+/// \p fingerprint (0 checks nothing): its channel ids may name other
+/// links, and its bounds were issued under other analysis settings.
+bool same_contract(const std::string& dir, const char* file,
+                   std::uint64_t found, std::uint64_t fingerprint,
+                   std::string* error) {
+  if (fingerprint == 0 || found == fingerprint) {
+    return true;
+  }
+  *error = dir + ": " + file +
+           " was written for a different fabric contract (fingerprint " +
+           std::to_string(found) + ", this fabric's is " +
+           std::to_string(fingerprint) + "; it covers " +
+           core::kContractSettings +
+           "); refusing to replay state from another fabric";
+  return false;
 }
 
 std::string frame(const std::string& payload) {
@@ -110,7 +136,7 @@ std::string frame(const std::string& payload) {
 std::string encode_record(JournalRecord::Type type, std::uint64_t lsn,
                           const JournalEntry& e) {
   std::string payload;
-  payload.reserve(kAddPayload);
+  payload.reserve(kPayload[1]);
   payload.push_back(static_cast<char>(type));
   put_u64(payload, lsn);
   switch (type) {
@@ -197,90 +223,72 @@ const char* check_frame(const std::string& data, std::size_t off,
   return payload;
 }
 
-bool parse_snapshot(const std::string& data, RecoveredState* state,
+bool parse_snapshot(const std::string& dir, std::uint64_t fingerprint,
+                    const std::string& data, RecoveredState* state,
                     std::string* error) {
   std::size_t len = 0;
   const char* p = check_frame(data, 0, &len);
   // The snapshot is written to a temp file and renamed into place, so a
   // crash never leaves it half-written — a bad frame is real corruption,
   // not a torn tail, and recovery must not silently drop the population.
-  if (p == nullptr || len < 8 + 8 + 8 + 8) {
+  if (p == nullptr || len < 8) {
     *error = "snapshot.bin is corrupt (bad frame or magic)";
     return false;
   }
-  const bool v3 = std::memcmp(p, kSnapshotMagic, 8) == 0;
-  const bool v2 = !v3 && std::memcmp(p, kSnapshotMagicV2, 8) == 0;
-  const bool v1 = !v3 && !v2 && std::memcmp(p, kSnapshotMagicV1, 8) == 0;
-  if (!v1 && !v2 && !v3) {
-    *error = "snapshot.bin is corrupt (bad frame or magic)";
+  if (std::memcmp(p, kSnapshotMagic, 8) != 0) {
+    *error = std::string(kSnapshotFile) + " is format " + magic_at(p) +
+             ", not " + kSnapshotMagic +
+             "; refusing to read a format this build does not write";
     return false;
   }
-  const char* q = p + 8;
-  const char* end = p + len;
-  if (v2 || v3) {
-    state->has_snapshot_fingerprint = true;
-    state->snapshot_fingerprint = get_u64(q);
-    q += 8;
-  }
-  if (v3) {
-    if (end - q < 8) {
-      *error = "snapshot.bin is corrupt (count disagrees with payload size)";
-      return false;
-    }
-    state->epoch = std::max(state->epoch, get_u64(q));
-    q += 8;
-  }
-  if (end - q < 16) {
+  const auto corrupt = [error] {
     *error = "snapshot.bin is corrupt (count disagrees with payload size)";
     return false;
+  };
+  // The head and a row count must fit; counts are checked divided, not
+  // multiplied, so a huge one cannot wrap past the check.
+  if (len < kSnapshotHead + 8 ||
+      get_u64(p + 40) > (len - kSnapshotHead - 8) / 16) {
+    return corrupt();
   }
-  const std::uint64_t last_lsn = get_u64(q);
-  const std::int64_t next_handle = get_i64(q + 8);
-  q += 16;
-  if (v2 || v3) {
-    if (end - q < 8) {
-      *error = "snapshot.bin is corrupt (count disagrees with payload size)";
-      return false;
-    }
-    const std::uint64_t fault_count = get_u64(q);
-    q += 8;
-    // Divided, not multiplied: a huge count must not wrap past the check.
-    if (end - q < 8 ||
-        fault_count > static_cast<std::uint64_t>(end - q - 8) / 16) {
-      *error = "snapshot.bin is corrupt (count disagrees with payload size)";
-      return false;
-    }
-    state->snapshot.faulted.reserve(fault_count);
-    for (std::uint64_t i = 0; i < fault_count; ++i, q += 16) {
-      state->snapshot.faulted.emplace_back(get_i64(q), get_i64(q + 8));
-    }
-  }
-  if (end - q < 8) {
-    *error = "snapshot.bin is corrupt (count disagrees with payload size)";
+  if (!same_contract(dir, kSnapshotFile, get_u64(p + 8), fingerprint,
+                     error)) {
     return false;
+  }
+  const std::uint64_t fault_count = get_u64(p + 40);
+  state->epoch = std::max(state->epoch, get_u64(p + 16));
+  const std::uint64_t last_lsn = get_u64(p + 24);
+  const std::int64_t next_handle = get_i64(p + 32);
+  const char* q = p + kSnapshotHead;
+  const char* const end = p + len;
+  state->snapshot.faulted.reserve(fault_count);
+  for (std::uint64_t i = 0; i < fault_count; ++i, q += 16) {
+    state->snapshot.faulted.emplace_back(get_i64(q), get_i64(q + 8));
   }
   const std::uint64_t count = get_u64(q);
   q += 8;
-  const std::size_t columns = v1 ? 7 : 8;
   const auto rows_bytes = static_cast<std::uint64_t>(end - q);
-  if (rows_bytes % (columns * 8) != 0 || rows_bytes / (columns * 8) != count) {
-    *error = "snapshot.bin is corrupt (count disagrees with payload size)";
-    return false;
+  if (rows_bytes % kRowBytes != 0 || rows_bytes / kRowBytes != count) {
+    return corrupt();
   }
   state->had_snapshot = true;
   state->snapshot_lsn = last_lsn;
   state->snapshot.next_handle = next_handle;
   state->snapshot.rows.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i, q += columns * 8) {
-    state->snapshot.rows.push_back(get_entry(q, columns));
+  for (std::uint64_t i = 0; i < count; ++i, q += kRowBytes) {
+    state->snapshot.rows.push_back(get_entry(q));
   }
   return true;
 }
 
-/// Walks the journal, appending valid post-snapshot records to
-/// state->records.  Returns the byte offset just past the last valid
-/// record; everything beyond it is torn/corrupt tail.
-std::size_t parse_journal(const std::string& data, RecoveredState* state) {
+/// Walks \p dir's journal, appending valid post-snapshot records to
+/// state->records, and sets \p valid_bytes past the last valid frame;
+/// a short or CRC-failing rest is a torn tail.  A CRC-valid frame this
+/// build does not write is another format: false + \p error naming it,
+/// so nothing acknowledged is cut away as a tail.
+bool parse_journal(const std::string& dir, std::uint64_t fingerprint,
+                   const std::string& data, RecoveredState* state,
+                   std::size_t* valid_bytes, std::string* error) {
   std::size_t off = 0;
   while (off < data.size()) {
     std::size_t len = 0;
@@ -289,42 +297,35 @@ std::size_t parse_journal(const std::string& data, RecoveredState* state) {
       break;
     }
     const auto type = static_cast<std::uint8_t>(p[0]);
-    if (type == 0) {
-      // Header record: only valid as the journal's very first frame.
-      const bool v2 = len == kHeaderPayload &&
-                      std::memcmp(p + 9, kHeaderMagic, 8) == 0;
-      const bool v1 = !v2 && len == kHeaderPayloadV1 &&
-                      std::memcmp(p + 9, kHeaderMagicV1, 8) == 0;
-      if (off != 0 || (!v1 && !v2)) {
-        break;  // framed garbage — same treatment as a CRC failure
+    const bool header = type == 0;  // valid only as the very first frame
+    if (type >= std::size(kPayload) || len != kPayload[type] ||
+        (header && (off != 0 || std::memcmp(p + 9, kHeaderMagic, 8) != 0))) {
+      const std::string found =
+          !header ? "a " + std::to_string(len) + "-byte record of type " +
+                        std::to_string(type)
+          : off != 0 ? std::string("a second header")
+                     : "a " + std::to_string(len) + "-byte header" +
+                           (len >= 17 ? " " + magic_at(p + 9) : "");
+      *error = dir + "/" + kJournalFile + ": the frame at byte " +
+               std::to_string(off) + " is " + found +
+               "; refusing to read a format this build does not write";
+      return false;
+    }
+    if (header) {
+      if (!same_contract(dir, kJournalFile, get_u64(p + 17), fingerprint,
+                         error)) {
+        return false;
       }
-      state->has_journal_fingerprint = true;
-      state->journal_fingerprint = get_u64(p + 17);
-      if (v2) {
-        state->epoch = std::max(state->epoch, get_u64(p + 25));
-      }
+      state->epoch = std::max(state->epoch, get_u64(p + 25));
       off += 8 + len;
       continue;
-    }
-    const bool is_add = type == static_cast<std::uint8_t>(JournalRecord::Type::kAdd);
-    const bool is_remove =
-        type == static_cast<std::uint8_t>(JournalRecord::Type::kRemove);
-    const bool is_link =
-        type == static_cast<std::uint8_t>(JournalRecord::Type::kLinkDown) ||
-        type == static_cast<std::uint8_t>(JournalRecord::Type::kLinkUp);
-    const bool size_ok =
-        is_add ? (len == kAddPayload || len == kAddPayloadV1)
-               : is_remove ? len == kRemovePayload
-                           : is_link && len == kLinkPayload;
-    if (!size_ok) {
-      break;  // framed garbage — same treatment as a CRC failure
     }
     JournalRecord rec;
     rec.type = static_cast<JournalRecord::Type>(type);
     rec.lsn = get_u64(p + 1);
-    if (is_add) {
-      rec.entry = get_entry(p + 9, len == kAddPayload ? 8 : 7);
-    } else if (is_remove) {
+    if (rec.type == JournalRecord::Type::kAdd) {
+      rec.entry = get_entry(p + 9);
+    } else if (rec.type == JournalRecord::Type::kRemove) {
       rec.entry.handle = get_i64(p + 9);
     } else {
       rec.entry.src = get_i64(p + 9);
@@ -340,25 +341,30 @@ std::size_t parse_journal(const std::string& data, RecoveredState* state) {
     state->records.push_back(rec);
   }
   state->discarded_bytes += data.size() - off;
-  return off;
+  *valid_bytes = off;
+  return true;
 }
 
-bool read_state(const std::string& dir, RecoveredState* state,
-                std::size_t* journal_valid_bytes, std::string* error) {
+/// Reads \p dir's snapshot and journal, refusing state stamped with
+/// another \p fingerprint (0 checks nothing).
+bool read_state(const std::string& dir, std::uint64_t fingerprint,
+                RecoveredState* state, std::size_t* journal_valid_bytes,
+                std::string* error) {
   *state = RecoveredState{};
   std::string data;
   bool exists = false;
   if (!read_file(dir + "/" + kSnapshotFile, &data, &exists, error)) {
     return false;
   }
-  if (exists && !parse_snapshot(data, state, error)) {
+  if (exists && !parse_snapshot(dir, fingerprint, data, state, error)) {
     return false;
   }
   if (!read_file(dir + "/" + kJournalFile, &data, &exists, error)) {
     return false;
   }
-  *journal_valid_bytes = exists ? parse_journal(data, state) : 0;
-  return true;
+  *journal_valid_bytes = 0;
+  return !exists || parse_journal(dir, fingerprint, data, state,
+                                  journal_valid_bytes, error);
 }
 
 }  // namespace
@@ -499,32 +505,9 @@ bool Journal::open(RecoveredState* state, std::string* error) {
     return false;
   }
   std::size_t valid_bytes = 0;
-  if (!read_state(config_.dir, state, &valid_bytes, error)) {
+  if (!read_state(config_.dir, config_.fingerprint, state, &valid_bytes,
+                  error)) {
     return false;
-  }
-
-  // Fabric identity check: state stamped with a different topology
-  // fingerprint must not be replayed here — its paths, channel ids, and
-  // fault records describe different physical links.  Hard error, never
-  // a silent re-initialisation.
-  if (config_.fingerprint != 0) {
-    const auto mismatch = [&](const char* which, std::uint64_t found) {
-      *error = config_.dir + ": " + which +
-               " was written for a different topology (fingerprint " +
-               std::to_string(found) + ", this fabric is " +
-               std::to_string(config_.fingerprint) +
-               "); refusing to replay state from another fabric";
-    };
-    if (state->has_snapshot_fingerprint &&
-        state->snapshot_fingerprint != config_.fingerprint) {
-      mismatch("snapshot.bin", state->snapshot_fingerprint);
-      return false;
-    }
-    if (state->has_journal_fingerprint &&
-        state->journal_fingerprint != config_.fingerprint) {
-      mismatch("journal.wal", state->journal_fingerprint);
-      return false;
-    }
   }
 
   // Epoch fencing: a deposed primary's state dir carries the old epoch;
@@ -1025,7 +1008,7 @@ bool Journal::install_snapshot(std::uint64_t last_lsn, std::uint64_t epoch,
 bool Journal::recover(const std::string& dir, RecoveredState* state,
                       std::string* error) {
   std::size_t valid_bytes = 0;
-  return read_state(dir, state, &valid_bytes, error);
+  return read_state(dir, 0, state, &valid_bytes, error);
 }
 
 }  // namespace wormrt::svc

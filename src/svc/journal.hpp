@@ -38,32 +38,27 @@
 ///                            4=LINK_UP) | u64 lsn
 ///                    | HEADER (lsn 0, always the first record of a fresh
 ///                      or freshly-truncated journal): 8-byte magic
-///                      "WRTJHDR2" | u64 topology fingerprint
-///                      | u64 fencing epoch  (the legacy "WRTJHDR1"
-///                      header without the epoch is still parsed, as
-///                      epoch 1)
+///                      "WRTJHDR3" | u64 contract fingerprint
+///                      | u64 fencing epoch
 ///                    | ADD: i64 handle,src,dst,priority,period,length,
-///                      deadline,route_order  (the legacy 7-field ADD
-///                      without route_order is still parsed, as order 0)
+///                      deadline,route_order
 ///                    | REMOVE: i64 handle
 ///                    | LINK_DOWN / LINK_UP: i64 src,dst (the directed
 ///                      channel's endpoints; the eviction/reroute cascade
 ///                      is deterministic, so one record replays it all)
-/// Snapshot payload:  8-byte magic "WRTSNAP3" | u64 topology fingerprint
+/// Snapshot payload:  8-byte magic "WRTSNAP4" | u64 contract fingerprint
 ///                    | u64 fencing epoch
 ///                    | u64 last_lsn | i64 next_handle
 ///                    | u64 fault_count | fault_count x (i64 src,dst)
 ///                    | u64 count | count x (i64 handle,src,dst,priority,
 ///                      period,length,deadline,route_order)
-///                    ("WRTSNAP2" snapshots — no epoch — and "WRTSNAP1"
-///                     snapshots — no fingerprint, no faults, 7-field
-///                     rows — are still read for upgrades, as epoch 1)
 ///
-/// The topology fingerprint (topo::Topology::fingerprint()) stamps the
-/// fabric the records were issued against into both files; recovery onto
-/// a topology with a different fingerprint is a hard error — journaled
-/// paths, channel ids, and fault records would silently mean different
-/// physical links there.
+/// The contract fingerprint (core::contract_fingerprint: the topology and
+/// the analysis settings) stamps both files; open() refuses another one.
+/// The journal reads only the format it writes: a CRC-valid frame it does
+/// not write (another magic, record type or record size) is another
+/// format, not a torn tail, and fails open() and recover() by name with
+/// the files left as they are.
 ///
 /// The fencing epoch (DESIGN.md §15) identifies the primary incarnation
 /// that wrote the state: every promotion of a follower bumps the epoch
@@ -81,19 +76,14 @@
 /// Opening the journal for appending truncates the file back to the
 /// last valid record so new records never land beyond a tear.
 ///
-/// Group commit (DESIGN.md §11): concurrent mutators stage() records
-/// into an in-memory batch (each gets its LSN immediately, so LSN order
-/// is the order records were staged) and then wait_durable() their LSN.
-/// The first waiter to find no leader active becomes the leader: it
-/// takes the whole staged batch, performs ONE write + fsync for all of
-/// it, publishes the new durable LSN, and wakes every waiter.  One
-/// fsync thus covers N acknowledgements, and while the leader sleeps in
-/// fsync the other threads keep running admission analysis — but no
-/// waiter returns success before the fsync covering its record has
-/// completed, so the fsync-before-ack contract is exactly the serial
-/// one.  append() is stage() + wait_durable(): a batch of one, with the
-/// identical on-disk bytes and failure semantics as before.  A follower
-/// commits a whole pull the same way (append_replica).
+/// Group commit (DESIGN.md §11.3): mutators stage() records (each gets
+/// its LSN at once, so LSN order is staging order) and wait_durable()
+/// them.  The first waiter with no leader active takes the whole staged
+/// batch, commits it with ONE write + fsync and wakes every waiter; none
+/// returns success before the fsync covering its record, so one fsync
+/// covers N acknowledgements without weakening fsync-before-ack.
+/// append() is a batch of one; a follower commits a whole pull the same
+/// way (append_replica).
 ///
 /// The tail (DESIGN.md §11.3): every staged record, full entry included,
 /// stays in memory in LSN order.  A failed commit hands its records back
@@ -122,7 +112,7 @@ struct JournalEntry {
 };
 
 /// A row's eight columns in the order snapshot rows, ADD records and
-/// replication wire rows carry them (legacy rows lack route_order).
+/// replication wire rows carry them.
 inline constexpr std::int64_t JournalEntry::*kEntryColumns[] = {
     &JournalEntry::handle,   &JournalEntry::src,    &JournalEntry::dst,
     &JournalEntry::priority, &JournalEntry::period, &JournalEntry::length,
@@ -153,12 +143,12 @@ struct JournalConfig {
   bool fsync_data = true;
   /// Fault-injection hook for the write/fsync paths; nullptr = real I/O.
   util::FaultInjector* faults = nullptr;
-  /// Fingerprint of the fabric this journal serves
-  /// (topo::Topology::fingerprint()).  Non-zero: stamped into the journal
+  /// Fingerprint of the fabric contract this journal serves
+  /// (core::contract_fingerprint).  Non-zero: stamped into the journal
   /// header and every snapshot, and open() hard-fails when the state dir
-  /// carries a different one — replaying another fabric's records would
-  /// silently produce garbage bounds.  0 disables stamping and checking
-  /// (topology-less unit tests).
+  /// carries a different one — replaying another contract's records
+  /// would silently produce bounds nobody promised.  0 writes a
+  /// header-less WAL and checks nothing (topology-less unit tests).
   std::uint64_t fingerprint = 0;
   /// Fencing floor: when non-zero, the state dir must not contain
   /// records from an epoch older than this past `fence_lsn` — a deposed
@@ -193,16 +183,9 @@ struct RecoveredState {
   bool had_snapshot = false;
   /// Journal LSNs <= this are already folded into `snapshot`.
   std::uint64_t snapshot_lsn = 0;
-  /// Topology fingerprints found in the snapshot / journal header.
-  /// (Absent on legacy V1 state; Journal::open verifies present ones
-  /// against JournalConfig::fingerprint.)
-  bool has_snapshot_fingerprint = false;
-  std::uint64_t snapshot_fingerprint = 0;
-  bool has_journal_fingerprint = false;
-  std::uint64_t journal_fingerprint = 0;
   /// Fencing epoch stamped in the snapshot / journal header (the max of
-  /// the two when both are present).  Legacy state without an epoch
-  /// reads as epoch 1 — the first primary incarnation.
+  /// the two when both are present).  State without either reads as
+  /// epoch 1 — the first primary incarnation.
   std::uint64_t epoch = 1;
   /// The snapshotted state (replay first; empty without a snapshot).
   StateImage snapshot;
@@ -231,7 +214,8 @@ class Journal {
 
   /// Reads snapshot + journal into \p state, repairs a torn journal
   /// tail, and opens the journal for appending.  False + \p error on an
-  /// unrecoverable problem (unreadable dir, corrupt snapshot).
+  /// unrecoverable problem (unreadable dir, corrupt snapshot, a format
+  /// this build does not write, another contract fingerprint).
   bool open(RecoveredState* state, std::string* error);
 
   /// Durably appends one mutation (assigns its LSN, writes, fsyncs).
@@ -335,8 +319,7 @@ class Journal {
   }
 
   /// Reads the state dir without touching it (no tail repair, nothing
-  /// opened for writing) — what a read-only inspection or the recovery
-  /// invariant's oracle uses.
+  /// opened for writing, no contract check): a read-only inspection.
   static bool recover(const std::string& dir, RecoveredState* state,
                       std::string* error);
 

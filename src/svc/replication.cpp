@@ -348,7 +348,8 @@ void ReplicaSession::run() {
     return stop_.load(std::memory_order_acquire);
   };
   const std::uint64_t fingerprint =
-      service_.controller().topology().fingerprint();
+      core::contract_fingerprint(service_.controller().topology(),
+                                 service_.controller().engine().config());
   while (!stopping()) {
     Client client;
     client.set_timeout_ms(kTimeoutMs);
@@ -357,8 +358,8 @@ void ReplicaSession::run() {
     // Handshake: prove we replay the same fabric and learn whether our
     // journal is close enough to stream from.  A refusal — "not primary"
     // (follower chains are not supported) or a fingerprint mismatch — is
-    // retried with backoff, so an operator can fix the topology or
-    // promote without a restart.
+    // retried with backoff, so an operator can fix the fabric or promote
+    // without a restart.
     HelloReply handshake;
     bool live = client.connect_spec(config_.endpoint, &error) &&
                 hello(primary, config_.follower_id, fingerprint,

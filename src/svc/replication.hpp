@@ -157,10 +157,10 @@ struct HelloReply {
   bool snapshot_needed = false;
 };
 
-/// Sends REPL_HELLO for a follower on the fabric \p fingerprint whose
-/// journal holds (\p epoch, \p durable_lsn).  False + \p error when the
-/// call failed or the primary refused, with the primary's reason (e.g.
-/// "topology fingerprint mismatch: ...").
+/// Sends REPL_HELLO for a follower under the contract \p fingerprint
+/// whose journal holds (\p epoch, \p durable_lsn).  False + \p error when
+/// the call failed or the primary refused, with the primary's reason
+/// (e.g. "fingerprint mismatch: ...").
 bool hello(const PrimaryCall& primary, const std::string& follower_id,
            std::uint64_t fingerprint, std::uint64_t epoch,
            std::uint64_t durable_lsn, HelloReply* reply, std::string* error);
@@ -180,7 +180,7 @@ bool pull_once(const PrimaryCall& primary, Service& follower,
                std::string* error);
 
 /// Follower-side pull loop configuration.  The handshake asserts the
-/// fingerprint of the follower Service's own topology.
+/// contract fingerprint of the follower Service's own fabric.
 struct ReplicaConfig {
   /// Primary endpoint spec (Client::connect_spec).
   std::string endpoint;

@@ -358,7 +358,8 @@ bool Service::open_state(std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   journal_ = std::make_unique<Journal>(
       JournalConfig{options_.state_dir, options_.journal_fsync,
-                    options_.journal_faults, topo_.fingerprint(),
+                    options_.journal_faults,
+                    core::contract_fingerprint(topo_, ctrl_.engine().config()),
                     options_.repl_min_epoch, options_.repl_fence_lsn,
                     options_.repl_buffer_records},
       &registry_);
@@ -701,11 +702,6 @@ std::vector<Json> Service::commit(std::span<const Json> items) {
   std::vector<Json> replies(items.size());
   std::vector<PendingAck> acks(items.size());
   std::uint64_t last_lsn = 0;
-  // Group commit waits with mu_ released, so concurrent mutations stage
-  // into the same leader fsync.  Serial mode (--no-group-commit, the
-  // bench's durable baseline) waits under it: one fsync per mutation,
-  // mutations fully serialised.
-  const bool group = options_.group_commit;
   {
     std::unique_lock<std::mutex> lk(mu_);
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -722,21 +718,15 @@ std::vector<Json> Service::commit(std::span<const Json> items) {
         last_lsn = std::max(last_lsn, acks[i].lsn);
       }
     }
-    if (group) {
-      maybe_compact();
-      lk.unlock();
-    }
-    // One wait covers every staged sub-request: the leader's single
-    // fsync makes them durable at once.
+    maybe_compact();
+    // Group commit: the wait runs with mu_ released, so concurrent
+    // mutations stage into the same leader fsync, and one wait covers
+    // every staged sub-request.
+    lk.unlock();
     std::string err;
     if (last_lsn != 0 && !journal_->wait_durable(last_lsn, &err)) {
-      if (group) {
-        lk.lock();
-      }
+      lk.lock();
       roll_back_failed_locked();
-    }
-    if (!group) {
-      maybe_compact();
     }
   }
   // Per-sub-request fixup.  wait_durable() is instant here — every
@@ -1689,11 +1679,13 @@ Json Service::do_repl_hello(const Json& request, PendingAck*) {
   if (journal_ == nullptr || repl_ == nullptr) {
     return error_reply("replication requires a state dir");
   }
-  if (follower_fp != 0 && topo_.fingerprint() != 0 &&
-      static_cast<std::uint64_t>(follower_fp) != topo_.fingerprint()) {
+  if (follower_fp != 0 &&
+      static_cast<std::uint64_t>(follower_fp) !=
+          core::contract_fingerprint(topo_, ctrl_.engine().config())) {
     return error_reply(
-        "topology fingerprint mismatch: follower state was issued "
-        "against a different fabric");
+        std::string("fingerprint mismatch: follower state was issued "
+                    "under a different fabric contract (it covers ") +
+        core::kContractSettings + ")");
   }
   const std::uint64_t primary_epoch = journal_->epoch();
   const std::uint64_t primary_durable = journal_->durable_lsn();

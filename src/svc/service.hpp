@@ -62,11 +62,6 @@ struct ServiceOptions {
   /// guarantee.  See JournalConfig::fsync_data for when tests turn it
   /// off.
   bool journal_fsync = true;
-  /// Group commit: release mu_ while waiting for the covering fsync so
-  /// concurrent admissions share one journal write.  Off = wait under
-  /// mu_ (the serial PR-5 behaviour: one fsync per mutation, mutations
-  /// fully serialised) — the A/B baseline knob for the bench.
-  bool group_commit = true;
   /// Fault injection for the journal's I/O paths (tests, fuzzer).
   util::FaultInjector* journal_faults = nullptr;
   /// History sampler tick; 0 (default) disables the sampler thread —
@@ -283,8 +278,8 @@ class Service {
   /// reply (not an object, no verb, unknown verb).
   const Verb* verb_of(const Json& request, Json* error);
   /// The one commit path: dispatches \p items in order under one hold of
-  /// mu_, then waits once for the covering group commit (with mu_
-  /// released, unless --no-group-commit) and fails every sub-reply whose
+  /// mu_, then waits once, with mu_ released, for the covering group
+  /// commit and fails every sub-reply whose
   /// record did not become durable.  BATCH's sub-requests, and a single
   /// REQUEST or REMOVE as a batch of one.
   std::vector<Json> commit(std::span<const Json> items);

@@ -172,6 +172,11 @@ int main(int argc, char** argv) {
   const std::string socket_path = args.get_string("socket", "");
   const std::string server_list = args.get_string("server", "");
   const std::int64_t port = args.get_int("port", -1);
+  if (args.has("port") && (port < 0 || port > 65535)) {
+    std::fprintf(stderr, "%s: bad --port (want 0-65535)\n",
+                 args.program().c_str());
+    return 2;
+  }
   svc::Client client;
   client.set_timeout_ms(static_cast<int>(args.get_int("timeout-ms", 0)));
   std::string error;

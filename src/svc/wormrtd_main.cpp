@@ -67,10 +67,10 @@ int usage(const char* program) {
       "usage: %s (--socket PATH | --port N) [--mesh CxR] [--threads N]\n"
       "          [--workers N] [--event-threads N] [--trace FILE]\n"
       "          [--state-dir DIR] [--compact-every N] [--no-journal-fsync]\n"
-      "          [--no-group-commit] [--max-connections N]\n"
-      "          [--idle-timeout-ms N] [--buffer-depth N]\n"
-      "          [--no-credit-slack-guard] [--sample-interval-ms N]\n"
-      "          [--audit-log FILE] [--audit-max-bytes N]\n"
+      "          [--max-connections N] [--idle-timeout-ms N]\n"
+      "          [--buffer-depth N] [--no-credit-slack-guard]\n"
+      "          [--sample-interval-ms N] [--audit-log FILE]\n"
+      "          [--audit-max-bytes N]\n"
       "  --socket PATH  listen on a Unix-domain socket\n"
       "  --port N       listen on 127.0.0.1:N (0 = ephemeral, printed on "
       "READY)\n"
@@ -87,15 +87,14 @@ int usage(const char* program) {
       "(default 256)\n"
       "  --no-journal-fsync  skip the per-append fsync (crash durability "
       "becomes best-effort)\n"
-      "  --no-group-commit  one fsync per admission instead of batched "
-      "group commits (slower, for A/B runs)\n"
       "  --max-connections N  concurrent connection cap; excess clients "
       "are shed (default 64)\n"
       "  --idle-timeout-ms N  drop connections idle for N ms (0 = never, "
       "default 30000)\n"
       "  --buffer-depth N  per-VC flit-buffer depth of the fabric "
       "(default 2; depth < 2 is rejected — the analysis model needs "
-      "one-flit-per-cycle pipelining, see EXPERIMENTS.md)\n"
+      "one-flit-per-cycle pipelining, see EXPERIMENTS.md); a state dir "
+      "or primary under another depth, guard or mesh is refused\n"
       "  --no-credit-slack-guard  admit zero-slack streams (U+2 > T) "
       "even though their bounds do not survive credit flow control "
       "(paper-table reproduction mode)\n"
@@ -124,7 +123,7 @@ int usage(const char* program) {
 
 /// Pre-flight handshake for --follow: learn the primary's fencing epoch
 /// and fence LSN so the local journal open can detect (and refuse) a
-/// deposed primary's unreplicated tail, and hard-fail on a topology
+/// deposed primary's unreplicated tail, and hard-fail on a contract
 /// fingerprint mismatch or a malformed endpoint before any replay
 /// happens.  Retries until the primary answers or a signal arrives.
 bool follower_preflight(const std::string& endpoint,
@@ -216,7 +215,6 @@ int main(int argc, char** argv) {
   service_options.compact_every =
       static_cast<std::uint64_t>(args.get_int("compact-every", 256));
   service_options.journal_fsync = !args.has("no-journal-fsync");
-  service_options.group_commit = !args.has("no-group-commit");
   service_options.sample_interval_ms =
       static_cast<int>(args.get_int("sample-interval-ms", 1000));
   service_options.audit_path = args.get_string("audit-log", "");
@@ -248,7 +246,8 @@ int main(int argc, char** argv) {
     // refuses a deposed primary's unreplicated tail (DESIGN.md §15).
     bool fatal = false;
     svc::HelloReply primary;
-    if (!follower_preflight(follow_endpoint, mesh.fingerprint(), &primary,
+    if (!follower_preflight(follow_endpoint,
+                            core::contract_fingerprint(mesh, config), &primary,
                             &fatal)) {
       return fatal ? 1 : 0;  // signal during wait = clean exit
     }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -520,6 +522,43 @@ TEST(AdmissionGolden, SetupAndOnePassReplayRecordedDecisions) {
   EXPECT_EQ(rejected, 24);
   EXPECT_EQ(digest.value(), 0xa0ce42ea8625cc07ull)
       << "decisions changed: digest 0x" << std::hex << digest.value();
+}
+
+TEST(ContractFingerprint, EveryAnalysisSettingButThreadsChangesIt) {
+  // One value stamps the fabric contract, so flipping any one setting a
+  // bound depends on must change it, and the thread count (which changes
+  // no result) must not.
+  const topo::Mesh mesh(4, 4);
+  const AnalysisConfig base;
+  const std::uint64_t stamp = contract_fingerprint(mesh, base);
+  const std::pair<const char*, void (*)(AnalysisConfig&)> flips[] = {
+      {"relaxation",
+       [](AnalysisConfig& c) { c.relaxation = IndirectRelaxation::kNone; }},
+      {"horizon",
+       [](AnalysisConfig& c) { c.horizon = HorizonPolicy::kExtended; }},
+      {"same_priority_blocks",
+       [](AnalysisConfig& c) { c.same_priority_blocks = false; }},
+      {"ejection_port_overlap",
+       [](AnalysisConfig& c) { c.ejection_port_overlap = false; }},
+      {"injection_port_overlap",
+       [](AnalysisConfig& c) { c.injection_port_overlap = false; }},
+      {"carry_over", [](AnalysisConfig& c) { c.carry_over = true; }},
+      {"horizon_cap", [](AnalysisConfig& c) { c.horizon_cap *= 2; }},
+      {"credit_slack_guard",
+       [](AnalysisConfig& c) { c.credit_slack_guard = true; }},
+      {"vc_buffer_depth", [](AnalysisConfig& c) { c.vc_buffer_depth = 4; }},
+  };
+  for (const auto& [name, flip] : flips) {
+    AnalysisConfig flipped = base;
+    flip(flipped);
+    EXPECT_NE(contract_fingerprint(mesh, flipped), stamp) << name;
+    EXPECT_NE(std::string(kContractSettings).find(name), std::string::npos)
+        << name;
+  }
+  AnalysisConfig threaded = base;
+  threaded.num_threads = 4;
+  EXPECT_EQ(contract_fingerprint(mesh, threaded), stamp);
+  EXPECT_NE(contract_fingerprint(topo::Mesh(4, 5), base), stamp);
 }
 
 }  // namespace

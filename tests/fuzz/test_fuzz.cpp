@@ -195,13 +195,13 @@ TEST(Invariants, FlitOracleDetectsDepthOnePipeliningLoss) {
   config.check_monotonicity = false;
   config.check_protocol = false;
   config.check_recovery = false;
-  config.flit_buffer_depth = 1;
+  config.analysis.vc_buffer_depth = 1;
   const auto violation = check_scenario(scenario, config);
   ASSERT_TRUE(violation.has_value());
   EXPECT_EQ(violation->invariant, kInvariantFlit);
 
   // At the documented depth the same scenario is clean.
-  config.flit_buffer_depth = 4;
+  config.analysis.vc_buffer_depth = 4;
   EXPECT_FALSE(check_scenario(scenario, config).has_value());
 }
 
@@ -343,6 +343,7 @@ TEST(Invariants, DetectionProofFindingsArePinned) {
   const std::regex state_dir("/[^ :]*wormrt-[a-z-]+-[A-Za-z0-9]{6}");
   for (const Mode& mode : modes) {
     CheckConfig config;
+    config.analysis.vc_buffer_depth = 4;
     config.check_equivalence = false;
     config.check_monotonicity = false;
     mode.inject(config);

@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -570,6 +572,76 @@ TEST(KillRecover, SigkilledDaemonRecoversItsAcknowledgedState) {
   ::unlink(socket_path.c_str());
 }
 
+TEST(KillRecover, RestartUnderAnotherContractIsRefusedUntouched) {
+  // The buffer depth and the credit-slack guard belong to the contract a
+  // journaled population was admitted under: a restart under other
+  // settings exits 1 naming the fabric before READY and leaves the state
+  // dir as it was; the original flags then recover the population.
+  const std::string tag = std::to_string(::getpid());
+  const std::string socket_path = "/tmp/wormrtd-contract-" + tag + ".sock";
+  const std::string state_dir = "/tmp/wormrtd-contract-state-" + tag;
+  std::filesystem::remove_all(state_dir);
+  ::unlink(socket_path.c_str());
+  const std::vector<std::string> daemon_args = {
+      WORMRTD_BIN, "--socket",    socket_path, "--mesh",          "8",
+      "--threads", "1",           "--state-dir", state_dir, "--compact-every",
+      "4"};
+  const auto call = [&](const std::string& line) {
+    svc::Client client;
+    std::string reply_line, error, parse_error;
+    EXPECT_TRUE(client.connect_unix(socket_path, &error)) << error;
+    EXPECT_TRUE(client.call(line, &reply_line, &error)) << error;
+    return Json::parse(reply_line, &parse_error);
+  };
+  const auto state_bytes = [&] {
+    std::string bytes;
+    for (const char* file : {"/journal.wal", "/snapshot.bin"}) {
+      std::ifstream f(state_dir + file, std::ios::binary);
+      bytes.append(std::istreambuf_iterator<char>(f),
+                   std::istreambuf_iterator<char>());
+      bytes += '|';
+    }
+    return bytes;
+  };
+
+  Daemon daemon = spawn_daemon(daemon_args);
+  daemon.wait_ready();
+  std::int64_t admitted = 0;
+  for (int i = 0; i < 6; ++i) {  // a snapshot after 4, then WAL records
+    const Json reply = call(R"({"verb":"REQUEST","src":)" +
+                            std::to_string(i) + R"(,"dst":)" +
+                            std::to_string(i + 9) +
+                            R"(,"priority":1,"period":100,"length":4,)"
+                            R"("deadline":100})");
+    admitted += reply.get("admitted")->as_bool() ? 1 : 0;
+  }
+  ASSERT_GT(admitted, 4);
+  call(R"({"verb":"SHUTDOWN"})");
+  daemon.reap();
+
+  const std::string before = state_bytes();
+  std::string base;
+  for (const std::string& arg : daemon_args) {
+    base += arg + " ";
+  }
+  for (const char* other : {"--no-credit-slack-guard", "--buffer-depth 4"}) {
+    std::string out;
+    EXPECT_EQ(run("timeout 20 " + base + other + " 2>&1", &out), 1)
+        << other << ": " << out;
+    EXPECT_NE(out.find("another fabric"), std::string::npos) << out;
+    EXPECT_EQ(out.find("READY"), std::string::npos) << out;
+    EXPECT_EQ(state_bytes(), before) << other;
+  }
+
+  daemon = spawn_daemon(daemon_args);
+  daemon.wait_ready();
+  EXPECT_EQ(call(R"({"verb":"SNAPSHOT"})").get("size")->as_int(), admitted);
+  call(R"({"verb":"SHUTDOWN"})");
+  daemon.reap();
+  std::filesystem::remove_all(state_dir);
+  ::unlink(socket_path.c_str());
+}
+
 TEST(KillRecover, SigkilledDaemonRecoversFaultStateAndDetours) {
   // A LINK_DOWN is acknowledged (fsync-before-ack), the daemon is
   // SIGKILLed, and the restart must rebuild the faulted fabric, the
@@ -805,6 +877,16 @@ TEST(DaemonFlags, OutOfRangeMeshAndPortExitTwo) {
     EXPECT_EQ(out.find("READY"), std::string::npos) << flags;
   }
   ::unlink(socket.c_str());
+  // wormrt-cli refuses them too, before connecting: 4295006939 is 39643
+  // + 2^32, and `health` exits 3, not 2, when it cannot connect.
+  for (const char* port : {"4295006939", "65536", "-2"}) {
+    std::string out;
+    EXPECT_EQ(run(std::string(WORMRT_CLI_BIN) + " --port " + port +
+                      " health 2>/dev/null",
+                  &out),
+              2)
+        << port;
+  }
 }
 
 TEST(DaemonShutdown, ShutdownIsPromptDespiteIdleConnections) {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -713,7 +714,6 @@ TEST_F(JournalTest, ServiceRollsBackEveryConcurrentAdmissionOnFsyncFailure) {
   ServiceOptions options;
   options.state_dir = dir_;
   options.journal_faults = &faults;
-  ASSERT_TRUE(options.group_commit);
 
   Service service(mesh, routing, {}, options);
   std::string error;
@@ -782,12 +782,11 @@ void expect_same_engine(const core::AdmissionController& got,
   }
 }
 
-/// Runs \p body once per (commit fault, group commit on/off) pair.  Each
-/// run opens a journaled Service on a 4x4 mesh in a fresh \p dir, admits
-/// two acknowledged streams (handles 0 and 1), arms the fault — an fsync
-/// EIO, a torn write, or a clean ENOSPC write error, each of which fails
-/// the next covering commit — and calls body(service, mesh,
-/// journal_error).  Right after the body the live engine must equal a
+/// Runs \p body once per commit fault.  Each run opens a journaled Service
+/// on a 4x4 mesh in a fresh \p dir, admits two acknowledged streams
+/// (handles 0 and 1), arms the fault — an fsync EIO, a torn write, or a
+/// clean ENOSPC write error, each of which fails the next covering
+/// commit — and calls body(service, mesh, journal_error).  Right after the body the live engine must equal a
 /// controller that saw only the acknowledged requests, in the same
 /// order.  A clean write error leaves the journal writable, so one more
 /// REQUEST must then be acknowledged with the controller's decision.  A
@@ -810,53 +809,49 @@ void for_each_commit_failure(const std::string& dir, Body body) {
        std::string("write (injected): ") + std::strerror(ENOSPC),
        [](util::FaultInjector& f) { f.arm_write_error(ENOSPC); }, true},
   };
-  for (const bool group_commit : {true, false}) {
-    for (const Fault& kind : kinds) {
-      SCOPED_TRACE(std::string(kind.name) +
-                   (group_commit ? ", group commit" : ", serial commit"));
-      std::filesystem::remove_all(dir);
-      topo::Mesh oracle_mesh(4, 4);
-      core::AdmissionController acknowledged(oracle_mesh, routing);
-      {
-        topo::Mesh mesh(4, 4);
-        util::FaultInjector faults;
-        ServiceOptions options;
-        options.state_dir = dir;
-        options.journal_faults = &faults;
-        options.group_commit = group_commit;
-        Service service(mesh, routing, {}, options);
-        std::string error;
-        ASSERT_TRUE(service.open_state(&error)) << error;
-        for (const auto& [src, dst] : {std::pair{0, 5}, std::pair{1, 6}}) {
-          ASSERT_TRUE(service.handle(request_line(src, dst, 2, 60, 8, 50))
-                          .get("admitted")
-                          ->as_bool());
-          ASSERT_TRUE(acknowledged.request(src, dst, 2, 60, 8, 50).admitted);
-        }
-        kind.arm(faults);
-        body(service, mesh, kind.error);
-        EXPECT_EQ(faults.faults_injected(), 1u);
-        expect_same_engine(service.controller(), acknowledged);
-        if (kind.writable) {
-          const Json reply = service.handle(request_line(3, 12, 2, 60, 8, 50));
-          const auto want = acknowledged.request(3, 12, 2, 60, 8, 50);
-          ASSERT_TRUE(reply.get("ok")->as_bool()) << reply.dump();
-          ASSERT_TRUE(want.admitted);
-          EXPECT_EQ(reply.get("handle")->as_int(), want.handle);
-          EXPECT_EQ(reply.get("bound")->as_int(), want.bound);
-          expect_same_engine(service.controller(), acknowledged);
-        }
-      }
-
-      topo::Mesh reopen_mesh(4, 4);
-      ServiceOptions reopen_options;
-      reopen_options.state_dir = dir;
-      Service reopened(reopen_mesh, routing, {}, reopen_options);
+  for (const Fault& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    std::filesystem::remove_all(dir);
+    topo::Mesh oracle_mesh(4, 4);
+    core::AdmissionController acknowledged(oracle_mesh, routing);
+    {
+      topo::Mesh mesh(4, 4);
+      util::FaultInjector faults;
+      ServiceOptions options;
+      options.state_dir = dir;
+      options.journal_faults = &faults;
+      Service service(mesh, routing, {}, options);
       std::string error;
-      ASSERT_TRUE(reopened.open_state(&error)) << error;
-      EXPECT_EQ(reopen_mesh.channels().num_faulted(), 0u);
-      expect_same_engine(reopened.controller(), acknowledged);
+      ASSERT_TRUE(service.open_state(&error)) << error;
+      for (const auto& [src, dst] : {std::pair{0, 5}, std::pair{1, 6}}) {
+        ASSERT_TRUE(service.handle(request_line(src, dst, 2, 60, 8, 50))
+                        .get("admitted")
+                        ->as_bool());
+        ASSERT_TRUE(acknowledged.request(src, dst, 2, 60, 8, 50).admitted);
+      }
+      kind.arm(faults);
+      body(service, mesh, kind.error);
+      EXPECT_EQ(faults.faults_injected(), 1u);
+      expect_same_engine(service.controller(), acknowledged);
+      if (kind.writable) {
+        const Json reply = service.handle(request_line(3, 12, 2, 60, 8, 50));
+        const auto want = acknowledged.request(3, 12, 2, 60, 8, 50);
+        ASSERT_TRUE(reply.get("ok")->as_bool()) << reply.dump();
+        ASSERT_TRUE(want.admitted);
+        EXPECT_EQ(reply.get("handle")->as_int(), want.handle);
+        EXPECT_EQ(reply.get("bound")->as_int(), want.bound);
+        expect_same_engine(service.controller(), acknowledged);
+      }
     }
+
+    topo::Mesh reopen_mesh(4, 4);
+    ServiceOptions reopen_options;
+    reopen_options.state_dir = dir;
+    Service reopened(reopen_mesh, routing, {}, reopen_options);
+    std::string error;
+    ASSERT_TRUE(reopened.open_state(&error)) << error;
+    EXPECT_EQ(reopen_mesh.channels().num_faulted(), 0u);
+    expect_same_engine(reopened.controller(), acknowledged);
   }
   std::filesystem::remove_all(dir);
 }
@@ -1112,16 +1107,22 @@ TEST_F(JournalTest, ServiceRefusesAStateDirFromAnotherFabric) {
                     ->as_bool());
   }
   // Same state dir, different fabric: the daemon must refuse to start,
-  // not silently replay channel ids onto the wrong links.
+  // not silently replay channel ids onto the wrong links — nor replay the
+  // bounds under analysis settings they were not issued for.
   topo::Mesh other(5, 4);
   Service service(other, routing, {}, options);
   EXPECT_FALSE(service.open_state(&error));
   EXPECT_NE(error.find("another fabric"), std::string::npos) << error;
+  topo::Mesh same(4, 4);
+  core::AnalysisConfig deeper;
+  deeper.vc_buffer_depth = 4;
+  Service deeper_service(same, routing, deeper, options);
+  EXPECT_FALSE(deeper_service.open_state(&error));
+  EXPECT_NE(error.find("vc_buffer_depth"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------
-// Journal v2: topology mutations, fabric fingerprints, and backwards
-// compatibility with the v1 on-disk formats.
+// Topology mutations, contract fingerprints, and the one on-disk format.
 
 JournalEntry link_endpoints(std::int64_t src, std::int64_t dst) {
   JournalEntry e;
@@ -1192,12 +1193,11 @@ TEST_F(JournalTest, FingerprintStampsTheJournalHeader) {
     ASSERT_TRUE(journal.append(JournalRecord::Type::kAdd, entry(1), &error))
         << error;
   }
-  // Same fabric reopens cleanly and sees the stamp.
+  // Same fabric reopens cleanly; another is refused on the header's
+  // stamp (RefusesToReplayAnotherFabricsJournal).
   Journal journal(fabric);
   RecoveredState state;
   ASSERT_TRUE(journal.open(&state, &error)) << error;
-  EXPECT_TRUE(state.has_journal_fingerprint);
-  EXPECT_EQ(state.journal_fingerprint, kFabric);
   ASSERT_EQ(state.records.size(), 1u);
   EXPECT_EQ(state.records[0].entry.handle, 1);
 }
@@ -1246,8 +1246,6 @@ TEST_F(JournalTest, SnapshotCarriesFingerprintAndFaultSet) {
   RecoveredState state;
   ASSERT_TRUE(Journal::recover(dir_, &state, &error)) << error;
   EXPECT_TRUE(state.had_snapshot);
-  EXPECT_TRUE(state.has_snapshot_fingerprint);
-  EXPECT_EQ(state.snapshot_fingerprint, kFabric);
   EXPECT_EQ(state.snapshot.faulted, faulted);
   ASSERT_EQ(state.snapshot.rows.size(), 1u);
   EXPECT_EQ(state.snapshot.rows[0], entry(1, 0, 5));
@@ -1259,6 +1257,9 @@ TEST_F(JournalTest, SnapshotCarriesFingerprintAndFaultSet) {
   Journal stranger(other);
   RecoveredState s2;
   EXPECT_FALSE(stranger.open(&s2, &error));
+  EXPECT_NE(error.find("snapshot.bin was written for a different fabric"),
+            std::string::npos)
+      << error;
   EXPECT_NE(error.find("another fabric"), std::string::npos) << error;
 }
 
@@ -1282,33 +1283,136 @@ std::string framed(const std::string& payload) {
   return out;
 }
 
-TEST_F(JournalTest, LegacyV1SnapshotStillReplays) {
-  // Hand-crafted WRTSNAP1 blob: no fingerprint, no fault set, and
-  // 7-field rows (pre-route_order).  A daemon upgraded in place must
-  // adopt it with every new field at its safe default.
-  std::string payload = "WRTSNAP1";
-  put_u64le(&payload, 3);  // last_lsn
-  put_u64le(&payload, 5);  // next_handle
-  put_u64le(&payload, 1);  // row count
-  for (const std::int64_t v : {2, 3, 7, 2, 50, 10, 40}) {
-    put_u64le(&payload, static_cast<std::uint64_t>(v));
-  }
-  std::filesystem::create_directories(dir_);
-  append_bytes(snap(), framed(payload));
+/// The state dir's files, byte for byte.
+std::string state_bytes(const std::string& dir) {
+  return read_bytes(Journal::journal_path(dir)) + "|" +
+         read_bytes(Journal::snapshot_path(dir));
+}
 
+/// \p dir holds a frame this build does not write: recover() and open()
+/// both fail with an error holding \p named, and no byte changes.
+void expect_refused_untouched(const std::string& dir, const JournalConfig& c,
+                              const std::string& named) {
+  const std::string before = state_bytes(dir);
   RecoveredState state;
   std::string error;
-  ASSERT_TRUE(Journal::recover(dir_, &state, &error)) << error;
-  EXPECT_TRUE(state.had_snapshot);
-  EXPECT_FALSE(state.has_snapshot_fingerprint);
-  EXPECT_TRUE(state.snapshot.faulted.empty());
-  EXPECT_EQ(state.snapshot_lsn, 3u);
-  EXPECT_EQ(state.snapshot.next_handle, 5);
-  ASSERT_EQ(state.snapshot.rows.size(), 1u);
-  EXPECT_EQ(state.snapshot.rows[0].handle, 2);
-  EXPECT_EQ(state.snapshot.rows[0].src, 3);
-  EXPECT_EQ(state.snapshot.rows[0].dst, 7);
-  EXPECT_EQ(state.snapshot.rows[0].route_order, 0);  // legacy = primary order
+  EXPECT_FALSE(Journal::recover(dir, &state, &error));
+  EXPECT_NE(error.find(named), std::string::npos) << error;
+  Journal journal(c);
+  error.clear();
+  EXPECT_FALSE(journal.open(&state, &error));
+  EXPECT_NE(error.find(named), std::string::npos) << error;
+  EXPECT_EQ(state_bytes(dir), before);
+}
+
+TEST_F(JournalTest, FramesThisBuildDoesNotWriteAreRefusedUntouched) {
+  // A CRC-valid frame the journal does not write is another format, not
+  // a torn tail: cutting the WAL there would drop acknowledged records.
+  JournalConfig fabric = config();
+  fabric.fingerprint = 123;
+  const auto two_adds = [&] {
+    std::filesystem::remove_all(dir_);
+    Journal journal(fabric);
+    RecoveredState state;
+    std::string error;
+    ASSERT_TRUE(journal.open(&state, &error)) << error;
+    for (const std::int64_t handle : {1, 2}) {
+      ASSERT_TRUE(
+          journal.append(JournalRecord::Type::kAdd, entry(handle), &error))
+          << error;
+    }
+  };
+  {
+    SCOPED_TRACE("an unknown header magic before two ADDs");
+    two_adds();
+    std::string bytes = read_bytes(wal());
+    const std::size_t header = 41;  // 8 frame + 33 payload
+    bytes[8 + 9 + 7] = '9';         // WRTJHDR3 -> WRTJHDR9
+    std::filesystem::remove(wal());
+    append_bytes(wal(), framed(bytes.substr(8, header - 8)) +
+                            bytes.substr(header));
+    expect_refused_untouched(
+        dir_, fabric,
+        "journal.wal: the frame at byte 0 is a 33-byte header WRTJHDR9");
+  }
+  {
+    SCOPED_TRACE("a record of an unknown type after two ADDs");
+    two_adds();
+    std::string unknown;
+    unknown.push_back(static_cast<char>(9));
+    put_u64le(&unknown, 3);  // lsn
+    put_u64le(&unknown, 7);
+    append_bytes(wal(), framed(unknown));
+    expect_refused_untouched(
+        dir_, fabric,
+        "journal.wal: the frame at byte 203 is a 17-byte record of type 9");
+  }
+}
+
+// Every format an earlier build wrote, hand-built, one case each: each is
+// refused by name and nothing is truncated.  Each holds one stream
+// (handle 2, 3->7, P2, T50, C10, D40) as the 7 columns those builds wrote.
+std::string u64s(std::initializer_list<std::uint64_t> values) {
+  std::string out;
+  for (const std::uint64_t v : values) {
+    put_u64le(&out, v);
+  }
+  return out;
+}
+
+std::string older_row() { return u64s({2, 3, 7, 2, 50, 10, 40}); }
+
+/// An ADD at LSN 1 without a route order: 65 bytes.
+std::string older_add() {
+  return std::string(1, '\1') + u64s({1}) + older_row();
+}
+
+TEST_F(JournalTest, OlderFormatSnapshotV1IsRefusedByName) {
+  // last_lsn, next_handle, count, one 7-column row.
+  std::filesystem::create_directories(dir_);
+  append_bytes(snap(), framed("WRTSNAP1" + u64s({3, 5, 1}) + older_row()));
+  expect_refused_untouched(dir_, config(), "WRTSNAP1");
+}
+
+TEST_F(JournalTest, OlderFormatSnapshotV2IsRefusedByName) {
+  // + fingerprint and the fault set, 8-column rows.
+  std::filesystem::create_directories(dir_);
+  append_bytes(snap(), framed("WRTSNAP2" + u64s({77, 3, 5, 0, 1}) +
+                              older_row() + u64s({0})));
+  expect_refused_untouched(dir_, config(), "WRTSNAP2");
+}
+
+TEST_F(JournalTest, OlderFormatSnapshotV3IsRefusedByName) {
+  // + the fencing epoch.
+  std::filesystem::create_directories(dir_);
+  append_bytes(snap(), framed("WRTSNAP3" + u64s({77, 1, 3, 5, 0, 1}) +
+                              older_row() + u64s({0})));
+  expect_refused_untouched(dir_, config(), "WRTSNAP3");
+}
+
+TEST_F(JournalTest, OlderFormatHeaderWithoutEpochIsRefusedByName) {
+  // The header without the epoch, then a 73-byte ADD.
+  std::filesystem::create_directories(dir_);
+  append_bytes(wal(), framed(std::string(1, '\0') + u64s({0}) + "WRTJHDR1" +
+                             u64s({77})) +
+                          framed(older_add() + u64s({0})));
+  expect_refused_untouched(dir_, config(), "WRTJHDR1");
+}
+
+TEST_F(JournalTest, OlderFormatHeaderV2IsRefusedByName) {
+  // The header with the epoch, stamping a topology fingerprint.
+  std::filesystem::create_directories(dir_);
+  append_bytes(wal(), framed(std::string(1, '\0') + u64s({0}) + "WRTJHDR2" +
+                             u64s({77, 1})) +
+                          framed(older_add() + u64s({0})));
+  expect_refused_untouched(dir_, config(), "WRTJHDR2");
+}
+
+TEST_F(JournalTest, OlderFormatAddWithoutRouteOrderIsRefusedByName) {
+  ASSERT_EQ(older_add().size(), 65u);
+  std::filesystem::create_directories(dir_);
+  append_bytes(wal(), framed(older_add()));
+  expect_refused_untouched(dir_, config(), "65-byte record of type 1");
 }
 
 TEST_F(JournalTest, SnapshotCountsPastThePayloadAreCorrupt) {
@@ -1317,7 +1421,7 @@ TEST_F(JournalTest, SnapshotCountsPastThePayloadAreCorrupt) {
   for (const auto& [faults, rows] :
        {std::pair{std::uint64_t{1} << 60, std::uint64_t{0}},
         std::pair{std::uint64_t{0}, std::uint64_t{1} << 58}}) {
-    std::string payload = "WRTSNAP3";
+    std::string payload = "WRTSNAP4";
     for (const std::uint64_t v : {0, 1, 0, 0}) {  // fingerprint, epoch,
       put_u64le(&payload, v);                      // last_lsn, next_handle
     }
@@ -1332,27 +1436,6 @@ TEST_F(JournalTest, SnapshotCountsPastThePayloadAreCorrupt) {
     EXPECT_EQ(error,
               "snapshot.bin is corrupt (count disagrees with payload size)");
   }
-}
-
-TEST_F(JournalTest, LegacyV1AddRecordsDefaultToPrimaryOrder) {
-  // A 65-byte ADD payload (pre-route_order) must still parse, with the
-  // route order defaulting to primary.
-  std::string payload;
-  payload.push_back(static_cast<char>(JournalRecord::Type::kAdd));
-  put_u64le(&payload, 1);  // lsn
-  for (const std::int64_t v : {9, 0, 5, 2, 50, 10, 40}) {
-    put_u64le(&payload, static_cast<std::uint64_t>(v));
-  }
-  ASSERT_EQ(payload.size(), 65u);
-  std::filesystem::create_directories(dir_);
-  append_bytes(wal(), framed(payload));
-
-  RecoveredState state;
-  std::string error;
-  ASSERT_TRUE(Journal::recover(dir_, &state, &error)) << error;
-  ASSERT_EQ(state.records.size(), 1u);
-  EXPECT_EQ(state.records[0].entry.handle, 9);
-  EXPECT_EQ(state.records[0].entry.route_order, 0);
 }
 
 // --- replication: fencing epochs and the replica cursor ---------------
@@ -1455,32 +1538,6 @@ TEST_F(JournalTest, DeposedPrimaryDivergentTailIsRefusedAtReplay) {
   ASSERT_TRUE(journal.open(&state, &error)) << error;
   EXPECT_EQ(state.records.size(), 5u);
   EXPECT_EQ(journal.epoch(), 2u);
-}
-
-TEST_F(JournalTest, LegacyHeaderWithoutEpochReadsAsEpochOne) {
-  // A WRTJHDR1 header (pre-epoch) is the first primary incarnation.
-  std::string header;
-  header.push_back(static_cast<char>(0));
-  put_u64le(&header, 0);
-  header.append("WRTJHDR1", 8);
-  put_u64le(&header, 0xDEADu);  // fingerprint
-  std::string add;
-  add.push_back(static_cast<char>(JournalRecord::Type::kAdd));
-  put_u64le(&add, 1);  // lsn
-  for (const std::int64_t v : {9, 0, 5, 2, 50, 10, 40}) {
-    put_u64le(&add, static_cast<std::uint64_t>(v));
-  }
-  std::filesystem::create_directories(dir_);
-  append_bytes(wal(), framed(header) + framed(add));
-
-  RecoveredState state;
-  std::string error;
-  ASSERT_TRUE(Journal::recover(dir_, &state, &error)) << error;
-  EXPECT_EQ(state.epoch, 1u);
-  EXPECT_TRUE(state.has_journal_fingerprint);
-  EXPECT_EQ(state.journal_fingerprint, 0xDEADu);
-  ASSERT_EQ(state.records.size(), 1u);
-  EXPECT_EQ(state.records[0].entry.handle, 9);
 }
 
 TEST_F(JournalTest, FollowerRefusesMalformedReplicationRows) {
@@ -1595,48 +1652,44 @@ TEST_F(JournalTest, FailedPrimaryCommitsNeverShip) {
   // A clean write error fails B alone; an fsync error also poisons the
   // journal, so C fails too.
   for (const bool enospc : {true, false}) {
-    for (const bool group_commit : {true, false}) {
-      SCOPED_TRACE(std::string(enospc ? "ENOSPC" : "fsync EIO") +
-                   (group_commit ? ", group commit" : ", serial commit"));
-      std::filesystem::remove_all(dir_);
-      std::filesystem::remove_all(follower_dir);
-      topo::Mesh mesh(4, 4);
-      util::FaultInjector faults;
-      ServiceOptions options;
-      options.state_dir = dir_;
-      options.journal_faults = &faults;
-      options.group_commit = group_commit;
-      Service primary(mesh, routing, {}, options);
-      std::string error;
-      ASSERT_TRUE(primary.open_state(&error)) << error;
-      ASSERT_TRUE(primary.handle(request_line(0, 5, 2, 60, 8, 50))
-                      .get("admitted")
-                      ->as_bool());
-      if (enospc) {
-        faults.arm_write_error(ENOSPC);
-      } else {
-        faults.arm_fsync_error(EIO);
-      }
-      EXPECT_FALSE(
-          primary.handle(request_line(1, 6, 2, 60, 8, 50)).get("ok")->as_bool());
-      const Json c = primary.handle(request_line(2, 7, 2, 60, 8, 50));
-      EXPECT_EQ(c.get("ok")->as_bool(), enospc);
-
-      const Json reply = pull_from(primary, 1);
-      const std::vector<std::int64_t> shipped =
-          enospc ? std::vector<std::int64_t>{1, 3}
-                 : std::vector<std::int64_t>{1};
-      EXPECT_EQ(pulled_lsns(reply), shipped);
-
-      topo::Mesh follower_mesh(4, 4);
-      Service follower(follower_mesh, routing, {}, follower_in(follower_dir));
-      ASSERT_TRUE(follower.open_state(&error)) << error;
-      ASSERT_TRUE(apply_pull_reply(follower, reply, nullptr, &error)) << error;
-      EXPECT_EQ(follower.population(), primary.population());
-      EXPECT_EQ(follower.controller().next_handle(),
-                primary.controller().next_handle());
-      EXPECT_EQ(follower.durable_lsn(), enospc ? 3u : 1u);
+    SCOPED_TRACE(enospc ? "ENOSPC" : "fsync EIO");
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(follower_dir);
+    topo::Mesh mesh(4, 4);
+    util::FaultInjector faults;
+    ServiceOptions options;
+    options.state_dir = dir_;
+    options.journal_faults = &faults;
+    Service primary(mesh, routing, {}, options);
+    std::string error;
+    ASSERT_TRUE(primary.open_state(&error)) << error;
+    ASSERT_TRUE(primary.handle(request_line(0, 5, 2, 60, 8, 50))
+                    .get("admitted")
+                    ->as_bool());
+    if (enospc) {
+      faults.arm_write_error(ENOSPC);
+    } else {
+      faults.arm_fsync_error(EIO);
     }
+    EXPECT_FALSE(
+        primary.handle(request_line(1, 6, 2, 60, 8, 50)).get("ok")->as_bool());
+    const Json c = primary.handle(request_line(2, 7, 2, 60, 8, 50));
+    EXPECT_EQ(c.get("ok")->as_bool(), enospc);
+
+    const Json reply = pull_from(primary, 1);
+    const std::vector<std::int64_t> shipped =
+        enospc ? std::vector<std::int64_t>{1, 3}
+               : std::vector<std::int64_t>{1};
+    EXPECT_EQ(pulled_lsns(reply), shipped);
+
+    topo::Mesh follower_mesh(4, 4);
+    Service follower(follower_mesh, routing, {}, follower_in(follower_dir));
+    ASSERT_TRUE(follower.open_state(&error)) << error;
+    ASSERT_TRUE(apply_pull_reply(follower, reply, nullptr, &error)) << error;
+    EXPECT_EQ(follower.population(), primary.population());
+    EXPECT_EQ(follower.controller().next_handle(),
+              primary.controller().next_handle());
+    EXPECT_EQ(follower.durable_lsn(), enospc ? 3u : 1u);
   }
   std::filesystem::remove_all(follower_dir);
 }
@@ -1755,7 +1808,7 @@ TEST_F(JournalTest, RecoveryRefusesABadAddAndNamesIt) {
   topo::Mesh mesh(4, 4);
   const route::XYRouting routing;
   JournalConfig fabric = config();
-  fabric.fingerprint = mesh.fingerprint();
+  fabric.fingerprint = core::contract_fingerprint(mesh, {});
   const std::string why =
       ": journal record adds handle 1 on 0->999, which does not join two "
       "distinct nodes of this topology";
@@ -1982,7 +2035,7 @@ TEST_F(JournalTest, SnapshotFileAndReplSnapshotReplyBytesArePinned) {
   const std::string file = read_bytes(snap());
   // 8 frame + 48 head + 16 fault pair + 8 row count + 4 x 64-byte rows.
   EXPECT_EQ(file.size(), 336u);
-  EXPECT_EQ(util::crc32(file.data(), file.size()), 0xb5a978a0u);
+  EXPECT_EQ(util::crc32(file.data(), file.size()), 0x11592cf4u);
   Json snapshot_verb = Json::object();
   snapshot_verb.set("verb", "REPL_SNAPSHOT");
   EXPECT_EQ(primary.handle(snapshot_verb).dump(),

@@ -402,9 +402,10 @@ TEST(ReplicationE2E, FollowerBootstrapsMidLifePrimaryViaSnapshot) {
   ::unlink(f_sock.c_str());
 }
 
-/// Satellite: follower state is bound to one fabric.  Pointing a
-/// follower built for a different topology at the primary must be a
-/// hard error before any replay happens — not a silent divergence.
+/// Follower state is bound to one fabric contract.  Pointing a follower
+/// built for another topology, buffer depth or guard setting at the
+/// primary must be a hard error before any replay happens — not a
+/// silent divergence.
 TEST(ReplicationE2E, FollowerRejectsPrimaryWithDifferentFabric) {
   const std::string tag = std::to_string(::getpid());
   const std::string p_sock = "/tmp/wormrt-fp-p-" + tag + ".sock";
@@ -421,18 +422,23 @@ TEST(ReplicationE2E, FollowerRejectsPrimaryWithDifferentFabric) {
                                  p_dir});
   primary.wait_ready();
 
-  // A 4x4 follower against the 8x8 primary: the preflight handshake
+  // Against the 8x8 depth-2 guarded primary, the preflight handshake
   // must refuse and the process must exit non-zero without ever going
-  // READY.
+  // READY.  `timeout` keeps a follower that starts anyway from hanging
+  // the test.
   std::string out;
-  const int status =
-      run(std::string(WORMRTD_BIN) + " --socket " + f_sock +
-              " --mesh 4 --threads 1 --state-dir " + f_dir +
-              " --follow unix:" + p_sock + " 2>&1",
-          &out);
-  EXPECT_EQ(status, 1) << out;
-  EXPECT_NE(out.find("fingerprint mismatch"), std::string::npos) << out;
-  EXPECT_EQ(out.find("READY"), std::string::npos) << out;
+  for (const char* fabric :
+       {"--mesh 4", "--mesh 8 --buffer-depth 4",
+        "--mesh 8 --no-credit-slack-guard"}) {
+    const int status =
+        run("timeout 20 " + std::string(WORMRTD_BIN) + " --socket " + f_sock +
+                " " + fabric + " --threads 1 --state-dir " + f_dir +
+                " --follow unix:" + p_sock + " 2>&1",
+            &out);
+    EXPECT_EQ(status, 1) << fabric << ": " << out;
+    EXPECT_NE(out.find("fingerprint mismatch"), std::string::npos) << out;
+    EXPECT_EQ(out.find("READY"), std::string::npos) << out;
+  }
 
   run(std::string(WORMRT_CLI_BIN) + " --socket " + p_sock + " shutdown",
       &out);

@@ -64,8 +64,9 @@ int usage(const char* program) {
       "                    compare follower bounds against primary + N —\n"
       "                    a non-zero value must produce violations on\n"
       "                    healthy code (oracle self-test)\n"
-      "  --flit-depth N    per-VC buffer depth of the flit oracle\n"
-      "                    (default 4; must be >= 2)\n"
+      "  --flit-depth N    per-VC buffer depth of the analysed fabric,\n"
+      "                    which the flit oracle simulates (default 2,\n"
+      "                    as wormrtd; must be >= 2)\n"
       "  --recovery-tmp D  root for per-scenario journal dirs (default\n"
       "                    /tmp)\n"
       "  --threads N       analysis threads per decision (default 1)\n"
@@ -118,11 +119,17 @@ int main(int argc, char** argv) {
   options.check.check_fault = !args.has("no-fault-oracle");
   options.check.check_replication = !args.has("no-replication-oracle");
   options.check.replication_skew = args.get_int("replication-skew", 0);
-  options.check.flit_buffer_depth =
-      static_cast<int>(args.get_int("flit-depth", 4));
+  options.check.analysis.vc_buffer_depth =
+      static_cast<int>(args.get_int("flit-depth", 2));
   options.check.recovery_tmp_root = args.get_string("recovery-tmp", "/tmp");
   options.check.analysis.num_threads =
       static_cast<int>(args.get_int("threads", 1));
+  const std::string config_error =
+      core::validate_analysis_config(options.check.analysis);
+  if (!config_error.empty()) {
+    std::fprintf(stderr, "wormrt-fuzz: %s\n", config_error.c_str());
+    return 2;
+  }
   options.on_progress = [](const std::string& line) {
     std::fprintf(stderr, "%s\n", line.c_str());
   };
