@@ -32,7 +32,9 @@
 //      commit + pipelining buy; --min-durable-speedup /
 //      --min-nofsync-speedup turn them into CI floors (exit 1 below),
 //   4. replication, async and sync, over three interleaved rounds per
-//      mode (the median and every round are reported),
+//      mode (the median and every round are reported); they run right
+//      after the plain socket row, ahead of the three gated rows and the
+//      obs A/B,
 //   5. replay: a fresh Service's recovery of a churned state dir and a
 //      fresh follower's REPL_SNAPSHOT install of the same state, each
 //      with its population and Cal_U count.
@@ -887,6 +889,43 @@ int main(int argc, char** argv) {
       run_socket(mesh, routing, streams, ops, clients, kPlain);
   report("socket", clients, socket);
 
+  // Replication: a follower replays the primary's journal while the
+  // churn runs; then the primary dies and the survivor takes over.  One
+  // run spreads several-fold on a shared host, so each mode runs
+  // kReplRounds rounds, interleaved, and reports the median.  Every run
+  // gets private meshes: replay mutates a fabric's fault flags.  They
+  // run ahead of the fsync'd socket rows, so a change to those rows does
+  // not change the load these rounds follow.
+  constexpr int kReplRounds = 3;
+  const int repl_ops = std::min(ops, 600);
+  std::vector<ReplResult> async_rounds, sync_rounds;
+  for (int round = 0; round < kReplRounds; ++round) {
+    for (const bool sync : {false, true}) {
+      topo::Mesh primary_mesh(side, side);
+      topo::Mesh follower_mesh(side, side);
+      (sync ? sync_rounds : async_rounds)
+          .push_back(run_replication(primary_mesh, follower_mesh, routing,
+                                     streams, repl_ops, sync));
+    }
+  }
+  const ReplResult repl_async = median_of(async_rounds, kReplFigures);
+  const ReplResult repl_sync = median_of(sync_rounds, kReplFigures);
+  const auto report_repl = [](const char* label, const ReplResult& r) {
+    std::printf("  %-20s %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
+                "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
+                label, r.throughput_rps, r.p50_us, r.p99_us,
+                r.lag_p99_records, r.failover_us, r.records_per_pull);
+  };
+  for (const auto& [mode, median, rounds] :
+       {std::tuple{"async", &repl_async, &async_rounds},
+        std::tuple{"sync", &repl_sync, &sync_rounds}}) {
+    report_repl((std::string("replication ") + mode + ":").c_str(), *median);
+    for (std::size_t i = 0; i < rounds->size(); ++i) {
+      report_repl(("  round " + std::to_string(i + 1) + ":").c_str(),
+                  (*rounds)[i]);
+    }
+  }
+
   // The rows the speedup floors divide.  One run of each spreads several
   // fold on a shared host, so they run kSocketRounds interleaved rounds
   // and each row is the median.  The serial row is one client making one
@@ -960,41 +999,6 @@ int main(int argc, char** argv) {
   std::printf("  sampler+conformance overhead vs durable pipelined: "
               "%.2f%%\n",
               obs_overhead_pct);
-
-  // Replication: a follower replays the primary's journal while the
-  // churn runs; then the primary dies and the survivor takes over.  One
-  // run spreads several-fold on a shared host, so each mode runs
-  // kReplRounds rounds, interleaved, and reports the median.  Every run
-  // gets private meshes: replay mutates a fabric's fault flags.
-  constexpr int kReplRounds = 3;
-  const int repl_ops = std::min(ops, 600);
-  std::vector<ReplResult> async_rounds, sync_rounds;
-  for (int round = 0; round < kReplRounds; ++round) {
-    for (const bool sync : {false, true}) {
-      topo::Mesh primary_mesh(side, side);
-      topo::Mesh follower_mesh(side, side);
-      (sync ? sync_rounds : async_rounds)
-          .push_back(run_replication(primary_mesh, follower_mesh, routing,
-                                     streams, repl_ops, sync));
-    }
-  }
-  const ReplResult repl_async = median_of(async_rounds, kReplFigures);
-  const ReplResult repl_sync = median_of(sync_rounds, kReplFigures);
-  const auto report_repl = [](const char* label, const ReplResult& r) {
-    std::printf("  %-20s %8.0f req/s  p50 %8.1f us  p99 %8.1f us"
-                "  lag p99 %.0f rec  failover %.0f us  %.2f rec/pull\n",
-                label, r.throughput_rps, r.p50_us, r.p99_us,
-                r.lag_p99_records, r.failover_us, r.records_per_pull);
-  };
-  for (const auto& [mode, median, rounds] :
-       {std::tuple{"async", &repl_async, &async_rounds},
-        std::tuple{"sync", &repl_sync, &sync_rounds}}) {
-    report_repl((std::string("replication ") + mode + ":").c_str(), *median);
-    for (std::size_t i = 0; i < rounds->size(); ++i) {
-      report_repl(("  round " + std::to_string(i + 1) + ":").c_str(),
-                  (*rounds)[i]);
-    }
-  }
 
   const ReplayResult replay = run_replay(side, routing, streams, ops);
   std::printf("  replay after churn:  recovery %.1f ms (%llu streams, "

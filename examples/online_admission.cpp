@@ -6,6 +6,7 @@
 //
 //   ./examples/online_admission
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/admission.hpp"
@@ -55,9 +56,13 @@ int main() {
                   static_cast<long long>(r.deadline));
       established.emplace_back(r.name, d.handle);
     } else if (!d.would_break.empty()) {
-      std::printf("  REJECT %-12s would break %zu established "
-                  "channel(s)\n",
-                  r.name, d.would_break.size());
+      // The trial stops at the first broken guarantee, so the list names
+      // one channel (request() with provenance would name every one).
+      const auto broken = std::find_if(
+          established.begin(), established.end(),
+          [&](const auto& e) { return e.second == d.would_break.front(); });
+      std::printf("  REJECT %-12s would break %s\n", r.name,
+                  broken->first);
     } else {
       std::printf("  REJECT %-12s own bound %lld misses deadline %lld\n",
                   r.name, static_cast<long long>(d.bound),

@@ -34,30 +34,15 @@ std::uint64_t contract_fingerprint(const topo::Topology& topology,
 AdmissionController::AdmissionController(topo::Topology& topo,
                                          const route::RoutingAlgorithm& routing,
                                          AnalysisConfig config, Mode mode)
-    : topo_(topo), routing_(routing), engine_(topo, config) {
+    : topo_(topo),
+      routing_(routing),
+      engine_(topo, config),
+      gate_([guard = config.credit_slack_guard](const MessageStream& s,
+                                                 Time bound) {
+        return bound != kNoTime && bound <= s.deadline &&
+               (!guard || flit_valid(bound, s.period));
+      }) {
   engine_.set_force_full(mode == Mode::kFullRecompute);
-}
-
-bool AdmissionController::gate_ok(Time bound, Time deadline, Time period,
-                                  const std::vector<Handle>& dirty,
-                                  std::vector<Handle>* would_break) const {
-  const bool guard = engine_.config().credit_slack_guard;
-  bool ok = bound != kNoTime && bound <= deadline;
-  if (guard && !flit_valid(bound, period)) {
-    ok = false;
-  }
-  for (const Handle h : dirty) {
-    const Time b = *engine_.bound(h);
-    const MessageStream* s = engine_.find(h);
-    if (b == kNoTime || b > s->deadline ||
-        (guard && !flit_valid(b, s->period))) {
-      if (would_break != nullptr) {
-        would_break->push_back(h);
-      }
-      ok = false;
-    }
-  }
-  return ok;
 }
 
 AdmissionController::Decision AdmissionController::request(
@@ -98,19 +83,31 @@ AdmissionController::Decision AdmissionController::request(
 
   // Trial add: the engine recomputes the newcomer's bound plus exactly
   // the established streams the newcomer can delay (its dirty closure).
-  // Everyone else provably keeps both its bound and its guarantee.
-  const IncrementalAnalyzer::Mutation trial =
-      engine_.add_stream(std::move(candidate));
+  // Everyone else provably keeps both its bound and its guarantee.  One
+  // failing stream rejects the request, so a plain request stops there;
+  // an explained one runs to the end to name every victim.
+  const IncrementalAnalyzer::Mutation trial = engine_.add_stream(
+      std::move(candidate), /*forced_handle=*/-1,
+      provenance == nullptr ? gate_ : IncrementalAnalyzer::Gate{});
   decision.bound = *engine_.bound(trial.handle);
   decision.flit_valid = flit_valid(decision.bound, period);
-  if (provenance != nullptr) {
+  bool ok = trial.broken < 0;
+  if (provenance == nullptr) {
+    if (!ok && trial.broken != trial.handle) {
+      decision.would_break.push_back(trial.broken);
+    }
+  } else {
     // Captured while the trial population is still in place: the terms
     // blame the HP streams of the (possibly rejected) trial set.
     *provenance = *engine_.explain(trial.handle);
+    ok = gate_(*engine_.find(trial.handle), decision.bound);
+    for (const Handle h : trial.dirty) {
+      if (!gate_(*engine_.find(h), *engine_.bound(h))) {
+        decision.would_break.push_back(h);
+        ok = false;
+      }
+    }
   }
-
-  const bool ok = gate_ok(decision.bound, deadline, period, trial.dirty,
-                          &decision.would_break);
   if (!ok) {
     // Roll the trial back exactly: the engine drops the appended stream
     // and writes back the dirty closure's pre-trial bounds, with no
@@ -177,9 +174,8 @@ AdmissionController::LinkMutation AdmissionController::link_down(
       continue;
     }
     const IncrementalAnalyzer::Mutation trial =
-        engine_.add_stream(std::move(candidate), h);
-    const Time bound = *engine_.bound(h);
-    if (!gate_ok(bound, old.deadline, old.period, trial.dirty, nullptr)) {
+        engine_.add_stream(std::move(candidate), h, gate_);
+    if (trial.broken >= 0) {
       engine_.undo_add(h);
       m.evicted.push_back(h);
       continue;

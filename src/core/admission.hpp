@@ -19,8 +19,9 @@
 /// bound still meets its deadline with the newcomer's interference.
 ///
 /// The heavy lifting lives in core::IncrementalAnalyzer: a request is a
-/// trial add that recomputes only the dirty closure of the newcomer
-/// (undone exactly, without a recompute, when the decision is a
+/// trial add that recomputes only the dirty closure of the newcomer,
+/// the newcomer first, and stops at the first stream that fails the
+/// gate (undone exactly, without a recompute, when the decision is a
 /// rejection), a teardown releases
 /// interference with the same dirty-set recomputation, and bound queries
 /// are O(1) cache reads.  Streams outside the dirty set provably keep
@@ -92,7 +93,12 @@ class AdmissionController {
     /// Handle of the admitted channel (only when admitted).
     Handle handle = -1;
     /// Established channels whose guarantee the request would have
-    /// broken (only when rejected because of them).
+    /// broken.  A plain request stops its trial at the first stream
+    /// that fails the gate, the newcomer first: the list names the first
+    /// broken channel in engine order, and is empty when the newcomer
+    /// fails its own gate.  A request with provenance evaluates the
+    /// whole dirty set and lists every broken channel in engine order,
+    /// so the plain list is empty or that list's first element.
     std::vector<Handle> would_break;
     /// No route order avoids the currently faulted channels (rejection
     /// with no trial — bound stays kNoTime).
@@ -116,7 +122,8 @@ class AdmissionController {
   /// provenance (see explain.hpp) into *\p provenance when non-null —
   /// measured against the trial population, i.e. BEFORE any rejection
   /// rollback, so a rejected requester still learns which HP streams
-  /// pushed its bound past the deadline.
+  /// pushed its bound past the deadline.  With \p provenance the trial
+  /// runs to the end and would_break lists every broken channel.
   Decision request(topo::NodeId src, topo::NodeId dst, Priority priority,
                    Time period, Time length, Time deadline,
                    BoundProvenance* provenance);
@@ -221,13 +228,10 @@ class AdmissionController {
   topo::Topology& topo_;
   const route::RoutingAlgorithm& routing_;
   IncrementalAnalyzer engine_;
-
-  /// Shared admission gate: own bound within deadline (+ credit slack
-  /// when guarded), and no perturbed established stream loses its
-  /// guarantee.  Fills \p would_break when non-null.
-  bool gate_ok(Time bound, Time deadline, Time period,
-               const std::vector<Handle>& dirty,
-               std::vector<Handle>* would_break) const;
+  /// The admission gate, one stream at a time: a bound exists, meets the
+  /// stream's deadline and, under the credit-slack guard, is flit-valid.
+  /// A trial passes when the newcomer and every stream it dirties do.
+  IncrementalAnalyzer::Gate gate_;
 };
 
 }  // namespace wormrt::core

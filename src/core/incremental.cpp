@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <deque>
 
@@ -117,20 +118,41 @@ HpSet IncrementalAnalyzer::hp_set(StreamId j) const {
   return hp;
 }
 
-void IncrementalAnalyzer::recompute(const std::vector<StreamId>& ids) {
+IncrementalAnalyzer::Handle IncrementalAnalyzer::recompute(
+    const std::vector<StreamId>& ids, const Gate& gate) {
   OBS_SPAN("incremental_recompute");
   const DelayBoundCalculator calc(streams_, *this, config_);
   // Bounds are independent given the (now settled) digraph; fan them out
-  // like the full-recompute path does, each into its own slot.
+  // like the full-recompute path does, each into its own slot.  An index
+  // past the lowest gate failure seen so far is skipped.  No index below
+  // the lowest failure overall is ever skipped, so that failure is found
+  // whatever the thread count or the schedule.
+  std::atomic<std::size_t> first_failure{ids.size()};
+  std::atomic<std::uint64_t> evaluated{0};
   util::parallel_for(ids.size(), config_.num_threads, [&](std::size_t k) {
+    if (k > first_failure.load()) {
+      return;
+    }
     const StreamId j = ids[k];
-    bounds_[static_cast<std::size_t>(j)] = calc.calc_with_hp(j, hp_set(j)).bound;
+    const Time bound = calc.calc_with_hp(j, hp_set(j)).bound;
+    bounds_[static_cast<std::size_t>(j)] = bound;
+    ++evaluated;
+    if (gate && !gate(streams_[j], bound)) {
+      std::size_t seen = first_failure.load();
+      while (k < seen && !first_failure.compare_exchange_weak(seen, k)) {
+      }
+    }
   });
-  stats_.bound_recomputes += ids.size();
+  stats_.bound_recomputes += evaluated.load();
+  const std::size_t failed = first_failure.load();
+  return failed < ids.size()
+             ? handles_[static_cast<std::size_t>(ids[failed])]
+             : Handle{-1};
 }
 
 IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
-    MessageStream stream, Handle forced_handle) {
+    MessageStream stream, Handle forced_handle, const Gate& gate) {
+  assert(!(batching_ && gate) && "a batch defers the recompute a gate reads");
   const std::size_t n = streams_.size();
   const auto id = static_cast<StreamId>(n);
   stream.id = id;
@@ -212,8 +234,9 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
   for (const StreamId v : dirty) {
     undo_bounds_.emplace_back(v, bounds_[static_cast<std::size_t>(v)]);
   }
-  dirty.push_back(id);
-  recompute(dirty);
+  // The newcomer first: a trial it fails stops before any victim.
+  dirty.insert(dirty.begin(), id);
+  result.broken = recompute(dirty, gate);
   return result;
 }
 

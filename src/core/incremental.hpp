@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -52,22 +53,39 @@ class IncrementalAnalyzer : public DirectBlocking {
                                AnalysisConfig config = {});
 
   /// Outcome of one mutation: the touched stream's handle plus the
-  /// established streams whose bounds were recomputed (the dirty set,
+  /// established streams whose bounds it can change (the dirty set,
   /// excluding the touched stream itself), in ascending id order.
   struct Mutation {
     Handle handle = -1;
     std::vector<Handle> dirty;
+    /// Under an add_stream() gate: the first stream, in evaluation
+    /// order, whose bound fails it (the added stream's own handle when
+    /// that one fails); -1 when every stream passes.
+    Handle broken = -1;
   };
+
+  /// A per-stream test of a freshly computed bound (the admission gate):
+  /// true when \p stream keeps its guarantee under \p bound.  Called
+  /// concurrently from the recompute's worker threads.
+  using Gate = std::function<bool(const MessageStream& stream, Time bound)>;
 
   /// Registers \p stream (its id is rewritten to the dense position),
   /// updates the overlap index and blocking digraph, and recomputes the
-  /// bounds of the dirty closure.  Returns the new handle + dirty set.
+  /// bounds of the new stream first, then of its dirty closure in engine
+  /// order.  Returns the new handle + dirty set.
   /// A non-negative \p forced_handle registers under that exact handle
   /// instead of drawing the next one — the journal-replay path, which
   /// must reproduce pre-crash handle numbering bit for bit.  The forced
   /// handle must not collide with a live one; next_handle() advances
   /// past it.
-  Mutation add_stream(MessageStream stream, Handle forced_handle = -1);
+  ///
+  /// A \p gate stops the recompute at the first stream in that order
+  /// whose bound fails it, named in Mutation::broken; the same stream at
+  /// every num_threads.  The streams after it keep stale bounds, so such
+  /// a trial must be undone (undo_add) before anything else.  Outside a
+  /// batch only.
+  Mutation add_stream(MessageStream stream, Handle forced_handle = -1,
+                      const Gate& gate = {});
 
   /// Tears a stream down, releasing its interference and recomputing the
   /// bounds of the streams it blocked.  nullopt for an unknown handle.
@@ -169,7 +187,11 @@ class IncrementalAnalyzer : public DirectBlocking {
   struct Stats {
     std::uint64_t adds = 0;
     std::uint64_t removes = 0;
-    /// Cal_U evaluations performed (== total dirty-set sizes + adds).
+    /// Cal_U evaluations performed: each mutation's dirty-set size,
+    /// plus one per add, except that a gated add stopped at its first
+    /// failing stream counts 1 + that stream's position in its
+    /// evaluation order.  At num_threads > 1 such an add can also count
+    /// indices claimed before the failure was seen.
     std::uint64_t bound_recomputes = 0;
     /// Established streams marked dirty across all mutations.
     std::uint64_t dirty_marked = 0;
@@ -212,8 +234,11 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// Forward closure of \p x over blocks edges, excluding x itself,
   /// ascending.  The streams whose HP sets the mutation can change.
   std::vector<StreamId> dirty_closure(StreamId x) const;
-  /// Recomputes and caches bounds for \p ids (parallel across streams).
-  void recompute(const std::vector<StreamId>& ids);
+  /// Recomputes and caches bounds for \p ids (parallel across streams)
+  /// and returns the handle of the first of them, in \p ids order, whose
+  /// bound fails \p gate (-1 when none does or there is no gate),
+  /// skipping every id after it.
+  Handle recompute(const std::vector<StreamId>& ids, const Gate& gate = {});
   void unindex(StreamId id);
   /// Drops stream \p id from the digraph, the indexes and the caches;
   /// ids above it shift down.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/admission.hpp"
+#include "core/delay_bound.hpp"
 #include "core/workload.hpp"
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
@@ -149,25 +150,69 @@ TEST_F(AdmissionTest, RemoveThenReadmitReusesFreedCapacity) {
   EXPECT_NE(readmitted.handle, first.handle);  // handles are never reused
 }
 
-TEST_F(AdmissionTest, WouldBreakReportsEveryBrokenVictim) {
+TEST_F(AdmissionTest, WouldBreakNamesTheFirstVictimAndExplainNamesEvery) {
   // Two zero-slack victims: one sharing row-0 channels with the
-  // newcomer, one sharing its ejection port.  A higher-priority
-  // newcomer touching both must name both handles, in establishment
-  // order.
+  // newcomer, one sharing its ejection port.  A plain request stops at
+  // the first broken guarantee; an explained one names both handles, in
+  // establishment order.
   const auto v1 = ctrl_.request(mesh_.node_at({0, 0}), mesh_.node_at({6, 0}),
                                 1, 60, 10, /*D=*/15);
   const auto v2 = ctrl_.request(mesh_.node_at({0, 1}), mesh_.node_at({6, 1}),
                                 1, 60, 10, /*D=*/15);
   ASSERT_TRUE(v1.admitted && v2.admitted);
-  const auto d = ctrl_.request(mesh_.node_at({1, 0}), mesh_.node_at({6, 1}),
-                               2, 60, 10, 600);
-  EXPECT_FALSE(d.admitted);
-  ASSERT_EQ(d.would_break.size(), 2u);
-  EXPECT_EQ(d.would_break[0], v1.handle);
-  EXPECT_EQ(d.would_break[1], v2.handle);
+  const auto newcomer = [&](BoundProvenance* provenance) {
+    return ctrl_.request(mesh_.node_at({1, 0}), mesh_.node_at({6, 1}), 2, 60,
+                         10, 600, provenance);
+  };
+  const auto plain = newcomer(nullptr);
+  EXPECT_FALSE(plain.admitted);
+  EXPECT_EQ(plain.would_break, std::vector<AdmissionController::Handle>{
+                                   v1.handle});
   // The rejection rolled the trial back: both guarantees intact.
   EXPECT_EQ(ctrl_.bound_of(v1.handle), std::optional<Time>(15));
   EXPECT_EQ(ctrl_.bound_of(v2.handle), std::optional<Time>(15));
+
+  BoundProvenance provenance;
+  const auto explained = newcomer(&provenance);
+  EXPECT_FALSE(explained.admitted);
+  EXPECT_EQ(explained.bound, plain.bound);
+  EXPECT_EQ(explained.would_break,
+            (std::vector<AdmissionController::Handle>{v1.handle, v2.handle}));
+  EXPECT_EQ(ctrl_.bound_of(v1.handle), std::optional<Time>(15));
+  EXPECT_EQ(ctrl_.bound_of(v2.handle), std::optional<Time>(15));
+}
+
+TEST_F(AdmissionTest, WouldBreakIsEmptyWhenTheNewcomerFailsItsOwnGate) {
+  // A zero-slack victim on row 0, and a hog that shares only the
+  // newcomer's ejection port.  The newcomer misses its own deadline
+  // behind the hog and would also break the victim: the plain request
+  // stops at the newcomer, the explained one still names the victim.
+  const auto victim = ctrl_.request(mesh_.node_at({0, 0}),
+                                    mesh_.node_at({6, 0}), 1, 60, 10,
+                                    /*D=*/15);
+  const auto hog = ctrl_.request(mesh_.node_at({9, 1}), mesh_.node_at({6, 1}),
+                                 3, /*T=*/30, /*C=*/24, /*D=*/60);
+  ASSERT_TRUE(victim.admitted && hog.admitted);
+  const auto newcomer = [&](BoundProvenance* provenance) {
+    return ctrl_.request(mesh_.node_at({1, 0}), mesh_.node_at({6, 1}), 2, 60,
+                         10, /*D=*/40, provenance);
+  };
+  const auto recomputes = ctrl_.engine().stats().bound_recomputes;
+  const auto plain = newcomer(nullptr);
+  EXPECT_FALSE(plain.admitted);
+  EXPECT_TRUE(plain.bound == kNoTime || plain.bound > 40) << plain.bound;
+  EXPECT_TRUE(plain.would_break.empty());
+  // The trial stopped at the newcomer: one Cal_U call.
+  EXPECT_EQ(ctrl_.engine().stats().bound_recomputes - recomputes, 1u);
+
+  BoundProvenance provenance;
+  const auto explained = newcomer(&provenance);
+  EXPECT_FALSE(explained.admitted);
+  EXPECT_EQ(explained.bound, plain.bound);
+  EXPECT_EQ(explained.would_break,
+            std::vector<AdmissionController::Handle>{victim.handle});
+  EXPECT_EQ(ctrl_.bound_of(victim.handle), std::optional<Time>(15));
+  EXPECT_EQ(ctrl_.bound_of(hog.handle), hog.bound);
 }
 
 TEST_F(AdmissionTest, BoundQueriesAreServedFromCache) {
@@ -339,6 +384,34 @@ TEST_F(AdmissionTest, LinkDownUndoesADetourThatFailsTheGate) {
   EXPECT_EQ(ctrl_.engine().stats().bound_recomputes - recomputes, 2u);
 }
 
+TEST_F(AdmissionTest, LinkDownStopsADetourTrialAtTheVictimsOwnGate) {
+  // The victim's X-Y path runs along row 0; its Y-X detour runs along
+  // row 1, behind a hog, and would also delay a bystander there.  The
+  // detour trial fails the victim's own deadline first, so it stops
+  // before the bystander's bound is computed.
+  const auto hog = ctrl_.request(mesh_.node_at({0, 1}), mesh_.node_at({4, 1}),
+                                 3, /*T=*/30, /*C=*/24, /*D=*/60);
+  const auto bystander = ctrl_.request(
+      mesh_.node_at({4, 1}), mesh_.node_at({8, 1}), 1, 60, 10, 600);
+  const auto victim = ctrl_.request(mesh_.node_at({1, 0}),
+                                    mesh_.node_at({5, 1}), 2, 60, 10,
+                                    /*D=*/20);
+  ASSERT_TRUE(hog.admitted && bystander.admitted && victim.admitted);
+  const std::optional<Time> bystander_bound = ctrl_.bound_of(bystander.handle);
+
+  const auto recomputes = ctrl_.engine().stats().bound_recomputes;
+  const auto m = ctrl_.link_down(
+      mesh_.channel_between(mesh_.node_at({2, 0}), mesh_.node_at({3, 0})));
+  EXPECT_EQ(m.evicted,
+            std::vector<AdmissionController::Handle>{victim.handle});
+  EXPECT_TRUE(m.rerouted.empty());
+  EXPECT_EQ(ctrl_.bound_of(bystander.handle), bystander_bound);
+  EXPECT_EQ(ctrl_.bound_of(hog.handle), hog.bound);
+  // The eviction dirtied nobody, and the detour trial stopped at the
+  // victim: one Cal_U call.
+  EXPECT_EQ(ctrl_.engine().stats().bound_recomputes - recomputes, 1u);
+}
+
 TEST_F(AdmissionTest, LinkDownLeavesUntouchedStreamsAlone) {
   const auto far = ctrl_.request(mesh_.node_at({0, 1}), mesh_.node_at({5, 1}),
                                  1, 60, 10, 600);
@@ -419,12 +492,14 @@ TEST_F(AdmissionTest, RestoreRebuildsTheJournaledDetourIgnoringFaults) {
 // horizon) requested in order, then one pass that tears each held
 // channel down and requests it again — perfbench's admit_200 shape at a
 // size the sanitizer jobs afford.  Each decision's admitted flag, bound,
-// handle, route order and would_break list, and each remove outcome, go
-// into an FNV-1a digest pinned to the value the full-horizon Cal_U and
-// the recompute-on-rollback engine produced.  Every rejected trial must
-// also leave every cached bound as it was and cost exactly |dirty| + 1
-// Cal_U evaluations (the newcomer plus the established streams it can
-// delay), with no second recompute to roll it back.
+// handle and route order, and each remove outcome, go into an FNV-1a
+// decision digest pinned to the value the full-horizon Cal_U, the
+// recompute-on-rollback engine and the run-to-the-end trial produced;
+// each would_break list goes into a second digest.  Every rejected
+// trial must also leave every cached bound as it was and cost exactly
+// 1 + the position of its first failing stream in [newcomer, dirty set
+// in engine order] Cal_U evaluations, with no second recompute to roll
+// it back.
 
 class Fnv1a {
  public:
@@ -440,25 +515,34 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-/// The established streams a trial of \p candidate can delay: those whose
-/// HP set in the trial population contains it, by a from-scratch blocking
-/// analysis.
-std::size_t trial_dirty_size(const AdmissionController& ctrl,
-                             MessageStream candidate) {
+/// Where a trial of \p candidate stops: the position of the first stream
+/// that fails the admission gate in [newcomer, the established streams
+/// whose HP set contains it, ascending], by a from-scratch blocking
+/// analysis and Cal_U of the trial population.  The sequence's length
+/// when every stream passes.
+std::size_t trial_stop_position(const AdmissionController& ctrl,
+                                MessageStream candidate) {
   StreamSet trial = ctrl.snapshot();
   const auto id = static_cast<StreamId>(trial.size());
   candidate.id = id;
   trial.add(std::move(candidate));
   const BlockingAnalysis blocking(trial);
-  std::size_t dirty = 0;
+  std::vector<StreamId> order{id};
   for (StreamId j = 0; j < id; ++j) {
     const HpSet& hp = blocking.hp_set(j);
-    dirty += std::any_of(hp.begin(), hp.end(),
-                         [id](const HpElement& e) { return e.id == id; })
-                 ? 1
-                 : 0;
+    if (std::any_of(hp.begin(), hp.end(),
+                    [id](const HpElement& e) { return e.id == id; })) {
+      order.push_back(j);
+    }
   }
-  return dirty;
+  const DelayBoundCalculator calc(trial, blocking, ctrl.engine().config());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Time bound = calc.calc(order[k]).bound;
+    if (bound == kNoTime || bound > trial[order[k]].deadline) {
+      return k;
+    }
+  }
+  return order.size();
 }
 
 TEST(AdmissionGolden, SetupAndOnePassReplayRecordedDecisions) {
@@ -471,23 +555,29 @@ TEST(AdmissionGolden, SetupAndOnePassReplayRecordedDecisions) {
   adjust_periods_to_bounds(population);
 
   AdmissionController ctrl(mesh, kXy);
-  Fnv1a digest;
+  ASSERT_FALSE(ctrl.engine().config().credit_slack_guard);
+  Fnv1a decisions;
+  Fnv1a would_break;
   int rejected = 0;
   const auto request = [&](const MessageStream& s) {
     std::vector<Time> before(ctrl.size());
     for (std::size_t id = 0; id < before.size(); ++id) {
       before[id] = ctrl.engine().bound_at(static_cast<StreamId>(id));
     }
+    const MessageStream candidate = make_stream_with_order(
+        mesh, 0, s.src, s.dst, s.priority, s.period, s.length, s.deadline,
+        route::kRouteOrderPrimary);
+    const std::size_t stop = trial_stop_position(ctrl, candidate);
     const std::uint64_t recomputes = ctrl.engine().stats().bound_recomputes;
     const AdmissionController::Decision d = ctrl.request(
         s.src, s.dst, s.priority, s.period, s.length, s.deadline);
-    digest.add(d.admitted ? 1 : 0);
-    digest.add(d.bound);
-    digest.add(d.handle);
-    digest.add(d.route_order);
-    digest.add(static_cast<std::int64_t>(d.would_break.size()));
+    decisions.add(d.admitted ? 1 : 0);
+    decisions.add(d.bound);
+    decisions.add(d.handle);
+    decisions.add(d.route_order);
+    would_break.add(static_cast<std::int64_t>(d.would_break.size()));
     for (const AdmissionController::Handle h : d.would_break) {
-      digest.add(h);
+      would_break.add(h);
     }
     if (!d.admitted) {
       ++rejected;
@@ -498,11 +588,12 @@ TEST(AdmissionGolden, SetupAndOnePassReplayRecordedDecisions) {
             << "stream " << s.id << " left established id " << id
             << " with a changed bound";
       }
-      const MessageStream candidate = make_stream_with_order(
-          mesh, 0, s.src, s.dst, s.priority, s.period, s.length, s.deadline,
-          d.route_order);
-      EXPECT_EQ(ctrl.engine().stats().bound_recomputes - recomputes,
-                trial_dirty_size(ctrl, candidate) + 1)
+      EXPECT_EQ(d.route_order, route::kRouteOrderPrimary);
+      EXPECT_EQ(ctrl.engine().stats().bound_recomputes - recomputes, stop + 1)
+          << "stream " << s.id;
+      // The plain list names the stream the trial stopped at, unless
+      // that was the newcomer.
+      EXPECT_EQ(d.would_break.size(), stop == 0 ? 0u : 1u)
           << "stream " << s.id;
     }
     return d.admitted ? d.handle : AdmissionController::Handle{-1};
@@ -514,14 +605,17 @@ TEST(AdmissionGolden, SetupAndOnePassReplayRecordedDecisions) {
   }
   for (std::size_t slot = 0; slot < population.size(); ++slot) {
     if (held[slot] >= 0) {
-      digest.add(ctrl.remove(held[slot]) ? 1 : 0);
+      decisions.add(ctrl.remove(held[slot]) ? 1 : 0);
     }
     held[slot] = request(population[static_cast<StreamId>(slot)]);
   }
 
   EXPECT_EQ(rejected, 24);
-  EXPECT_EQ(digest.value(), 0xa0ce42ea8625cc07ull)
-      << "decisions changed: digest 0x" << std::hex << digest.value();
+  EXPECT_EQ(decisions.value(), 0x5f03c4901b392382ull)
+      << "decisions changed: digest 0x" << std::hex << decisions.value();
+  EXPECT_EQ(would_break.value(), 0x9aed2a5d86e456fbull)
+      << "would_break lists changed: digest 0x" << std::hex
+      << would_break.value();
 }
 
 TEST(ContractFingerprint, EveryAnalysisSettingButThreadsChangesIt) {

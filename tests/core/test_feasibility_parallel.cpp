@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/admission.hpp"
 #include "core/feasibility.hpp"
 #include "core/workload.hpp"
@@ -109,6 +111,97 @@ TEST(FeasibilityParallel, AdmissionDecisionsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.would_break, b.would_break) << "request " << i;
   }
   EXPECT_EQ(serial.size(), parallel.size());
+}
+
+TEST(FeasibilityParallel, FirstBrokenGuaranteeIsTheSameAtEveryThreadCount) {
+  // A churn where a third of the requests carry tight deadlines, so
+  // many trials are rejected and stop early.  Each request is plain or
+  // explained by a seeded draw.  No thread count may change a decision
+  // or a would_break list, and a plain list must be empty or the first
+  // element of the same request's explained list (taken on a copy of
+  // the serial controller).
+  topo::Mesh mesh(8, 8);
+  const route::XYRouting xy;
+  std::vector<AdmissionController> ctrls;
+  ctrls.reserve(3);
+  for (const int threads : {1, 2, 4}) {
+    AnalysisConfig cfg;
+    cfg.num_threads = threads;
+    ctrls.emplace_back(mesh, xy, cfg);
+  }
+
+  util::Rng rng(11);
+  std::vector<AdmissionController::Handle> live;
+  int first_of_several = 0;             // plain [v], explained [v, ...]
+  int newcomer_stops_with_victims = 0;  // plain [], explained [v, ...]
+  for (int step = 0; step < 200; ++step) {
+    if (!live.empty() && rng.bernoulli(0.25)) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      for (AdmissionController& ctrl : ctrls) {
+        EXPECT_TRUE(ctrl.remove(live[pick])) << "step " << step;
+      }
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      continue;
+    }
+    const auto src = static_cast<topo::NodeId>(
+        rng.uniform_int(0, mesh.num_nodes() - 1));
+    auto dst = static_cast<topo::NodeId>(
+        rng.uniform_int(0, mesh.num_nodes() - 2));
+    if (dst >= src) {
+      ++dst;
+    }
+    const auto priority = static_cast<Priority>(rng.uniform_int(0, 3));
+    const Time period = rng.uniform_int(60, 200);
+    const Time length = rng.uniform_int(1, 30);
+    const Time deadline =
+        rng.bernoulli(0.3) ? rng.uniform_int(period / 3, period) : period;
+    const bool explain = rng.bernoulli(0.5);
+
+    AdmissionController probe = ctrls[0];
+    BoundProvenance full_provenance;
+    const auto full = probe.request(src, dst, priority, period, length,
+                                    deadline, &full_provenance);
+    std::vector<AdmissionController::Decision> d;
+    for (AdmissionController& ctrl : ctrls) {
+      BoundProvenance provenance;
+      d.push_back(ctrl.request(src, dst, priority, period, length, deadline,
+                               explain ? &provenance : nullptr));
+    }
+    for (std::size_t t = 1; t < d.size(); ++t) {
+      EXPECT_EQ(d[t].admitted, d[0].admitted) << "step " << step;
+      EXPECT_EQ(d[t].bound, d[0].bound) << "step " << step;
+      EXPECT_EQ(d[t].handle, d[0].handle) << "step " << step;
+      EXPECT_EQ(d[t].would_break, d[0].would_break) << "step " << step;
+    }
+    EXPECT_EQ(d[0].admitted, full.admitted) << "step " << step;
+    EXPECT_EQ(d[0].bound, full.bound) << "step " << step;
+    if (explain) {
+      EXPECT_EQ(d[0].would_break, full.would_break) << "step " << step;
+    } else if (d[0].would_break.empty()) {
+      newcomer_stops_with_victims += full.would_break.empty() ? 0 : 1;
+    } else {
+      ASSERT_FALSE(full.would_break.empty()) << "step " << step;
+      EXPECT_EQ(d[0].would_break,
+                std::vector<AdmissionController::Handle>{full.would_break[0]})
+          << "step " << step;
+      first_of_several += full.would_break.size() > 1 ? 1 : 0;
+    }
+    if (d[0].admitted) {
+      live.push_back(d[0].handle);
+    }
+  }
+  // The churn reached both kinds of early stop the contract names.
+  EXPECT_GT(first_of_several, 0);
+  EXPECT_GT(newcomer_stops_with_victims, 0);
+  for (std::size_t t = 1; t < ctrls.size(); ++t) {
+    ASSERT_EQ(ctrls[t].size(), ctrls[0].size());
+    for (std::size_t id = 0; id < ctrls[0].size(); ++id) {
+      const auto j = static_cast<StreamId>(id);
+      EXPECT_EQ(ctrls[t].engine().bound_at(j), ctrls[0].engine().bound_at(j));
+      EXPECT_EQ(ctrls[t].engine().handle_of(j), ctrls[0].engine().handle_of(j));
+    }
+  }
 }
 
 }  // namespace

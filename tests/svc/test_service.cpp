@@ -419,6 +419,79 @@ TEST_F(ServiceTest, RequestWithExplainAttachesProvenance) {
   EXPECT_EQ(plain.get("explain"), nullptr);
 }
 
+TEST_F(ServiceTest, ExplainedRequestListsEveryBrokenGuarantee) {
+  // Every REQUEST on the wire carries "explain":true.  Its decision must
+  // be the plain in-process request's, and its would_break the full list
+  // of the same request explained in process (on a copy, so the replay
+  // itself stays plain); the plain list is that list's first element.
+  const auto handles = [](const Json& list) {
+    std::vector<core::AdmissionController::Handle> out;
+    for (const Json& item : list.items()) {
+      out.push_back(item.as_int());
+    }
+    return out;
+  };
+  util::Rng rng(20261019);
+  std::vector<core::AdmissionController::Handle> live;
+  int several_broken = 0;
+  for (int step = 0; step < 150; ++step) {
+    if (!live.empty() && rng.bernoulli(0.25)) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      Json r = Json::object();
+      r.set("verb", "REMOVE");
+      r.set("handle", live[pick]);
+      EXPECT_TRUE(call(r.dump()).get("removed")->as_bool());
+      EXPECT_TRUE(replay_.remove(live[pick]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      continue;
+    }
+    const int src = static_cast<int>(rng.uniform_int(0, 63));
+    int dst = static_cast<int>(rng.uniform_int(0, 62));
+    if (dst >= src) {
+      ++dst;
+    }
+    const int priority = static_cast<int>(rng.uniform_int(0, 3));
+    const Time period = rng.uniform_int(60, 200);
+    const Time length = rng.uniform_int(1, 30);
+    const Time deadline =
+        rng.bernoulli(0.3) ? rng.uniform_int(period / 3, period) : period;
+
+    std::string error;
+    Json r = Json::parse(
+        request_line(src, dst, priority, period, length, deadline), &error);
+    r.set("explain", true);
+    const Json reply = call(r.dump());
+    core::AdmissionController copy = replay_;
+    core::BoundProvenance provenance;
+    const auto explained = copy.request(src, dst, priority, period, length,
+                                        deadline, &provenance);
+    const auto plain =
+        replay_.request(src, dst, priority, period, length, deadline);
+
+    ASSERT_TRUE(reply.get("ok")->as_bool()) << "step " << step;
+    EXPECT_EQ(reply.get("admitted")->as_bool(), plain.admitted)
+        << "step " << step;
+    EXPECT_EQ(reply.get("bound")->as_int(), plain.bound) << "step " << step;
+    EXPECT_EQ(handles(*reply.get("would_break")), explained.would_break)
+        << "step " << step;
+    EXPECT_TRUE(plain.would_break.empty() ||
+                (!explained.would_break.empty() &&
+                 plain.would_break ==
+                     std::vector<core::AdmissionController::Handle>{
+                         explained.would_break.front()}))
+        << "step " << step;
+    several_broken += explained.would_break.size() > 1 ? 1 : 0;
+    if (plain.admitted) {
+      EXPECT_EQ(reply.get("handle")->as_int(), plain.handle)
+          << "step " << step;
+      live.push_back(plain.handle);
+    }
+  }
+  EXPECT_GT(several_broken, 0);
+  EXPECT_EQ(service_.population(), replay_.size());
+}
+
 TEST_F(ServiceTest, StatsCountsExplainsAndCacheHits) {
   const Json admitted = call(request_line(0, 5, 2, 50, 20, 250));
   Json e = Json::object();
