@@ -1,8 +1,8 @@
 // Fault-storm benchmark: kills a spine link under an established
 // workload, measures the eviction/reroute cascade and the time until
-// the admission state has reconverged (victims re-admitted, bounds
-// settled), then repairs the link and rolls the storm to the next row.
-// Emits BENCH_fault_storm.json.
+// the admission state has reconverged (victims re-admitted, every bound
+// the storm invalidated computed), then repairs the link and rolls the
+// storm to the next row.  Emits BENCH_fault_storm.json.
 //
 //   ./bench/fault_storm [--streams 60] [--storms 400]
 //                       [--mesh 16x16 (cols equal rows: --mesh 16)]
@@ -10,9 +10,11 @@
 //
 // The identical storm sequence runs on two engines:
 //   incremental   channel-level dirtiness — only the dirty closure of
-//                 the faulted channel is recomputed per mutation
+//                 the faulted channel is invalidated per mutation
 //   full          the pre-incremental baseline — every surviving stream
-//                 recomputed per mutation
+//                 invalidated per mutation
+// Either engine computes an invalidated bound in an admission trial or
+// when it is read, so each storm ends by settling the engine.
 // The ratio of mean reconvergence latencies is the speedup;
 // --min-speedup turns it into a CI floor (exit 1 below).  After each
 // run the cached bounds are audited against a from-scratch recompute —
@@ -25,6 +27,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/admission.hpp"
 #include "core/workload.hpp"
@@ -47,9 +51,10 @@ double now_us() {
 
 struct StormResult {
   double storms_per_sec = 0;
-  double cascade_p50_us = 0;    // LINK_DOWN alone: evict + reroute +
-  double cascade_p99_us = 0;    // dirty recompute
+  double cascade_p50_us = 0;    // LINK_DOWN alone: evict + reroute
+  double cascade_p99_us = 0;    // trials
   double reconverge_p50_us = 0; // cascade + re-admission of the victims
+                                // + the settle of every stale bound
   double reconverge_p99_us = 0;
   double reconverge_mean_us = 0;
   double mean_evicted = 0;
@@ -127,12 +132,14 @@ StormResult run_storm(int side, const route::XYRouting& routing,
     recomputed.add(static_cast<double>(m.recomputed.size()));
 
     // Reconvergence: every victim retries immediately and either lands
-    // on a detour or is counted as lost to the fault.
+    // on a detour or is counted as lost to the fault, and every bound the
+    // storm invalidated is computed.
     for (const auto h : m.evicted) {
       if (!readmit(h)) {
         ++r.readmission_failures;
       }
     }
+    ctrl.engine().settle();
     reconverge.add(now_us() - d0);
 
     ctrl.link_up(ch);
@@ -246,8 +253,14 @@ int main(int argc, char** argv) {
   std::printf("  reconvergence speedup (incremental over full): %.2fx\n",
               speedup);
 
+  // Where the numbers came from.
+  char host[256] = {};
+  ::gethostname(host, sizeof host - 1);
   Json root = Json::object();
   root.set("bench", "fault_storm");
+  root.set("host", std::string(host));
+  root.set("nproc",
+           static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN)));
   root.set("mesh", gen_mesh.name());
   root.set("streams", std::int64_t{n});
   root.set("storms", std::int64_t{storms});

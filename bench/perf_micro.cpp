@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -205,12 +206,16 @@ BENCHMARK(BM_DetermineFeasibility)
     ->Args({60, 1})->Args({60, 2})->Args({60, 4})->Args({60, 0})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Admission churn under a standing population: each iteration tears one
-// established channel down and re-establishes it.  Args are {streams,
-// mode} with mode 0 = incremental (recompute only the mutation's dirty
-// closure) and mode 1 = full recompute per decision (the
-// pre-incremental baseline).  Decisions are identical in both modes;
-// the ratio of the two rows at equal n is the incremental speedup.
+// Admission churn under a standing population, in passes over the slots
+// in slot order like perfbench's admit_200: a step tears the slot's
+// channel down when it holds one, then requests the slot's stream again.
+// Args are {streams, mode} with mode 0 = incremental (a trial computes
+// only the newcomer and its dirty closure) and mode 1 = full recompute
+// per decision (the pre-incremental baseline).  An iteration is one
+// pass: every slot in mode 0, every tenth slot in mode 1, whose steps
+// cost a whole-population recompute each.  Decisions are identical in
+// both modes; the ratio of decisions/s at equal n is the incremental
+// speedup.
 //
 // One admitted population per row, built on first use and kept like
 // the flit fixtures: admitting it takes seconds at 200 streams, and
@@ -247,28 +252,32 @@ const ChurnFixture& churn_fixture(int n, AdmissionController::Mode mode) {
 }
 
 void BM_AdmissionChurn(benchmark::State& state) {
+  const bool full = state.range(1) != 0;
   const ChurnFixture& fx = churn_fixture(
       static_cast<int>(state.range(0)),
-      state.range(1) == 0 ? AdmissionController::Mode::kIncremental
-                          : AdmissionController::Mode::kFullRecompute);
+      full ? AdmissionController::Mode::kFullRecompute
+           : AdmissionController::Mode::kIncremental);
   AdmissionController ctrl = fx.admitted;
   std::vector<AdmissionController::Handle> handles = fx.handles;
-  std::size_t idx = 0;
+  const std::size_t stride =
+      full ? std::max<std::size_t>(1, handles.size() / 10) : 1;
+  std::int64_t decisions = 0;
   for (auto _ : state) {
-    while (handles[idx] < 0) {
-      idx = (idx + 1) % handles.size();
+    for (std::size_t slot = 0; slot < handles.size(); slot += stride) {
+      if (handles[slot] >= 0) {
+        ctrl.remove(handles[slot]);
+      }
+      const MessageStream& s = fx.streams[static_cast<StreamId>(slot)];
+      const auto d = ctrl.request(s.src, s.dst, s.priority, s.period,
+                                  s.length, s.deadline);
+      handles[slot] = d.admitted ? d.handle : -1;
+      benchmark::DoNotOptimize(d.bound);
+      ++decisions;
     }
-    const MessageStream& s = fx.streams[static_cast<StreamId>(idx)];
-    ctrl.remove(handles[idx]);
-    const auto d = ctrl.request(s.src, s.dst, s.priority, s.period, s.length,
-                                s.deadline);
-    handles[idx] = d.admitted ? d.handle : -1;
-    benchmark::DoNotOptimize(d.bound);
-    idx = (idx + 1) % handles.size();
   }
   state.counters["population"] = static_cast<double>(ctrl.size());
   state.counters["decisions/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+      static_cast<double>(decisions), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AdmissionChurn)
     ->Args({20, 0})->Args({20, 1})

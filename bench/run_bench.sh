@@ -9,6 +9,10 @@
 # determine_feasibility scaling rows (threads 1/2/4/hw on 60 streams),
 # and online admission churn at 20/60/200 streams (decisions/s, the
 # incremental engine against full recompute).
+#
+# Every step runs even when svc_churn misses a gate: its exit status is
+# kept, the remaining files are written, and the script then exits with
+# that status and names the gate.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -69,6 +73,11 @@ if [[ ! -x "$SVC_BIN" ]]; then
   exit 1
 fi
 
+# svc_churn writes its files before it checks its gates; its stderr
+# names a missed gate and is replayed here and at the end.
+SVC_ERR="$(mktemp)"
+trap 'rm -f "$SVC_ERR"' EXIT
+SVC_STATUS=0
 "$SVC_BIN" \
   --ops "${SVC_OPS:-2000}" \
   --clients "${SVC_CLIENTS:-4}" \
@@ -76,21 +85,24 @@ fi
   --batch-window "${SVC_BATCH_WINDOW:-16}" \
   --max-obs-overhead-pct "${SVC_MAX_OBS_OVERHEAD_PCT:-1}" \
   --obs-out "$SVC_OUT.obs.tmp" \
-  --out "$SVC_OUT"
+  --out "$SVC_OUT" 2> "$SVC_ERR" || SVC_STATUS=$?
+cat "$SVC_ERR" >&2
 
 echo "wrote $SVC_OUT"
 
 # Fold the service-layer A/B (durable-pipelined with the HISTORY
-# sampler + REPORT sweeps vs without, floor enforced above) into the
-# observability artifact next to the per-operation micro costs.
-python3 - "$OBS_OUT" "$SVC_OUT.obs.tmp" <<'PY'
+# sampler + REPORT sweeps vs without, ceiling checked by svc_churn) into
+# the observability artifact next to the per-operation micro costs.
+if [[ -f "$SVC_OUT.obs.tmp" ]]; then
+  python3 - "$OBS_OUT" "$SVC_OUT.obs.tmp" <<'PY'
 import json, sys
 obs = json.load(open(sys.argv[1]))
 obs["svc_overhead"] = json.load(open(sys.argv[2]))
 json.dump(obs, open(sys.argv[1], "w"), indent=1)
 PY
-rm -f "$SVC_OUT.obs.tmp"
-echo "merged sampler+conformance A/B into $OBS_OUT"
+  rm -f "$SVC_OUT.obs.tmp"
+  echo "merged sampler+conformance A/B into $OBS_OUT"
+fi
 
 # Fault storm: kill the busiest spine link under an established
 # workload, measure the eviction/reroute cascade and the time until the
@@ -110,3 +122,9 @@ fi
   --out "$STORM_OUT"
 
 echo "wrote $STORM_OUT"
+
+if (( SVC_STATUS != 0 )); then
+  GATE="$(grep -m1 -E 'below the|above the' "$SVC_ERR" || true)"
+  echo "error: svc_churn exited $SVC_STATUS: ${GATE:-a call failed (see its output above)}" >&2
+  exit "$SVC_STATUS"
+fi

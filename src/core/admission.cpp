@@ -81,11 +81,12 @@ AdmissionController::Decision AdmissionController::request(
     return decision;  // trivially impossible, nothing else to blame
   }
 
-  // Trial add: the engine recomputes the newcomer's bound plus exactly
+  // Trial add: the engine computes the newcomer's bound plus exactly
   // the established streams the newcomer can delay (its dirty closure).
   // Everyone else provably keeps both its bound and its guarantee.  One
   // failing stream rejects the request, so a plain request stops there;
-  // an explained one runs to the end to name every victim.
+  // an explained one adds ungated and reads every bound to name every
+  // victim.
   const IncrementalAnalyzer::Mutation trial = engine_.add_stream(
       std::move(candidate), /*forced_handle=*/-1,
       provenance == nullptr ? gate_ : IncrementalAnalyzer::Gate{});
@@ -146,13 +147,15 @@ AdmissionController::LinkMutation AdmissionController::link_down(
   const std::vector<Handle> victims = engine_.handles_on_channel(channel);
   std::vector<MessageStream> params;
   params.reserve(victims.size());
-  engine_.begin_batch();
   for (const Handle h : victims) {
     params.push_back(*engine_.find(h));
-    engine_.remove_stream(h);
+    const std::vector<Handle> dirty = engine_.remove_stream(h)->dirty;
+    m.recomputed.insert(m.recomputed.end(), dirty.begin(), dirty.end());
   }
-  // One recompute for the union of the victims' dirty closures.
-  m.recomputed = engine_.end_batch();
+  // A victim another victim dirtied is gone; if it comes back on a
+  // detour, that is a re-admission, not a recompute.
+  std::erase_if(m.recomputed,
+                [this](Handle h) { return engine_.find(h) == nullptr; });
 
   // Re-admit each victim on the first fault-free route order that passes
   // the full admission gate, keeping its original handle.  A forced
@@ -185,14 +188,12 @@ AdmissionController::LinkMutation AdmissionController::link_down(
                         trial.dirty.end());
   }
 
-  // Tidy the recompute report: ascending, deduplicated, survivors only.
+  // Tidy the recompute report: ascending, deduplicated.  A detour's
+  // dirty set holds only streams alive at its trial, and a later trial
+  // removes nothing but its own undone newcomer, so all are survivors.
   std::sort(m.recomputed.begin(), m.recomputed.end());
   m.recomputed.erase(std::unique(m.recomputed.begin(), m.recomputed.end()),
                      m.recomputed.end());
-  m.recomputed.erase(
-      std::remove_if(m.recomputed.begin(), m.recomputed.end(),
-                     [this](Handle h) { return engine_.find(h) == nullptr; }),
-      m.recomputed.end());
   return m;
 }
 

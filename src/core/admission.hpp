@@ -19,20 +19,21 @@
 /// bound still meets its deadline with the newcomer's interference.
 ///
 /// The heavy lifting lives in core::IncrementalAnalyzer: a request is a
-/// trial add that recomputes only the dirty closure of the newcomer,
-/// the newcomer first, and stops at the first stream that fails the
-/// gate (undone exactly, without a recompute, when the decision is a
-/// rejection), a teardown releases
-/// interference with the same dirty-set recomputation, and bound queries
-/// are O(1) cache reads.  Streams outside the dirty set provably keep
-/// their bounds, so the decisions are identical to the full-recompute
-/// procedure — the kFullRecompute mode keeps that baseline available for
-/// benchmarking and the exactness property tests.
+/// trial add that computes only the newcomer and its dirty closure, the
+/// newcomer first, and stops at the first stream that fails the gate
+/// (undone exactly, without a recompute, when the decision is a
+/// rejection); a teardown releases interference and marks its dirty
+/// closure stale, computing nothing; and a bound query is an O(1) cache
+/// read, or one Cal_U the first time a stale bound is read.  Streams
+/// outside the dirty set provably keep their bounds, so the decisions
+/// are identical to the full-recompute procedure — the kFullRecompute
+/// mode keeps that baseline available for benchmarking and the
+/// exactness property tests.
 ///
 /// Dynamic fabrics: the controller owns the fault lifecycle of its
 /// (borrowed, mutable) topology.  link_down() marks a channel faulted,
-/// evicts every established stream whose path crosses it (one batched
-/// dirty recompute via the engine's channel-level dirtiness), then tries
+/// evicts every established stream whose path crosses it (found by the
+/// engine's channel-level dirtiness; their dirty closures go stale), then tries
 /// to re-establish each victim on the deterministic detour order
 /// (route/fault_aware.hpp) under the full admission gate, keeping its
 /// original handle on success.  link_up() clears the flag; established
@@ -69,9 +70,10 @@ class AdmissionController {
   /// Stable handle for an admitted channel (survives removals).
   using Handle = IncrementalAnalyzer::Handle;
 
-  /// kIncremental recomputes only each mutation's dirty closure;
-  /// kFullRecompute re-analyses the whole population per decision (the
-  /// pre-incremental behaviour — same decisions, more work).
+  /// kIncremental invalidates only each mutation's dirty closure;
+  /// kFullRecompute invalidates the whole population, so every trial
+  /// re-analyses it (the pre-incremental behaviour — same decisions,
+  /// more work).
   enum class Mode { kIncremental, kFullRecompute };
 
   /// Topology and routing are borrowed and must outlive the controller.
@@ -149,14 +151,16 @@ class AdmissionController {
     std::vector<Handle> evicted;
     /// Victims re-established on a detour, keeping their handles.
     std::vector<Handle> rerouted;
-    /// Established streams whose bounds were recomputed along the way
-    /// (ascending, deduplicated; excludes evicted victims).
+    /// Established streams whose bounds the cascade invalidated: the
+    /// survivors of the evictions' dirty closures, then the dirty
+    /// closures of the detours (ascending, deduplicated).  Each is
+    /// computed in a detour's trial or when next read.
     std::vector<Handle> recomputed;
   };
 
   /// Takes a channel down: marks it faulted, evicts every established
-  /// stream crossing it (single batched recompute of the union dirty
-  /// closure), then re-admits each victim — ascending handle order, so
+  /// stream crossing it (their dirty closures go stale, no Cal_U),
+  /// then re-admits each victim — ascending handle order, so
   /// replay is deterministic — on the first fault-free route order that
   /// passes the full admission gate (deadline, credit-slack guard when
   /// on, no established guarantee broken).  Victims that fit keep their
@@ -183,8 +187,8 @@ class AdmissionController {
   /// instead of appending it: the streams from there on are lifted and
   /// re-added under their own handles.  That undoes a teardown whose
   /// commit failed, restoring the engine order the journal — and so
-  /// recovery and every follower — still has.  Call it inside a batch,
-  /// which recomputes each lifted stream once.
+  /// recovery and every follower — still has.  Like every ungated add,
+  /// it computes no bound: the streams it touches go stale.
   void restore(topo::NodeId src, topo::NodeId dst, Priority priority,
                Time period, Time length, Time deadline, Handle handle,
                int route_order = route::kRouteOrderPrimary,
@@ -195,13 +199,6 @@ class AdmissionController {
   /// Only valid for the most recently admitted handle.
   void unadmit(Handle handle);
 
-  /// The engine's exact batch (IncrementalAnalyzer::begin_batch):
-  /// restore(), remove() and unadmit() in between recompute nothing, and
-  /// end_batch() computes each surviving stream they touched once.
-  /// request() and the link mutations read settled bounds: not in one.
-  void begin_batch() { engine_.begin_batch(); }
-  void end_batch() { engine_.end_batch(); }
-
   /// Durable handle-numbering state (see restore()).
   Handle next_handle() const { return engine_.next_handle(); }
   void set_next_handle(Handle handle) { engine_.set_next_handle(handle); }
@@ -209,8 +206,8 @@ class AdmissionController {
   std::size_t size() const { return engine_.size(); }
 
   /// Current delay bound of an established channel, or nullopt for an
-  /// unknown handle.  Served from the engine's bound cache — no
-  /// re-analysis happens on this path.
+  /// unknown handle.  Served from the engine's bound cache; a stale
+  /// bound is computed by this first read.
   std::optional<Time> bound_of(Handle handle) const;
 
   /// The established streams as a dense StreamSet (ids are positions,

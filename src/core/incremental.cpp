@@ -12,6 +12,12 @@
 
 namespace wormrt::core {
 
+namespace {
+/// A cached bound that is not computed yet: below kNoTime, which is a
+/// bound (none within the deadline).
+constexpr Time kStale = kNoTime - 1;
+}  // namespace
+
 IncrementalAnalyzer::IncrementalAnalyzer(const topo::Topology& topo,
                                          AnalysisConfig config)
     : topo_(topo),
@@ -119,7 +125,10 @@ HpSet IncrementalAnalyzer::hp_set(StreamId j) const {
 }
 
 IncrementalAnalyzer::Handle IncrementalAnalyzer::recompute(
-    const std::vector<StreamId>& ids, const Gate& gate) {
+    const std::vector<StreamId>& ids, const Gate& gate) const {
+  if (ids.empty()) {
+    return -1;
+  }
   OBS_SPAN("incremental_recompute");
   const DelayBoundCalculator calc(streams_, *this, config_);
   // Bounds are independent given the (now settled) digraph; fan them out
@@ -152,7 +161,6 @@ IncrementalAnalyzer::Handle IncrementalAnalyzer::recompute(
 
 IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
     MessageStream stream, Handle forced_handle, const Gate& gate) {
-  assert(!(batching_ && gate) && "a batch defers the recompute a gate reads");
   const std::size_t n = streams_.size();
   const auto id = static_cast<StreamId>(n);
   stream.id = id;
@@ -199,7 +207,7 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
   }
   streams_.add(std::move(stream));
   handles_.push_back(handle);
-  bounds_.push_back(kNoTime);
+  bounds_.push_back(kStale);
   index_.emplace(handle, id);
 
   // Dirty set: the streams the newcomer reaches (their HP sets gained the
@@ -223,25 +231,23 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
   stats_.dirty_marked += dirty.size();
   ++stats_.adds;
 
-  if (batching_) {
-    batch_dirty_.insert(batch_dirty_.end(), result.dirty.begin(),
-                        result.dirty.end());
-    batch_dirty_.push_back(handle);
-    return result;
-  }
   undo_handle_ = handle;
   undo_bounds_.clear();
   for (const StreamId v : dirty) {
-    undo_bounds_.emplace_back(v, bounds_[static_cast<std::size_t>(v)]);
+    Time& bound = bounds_[static_cast<std::size_t>(v)];
+    undo_bounds_.emplace_back(v, bound);
+    bound = kStale;
   }
-  // The newcomer first: a trial it fails stops before any victim.
-  dirty.insert(dirty.begin(), id);
-  result.broken = recompute(dirty, gate);
+  if (gate) {
+    // The newcomer first: a trial it fails stops before any victim.
+    dirty.insert(dirty.begin(), id);
+    result.broken = recompute(dirty, gate);
+  }
   return result;
 }
 
 void IncrementalAnalyzer::undo_add([[maybe_unused]] Handle handle) {
-  assert(!batching_ && handle >= 0 && handle == undo_handle_ &&
+  assert(handle >= 0 && handle == undo_handle_ &&
          handles_.back() == handle &&
          "undo_add only reverses the most recent add_stream");
   erase_stream(static_cast<StreamId>(streams_.size() - 1));
@@ -329,27 +335,13 @@ std::optional<IncrementalAnalyzer::Mutation> IncrementalAnalyzer::remove_stream(
   result.dirty.reserve(dirty.size());
   for (const StreamId v : dirty) {
     result.dirty.push_back(handles_[static_cast<std::size_t>(v)]);
+    bounds_[static_cast<std::size_t>(v)] = kStale;
   }
 
   erase_stream(id);
   undo_handle_ = -1;
   stats_.dirty_marked += dirty.size();
   ++stats_.removes;
-
-  if (batching_) {
-    batch_dirty_.insert(batch_dirty_.end(), result.dirty.begin(),
-                        result.dirty.end());
-    return result;
-  }
-
-  // Re-resolve the dirty streams at their post-shift ids and recompute.
-  std::vector<StreamId> ids;
-  ids.reserve(result.dirty.size());
-  for (const Handle h : result.dirty) {
-    ids.push_back(index_.at(h));
-  }
-  std::sort(ids.begin(), ids.end());
-  recompute(ids);
   return result;
 }
 
@@ -365,45 +357,32 @@ IncrementalAnalyzer::handles_on_channel(topo::ChannelId channel) const {
   return out;
 }
 
-void IncrementalAnalyzer::begin_batch() {
-  assert(!batching_ && "batches do not nest");
-  batching_ = true;
-  undo_handle_ = -1;
-  batch_dirty_.clear();
-}
-
-std::vector<IncrementalAnalyzer::Handle> IncrementalAnalyzer::end_batch() {
-  assert(batching_);
-  batching_ = false;
-  std::sort(batch_dirty_.begin(), batch_dirty_.end());
-  batch_dirty_.erase(std::unique(batch_dirty_.begin(), batch_dirty_.end()),
-                     batch_dirty_.end());
-  // Keep only the survivors: handles removed later in the same batch are
-  // gone, and their bounds with them.
-  std::vector<Handle> alive;
-  std::vector<StreamId> ids;
-  alive.reserve(batch_dirty_.size());
-  ids.reserve(batch_dirty_.size());
-  for (const Handle h : batch_dirty_) {
-    const auto it = index_.find(h);
-    if (it != index_.end()) {
-      alive.push_back(h);
-      ids.push_back(it->second);
-    }
-  }
-  batch_dirty_.clear();
-  std::sort(ids.begin(), ids.end());
-  recompute(ids);
-  return alive;
-}
-
 std::optional<Time> IncrementalAnalyzer::bound(Handle handle) const {
   const auto it = index_.find(handle);
   if (it == index_.end()) {
     return std::nullopt;
   }
-  ++stats_.bound_cache_hits;
-  return bounds_[static_cast<std::size_t>(it->second)];
+  if (bounds_[static_cast<std::size_t>(it->second)] != kStale) {
+    ++stats_.bound_cache_hits;
+  }
+  return bound_at(it->second);
+}
+
+Time IncrementalAnalyzer::bound_at(StreamId id) const {
+  if (bounds_.at(static_cast<std::size_t>(id)) == kStale) {
+    recompute({id});
+  }
+  return bounds_[static_cast<std::size_t>(id)];
+}
+
+void IncrementalAnalyzer::settle() const {
+  std::vector<StreamId> stale;
+  for (std::size_t j = 0; j < bounds_.size(); ++j) {
+    if (bounds_[j] == kStale) {
+      stale.push_back(static_cast<StreamId>(j));
+    }
+  }
+  recompute(stale);
 }
 
 std::optional<BoundProvenance> IncrementalAnalyzer::explain(

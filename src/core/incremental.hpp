@@ -21,8 +21,10 @@
 /// size of the change.  This engine maintains the channel-overlap index
 /// and the direct-blocking digraph incrementally across stream add /
 /// remove mutations, derives the *dirty set* of each mutation — exactly
-/// the streams whose HP sets can change — and recomputes bounds only for
-/// those, serving everyone else from a bound cache.
+/// the streams whose HP sets can change — and marks only those stale in
+/// a bound cache.  A stale bound costs one Cal_U when something needs
+/// it: an admission trial's gate, a read, or settle(); everyone else is
+/// served from the cache.
 ///
 /// Dirty-set rule (see DESIGN.md §7): HP_j is the set of streams that
 /// reach j in the direct-blocking digraph (edges encode the priority
@@ -36,8 +38,11 @@
 /// tie-break in the analysis is a `<` on ids.
 ///
 /// The engine is exact, not approximate: a property test churns random
-/// add/remove sequences and asserts the cached bounds are identical to a
-/// from-scratch BlockingAnalysis + Cal_U pass after every mutation.
+/// add/remove sequences and asserts the bounds it serves are identical to
+/// a from-scratch BlockingAnalysis + Cal_U pass after every mutation.
+/// The cache is logically const: bound(), bound_at() and settle() fill it
+/// from const methods, so a const engine must not be read from two
+/// threads at once.
 
 namespace wormrt::core {
 
@@ -70,35 +75,35 @@ class IncrementalAnalyzer : public DirectBlocking {
   using Gate = std::function<bool(const MessageStream& stream, Time bound)>;
 
   /// Registers \p stream (its id is rewritten to the dense position),
-  /// updates the overlap index and blocking digraph, and recomputes the
-  /// bounds of the new stream first, then of its dirty closure in engine
-  /// order.  Returns the new handle + dirty set.
+  /// updates the overlap index and blocking digraph, and marks the new
+  /// stream and its dirty closure stale.  Returns the new handle + dirty
+  /// set.
   /// A non-negative \p forced_handle registers under that exact handle
   /// instead of drawing the next one — the journal-replay path, which
   /// must reproduce pre-crash handle numbering bit for bit.  The forced
   /// handle must not collide with a live one; next_handle() advances
   /// past it.
   ///
-  /// A \p gate stops the recompute at the first stream in that order
-  /// whose bound fails it, named in Mutation::broken; the same stream at
-  /// every num_threads.  The streams after it keep stale bounds, so such
-  /// a trial must be undone (undo_add) before anything else.  Outside a
-  /// batch only.
+  /// A \p gate makes the add a trial: it computes the new stream's bound
+  /// first, then its dirty closure's in engine order, and stops at the
+  /// first stream whose bound fails the gate, named in Mutation::broken;
+  /// the same stream at every num_threads.  The streams after it stay
+  /// stale.
   Mutation add_stream(MessageStream stream, Handle forced_handle = -1,
                       const Gate& gate = {});
 
-  /// Tears a stream down, releasing its interference and recomputing the
-  /// bounds of the streams it blocked.  nullopt for an unknown handle.
+  /// Tears a stream down, releasing its interference and marking the
+  /// streams it blocked stale.  nullopt for an unknown handle.
   std::optional<Mutation> remove_stream(Handle handle);
 
   /// Undoes the most recent add_stream(), which must have registered
-  /// \p handle outside a batch with no mutation since: removes the
-  /// appended stream and writes back the bounds its dirty set had before
-  /// the add, recomputing nothing.  Exact, because the stream holds the
-  /// last id, so its removal shifts no id and restores the population,
-  /// the digraph and the indexes of before the add, and the written-back
-  /// bounds are that population's cached bounds.  The handle counter is
-  /// left alone (see set_next_handle).
+  /// \p handle with no mutation since: removes the appended stream and
+  /// writes back the cache entries its dirty set had before the add
+  /// (stale ones stay stale), computing nothing.  Exact, because the
+  /// stream holds the last id, so its removal shifts no id and restores
+  /// the population, the digraph and the indexes of before the add, and
+  /// the written-back entries are that population's.  The handle counter
+  /// is left alone (see set_next_handle).
   void undo_add(Handle handle);
 
   /// Channel-level dirtiness: the live streams whose paths traverse the
@@ -109,38 +114,21 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// channel-overlap index; O(streams on channel), no scan.
   std::vector<Handle> handles_on_channel(topo::ChannelId channel) const;
 
-  /// Batch mode, for multi-mutation events like a link fault that evicts
-  /// several streams at once.  Between begin_batch() and end_batch(),
-  /// add_stream/remove_stream maintain the digraph and indexes exactly
-  /// as usual and record each mutation's dirty closure (as handles, at
-  /// mutation time), but defer the bound recompute; end_batch() resolves
-  /// the accumulated closure against the surviving population and
-  /// recomputes once.  Exact for the same reason the per-mutation rule
-  /// is: a stream's HP set changed across the batch only if some
-  /// mutation reached it at that mutation's time, and the single final
-  /// recompute runs against the settled digraph.  Cached bounds of
-  /// dirty streams are stale inside a batch — don't read them until
-  /// end_batch() returns.
-  void begin_batch();
-  /// Ends the batch and recomputes; returns the recomputed streams'
-  /// handles, ascending (mutated-then-removed streams excluded).
-  std::vector<Handle> end_batch();
-  bool in_batch() const { return batching_; }
-
   /// Number of registered streams.
   std::size_t size() const override { return streams_.size(); }
 
   bool direct_blocks(StreamId a, StreamId b) const override;
 
-  /// Cached bound of a stream — O(1), no re-analysis (kNoTime when the
-  /// free slots never accumulated to the latency within the deadline).
-  /// Counted in Stats::bound_cache_hits.
+  /// Bound of a stream (kNoTime when the free slots never accumulated to
+  /// the latency within the deadline); nullopt for an unknown handle.
+  /// O(1) from the cache, counted in Stats::bound_cache_hits; a stale
+  /// bound is computed by this first read (one Cal_U) and cached.
   std::optional<Time> bound(Handle handle) const;
 
-  /// Provenance of a cached bound: re-runs Cal_U for just this stream
+  /// Provenance of a stream's bound: re-runs Cal_U for just this stream
   /// and decomposes the result (see explain.hpp).  The decomposition's
-  /// `bound` always equals the cached one — same deterministic
-  /// computation over the same population.  nullopt for unknown handles.
+  /// `bound` always equals bound() — same deterministic computation over
+  /// the same population.  nullopt for unknown handles.
   std::optional<BoundProvenance> explain(Handle handle) const;
 
   /// The registered stream behind \p handle, or nullptr.
@@ -157,8 +145,12 @@ class IncrementalAnalyzer : public DirectBlocking {
   Handle next_handle() const { return next_handle_; }
   void set_next_handle(Handle handle) { next_handle_ = handle; }
 
-  /// Cached bound by dense id (no recompute).
-  Time bound_at(StreamId id) const { return bounds_.at(static_cast<std::size_t>(id)); }
+  /// Bound by dense id, as bound() (not counted as a cache hit).
+  Time bound_at(StreamId id) const;
+
+  /// Computes every stale bound in one parallel pass: for readers of the
+  /// whole population.
+  void settle() const;
 
   /// The current population (dense ids, engine order).
   const StreamSet& streams() const { return streams_; }
@@ -187,17 +179,18 @@ class IncrementalAnalyzer : public DirectBlocking {
   struct Stats {
     std::uint64_t adds = 0;
     std::uint64_t removes = 0;
-    /// Cal_U evaluations performed: each mutation's dirty-set size,
-    /// plus one per add, except that a gated add stopped at its first
-    /// failing stream counts 1 + that stream's position in its
-    /// evaluation order.  At num_threads > 1 such an add can also count
-    /// indices claimed before the failure was seen.
+    /// Cal_U evaluations performed: 1 + |dirty| per gated add, or 1 +
+    /// the position of its first failing stream in its evaluation order
+    /// (at num_threads > 1 it can also count indices claimed before the
+    /// failure was seen), plus one per stale bound a read or settle()
+    /// computes.  A mutation computes nothing itself.
     std::uint64_t bound_recomputes = 0;
     /// Established streams marked dirty across all mutations.
     std::uint64_t dirty_marked = 0;
     /// Direct-blocking edges inserted or erased.
     std::uint64_t edge_updates = 0;
-    /// bound() lookups served from the cache with no re-analysis.
+    /// bound() lookups answered from the cache, with no Cal_U.  A read
+    /// that computes a stale bound is not one.
     std::uint64_t bound_cache_hits = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -208,19 +201,20 @@ class IncrementalAnalyzer : public DirectBlocking {
   const topo::Topology& topo_;
   AnalysisConfig config_;
   bool force_full_ = false;
-  bool batching_ = false;
-  std::vector<Handle> batch_dirty_;  // dirty handles accumulated in a batch
   /// The last add_stream()'s handle (-1 once another mutation followed)
-  /// and its dirty set's pre-add bounds, for undo_add().
+  /// and its dirty set's pre-add cache entries, for undo_add().
   Handle undo_handle_ = -1;
   std::vector<std::pair<StreamId, Time>> undo_bounds_;
   Handle next_handle_ = 0;
-  /// mutable: bound() is logically const but counts its cache hits.
+  /// mutable: the reads are logically const but count their work and
+  /// fill the bound cache.
   mutable Stats stats_;
 
   StreamSet streams_;                    // dense ids = positions
   std::vector<Handle> handles_;          // id -> handle
-  std::vector<Time> bounds_;             // id -> cached bound
+  /// id -> cached bound, or kStale (incremental.cpp) until computed; one
+  /// slot per stream, so the parallel recompute writes disjoint slots.
+  mutable std::vector<Time> bounds_;
   std::vector<std::vector<std::uint8_t>> adj_;  // adj_[a][b]: a blocks b
   std::unordered_map<Handle, StreamId> index_;  // handle -> id
 
@@ -234,11 +228,12 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// Forward closure of \p x over blocks edges, excluding x itself,
   /// ascending.  The streams whose HP sets the mutation can change.
   std::vector<StreamId> dirty_closure(StreamId x) const;
-  /// Recomputes and caches bounds for \p ids (parallel across streams)
+  /// Computes and caches bounds for \p ids (parallel across streams)
   /// and returns the handle of the first of them, in \p ids order, whose
   /// bound fails \p gate (-1 when none does or there is no gate),
   /// skipping every id after it.
-  Handle recompute(const std::vector<StreamId>& ids, const Gate& gate = {});
+  Handle recompute(const std::vector<StreamId>& ids,
+                   const Gate& gate = {}) const;
   void unindex(StreamId id);
   /// Drops stream \p id from the digraph, the indexes and the caches;
   /// ids above it shift down.

@@ -134,7 +134,7 @@ constexpr EngineCounter kEngineCounters[] = {
      "Stream removals the incremental engine performed.",
      &EngineStats::removes},
     {"wormrt_engine_bound_recomputes_total",
-     "Cal_U evaluations (dirty-set recomputations).",
+     "Cal_U evaluations: admission trials and first reads of stale bounds.",
      &EngineStats::bound_recomputes},
     {"wormrt_engine_dirty_marked_total",
      "Established streams marked dirty across mutations.",
@@ -142,7 +142,7 @@ constexpr EngineCounter kEngineCounters[] = {
     {"wormrt_engine_edge_updates_total",
      "Direct-blocking edges inserted or erased.", &EngineStats::edge_updates},
     {"wormrt_engine_bound_cache_hits_total",
-     "Bound lookups served from the cache with no re-analysis.",
+     "Bound lookups answered from the cache, with no Cal_U.",
      &EngineStats::bound_cache_hits},
 };
 
@@ -408,10 +408,6 @@ void Service::restore_locked(const JournalEntry& e, std::int64_t position) {
 
 void Service::replay_locked(const StateImage* image,
                             std::span<const JournalRecord> records) {
-  // The one place a replay batch ends: each stream the run restored or
-  // disturbed gets its one Cal_U here, and the bounds are settled.
-  const auto end_run = [this] { ctrl_.end_batch(); };
-  ctrl_.begin_batch();
   if (image != nullptr) {
     // Emptied from the back, so no removal shifts an id.
     while (ctrl_.size() > 0) {
@@ -446,10 +442,9 @@ void Service::replay_locked(const StateImage* image,
     } else if (record.type == JournalRecord::Type::kRemove) {
       ctrl_.remove(record.entry.handle);
     } else {
-      // The cascade (evict / reroute / recompute) reads settled bounds
-      // and batches itself; it is deterministic given the engine state,
-      // so applying the one record redoes it bit for bit.
-      end_run();
+      // The cascade (evict / reroute) computes every bound its gates
+      // read; it is deterministic given the engine state, so applying
+      // the one record redoes it bit for bit.
       const topo::ChannelId channel =
           topo_.channel_between(static_cast<topo::NodeId>(record.entry.src),
                                 static_cast<topo::NodeId>(record.entry.dst));
@@ -458,10 +453,11 @@ void Service::replay_locked(const StateImage* image,
       } else {
         ctrl_.link_up(channel);
       }
-      ctrl_.begin_batch();
     }
   }
-  end_run();
+  // The one place a replay ends: restores and removals compute no bound,
+  // so each stream they left stale gets its one Cal_U here.
+  ctrl_.engine().settle();
 }
 
 StateImage Service::capture_state_locked() const {
@@ -775,9 +771,8 @@ void Service::roll_back_failed_locked() {
   }
   // Undo newest-first: each unadmit() then reverses the engine's most
   // recent admission, and each rolled-back REMOVE goes back to the
-  // engine position it had, so the live order is the journal's.  One
-  // batch recomputes each disturbed survivor once.
-  ctrl_.begin_batch();
+  // engine position it had, so the live order is the journal's.  No
+  // bound is computed: each disturbed survivor goes stale until read.
   for (const JournalRecord& m : failed) {
     if (m.type == JournalRecord::Type::kAdd) {
       ctrl_.unadmit(m.entry.handle);
@@ -785,7 +780,6 @@ void Service::roll_back_failed_locked() {
       restore_locked(m.entry, m.position);
     }  // A link record fails before its cascade runs: nothing to undo.
   }
-  ctrl_.end_batch();
 }
 
 Json Service::provenance_json(const core::BoundProvenance& p) {
@@ -1387,7 +1381,9 @@ Json Service::do_health_locked(const Json&, PendingAck*) {
   for (const obs::ConformanceMonitor::Record& rec : conformance_.records()) {
     observed[rec.handle] = rec;
   }
+  // Every bound is read: compute the stale ones in one parallel pass.
   const core::IncrementalAnalyzer& engine = ctrl_.engine();
+  engine.settle();
   struct Row {
     std::int64_t handle;
     Time bound;

@@ -232,6 +232,83 @@ TEST_F(AdmissionTest, BoundQueriesAreServedFromCache) {
   EXPECT_EQ(ctrl_.engine().stats().bound_recomputes, recomputes);
 }
 
+TEST_F(AdmissionTest, ReadmittingARemovedStreamCostsExactlyItsTrial) {
+  // Two low-priority streams under a high-priority one on row 0.  The
+  // teardown computes nothing; re-establishing the same stream computes
+  // itself and the two streams it delays, exactly the ones the teardown
+  // left stale, so every bound is a cache read afterwards.
+  const auto low_a = ctrl_.request(mesh_.node_at({0, 0}),
+                                   mesh_.node_at({5, 0}), 1, 60, 10, 600);
+  const auto low_b = ctrl_.request(mesh_.node_at({2, 0}),
+                                   mesh_.node_at({8, 0}), 1, 60, 10, 600);
+  const auto high = [&] {
+    return ctrl_.request(mesh_.node_at({1, 0}), mesh_.node_at({7, 0}), 3,
+                         60, 10, 600);
+  };
+  const auto first = high();
+  ASSERT_TRUE(low_a.admitted && low_b.admitted && first.admitted);
+  const IncrementalAnalyzer::Stats& stats = ctrl_.engine().stats();
+  const auto recomputes = stats.bound_recomputes;
+  ASSERT_TRUE(ctrl_.remove(first.handle));
+  EXPECT_EQ(stats.bound_recomputes, recomputes);
+
+  const auto again = high();
+  ASSERT_TRUE(again.admitted);
+  EXPECT_EQ(again.bound, first.bound);
+  EXPECT_EQ(stats.bound_recomputes - recomputes, 3u);  // 1 + |dirty|
+  const auto hits = stats.bound_cache_hits;
+  std::vector<Time> bounds;
+  for (const auto h : {low_a.handle, low_b.handle, again.handle}) {
+    bounds.push_back(*ctrl_.bound_of(h));
+  }
+  EXPECT_EQ(stats.bound_recomputes - recomputes, 3u);
+  EXPECT_EQ(stats.bound_cache_hits - hits, 3u);
+  EXPECT_EQ(bounds, ctrl_.engine().full_recompute_bounds());
+}
+
+TEST_F(AdmissionTest, ARejectedTrialLeavesTheBoundsItFoundStaleStale) {
+  // Two row-1 streams left stale by a teardown, around a zero-slack
+  // victim on row 0 (engine order: row_a, victim, row_b).  A newcomer
+  // that delays all three computes row_a, stops at the victim and never
+  // reaches row_b.  Its undo leaves both row-1 streams stale: each first
+  // read computes its bound, which equals the full recompute.
+  const auto row_a = ctrl_.request(mesh_.node_at({0, 1}),
+                                   mesh_.node_at({6, 1}), 1, 60, 10, 600);
+  const auto hog = ctrl_.request(mesh_.node_at({1, 1}),
+                                 mesh_.node_at({7, 1}), 3, 60, 10, 600);
+  const auto victim = ctrl_.request(mesh_.node_at({0, 0}),
+                                    mesh_.node_at({6, 0}), 1, 60, 10,
+                                    /*D=*/15);
+  const auto row_b = ctrl_.request(mesh_.node_at({2, 1}),
+                                   mesh_.node_at({6, 1}), 1, 60, 10, 600);
+  ASSERT_TRUE(row_a.admitted && hog.admitted && victim.admitted &&
+              row_b.admitted);
+  ASSERT_TRUE(ctrl_.remove(hog.handle));
+
+  const IncrementalAnalyzer::Stats& stats = ctrl_.engine().stats();
+  const auto recomputes = stats.bound_recomputes;
+  // Row 0, then down to row 1: it shares the victim's channels and the
+  // row-1 streams' ejection port, and outranks all three.
+  const auto d = ctrl_.request(mesh_.node_at({1, 0}), mesh_.node_at({6, 1}),
+                               2, 60, 10, 600);
+  EXPECT_FALSE(d.admitted);
+  EXPECT_EQ(d.would_break,
+            std::vector<AdmissionController::Handle>{victim.handle});
+  // The newcomer, row_a, then the victim.
+  EXPECT_EQ(stats.bound_recomputes - recomputes, 3u);
+
+  const auto hits = stats.bound_cache_hits;
+  EXPECT_EQ(ctrl_.bound_of(victim.handle), std::optional<Time>(15));
+  EXPECT_EQ(stats.bound_recomputes - recomputes, 3u);
+  EXPECT_EQ(stats.bound_cache_hits - hits, 1u);
+  const std::vector<Time> reference = ctrl_.engine().full_recompute_bounds();
+  ASSERT_EQ(reference.size(), 3u);
+  EXPECT_EQ(ctrl_.bound_of(row_a.handle), std::optional<Time>(reference[0]));
+  EXPECT_EQ(ctrl_.bound_of(row_b.handle), std::optional<Time>(reference[2]));
+  EXPECT_EQ(stats.bound_recomputes - recomputes, 5u);
+  EXPECT_EQ(stats.bound_cache_hits - hits, 1u);
+}
+
 TEST_F(AdmissionTest, AdmissionAccountsForEjectionPort) {
   // Two streams delivering to the same node from disjoint paths: the
   // second sees the first through the ejection port.

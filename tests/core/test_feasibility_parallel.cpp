@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/admission.hpp"
 #include "core/feasibility.hpp"
+#include "core/incremental.hpp"
 #include "core/workload.hpp"
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
@@ -202,6 +204,45 @@ TEST(FeasibilityParallel, FirstBrokenGuaranteeIsTheSameAtEveryThreadCount) {
       EXPECT_EQ(ctrls[t].engine().handle_of(j), ctrls[0].engine().handle_of(j));
     }
   }
+}
+
+TEST(FeasibilityParallel, SettleComputesTheSameBoundsAtEveryThreadCount) {
+  // Ungated adds and removals compute nothing, so the whole population
+  // is stale; one settle() computes each bound once, in parallel, and
+  // must give the same bounds at every thread count.
+  topo::Mesh mesh(8, 8);
+  const route::XYRouting xy;
+  WorkloadParams wp;
+  wp.num_streams = 40;
+  wp.priority_levels = 4;
+  wp.seed = 3;
+  const StreamSet streams = generate_workload(mesh, xy, wp);
+  std::vector<std::vector<Time>> bounds;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    AnalysisConfig cfg;
+    cfg.num_threads = threads;
+    IncrementalAnalyzer engine(mesh, cfg);
+    std::vector<IncrementalAnalyzer::Handle> handles;
+    for (const MessageStream& s : streams) {
+      handles.push_back(engine.add_stream(s).handle);
+    }
+    for (std::size_t k = 0; k < handles.size(); k += 5) {
+      ASSERT_TRUE(engine.remove_stream(handles[k]).has_value());
+    }
+    EXPECT_EQ(engine.stats().bound_recomputes, 0u);
+    engine.settle();
+    EXPECT_EQ(engine.stats().bound_recomputes, engine.size());
+    std::vector<Time> settled;
+    for (std::size_t id = 0; id < engine.size(); ++id) {
+      settled.push_back(engine.bound_at(static_cast<StreamId>(id)));
+    }
+    EXPECT_EQ(engine.stats().bound_recomputes, engine.size());
+    EXPECT_EQ(settled, engine.full_recompute_bounds());
+    bounds.push_back(std::move(settled));
+  }
+  EXPECT_EQ(bounds[1], bounds[0]);
+  EXPECT_EQ(bounds[2], bounds[0]);
 }
 
 }  // namespace

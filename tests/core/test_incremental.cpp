@@ -1,10 +1,12 @@
 // The incremental admission engine must be *exact*: after any churn of
-// add/remove mutations, every cached bound equals the bound a full
-// BlockingAnalysis + Cal_U recompute of the current population produces,
-// and the maintained digraph equals the eagerly built one.
+// add/remove mutations, every bound it serves (cached, or computed when
+// a stale one is read) equals the bound a full BlockingAnalysis + Cal_U
+// recompute of the current population produces, and the maintained
+// digraph equals the eagerly built one.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -135,19 +137,21 @@ TEST(IncrementalAnalyzerProperty, ControllerModesAgreeUnderChurn) {
 
 TEST(IncrementalAnalyzer, DirtySetIsOnlyTheReachableClosure) {
   // Two disjoint rows of a mesh never interact: adding a stream on row 3
-  // must not recompute the established stream on row 0.
+  // must not invalidate the established stream on row 0.
   topo::Mesh mesh(8, 8);
   IncrementalAnalyzer engine(mesh);
   auto s0 = make_stream(mesh, kXy, 0, mesh.node_at({0, 0}),
                         mesh.node_at({5, 0}), 1, 60, 10, 600);
   const auto m0 = engine.add_stream(std::move(s0));
   EXPECT_TRUE(m0.dirty.empty());
+  engine.settle();
   const auto recomputes_before = engine.stats().bound_recomputes;
 
   auto s1 = make_stream(mesh, kXy, 0, mesh.node_at({0, 3}),
                         mesh.node_at({5, 3}), 2, 60, 10, 600);
   const auto m1 = engine.add_stream(std::move(s1));
   EXPECT_TRUE(m1.dirty.empty());  // disjoint: nobody else is dirty
+  engine.settle();  // the newcomer is the only stale bound
   EXPECT_EQ(engine.stats().bound_recomputes, recomputes_before + 1);
 
   // A higher-priority stream crossing s0's row dirties s0 but not s1.
@@ -158,7 +162,9 @@ TEST(IncrementalAnalyzer, DirtySetIsOnlyTheReachableClosure) {
   EXPECT_EQ(m2.dirty[0], m0.handle);
 }
 
-TEST(IncrementalAnalyzer, RemoveRecomputesOnlyVictimsOfTheRemoved) {
+TEST(IncrementalAnalyzer, RemoveInvalidatesOnlyVictimsOfTheRemoved) {
+  // A removal computes nothing: the one stream it dirtied costs one
+  // Cal_U on its first read, and a second read is a cache hit.
   topo::Mesh mesh(8, 8);
   IncrementalAnalyzer engine(mesh);
   auto low = make_stream(mesh, kXy, 0, mesh.node_at({0, 0}),
@@ -172,11 +178,19 @@ TEST(IncrementalAnalyzer, RemoveRecomputesOnlyVictimsOfTheRemoved) {
   const Time low_before = *engine.bound(mlow.handle);
   EXPECT_GT(low_before, 15);  // delayed by the high-priority stream
 
+  const auto recomputes = engine.stats().bound_recomputes;
+  const auto hits = engine.stats().bound_cache_hits;
   const auto rm = engine.remove_stream(mhigh.handle);
   ASSERT_TRUE(rm.has_value());
   ASSERT_EQ(rm->dirty.size(), 1u);
   EXPECT_EQ(rm->dirty[0], mlow.handle);
+  EXPECT_EQ(engine.stats().bound_recomputes, recomputes);
   EXPECT_EQ(*engine.bound(mlow.handle), 14);  // 5 hops + 10 - 1
+  EXPECT_EQ(engine.stats().bound_recomputes, recomputes + 1);
+  EXPECT_EQ(engine.stats().bound_cache_hits, hits);
+  EXPECT_EQ(*engine.bound(mlow.handle), 14);
+  EXPECT_EQ(engine.stats().bound_recomputes, recomputes + 1);
+  EXPECT_EQ(engine.stats().bound_cache_hits, hits + 1);
 }
 
 TEST(IncrementalAnalyzer, HandlesOnChannelIndexesExactlyTheCrossingStreams) {
@@ -210,7 +224,7 @@ TEST(IncrementalAnalyzer, HandlesOnChannelIndexesExactlyTheCrossingStreams) {
   EXPECT_EQ(after[0], b.handle);
 }
 
-TEST(IncrementalAnalyzer, BatchRemovalsRecomputeOnceAndStayExact) {
+TEST(IncrementalAnalyzer, RemovalsComputeNothingAndSettleComputesEachSurvivorOnce) {
   topo::Mesh mesh(8, 8);
   util::Rng rng(91);
   IncrementalAnalyzer engine(mesh);
@@ -218,26 +232,30 @@ TEST(IncrementalAnalyzer, BatchRemovalsRecomputeOnceAndStayExact) {
   for (int i = 0; i < 10; ++i) {
     handles.push_back(engine.add_stream(random_stream(rng, mesh, 3)).handle);
   }
+  engine.settle();
 
   const auto recomputes_before = engine.stats().bound_recomputes;
-  engine.begin_batch();
-  EXPECT_TRUE(engine.in_batch());
-  engine.remove_stream(handles[1]);
-  engine.remove_stream(handles[4]);
-  engine.remove_stream(handles[7]);
-  // Inside the batch nothing recomputes — dirtiness only accumulates.
-  EXPECT_EQ(engine.stats().bound_recomputes, recomputes_before);
-  const auto dirty = engine.end_batch();
-  EXPECT_FALSE(engine.in_batch());
-
-  // The dirty closure names live handles only, ascending, deduplicated.
-  for (std::size_t k = 0; k < dirty.size(); ++k) {
-    EXPECT_TRUE(engine.bound(dirty[k]).has_value());
-    if (k > 0) {
-      EXPECT_LT(dirty[k - 1], dirty[k]);
-    }
+  std::vector<IncrementalAnalyzer::Handle> dirty;
+  for (const std::size_t k : {1u, 4u, 7u}) {
+    const auto m = engine.remove_stream(handles[k]);
+    ASSERT_TRUE(m.has_value());
+    dirty.insert(dirty.end(), m->dirty.begin(), m->dirty.end());
   }
+  // A removal only marks its dirty closure stale.
+  EXPECT_EQ(engine.stats().bound_recomputes, recomputes_before);
+
+  // settle() computes each survivor of the union once.
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  std::erase_if(dirty, [&](IncrementalAnalyzer::Handle h) {
+    return engine.find(h) == nullptr;
+  });
+  ASSERT_FALSE(dirty.empty());
+  engine.settle();
+  EXPECT_EQ(engine.stats().bound_recomputes - recomputes_before, dirty.size());
+  const auto settled = engine.stats().bound_recomputes;
   expect_matches_full_recompute(engine, 91, 0);
+  EXPECT_EQ(engine.stats().bound_recomputes, settled);
 }
 
 TEST(IncrementalAnalyzer, HpSetsMatchBlockingAnalysis) {

@@ -1871,9 +1871,10 @@ void churn_crossing_streams(Service& primary) {
 }
 
 TEST_F(JournalTest, ReplayComputesEachSurvivingBoundOnce) {
-  // Recovery rebuilds the population in one engine batch, so it costs
-  // one Cal_U per surviving stream however the state dir splits it:
-  // all in the WAL, all in the snapshot, or a snapshot and a WAL tail.
+  // Recovery's restores compute no bound and its one settle() computes
+  // each stale one, so it costs one Cal_U per surviving stream however
+  // the state dir splits it: all in the WAL, all in the snapshot, or a
+  // snapshot and a WAL tail.
   const route::XYRouting routing;
   for (const std::uint64_t compact_every : {1000u, 1u, 7u}) {
     SCOPED_TRACE("compact_every " + std::to_string(compact_every));
@@ -1928,7 +1929,7 @@ TEST_F(JournalTest, ReplayComputesEachSurvivingBoundOnce) {
   std::filesystem::remove_all(follower_dir);
 }
 
-TEST_F(JournalTest, ReplayEndsItsBatchAtALinkRecord) {
+TEST_F(JournalTest, ReplayAcrossALinkRecordRebuildsTheLiveEngine) {
   // ADD/REMOVE runs on both sides of a LINK_DOWN whose cascade reroutes
   // one victim and evicts another: recovery from the WAL, and a follower
   // applying the whole history as one pull, rebuild exactly the engine a
