@@ -220,12 +220,14 @@ BENCHMARK(BM_DetermineFeasibility)
 // One admitted population per row, built on first use and kept like
 // the flit fixtures: admitting it takes seconds at 200 streams, and
 // google-benchmark re-enters the function for every iteration-count
-// probe.  Each entry churns its own copy of the controller, so every
-// probe measures the same steps from the same state.
+// probe and every repetition.  Each entry churns its own copy of the
+// controller, so every probe measures the same steps from the same
+// state.
 struct ChurnFixture {
-  ChurnFixture(int n, AdmissionController::Mode mode)
-      : mesh(16, 16),
-        streams(make_workload(mesh, n, 4)),  // whole set feasible
+  ChurnFixture(int side, int n, bool busy, AdmissionController::Mode mode)
+      : mesh(side, side),
+        streams(busy ? busy_mesh_workload(mesh, n)
+                     : make_workload(mesh, n, 4)),  // whole set feasible
         admitted(mesh, xy, {}, mode) {
     for (const MessageStream& s : streams) {
       const auto d = admitted.request(s.src, s.dst, s.priority, s.period,
@@ -240,23 +242,20 @@ struct ChurnFixture {
   std::vector<AdmissionController::Handle> handles;
 };
 
-const ChurnFixture& churn_fixture(int n, AdmissionController::Mode mode) {
-  static std::map<std::pair<int, AdmissionController::Mode>,
+const ChurnFixture& churn_fixture(int side, int n, bool busy,
+                                  AdmissionController::Mode mode) {
+  static std::map<std::tuple<int, int, bool, AdmissionController::Mode>,
                   std::unique_ptr<ChurnFixture>>
       cache;
-  auto& slot = cache[{n, mode}];
+  auto& slot = cache[{side, n, busy, mode}];
   if (!slot) {
-    slot = std::make_unique<ChurnFixture>(n, mode);
+    slot = std::make_unique<ChurnFixture>(side, n, busy, mode);
   }
   return *slot;
 }
 
-void BM_AdmissionChurn(benchmark::State& state) {
-  const bool full = state.range(1) != 0;
-  const ChurnFixture& fx = churn_fixture(
-      static_cast<int>(state.range(0)),
-      full ? AdmissionController::Mode::kFullRecompute
-           : AdmissionController::Mode::kIncremental);
+void run_churn_passes(benchmark::State& state, const ChurnFixture& fx,
+                      bool full) {
   AdmissionController ctrl = fx.admitted;
   std::vector<AdmissionController::Handle> handles = fx.handles;
   const std::size_t stride =
@@ -279,10 +278,45 @@ void BM_AdmissionChurn(benchmark::State& state) {
   state.counters["decisions/s"] = benchmark::Counter(
       static_cast<double>(decisions), benchmark::Counter::kIsRate);
 }
+
+void BM_AdmissionChurn(benchmark::State& state) {
+  const bool full = state.range(1) != 0;
+  const auto mode = full ? AdmissionController::Mode::kFullRecompute
+                         : AdmissionController::Mode::kIncremental;
+  run_churn_passes(
+      state,
+      churn_fixture(16, static_cast<int>(state.range(0)), /*busy=*/false, mode),
+      full);
+}
 BENCHMARK(BM_AdmissionChurn)
     ->Args({20, 0})->Args({20, 1})
     ->Args({60, 0})->Args({60, 1})
+    ->Unit(benchmark::kMillisecond);
+// A 200-stream pass takes about a second, so a minimum time leaves one
+// sample per row, and one sample spread 150-253 decisions/s across runs
+// of one build.  These rows run a fixed one pass per repetition, five
+// repetitions, and report their median (the `_median` aggregate).
+BENCHMARK(BM_AdmissionChurn)
     ->Args({200, 0})->Args({200, 1})
+    ->Iterations(1)->Repetitions(5)->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMillisecond);
+
+// The control rows of the population x horizon grid: busy_mesh_workload
+// populations, whose deadlines (= periods, 400-800 slots) stay below
+// the first prefix rung, so no recomputed bound there starts from a
+// hint.  Args are {mesh side, streams}, incremental mode; one pass per
+// iteration, as BM_AdmissionChurn.
+void BM_AdmissionChurnBusyMesh(benchmark::State& state) {
+  run_churn_passes(
+      state,
+      churn_fixture(static_cast<int>(state.range(0)),
+                    static_cast<int>(state.range(1)), /*busy=*/true,
+                    AdmissionController::Mode::kIncremental),
+      /*full=*/false);
+}
+BENCHMARK(BM_AdmissionChurnBusyMesh)
+    ->Args({16, 200})->Args({32, 1000})
+    ->Iterations(1)->Repetitions(5)->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
 
 void BM_XyRouting(benchmark::State& state) {

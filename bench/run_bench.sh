@@ -7,8 +7,12 @@
 # The filter covers the hot analysis paths: Cal_U, the bit-packed timing
 # diagram build, the blocking analysis, the multi-threaded
 # determine_feasibility scaling rows (threads 1/2/4/hw on 60 streams),
-# and online admission churn at 20/60/200 streams (decisions/s, the
-# incremental engine against full recompute).
+# online admission churn at 20/60/200 streams (decisions/s, the
+# incremental engine against full recompute), and its busy-mesh control
+# rows (200 streams on 16x16, 1,000 on 32x32).  The 200-stream and
+# busy-mesh churn rows run a fixed one pass per repetition, five
+# repetitions, and keep only their aggregates: read the `_median` row.
+# The JSON's context records the host name and CPU count.
 #
 # Every step runs even when svc_churn misses a gate: its exit status is
 # kept, the remaining files are written, and the script then exits with

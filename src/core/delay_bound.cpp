@@ -106,8 +106,8 @@ void DelayBoundCalculator::evaluate(StreamId j, const HpSet& hp,
 }
 
 DelayBoundResult DelayBoundCalculator::calc_with_hp(
-    StreamId j, const HpSet& hp,
-    std::optional<TimingDiagram>* final_diagram) const {
+    StreamId j, const HpSet& hp, std::optional<TimingDiagram>* final_diagram,
+    Time hint) const {
   OBS_SPAN("cal_u");
   const auto& s = streams_[j];
   DelayBoundResult result;
@@ -134,8 +134,13 @@ DelayBoundResult DelayBoundCalculator::calc_with_hp(
     // exactness frontier is the bound at every longer horizon, D_j
     // included, so the first rung that certifies one ends the search and
     // the cost follows U_j instead of D_j.  The last rung is the paper's
-    // scan at D_j.
+    // scan at D_j.  A recomputed bound usually lands near the one it
+    // replaces, so a hint starts the ladder just past it.
     Time prefix = std::min(kFirstPrefixHorizon, horizon);
+    if (hint >= 1 && horizon > kFirstPrefixHorizon) {
+      const Time near = std::min(hint, horizon);
+      prefix = std::min(near + near / 4 + 1, horizon);
+    }
     TimingDiagram diagram(make_rows(hp), prefix, config_.carry_over);
     for (;;) {
       result.horizon_used = prefix;

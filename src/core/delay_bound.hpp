@@ -44,8 +44,9 @@ class DelayBoundCalculator {
   /// Under kDeadline, Cal_U tries the horizons 4096, 8x that, ... below
   /// D_j, then D_j, and returns the first bound that lies at or before the
   /// diagram's exactness frontier (TimingDiagram::exact_until): bitwise
-  /// the bound at D_j, at a cost that follows U_j instead of D_j.  Under
-  /// kExtended the doubling search starts at max(D_j, this).
+  /// the bound at D_j, at a cost that follows U_j instead of D_j.  A hint
+  /// replaces the first rung (see calc_with_hp).  Under kExtended the
+  /// doubling search starts at max(D_j, this).
   static constexpr Time kFirstPrefixHorizon = 4096;
   static constexpr Time kPrefixGrowth = 8;
 
@@ -70,9 +71,18 @@ class DelayBoundCalculator {
   /// \p final_diagram receives the diagram the bound was read from,
   /// relaxed when the relaxation ran (left empty when deadline_pruned)
   /// — what EXPLAIN attributes the bound to.
+  ///
+  /// A \p hint, the bound this stream had before its inputs last changed,
+  /// starts a kDeadline search with D_j > kFirstPrefixHorizon at the rung
+  /// hint + hint/4 + 1 (at most D_j) instead of kFirstPrefixHorizon; the
+  /// x8 rungs continue from there.  Every rung is certified by the same
+  /// frontier test, so any hint returns the hint-free bound and only
+  /// horizon_used and the cost move.  kNoTime (or any hint below 1)
+  /// takes no hint.
   DelayBoundResult calc_with_hp(
       StreamId j, const HpSet& hp,
-      std::optional<TimingDiagram>* final_diagram = nullptr) const;
+      std::optional<TimingDiagram>* final_diagram = nullptr,
+      Time hint = kNoTime) const;
 
   /// Builds the (optionally relaxed) timing diagram of stream \p j at a
   /// fixed horizon — the figures bench renders these as in Figs. 4-9.

@@ -143,7 +143,10 @@ IncrementalAnalyzer::Handle IncrementalAnalyzer::recompute(
       return;
     }
     const StreamId j = ids[k];
-    const Time bound = calc.calc_with_hp(j, hp_set(j)).bound;
+    const Time bound =
+        calc.calc_with_hp(j, hp_set(j), nullptr,
+                          hints_[static_cast<std::size_t>(j)])
+            .bound;
     bounds_[static_cast<std::size_t>(j)] = bound;
     ++evaluated;
     if (gate && !gate(streams_[j], bound)) {
@@ -208,6 +211,7 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
   streams_.add(std::move(stream));
   handles_.push_back(handle);
   bounds_.push_back(kStale);
+  hints_.push_back(kNoTime);
   index_.emplace(handle, id);
 
   // Dirty set: the streams the newcomer reaches (their HP sets gained the
@@ -234,9 +238,8 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
   undo_handle_ = handle;
   undo_bounds_.clear();
   for (const StreamId v : dirty) {
-    Time& bound = bounds_[static_cast<std::size_t>(v)];
-    undo_bounds_.emplace_back(v, bound);
-    bound = kStale;
+    undo_bounds_.emplace_back(v, bounds_[static_cast<std::size_t>(v)]);
+    mark_stale(v);
   }
   if (gate) {
     // The newcomer first: a trial it fails stops before any victim.
@@ -244,6 +247,14 @@ IncrementalAnalyzer::Mutation IncrementalAnalyzer::add_stream(
     result.broken = recompute(dirty, gate);
   }
   return result;
+}
+
+void IncrementalAnalyzer::mark_stale(StreamId id) {
+  Time& bound = bounds_[static_cast<std::size_t>(id)];
+  if (bound != kStale) {
+    hints_[static_cast<std::size_t>(id)] = bound;
+    bound = kStale;
+  }
 }
 
 void IncrementalAnalyzer::undo_add([[maybe_unused]] Handle handle) {
@@ -302,6 +313,7 @@ void IncrementalAnalyzer::erase_stream(StreamId id) {
   index_.erase(handles_[static_cast<std::size_t>(id)]);
   handles_.erase(handles_.begin() + static_cast<std::ptrdiff_t>(id));
   bounds_.erase(bounds_.begin() + static_cast<std::ptrdiff_t>(id));
+  hints_.erase(hints_.begin() + static_cast<std::ptrdiff_t>(id));
   for (auto& [h, i] : index_) {
     if (i > id) {
       --i;
@@ -335,7 +347,7 @@ std::optional<IncrementalAnalyzer::Mutation> IncrementalAnalyzer::remove_stream(
   result.dirty.reserve(dirty.size());
   for (const StreamId v : dirty) {
     result.dirty.push_back(handles_[static_cast<std::size_t>(v)]);
-    bounds_[static_cast<std::size_t>(v)] = kStale;
+    mark_stale(v);
   }
 
   erase_stream(id);

@@ -24,7 +24,8 @@
 /// the streams whose HP sets can change — and marks only those stale in
 /// a bound cache.  A stale bound costs one Cal_U when something needs
 /// it: an admission trial's gate, a read, or settle(); everyone else is
-/// served from the cache.
+/// served from the cache.  That Cal_U starts its horizon search from the
+/// bound it replaces (DelayBoundCalculator::calc_with_hp's hint).
 ///
 /// Dirty-set rule (see DESIGN.md §7): HP_j is the set of streams that
 /// reach j in the direct-blocking digraph (edges encode the priority
@@ -215,6 +216,12 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// id -> cached bound, or kStale (incremental.cpp) until computed; one
   /// slot per stream, so the parallel recompute writes disjoint slots.
   mutable std::vector<Time> bounds_;
+  /// id -> the bound a stale entry last held (kNoTime: none), the hint
+  /// its recompute starts the horizon search from.  Written only by the
+  /// mutations, when they mark a computed bound stale; the recompute's
+  /// workers only read it.  Never journaled or replicated: it moves only
+  /// the cost of a Cal_U, not its result.
+  std::vector<Time> hints_;
   std::vector<std::vector<std::uint8_t>> adj_;  // adj_[a][b]: a blocks b
   std::unordered_map<Handle, StreamId> index_;  // handle -> id
 
@@ -234,6 +241,9 @@ class IncrementalAnalyzer : public DirectBlocking {
   /// skipping every id after it.
   Handle recompute(const std::vector<StreamId>& ids,
                    const Gate& gate = {}) const;
+  /// Marks the bound of \p id stale, keeping a computed one as its hint;
+  /// a bound that is already stale keeps its older hint.
+  void mark_stale(StreamId id);
   void unindex(StreamId id);
   /// Drops stream \p id from the digraph, the indexes and the caches;
   /// ids above it shift down.

@@ -11,6 +11,9 @@
 // default x86-64 build would otherwise call libgcc's software popcount.
 // No build option selects it.  ThreadSanitizer builds go without: an
 // ifunc resolver runs before the TSan runtime is up and crashes at load.
+// A cloned function is called through the ifunc and cannot be inlined,
+// so the clone sits on the per-row loops, not on the per-window
+// allocator they call.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define WORMRT_TSAN 1
@@ -64,9 +67,9 @@ inline std::uint64_t range_mask(std::size_t w, Time start, Time end) {
 /// Greedily hands the first free slots of [start, end) to a row: up to
 /// \p demand slots become ALLOCATED (and busy), busy slots scanned before
 /// the demand is met become WAITING.  Returns the number allocated.
-WORMRT_POPCNT_CLONES
-Time allocate_range(std::uint64_t* busy, std::uint64_t* alloc,
-                    std::uint64_t* wait, Time start, Time end, Time demand) {
+[[gnu::always_inline]] inline Time allocate_range(
+    std::uint64_t* busy, std::uint64_t* alloc, std::uint64_t* wait,
+    Time start, Time end, Time demand) {
   if (demand <= 0 || start >= end) {
     return 0;
   }
@@ -114,6 +117,37 @@ Time allocate_range(std::uint64_t* busy, std::uint64_t* alloc,
     }
   }
   return allocated;
+}
+
+/// Paper semantics for one row: each window [w*T, min((w+1)*T, horizon))
+/// not \p suppressed competes for \p length slots inside itself, and the
+/// remainder is dropped at the window end.
+WORMRT_POPCNT_CLONES
+void allocate_windows(std::uint64_t* busy, std::uint64_t* alloc,
+                      std::uint64_t* wait, Time period, Time length,
+                      Time horizon, const std::uint8_t* suppressed,
+                      std::size_t windows) {
+  Time start = 0;
+  for (std::size_t w = 0; w < windows; ++w, start += period) {
+    if (suppressed[w] == 0) {
+      allocate_range(busy, alloc, wait, start,
+                     std::min(start + period, horizon), length);
+    }
+  }
+}
+
+/// Carry-over semantics for one row: demand an instance could not serve
+/// inside its window backlogs into the following windows.
+WORMRT_POPCNT_CLONES
+void allocate_backlogged(std::uint64_t* busy, std::uint64_t* alloc,
+                         std::uint64_t* wait, Time period, Time length,
+                         Time horizon) {
+  Time pending = 0;
+  for (Time start = 0; start < horizon; start += period) {
+    pending += length;
+    pending -= allocate_range(busy, alloc, wait, start,
+                              std::min(start + period, horizon), pending);
+  }
 }
 
 /// Set bits of \p words in [start, end).
@@ -201,29 +235,12 @@ void TimingDiagram::allocate_row(std::size_t r) {
   std::fill(wait, wait + words_, 0);
   const Time period = rows_[r].period;
   const Time length = rows_[r].length;
-
-  if (!carry_over_) {
-    // Paper semantics: each instance competes only inside its own window
-    // and the remainder is dropped at the window end.
-    const std::size_t windows = num_windows(r);
-    for (std::size_t w = 0; w < windows; ++w) {
-      if (suppressed_[r][w] != 0) {
-        continue;
-      }
-      const Time start = static_cast<Time>(w) * period;
-      const Time end = std::min(start + period, horizon_);
-      allocate_range(busy_.data(), alloc, wait, start, end, length);
-    }
-    return;
-  }
-
-  // Carry-over semantics: unserved demand backlogs across windows.
-  // Suppression is not defined in this mode (see relax_indirect_row).
-  Time pending = 0;
-  for (Time start = 0; start < horizon_; start += period) {
-    pending += length;
-    const Time end = std::min(start + period, horizon_);
-    pending -= allocate_range(busy_.data(), alloc, wait, start, end, pending);
+  if (carry_over_) {
+    // Suppression is not defined in this mode (see relax_indirect_row).
+    allocate_backlogged(busy_.data(), alloc, wait, period, length, horizon_);
+  } else {
+    allocate_windows(busy_.data(), alloc, wait, period, length, horizon_,
+                     suppressed_[r].data(), suppressed_[r].size());
   }
 }
 

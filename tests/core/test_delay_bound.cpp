@@ -202,7 +202,8 @@ TEST(DelayBound, CappedHorizonReportsNoTime) {
 // Prefix rungs: on period-adjusted 16x16 sets, whose adjusted deadlines
 // reach the 2^18 horizon cap, every kDeadline bound equals the scan of the
 // relaxed diagram at the full horizon D_j, and some bounds are certified
-// on a prefix shorter than D_j.
+// on a prefix shorter than D_j.  A hint moves only the rungs: every hint,
+// near the bound or not, a bound or not, returns the hint-free bound.
 TEST(DelayBound, PrefixRungsMatchTheFullHorizonBound) {
   const topo::Mesh mesh(16, 16);
   int long_deadlines = 0;
@@ -223,10 +224,74 @@ TEST(DelayBound, PrefixRungsMatchTheFullHorizonBound) {
       long_deadlines +=
           s.deadline > DelayBoundCalculator::kFirstPrefixHorizon ? 1 : 0;
       certified_on_prefix += r.horizon_used < s.deadline ? 1 : 0;
+
+      const Time u = r.bound;
+      for (const Time hint :
+           {u, u / 2, 2 * u, Time{1}, s.deadline + 1, kNoTime}) {
+        const DelayBoundResult hinted =
+            calc.calc_with_hp(s.id, hp, nullptr, hint);
+        ASSERT_EQ(hinted.bound, full)
+            << "seed " << seed << " stream " << s.id << " deadline "
+            << s.deadline << " hint " << hint;
+        ASSERT_LE(hinted.horizon_used, s.deadline);
+      }
     }
   }
   EXPECT_GT(long_deadlines, 0);
   EXPECT_GT(certified_on_prefix, 0);
+}
+
+// A recomputed bound that lands where it was is certified at the rung
+// just past its hint, U + U/4 + 1, instead of after the x8 rungs 4,096
+// and 32,768 fail and the scan reaches D = 2^18.  Seed 2's adjusted set
+// holds two such streams (U = 160,732 and 124,784).
+TEST(DelayBound, AHintAtTheBoundCertifiesJustPastIt) {
+  const topo::Mesh mesh(16, 16);
+  StreamSet set = random_set(mesh, 80, 4, 2);
+  adjust_periods_to_bounds(set);
+  const BlockingAnalysis blocking(set);
+  const DelayBoundCalculator calc(set, blocking);
+  int checked = 0;
+  for (const auto& s : set) {
+    const HpSet& hp = blocking.hp_set(s.id);
+    const DelayBoundResult r = calc.calc_with_hp(s.id, hp);
+    if (s.deadline != (Time{1} << 18) || r.bound == kNoTime ||
+        r.bound <= 8 * DelayBoundCalculator::kFirstPrefixHorizon) {
+      continue;
+    }
+    ASSERT_EQ(r.horizon_used, s.deadline) << "stream " << s.id;
+    const DelayBoundResult hinted =
+        calc.calc_with_hp(s.id, hp, nullptr, r.bound);
+    EXPECT_EQ(hinted.bound, r.bound) << "stream " << s.id;
+    EXPECT_EQ(hinted.horizon_used, r.bound + r.bound / 4 + 1)
+        << "stream " << s.id;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);
+}
+
+// A rung's bound counts only at or before its frontier.  In seed 1's
+// adjusted 10x10 set, stream 21 (D = 2^18) has bound 243, but its relaxed
+// diagram at horizon 249 reads 237, past that diagram's frontier 220.  A
+// hint of 199 starts the ladder at exactly that rung, which must not
+// certify.
+TEST(DelayBound, AHintedRungPastTheFrontierDoesNotCertify) {
+  const topo::Mesh mesh(10, 10);
+  StreamSet set = random_set(mesh, 80, 4, 1);
+  adjust_periods_to_bounds(set);
+  const BlockingAnalysis blocking(set);
+  const DelayBoundCalculator calc(set, blocking);
+  const MessageStream& s = set[21];
+  const HpSet& hp = blocking.hp_set(s.id);
+  ASSERT_EQ(s.deadline, Time{1} << 18);
+  const TimingDiagram prefix = calc.build_diagram(s.id, hp, 249, true);
+  ASSERT_EQ(prefix.accumulate_free(s.latency), 237);
+  ASSERT_EQ(prefix.exact_until(), 220);
+
+  const DelayBoundResult hinted = calc.calc_with_hp(s.id, hp, nullptr, 199);
+  EXPECT_EQ(hinted.bound, 243);
+  EXPECT_EQ(hinted.bound, calc.calc_with_hp(s.id, hp).bound);
+  EXPECT_GT(hinted.horizon_used, 249);
 }
 
 }  // namespace

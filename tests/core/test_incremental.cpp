@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "core/admission.hpp"
+#include "core/feasibility.hpp"
 #include "core/incremental.hpp"
+#include "core/workload.hpp"
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
 #include "util/rng.hpp"
@@ -132,6 +134,117 @@ TEST(IncrementalAnalyzerProperty, ControllerModesAgreeUnderChurn) {
         EXPECT_EQ(inc.bound_of(hi), full.bound_of(hf));
       }
     }
+  }
+}
+
+// The churns above draw deadlines of at most 400 slots, below the first
+// prefix rung, so none of them starts a Cal_U from a hint.  This one
+// churns a period-adjusted 16x16 population, whose adjusted deadlines
+// are mostly 2^18, through gated REQUESTs (admitted, and rejected so
+// undo_add runs), REMOVEs with reads right after (bounds fall below
+// their hints) and a LINK_DOWN, at 1 and 4 threads.  After every
+// mutation a copy of the controller settles and must equal a
+// from-scratch recompute; the churned controller keeps its stale
+// entries, and their older hints, into the next mutation.
+TEST(IncrementalAnalyzerProperty, LongHorizonChurnMatchesFullRecompute) {
+  const route::XYRouting xy;
+  WorkloadParams wp;
+  wp.num_streams = 160;
+  wp.priority_levels = 4;
+  wp.seed = 2;
+  StreamSet population;
+  {
+    const topo::Mesh mesh(16, 16);
+    population = generate_workload(mesh, xy, wp);
+  }
+  adjust_periods_to_bounds(population);
+  const Time cap = Time{1} << 18;
+  const auto long_deadlines = std::count_if(
+      population.begin(), population.end(),
+      [&](const MessageStream& s) { return s.deadline == cap; });
+  ASSERT_GT(2 * static_cast<std::size_t>(long_deadlines), population.size());
+
+  for (const int threads : {1, 4}) {
+    topo::Mesh mesh(16, 16);  // link_down flags its channel here
+    AnalysisConfig config;
+    config.num_threads = threads;
+    AdmissionController ctrl(mesh, xy, config);
+    int step = 0;
+    const auto check = [&] {
+      AdmissionController copy = ctrl;
+      copy.engine().settle();
+      const std::vector<Time> reference = copy.engine().full_recompute_bounds();
+      for (std::size_t j = 0; j < copy.size(); ++j) {
+        ASSERT_EQ(copy.engine().bound_at(static_cast<StreamId>(j)),
+                  reference[j])
+            << "threads " << threads << " step " << step << " stream " << j;
+      }
+    };
+
+    std::vector<AdmissionController::Handle> held(population.size(), -1);
+    const auto request = [&](std::size_t slot) {
+      const MessageStream& s = population[static_cast<StreamId>(slot)];
+      const auto d = ctrl.request(s.src, s.dst, s.priority, s.period,
+                                  s.length, s.deadline);
+      held[slot] = d.admitted ? d.handle : -1;
+      return d.admitted;
+    };
+    for (std::size_t slot = 0; slot < population.size(); ++slot) {
+      request(slot);
+    }
+    ASSERT_NO_FATAL_FAILURE(check());
+
+    util::Rng rng(97);
+    int admitted = 0;
+    int rejected = 0;
+    int fell = 0;
+    for (step = 1; step <= 40; ++step) {
+      const auto slot = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(population.size()) - 1));
+      if (step == 20) {
+        // The busiest channel: its victims are evicted or rerouted.
+        topo::ChannelId busiest = 0;
+        for (topo::ChannelId c = 0;
+             c < static_cast<topo::ChannelId>(mesh.num_channels()); ++c) {
+          if (ctrl.engine().handles_on_channel(c).size() >
+              ctrl.engine().handles_on_channel(busiest).size()) {
+            busiest = c;
+          }
+        }
+        const auto m = ctrl.link_down(busiest);
+        ASSERT_TRUE(m.changed);
+        for (const auto h : m.evicted) {
+          std::replace(held.begin(), held.end(), h,
+                       AdmissionController::Handle{-1});
+        }
+      } else if (held[slot] >= 0) {
+        std::vector<std::pair<AdmissionController::Handle, Time>> before;
+        for (const auto h : held) {
+          if (h >= 0 && h != held[slot]) {
+            before.emplace_back(h, *ctrl.bound_of(h));
+          }
+        }
+        ASSERT_TRUE(ctrl.remove(held[slot]));
+        held[slot] = -1;
+        for (const auto& [h, bound] : before) {
+          fell += *ctrl.bound_of(h) < bound ? 1 : 0;
+        }
+      } else if (rng.bernoulli(0.5)) {
+        (request(slot) ? admitted : rejected) += 1;
+      } else {
+        // A top-priority hog across the mesh: it passes its own gate but
+        // usually breaks an established stream near its deadline.
+        const auto d = ctrl.request(
+            mesh.node_at({0, static_cast<std::int32_t>(slot % 16)}),
+            mesh.node_at({15, static_cast<std::int32_t>((slot / 16) % 16)}),
+            /*priority=*/4, /*period=*/60, /*length=*/30, cap);
+        (d.admitted ? admitted : rejected) += 1;
+      }
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+    EXPECT_GT(admitted, 0) << "threads " << threads;
+    EXPECT_GT(rejected, 0) << "threads " << threads;
+    EXPECT_GT(fell, 0) << "threads " << threads;
   }
 }
 
