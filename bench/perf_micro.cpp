@@ -331,8 +331,13 @@ void BM_XyRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_XyRouting);
 
+// Generate_Init_Diagram on synthetic rows (periods 40-89, C 1-40),
+// whose lower rows starve: args are {rows, horizon}.  The 262,144-slot
+// row is the longest horizon Cal_U scans (the horizon cap), where most
+// windows of the lower rows wait across many all-busy words.
 void BM_TimingDiagramBuild(benchmark::State& state) {
   const auto rows_n = static_cast<std::size_t>(state.range(0));
+  const auto horizon = static_cast<Time>(state.range(1));
   std::vector<RowSpec> rows;
   for (std::size_t r = 0; r < rows_n; ++r) {
     rows.push_back(RowSpec{static_cast<StreamId>(r),
@@ -341,11 +346,13 @@ void BM_TimingDiagramBuild(benchmark::State& state) {
                            static_cast<Time>(1 + (r % 40))});
   }
   for (auto _ : state) {
-    TimingDiagram d(rows, /*horizon=*/4096, /*carry_over=*/false);
+    TimingDiagram d(rows, horizon, /*carry_over=*/false);
     benchmark::DoNotOptimize(d.accumulate_free(64));
   }
 }
-BENCHMARK(BM_TimingDiagramBuild)->Arg(4)->Arg(16)->Arg(60)
+BENCHMARK(BM_TimingDiagramBuild)
+    ->Args({4, 4096})->Args({16, 4096})->Args({60, 4096})
+    ->Args({60, 262144})
     ->Unit(benchmark::kMicrosecond);
 
 // --- Observability-layer costs (BENCH_obs.json) -------------------------

@@ -64,89 +64,127 @@ inline std::uint64_t range_mask(std::size_t w, Time start, Time end) {
   return span_mask(lo, hi);
 }
 
+/// The first word in [w, last] that is not all busy by the summary
+/// \p full, or last + 1 when every one is (or w > last).
+inline std::size_t next_open_word(const std::uint64_t* full, std::size_t w,
+                                  std::size_t last) {
+  if (w > last) {
+    return last + 1;  // w may index past the summary
+  }
+  std::size_t s = w / kWordBits;
+  std::uint64_t open = ~full[s] & (~std::uint64_t{0} << (w % kWordBits));
+  while (open == 0) {
+    if (++s > last / kWordBits) {
+      return last + 1;
+    }
+    open = ~full[s];
+  }
+  return std::min(s * kWordBits + std::countr_zero(open), last + 1);
+}
+
+/// Records in \p full that word \p w of \p busy has filled up.
+inline void note_full(const std::uint64_t* busy, std::uint64_t* full,
+                      std::size_t w) {
+  if (busy[w] == ~std::uint64_t{0}) {
+    full[w / kWordBits] |= std::uint64_t{1} << (w % kWordBits);
+  }
+}
+
+struct Scan {
+  Time allocated;  // slots taken
+  Time foot;       // the scan covered [start, foot)
+};
+
 /// Greedily hands the first free slots of [start, end) to a row: up to
-/// \p demand slots become ALLOCATED (and busy), busy slots scanned before
-/// the demand is met become WAITING.  Returns the number allocated.
-[[gnu::always_inline]] inline Time allocate_range(
-    std::uint64_t* busy, std::uint64_t* alloc, std::uint64_t* wait,
-    Time start, Time end, Time demand) {
+/// \p demand slots become ALLOCATED (and busy).  The scan stops at the
+/// slot that meets the demand, else at \p end; the busy slots it passes
+/// are the row's WAITING slots, so ALLOCATED and WAITING together are
+/// [start, foot).  Runs of all-busy words are jumped by \p full.
+[[gnu::always_inline]] inline Scan allocate_range(std::uint64_t* busy,
+                                                  std::uint64_t* full,
+                                                  std::uint64_t* alloc,
+                                                  Time start, Time end,
+                                                  Time demand) {
   if (demand <= 0 || start >= end) {
-    return 0;
+    return {0, start};
   }
   Time allocated = 0;
-  const std::size_t w0 = slot_word(start);
-  for (std::size_t w = w0; w <= slot_word(end - 1); ++w) {
+  const std::size_t last = slot_word(end - 1);
+  std::size_t w = slot_word(start);
+  while (w <= last) {
+    std::uint64_t busy_w = busy[w];
+    if (busy_w == ~std::uint64_t{0}) {
+      w = next_open_word(full, w + 1, last);
+      if (w > last) {
+        break;
+      }
+      busy_w = busy[w];
+    }
     const std::uint64_t mask = range_mask(w, start, end);
-    const unsigned lo = w == w0 ? static_cast<unsigned>(start % kWordBits) : 0;
-    const std::uint64_t busy_w = busy[w];
     const std::uint64_t free_mask = ~busy_w & mask;
     const Time cnt = std::popcount(free_mask);
-    if (free_mask == mask) {
-      // Nothing busy in the scanned region — the common head-of-window
-      // case: the taken slots are contiguous, no per-bit select needed.
-      if (cnt < demand - allocated) {
-        alloc[w] |= mask;
-        busy[w] |= mask;
-        allocated += cnt;
-        continue;
-      }
-      const auto need = static_cast<unsigned>(demand - allocated);
-      const std::uint64_t taken = span_mask(lo, lo + need - 1);
-      alloc[w] |= taken;
-      busy[w] |= taken;
-      return demand;
-    }
-    if (cnt < demand - allocated) {
-      // The whole masked region is scanned: take every free slot, wait on
-      // every busy one.
+    const Time need = demand - allocated;
+    if (cnt < need) {
+      // The whole masked region is scanned: take every free slot.
       alloc[w] |= free_mask;
-      wait[w] |= busy_w & mask;
-      busy[w] |= free_mask;
+      busy[w] = busy_w | free_mask;
+      note_full(busy, full, w);
       allocated += cnt;
-    } else {
-      // The scan stops at the slot that satisfies the demand: take the
-      // first `need` free slots, wait only on busy slots before it.
-      const int need = static_cast<int>(demand - allocated);
-      const std::uint64_t taken = lowest_n_set(free_mask, need);
-      const auto last = static_cast<unsigned>(63 - std::countl_zero(taken));
-      const std::uint64_t scanned = mask & span_mask(0, last);
-      alloc[w] |= taken;
-      wait[w] |= busy_w & scanned;
-      busy[w] |= taken;
-      return demand;
+      ++w;
+      continue;
     }
+    // The scan stops at the slot that satisfies the demand.  Nothing
+    // busy in the region is the common head-of-window case: the taken
+    // slots are contiguous, no per-bit select needed.
+    std::uint64_t taken = 0;
+    if (free_mask == mask) {
+      const auto lo = static_cast<unsigned>(std::countr_zero(mask));
+      taken = span_mask(lo, lo + static_cast<unsigned>(need) - 1);
+    } else {
+      taken = lowest_n_set(free_mask, static_cast<int>(need));
+    }
+    alloc[w] |= taken;
+    busy[w] = busy_w | taken;
+    note_full(busy, full, w);
+    const auto last_taken = static_cast<Time>(63 - std::countl_zero(taken));
+    return {demand, static_cast<Time>(w) * kWordBits + last_taken + 1};
   }
-  return allocated;
+  return {allocated, end};
 }
 
 /// Paper semantics for one row: each window [w*T, min((w+1)*T, horizon))
 /// not \p suppressed competes for \p length slots inside itself, and the
-/// remainder is dropped at the window end.
+/// remainder is dropped at the window end.  A suppressed window's
+/// footprint is empty.
 WORMRT_POPCNT_CLONES
-void allocate_windows(std::uint64_t* busy, std::uint64_t* alloc,
-                      std::uint64_t* wait, Time period, Time length,
+void allocate_windows(std::uint64_t* busy, std::uint64_t* full,
+                      std::uint64_t* alloc, Time period, Time length,
                       Time horizon, const std::uint8_t* suppressed,
-                      std::size_t windows) {
+                      Time* foot, std::size_t windows) {
   Time start = 0;
   for (std::size_t w = 0; w < windows; ++w, start += period) {
-    if (suppressed[w] == 0) {
-      allocate_range(busy, alloc, wait, start,
-                     std::min(start + period, horizon), length);
-    }
+    foot[w] = suppressed[w] == 0
+                  ? allocate_range(busy, full, alloc, start,
+                                   std::min(start + period, horizon), length)
+                        .foot
+                  : start;
   }
 }
 
 /// Carry-over semantics for one row: demand an instance could not serve
 /// inside its window backlogs into the following windows.
 WORMRT_POPCNT_CLONES
-void allocate_backlogged(std::uint64_t* busy, std::uint64_t* alloc,
-                         std::uint64_t* wait, Time period, Time length,
-                         Time horizon) {
+void allocate_backlogged(std::uint64_t* busy, std::uint64_t* full,
+                         std::uint64_t* alloc, Time period, Time length,
+                         Time horizon, Time* foot) {
   Time pending = 0;
-  for (Time start = 0; start < horizon; start += period) {
+  for (Time start = 0; start < horizon; start += period, ++foot) {
     pending += length;
-    pending -= allocate_range(busy, alloc, wait, start,
-                              std::min(start + period, horizon), pending);
+    const Scan scan = allocate_range(busy, full, alloc, start,
+                                     std::min(start + period, horizon),
+                                     pending);
+    pending -= scan.allocated;
+    *foot = scan.foot;
   }
 }
 
@@ -202,7 +240,7 @@ TimingDiagram::TimingDiagram(std::vector<RowSpec> rows, Time horizon,
     assert(r.period >= 1 && r.length >= 1);
     (void)r;
   }
-  suppressed_.resize(rows_.size());
+  window_end_.resize(rows_.size());
   reset(horizon);
 }
 
@@ -212,40 +250,39 @@ void TimingDiagram::reset(Time horizon) {
   horizon_ = horizon;
   exact_until_ = horizon;
   words_ = (static_cast<std::size_t>(horizon_) + kBits - 1) / kBits;
-  busy_.assign(words_, 0);
+  busy_.assign(words_ + (words_ + kBits - 1) / kBits, 0);
   alloc_.assign(rows_.size() * words_, 0);
-  wait_.assign(rows_.size() * words_, 0);
+  std::size_t windows = 0;
   for (std::size_t r = 0; r < rows_.size(); ++r) {
-    suppressed_[r].assign(num_windows(r), 0);
+    const Time period = rows_[r].period;
+    windows += static_cast<std::size_t>((horizon_ + period - 1) / period);
+    window_end_[r] = windows;
   }
+  suppressed_.assign(windows, 0);
+  foot_.resize(windows);  // allocate_row writes every entry
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     allocate_row(r);
   }
 }
 
-std::size_t TimingDiagram::num_windows(std::size_t r) const {
-  const Time period = rows_.at(r).period;
-  return static_cast<std::size_t>((horizon_ + period - 1) / period);
-}
-
 void TimingDiagram::allocate_row(std::size_t r) {
-  std::uint64_t* alloc = row_alloc(r);
-  std::uint64_t* wait = row_wait(r);
-  std::fill(alloc, alloc + words_, 0);
-  std::fill(wait, wait + words_, 0);
   const Time period = rows_[r].period;
   const Time length = rows_[r].length;
+  Time* foot = foot_.data() + first_window(r);
   if (carry_over_) {
     // Suppression is not defined in this mode (see relax_indirect_row).
-    allocate_backlogged(busy_.data(), alloc, wait, period, length, horizon_);
+    allocate_backlogged(busy_.data(), full(), row_alloc(r), period,
+                        length, horizon_, foot);
   } else {
-    allocate_windows(busy_.data(), alloc, wait, period, length, horizon_,
-                     suppressed_[r].data(), suppressed_[r].size());
+    allocate_windows(busy_.data(), full(), row_alloc(r), period, length,
+                     horizon_, suppressed_.data() + first_window(r), foot,
+                     num_windows(r));
   }
 }
 
 void TimingDiagram::rebuild_from(std::size_t from) {
-  // busy_ must reflect exactly the allocations of rows above `from`.
+  // busy_ and its summary must reflect exactly the allocations of rows
+  // above `from`, and the rows re-allocated start clear.
   std::fill(busy_.begin(), busy_.end(), 0);
   for (std::size_t r = 0; r < from; ++r) {
     const std::uint64_t* alloc = row_alloc(r);
@@ -253,24 +290,30 @@ void TimingDiagram::rebuild_from(std::size_t from) {
       busy_[w] |= alloc[w];
     }
   }
+  for (std::size_t w = 0; w < words_; ++w) {
+    note_full(busy_.data(), full(), w);
+  }
+  std::fill(alloc_.begin() + static_cast<std::ptrdiff_t>(from * words_),
+            alloc_.end(), 0);
   for (std::size_t r = from; r < rows_.size(); ++r) {
     allocate_row(r);
   }
 }
 
-bool TimingDiagram::meets_intermediate(
-    std::size_t r, Time start, Time end,
-    const std::vector<std::size_t>& intermediate_rows) const {
-  const std::uint64_t* alloc = row_alloc(r);
-  const std::uint64_t* wait = row_wait(r);
-  for (std::size_t w = word_of(start); w <= word_of(end - 1); ++w) {
-    const std::uint64_t footprint =
-        (alloc[w] | wait[w]) & range_mask(w, start, end);
-    if (footprint == 0) {
-      continue;
+bool TimingDiagram::meets_intermediate(Time start, Time end) {
+  for (Cursor& c : cursors_) {
+    while (c.start + c.period <= start) {
+      c.start += c.period;
+      ++c.window;
     }
-    for (const std::size_t ir : intermediate_rows) {
-      if ((footprint & (row_alloc(ir)[w] | row_wait(ir)[w])) != 0) {
+    // The window holding `start`, then each later one starting before
+    // `end`: a footprint there overlaps [start, end) iff it is not empty.
+    if (foot_[c.window] > start) {
+      return true;
+    }
+    std::size_t w = c.window;
+    for (Time s = c.start + c.period; s < end; s += c.period) {
+      if (foot_[++w] > s) {
         return true;
       }
     }
@@ -283,23 +326,30 @@ int TimingDiagram::relax_indirect_row(
   assert(!carry_over_ &&
          "indirect relaxation requires window-local instances");
   assert(r < rows_.size());
+  cursors_.clear();
+  for (const std::size_t ir : intermediate_rows) {
+    cursors_.push_back({first_window(ir), 0, rows_[ir].period});
+  }
   int suppressed_count = 0;
   const Time period = rows_[r].period;
   const Time length = rows_[r].length;
+  const std::size_t first = first_window(r);
   const std::size_t windows = num_windows(r);
-  for (std::size_t w = 0; w < windows; ++w) {
-    if (suppressed_[r][w] != 0) {
+  Time start = 0;
+  for (std::size_t w = 0; w < windows; ++w, start += period) {
+    if (suppressed_[first + w] != 0) {
       continue;
     }
-    const Time start = static_cast<Time>(w) * period;
-    const Time end = std::min(start + period, horizon_);
-    // The instance's footprint (its ALLOCATED and WAITING slots) always
-    // starts at `start`.  It survives iff some intermediate row is active
-    // during one of those slots.
-    if (!meets_intermediate(r, start, end, intermediate_rows)) {
+    // The instance's footprint (its ALLOCATED and WAITING slots) is
+    // [start, foot), never empty in this mode.  It survives iff some
+    // intermediate row is active during one of those slots.
+    const Time foot = foot_[first + w];
+    assert(foot > start);
+    const bool met = meets_intermediate(start, foot);
+    if (!met) {
       // No intermediate stream exists anywhere under this instance: the
       // indirect blocker cannot actually reach the analysed stream here.
-      suppressed_[r][w] = 1;
+      suppressed_[first + w] = 1;
       ++suppressed_count;
     }
     // A longer horizon keeps this verdict unless the instance's footprint
@@ -309,7 +359,7 @@ int TimingDiagram::relax_indirect_row(
     // horizon cuts short still scans on in a longer diagram.
     if (start < exact_until_ && start + period > exact_until_ &&
         count_set(row_alloc(r), start, exact_until_) < length &&
-        !meets_intermediate(r, start, exact_until_, intermediate_rows)) {
+        (!met || !meets_intermediate(start, std::min(foot, exact_until_)))) {
       exact_until_ = start;
     }
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,12 +19,18 @@
 /// window of a row removes that message instance's demand, and rebuilding
 /// the rows below re-allocates ("compacts") them into the freed slots.
 ///
-/// Storage is bit-packed: each row keeps two 64-slot-per-word bitmaps
-/// (ALLOCATED and WAITING; FREE is the absence of both), and `busy_` is
-/// the union of the allocation bitmaps.  Allocation, rebuild, relaxation
-/// and free-slot accounting all run word-at-a-time with popcount/ctz
-/// instead of byte-at-a-time, and `reset()` lets Cal_U's horizon searches
-/// reuse one diagram's buffers across horizons.
+/// Storage: each row keeps a 64-slot-per-word ALLOCATED bitmap, and each
+/// window (message instance) one footprint end.  The allocator scans a
+/// window greedily from its start, taking every free slot and waiting on
+/// every busy one until the demand is met, so the instance's ALLOCATED
+/// and WAITING slots together are always one interval [start, foot):
+/// WAITING is the footprint minus ALLOCATED, and FREE the rest.  `busy_`
+/// is the union of the allocation bitmaps, followed by a summary with one
+/// bit per word that is all busy, so the allocator jumps over saturated
+/// words.  Allocation, rebuild and free-slot accounting run
+/// word-at-a-time with popcount/ctz, relaxation compares footprint
+/// intervals, and `reset()` lets Cal_U's horizon searches reuse one
+/// diagram's buffers across horizons.
 ///
 /// Exactness frontier: allocation is a greedy left-to-right scan inside
 /// each window, so a diagram built at horizon H agrees slot for slot with
@@ -73,19 +80,18 @@ class TimingDiagram {
   const RowSpec& row_spec(std::size_t r) const { return rows_.at(r); }
 
   Slot at(std::size_t r, Time t) const {
-    const std::size_t w = word_of(t);
-    const std::uint64_t bit = bit_of(t);
-    if (alloc_[r * words_ + w] & bit) {
+    if (alloc_[r * words_ + word_of(t)] & bit_of(t)) {
       return Slot::kAllocated;
     }
-    return (wait_[r * words_ + w] & bit) ? Slot::kWaiting : Slot::kFree;
+    return row_active(r, t) ? Slot::kWaiting : Slot::kFree;
   }
 
   /// ALLOCATED or WAITING — the row's stream "exists" at \p t in the
-  /// sense of the paper's Fig. 6 discussion.
+  /// sense of the paper's Fig. 6 discussion: \p t lies in its window's
+  /// footprint.
   bool row_active(std::size_t r, Time t) const {
-    const std::size_t w = word_of(t);
-    return ((alloc_[r * words_ + w] | wait_[r * words_ + w]) & bit_of(t)) != 0;
+    return t < foot_[first_window(r) +
+                     static_cast<std::size_t>(t / rows_[r].period)];
   }
 
   /// No row transmits at \p t: the analysed stream may use the slot.
@@ -94,11 +100,14 @@ class TimingDiagram {
   }
 
   /// Number of windows (message instances) of row \p r within the horizon.
-  std::size_t num_windows(std::size_t r) const;
+  std::size_t num_windows(std::size_t r) const {
+    return window_end_.at(r) - first_window(r);
+  }
 
   /// True when window \p w of row \p r has been suppressed.
   bool window_suppressed(std::size_t r, std::size_t w) const {
-    return suppressed_.at(r).at(w) != 0;
+    assert(w < num_windows(r));
+    return suppressed_[first_window(r) + w] != 0;
   }
 
   /// Modify_Diagram step for one indirect row: a window (message
@@ -135,15 +144,29 @@ class TimingDiagram {
  private:
   static constexpr std::size_t kBits = 64;
 
+  /// A relaxation's walk over one intermediate row's windows: the window
+  /// holding the latest footprint start asked about.
+  struct Cursor {
+    std::size_t window;  // index into foot_
+    Time start;          // that window's first slot
+    Time period;
+  };
+
   std::vector<RowSpec> rows_;
   Time horizon_;
   Time exact_until_ = 0;
   bool carry_over_;
   std::size_t words_ = 0;             // ceil(horizon / 64)
-  std::vector<std::uint64_t> busy_;   // per word: some row allocated
+  // Per word: some row allocated.  Then, from busy_[words_], the summary:
+  // one bit per word whose 64 slots are all busy.
+  std::vector<std::uint64_t> busy_;
   std::vector<std::uint64_t> alloc_;  // row-major [row][word]
-  std::vector<std::uint64_t> wait_;   // row-major [row][word]
-  std::vector<std::vector<std::uint8_t>> suppressed_;  // per row, per window
+  // Per row r, its windows are [first_window(r), window_end_[r]) of the
+  // two flat per-window arrays below.
+  std::vector<std::size_t> window_end_;
+  std::vector<Time> foot_;  // footprint [start, foot) of each window
+  std::vector<std::uint8_t> suppressed_;
+  std::vector<Cursor> cursors_;  // relax_indirect_row's scratch
 
   static std::size_t word_of(Time t) {
     return static_cast<std::size_t>(t) / kBits;
@@ -152,24 +175,25 @@ class TimingDiagram {
     return std::uint64_t{1} << (static_cast<std::size_t>(t) % kBits);
   }
 
+  std::size_t first_window(std::size_t r) const {
+    return r == 0 ? 0 : window_end_[r - 1];
+  }
+  std::uint64_t* full() { return busy_.data() + words_; }
   std::uint64_t* row_alloc(std::size_t r) { return alloc_.data() + r * words_; }
-  std::uint64_t* row_wait(std::size_t r) { return wait_.data() + r * words_; }
   const std::uint64_t* row_alloc(std::size_t r) const {
     return alloc_.data() + r * words_;
-  }
-  const std::uint64_t* row_wait(std::size_t r) const {
-    return wait_.data() + r * words_;
   }
 
   /// Re-allocates rows [from, end), assuming rows above are up to date.
   void rebuild_from(std::size_t from);
+  /// Allocates row \p r into an ALLOCATED bitmap that is all clear.
   void allocate_row(std::size_t r);
 
-  /// Whether some intermediate row is active on a footprint slot (ALLOCATED
-  /// or WAITING) of row \p r in [start, end), end <= horizon.
-  bool meets_intermediate(
-      std::size_t r, Time start, Time end,
-      const std::vector<std::size_t>& intermediate_rows) const;
+  /// Whether some intermediate row of cursors_ is active on a slot of
+  /// [start, end), start < end <= horizon.  The calls of one relaxation
+  /// come in non-decreasing \p start order, so each cursor only moves
+  /// forward.
+  bool meets_intermediate(Time start, Time end);
 };
 
 }  // namespace wormrt::core

@@ -44,15 +44,21 @@ bool is_link(const JournalRecord& record) {
          record.type == JournalRecord::Type::kLinkUp;
 }
 
+/// Whether \p priority fits the engine's Priority without narrowing.
+bool priority_fits(std::int64_t priority) {
+  return priority >= std::numeric_limits<Priority>::min() &&
+         priority <= std::numeric_limits<Priority>::max();
+}
+
 /// The one check a journal record passes before anything journals or
 /// applies it (a pulled record, a snapshot row or fault pair, a record
 /// recovery read).  An ADD passes REQUEST's own checks (two distinct
-/// nodes of \p fabric; a positive period, length and deadline) and
-/// carries a route order route::is_route_order accepts; a LINK_DOWN or
-/// LINK_UP names a channel of \p fabric.  False + \p error naming the
-/// record otherwise.
-bool check_record(const topo::Topology& fabric, const JournalRecord& record,
-                  std::string* error) {
+/// nodes of \p fabric; a positive period, length and deadline; a 32-bit
+/// priority; a deadline at most \p horizon_cap) and carries a route
+/// order route::is_route_order accepts; a LINK_DOWN or LINK_UP names a
+/// channel of \p fabric.  False + \p error naming the record otherwise.
+bool check_record(const topo::Topology& fabric, Time horizon_cap,
+                  const JournalRecord& record, std::string* error) {
   const JournalEntry& e = record.entry;
   const auto node = [&fabric](std::int64_t n) {
     return n >= 0 && n < fabric.num_nodes();
@@ -67,6 +73,8 @@ bool check_record(const topo::Topology& fabric, const JournalRecord& record,
             ? "does not join two distinct nodes of this topology"
         : e.period <= 0 || e.length <= 0 || e.deadline <= 0
             ? "has a non-positive period, length or deadline"
+        : !priority_fits(e.priority) ? "has a priority outside 32 bits"
+        : e.deadline > horizon_cap ? "has a deadline above the horizon cap"
         : order != e.route_order || !route::is_route_order(order)
             ? "has an unknown route order"
             : nullptr;
@@ -89,15 +97,16 @@ bool check_record(const topo::Topology& fabric, const JournalRecord& record,
 
 /// check_record over a snapshot image: each row as an ADD, each faulted
 /// channel as a LINK_DOWN.
-bool check_image(const topo::Topology& fabric, const StateImage& image,
-                 std::string* error) {
+bool check_image(const topo::Topology& fabric, Time horizon_cap,
+                 const StateImage& image, std::string* error) {
   for (const JournalEntry& e : image.rows) {
-    if (!check_record(fabric, {JournalRecord::Type::kAdd, 0, e}, error)) {
+    if (!check_record(fabric, horizon_cap,
+                      {JournalRecord::Type::kAdd, 0, e}, error)) {
       return false;
     }
   }
   for (const auto& [src, dst] : image.faulted) {
-    if (!check_record(fabric,
+    if (!check_record(fabric, horizon_cap,
                       {JournalRecord::Type::kLinkDown, 0,
                        {.src = src, .dst = dst}},
                       error)) {
@@ -374,9 +383,10 @@ bool Service::open_state(std::string* error) {
   // REPL_SNAPSHOT and for each pull.  Every row is checked first, so a
   // bad one refuses the open before the engine sees any.
   std::string why;
-  bool ok = check_image(topo_, state.snapshot, &why);
+  const Time cap = ctrl_.engine().config().horizon_cap;
+  bool ok = check_image(topo_, cap, state.snapshot, &why);
   for (std::size_t i = 0; ok && i < state.records.size(); ++i) {
-    ok = check_record(topo_, state.records[i], &why);
+    ok = check_record(topo_, cap, state.records[i], &why);
   }
   if (!ok) {
     *error = options_.state_dir + ": " + why;
@@ -833,6 +843,16 @@ Json Service::do_request_locked(const Json& request, PendingAck* ack) {
   }
   if (period <= 0 || length <= 0 || deadline <= 0) {
     return error_reply("period, length, deadline must be positive");
+  }
+  if (!priority_fits(priority)) {
+    return error_reply("priority must fit in 32 bits");
+  }
+  // Cal_U builds a diagram of up to D slots for the newcomer, so an
+  // unbounded deadline is an unbounded allocation.
+  const Time cap = ctrl_.engine().config().horizon_cap;
+  if (deadline > cap) {
+    return error_reply("deadline exceeds the horizon cap of " +
+                       std::to_string(cap) + " slots");
   }
   const Json* ex = request.get("explain");
   const bool want_explain = ex != nullptr && ex->as_bool();
@@ -1588,7 +1608,8 @@ bool Service::apply_replicated(std::span<const JournalRecord> records,
   // check_record refuses fails the pull before any of it is journaled,
   // so the disk never runs ahead of the engine either.
   for (const JournalRecord& record : records) {
-    if (!check_record(topo_, record, error)) {
+    if (!check_record(topo_, ctrl_.engine().config().horizon_cap, record,
+                      error)) {
       return false;
     }
   }
@@ -1644,7 +1665,8 @@ bool Service::bootstrap_replicated(std::uint64_t last_lsn,
   // durable.  Then the durable install (tmp+fsync->rename; the WAL is
   // truncated and the LSN cursor moves to last_lsn+1), then the engine
   // takes the same image through recovery's own replay.
-  if (!check_image(topo_, image, error) ||
+  if (!check_image(topo_, ctrl_.engine().config().horizon_cap, image,
+                   error) ||
       !journal_->install_snapshot(last_lsn, snapshot_epoch, image, error)) {
     return false;
   }

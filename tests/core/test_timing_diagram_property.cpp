@@ -2,7 +2,9 @@
 // with the retained byte-per-slot reference implementation on random row
 // sets — initial allocation, free accounting, indirect relaxation, the
 // reset() path the horizon searches use, and the exactness frontier
-// against a reference built at a longer horizon.
+// against a reference built at a longer horizon.  Allocation, relaxation
+// and reset() are checked on two draws: short horizons that cross a few
+// words, and long horizons whose lower rows starve across many words.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,62 @@ std::vector<RowSpec> random_rows(util::Rng& rng) {
   return rows;
 }
 
+/// The long-horizon draw: every row asks for at least half its period
+/// (C >= T/2, T in [30, 5000]), so lower rows starve for whole windows,
+/// and horizons of 4,000-20,000 slots span up to 313 words of the diagram
+/// and five words of its all-busy summary.  Footprints then run across
+/// many words, and the allocator's jumps over saturated words cross
+/// summary words.
+std::vector<RowSpec> starved_rows(util::Rng& rng) {
+  const auto n = static_cast<std::size_t>(rng.uniform_int(2, 6));
+  std::vector<RowSpec> rows;
+  rows.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Time period = rng.uniform_int(30, 5000);
+    rows.push_back(RowSpec{static_cast<StreamId>(r),
+                           static_cast<Priority>(n - r), period,
+                           /*length=*/rng.uniform_int((period + 1) / 2, period)});
+  }
+  return rows;
+}
+
+/// A row generator with the horizons drawn for it.  With an \p align, a
+/// quarter of the horizons are rounded up to a multiple of it.
+struct Draw {
+  std::vector<RowSpec> (*rows)(util::Rng&);
+  Time min_horizon;
+  Time max_horizon;
+  Time align;
+};
+constexpr Draw kShortDraw{random_rows, 1, 260, 0};  // crosses word boundaries
+// 4,096 slots are one summary word: an aligned horizon ends the diagram
+// on a summary-word boundary, where the allocator's last jump starts.
+constexpr Draw kLongDraw{starved_rows, 4000, 20000, 4096};
+
+Time draw_horizon(util::Rng& rng, const Draw& draw, Time lo, Time hi) {
+  Time horizon = rng.uniform_int(lo, hi);
+  if (draw.align > 0 && rng.uniform_int(0, 3) == 0) {
+    horizon = (horizon + draw.align - 1) / draw.align * draw.align;
+  }
+  return horizon;
+}
+
+/// Whether some row of \p d waits through 8,192 consecutive slots: such a
+/// run holds a whole summary word of all-busy words, so the allocator
+/// jumped across summary words there.
+bool waits_across_summary_words(const TimingDiagram& d) {
+  for (std::size_t r = 0; r < d.num_rows(); ++r) {
+    Time run = 0;
+    for (Time t = 0; t < d.horizon(); ++t) {
+      run = d.at(r, t) == Slot::kWaiting ? run + 1 : 0;
+      if (run >= 8192) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 void expect_same(const TimingDiagram& packed,
                  const ReferenceTimingDiagram& ref, const std::string& what) {
   ASSERT_EQ(packed.num_rows(), ref.num_rows()) << what;
@@ -57,11 +115,15 @@ void expect_same(const TimingDiagram& packed,
   }
 }
 
-TEST(TimingDiagramProperty, MatchesScalarReferenceOnRandomRowSets) {
-  util::Rng rng(0xd1a6);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::vector<RowSpec> rows = random_rows(rng);
-    const Time horizon = rng.uniform_int(1, 260);  // crosses word boundaries
+/// Construction: \p trials random row sets of \p draw, each mode.
+/// Returns how many diagrams waited across summary words.
+int check_construction(std::uint64_t seed, const Draw& draw, int trials) {
+  util::Rng rng(seed);
+  int long_waits = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::vector<RowSpec> rows = draw.rows(rng);
+    const Time horizon =
+        draw_horizon(rng, draw, draw.min_horizon, draw.max_horizon);
     const bool carry_over = rng.uniform_int(0, 1) == 1;
     const std::string what = "trial " + std::to_string(trial) + " horizon " +
                              std::to_string(horizon) +
@@ -70,21 +132,25 @@ TEST(TimingDiagramProperty, MatchesScalarReferenceOnRandomRowSets) {
     TimingDiagram packed(rows, horizon, carry_over);
     ReferenceTimingDiagram ref(rows, horizon, carry_over);
     expect_same(packed, ref, what);
+    long_waits += waits_across_summary_words(packed) ? 1 : 0;
   }
+  return long_waits;
 }
 
-TEST(TimingDiagramProperty, RelaxationMatchesScalarReference) {
-  util::Rng rng(0xbeef);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::vector<RowSpec> rows = random_rows(rng);
-    const Time horizon = rng.uniform_int(1, 260);
+/// Relaxation: a couple of random rows of each row set relaxed against
+/// random intermediate sets; the suppression decisions and the compacted
+/// diagrams must agree.
+void check_relaxation(std::uint64_t seed, const Draw& draw, int trials) {
+  util::Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::vector<RowSpec> rows = draw.rows(rng);
+    const Time horizon =
+        draw_horizon(rng, draw, draw.min_horizon, draw.max_horizon);
     const std::string what = "trial " + std::to_string(trial);
 
     TimingDiagram packed(rows, horizon, /*carry_over=*/false);
     ReferenceTimingDiagram ref(rows, horizon, /*carry_over=*/false);
 
-    // Relax a couple of random rows against random intermediate sets; the
-    // suppression decisions and the compacted diagrams must agree.
     for (int round = 0; round < 2; ++round) {
       const auto r =
           static_cast<std::size_t>(rng.uniform_int(
@@ -107,13 +173,17 @@ TEST(TimingDiagramProperty, RelaxationMatchesScalarReference) {
   }
 }
 
-TEST(TimingDiagramProperty, ResetEqualsFreshConstruction) {
-  util::Rng rng(0xcafe);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::vector<RowSpec> rows = random_rows(rng);
+/// reset(): a diagram built at a horizon in [h0_min, h0_max], dirtied by
+/// a relaxation, then reset to one in [h1_min, h1_max], must equal a fresh
+/// construction there.
+void check_reset(std::uint64_t seed, const Draw& draw, int trials,
+                 Time h0_min, Time h0_max, Time h1_min, Time h1_max) {
+  util::Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::vector<RowSpec> rows = draw.rows(rng);
     const bool carry_over = rng.uniform_int(0, 1) == 1;
-    const Time h0 = rng.uniform_int(1, 150);
-    const Time h1 = rng.uniform_int(1, 300);
+    const Time h0 = draw_horizon(rng, draw, h0_min, h0_max);
+    const Time h1 = draw_horizon(rng, draw, h1_min, h1_max);
 
     TimingDiagram reused(rows, h0, carry_over);
     if (!carry_over && !rows.empty()) {
@@ -127,6 +197,32 @@ TEST(TimingDiagramProperty, ResetEqualsFreshConstruction) {
     expect_same(reused, ref, what + " reused");
     expect_same(fresh, ref, what + " fresh");
   }
+}
+
+TEST(TimingDiagramProperty, MatchesScalarReferenceOnRandomRowSets) {
+  check_construction(0xd1a6, kShortDraw, 100);
+}
+
+TEST(TimingDiagramProperty, RelaxationMatchesScalarReference) {
+  check_relaxation(0xbeef, kShortDraw, 100);
+}
+
+TEST(TimingDiagramProperty, ResetEqualsFreshConstruction) {
+  check_reset(0xcafe, kShortDraw, 50, 1, 150, 1, 300);
+}
+
+TEST(TimingDiagramProperty, LongHorizonMatchesScalarReference) {
+  EXPECT_GT(check_construction(0x10a6, kLongDraw, 40), 0);
+}
+
+TEST(TimingDiagramProperty, LongHorizonRelaxationMatchesScalarReference) {
+  check_relaxation(0x10be, kLongDraw, 40);
+}
+
+TEST(TimingDiagramProperty, LongHorizonResetEqualsFreshConstruction) {
+  check_reset(0x10ca, kLongDraw, 20, kLongDraw.min_horizon,
+              kLongDraw.max_horizon, kLongDraw.min_horizon,
+              kLongDraw.max_horizon);
 }
 
 // The exactness frontier: a diagram built at a prefix horizon H and the

@@ -1767,7 +1767,8 @@ TEST_F(JournalTest, FollowerAppliesAPullAllOrNothing) {
   ASSERT_TRUE(follower.open_state(&error)) << error;
   // The second row is malformed, names a channel (0->15) this mesh does
   // not have, or adds a stream REQUEST would refuse (a node beyond the
-  // mesh, equal endpoints, a zero length, an unknown route order): each
+  // mesh, equal endpoints, a zero length, a priority of 2^32 + 1, a
+  // deadline one past the 2^18 horizon cap, an unknown route order): each
   // way the first row is neither journaled nor applied.
   for (const auto& [second, why] :
        {std::pair{R"([1,2,1,1,"6",2,50,10,40,0])",
@@ -1784,6 +1785,12 @@ TEST_F(JournalTest, FollowerAppliesAPullAllOrNothing) {
         std::pair{R"([1,2,1,0,5,2,50,0,40,0])",
                   "journal record adds handle 1 on 0->5, which has a "
                   "non-positive period, length or deadline"},
+        std::pair{R"([1,2,1,0,5,4294967297,50,10,40,0])",
+                  "journal record adds handle 1 on 0->5, which has a "
+                  "priority outside 32 bits"},
+        std::pair{R"([1,2,1,0,5,2,50,10,262145,0])",
+                  "journal record adds handle 1 on 0->5, which has a "
+                  "deadline above the horizon cap"},
         std::pair{R"([1,2,1,0,5,2,50,10,40,2])",
                   "journal record adds handle 1 on 0->5, which has an "
                   "unknown route order"}}) {
@@ -1839,6 +1846,54 @@ TEST_F(JournalTest, RecoveryRefusesABadAddAndNamesIt) {
     EXPECT_FALSE(service.open_state(&error)) << in_snapshot;
     EXPECT_EQ(error, dir_ + why) << in_snapshot;
     EXPECT_EQ(service.population(), 0u) << in_snapshot;
+  }
+}
+
+TEST_F(JournalTest, RecoveryRefusesAnOutOfRangeAddAndNamesIt) {
+  // REQUEST refuses a priority outside 32 bits and a deadline above the
+  // horizon cap, so a journal or snapshot holding such an ADD (written by
+  // an older build, or by hand) is refused by name like any other bad row
+  // instead of narrowing the priority or building a diagram that long.
+  topo::Mesh mesh(4, 4);
+  const route::XYRouting routing;
+  JournalConfig fabric = config();
+  fabric.fingerprint = core::contract_fingerprint(mesh, {});
+  JournalEntry wide_priority = entry(1, 0, 5);
+  wide_priority.priority = (std::int64_t{1} << 32) + 1;
+  JournalEntry long_deadline = entry(1, 0, 5);
+  long_deadline.deadline = (Time{1} << 18) + 1;
+  for (const auto& [bad, fault] :
+       {std::pair{wide_priority, "a priority outside 32 bits"},
+        std::pair{long_deadline, "a deadline above the horizon cap"}}) {
+    for (const bool in_snapshot : {false, true}) {
+      std::filesystem::remove_all(dir_);
+      {
+        Journal journal(fabric);
+        RecoveredState state;
+        std::string error;
+        ASSERT_TRUE(journal.open(&state, &error)) << error;
+        ASSERT_TRUE(journal.append(JournalRecord::Type::kAdd,
+                                   entry(0, 0, 5), &error))
+            << error;
+        if (in_snapshot) {
+          ASSERT_TRUE(
+              journal.write_snapshot({2, {entry(0, 0, 5), bad}, {}}, &error))
+              << error;
+        } else {
+          ASSERT_TRUE(journal.append(JournalRecord::Type::kAdd, bad, &error))
+              << error;
+        }
+      }
+      ServiceOptions options;
+      options.state_dir = dir_;
+      Service service(mesh, routing, {}, options);
+      std::string error;
+      EXPECT_FALSE(service.open_state(&error)) << in_snapshot;
+      EXPECT_EQ(error, dir_ + ": journal record adds handle 1 on 0->5, "
+                              "which has " + fault)
+          << in_snapshot;
+      EXPECT_EQ(service.population(), 0u) << in_snapshot;
+    }
   }
 }
 

@@ -623,6 +623,59 @@ TEST_F(ServiceTest, IntegerFieldsAcceptOnlyJsonIntegers) {
   EXPECT_EQ(service_.population(), 1u);
 }
 
+TEST_F(ServiceTest, RequestRefusesAPriorityOutside32BitsAndADeadlineAboveTheCap) {
+  // The engine's Priority has 32 bits: narrowed, 2^32 + 1 would be
+  // admitted as priority 1 and rank below a priority-2 stream it should
+  // outrank.  A deadline sizes the newcomer's Cal_U diagram (up to D
+  // slots), so one above the 2^18 horizon cap is refused before any
+  // analysis runs.
+  const auto error_of = [this](const std::string& line) {
+    const Json reply = call(line);
+    EXPECT_FALSE(reply.get("ok")->as_bool()) << line;
+    const Json* error = reply.get("error");
+    return error != nullptr ? error->as_string() : std::string();
+  };
+  const auto wide = [](std::int64_t priority, std::int64_t deadline) {
+    Json r = Json::object();
+    r.set("verb", "REQUEST");
+    r.set("src", std::int64_t{0});
+    r.set("dst", std::int64_t{5});
+    r.set("priority", priority);
+    r.set("period", std::int64_t{50});
+    r.set("length", std::int64_t{10});
+    r.set("deadline", deadline);
+    return r.dump();
+  };
+  const std::int64_t int32_max = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t int32_min = std::numeric_limits<std::int32_t>::min();
+  EXPECT_EQ(error_of(wide((std::int64_t{1} << 32) + 1, 100)),
+            "priority must fit in 32 bits");
+  EXPECT_EQ(error_of(wide(int32_max + 1, 100)),
+            "priority must fit in 32 bits");
+  EXPECT_EQ(error_of(wide(int32_min - 1, 100)),
+            "priority must fit in 32 bits");
+  EXPECT_EQ(error_of(wide(2, (std::int64_t{1} << 18) + 1)),
+            "deadline exceeds the horizon cap of 262144 slots");
+  EXPECT_EQ(service_.population(), 0u);
+
+  // Nothing was admitted: a priority-2 stream on that path reads the
+  // bound of an empty fabric.
+  const Json alone = call(wide(2, 100));
+  ASSERT_TRUE(alone.get("admitted")->as_bool()) << alone.dump();
+  EXPECT_EQ(alone.get("bound")->as_int(),
+            replay_.request(0, 5, 2, 50, 10, 100).bound);
+  ASSERT_TRUE(call(R"({"verb":"REMOVE","handle":)" +
+                   std::to_string(alone.get("handle")->as_int()) + "}")
+                  .get("removed")
+                  ->as_bool());
+
+  // The extremes that fit are accepted.
+  for (const std::int64_t priority : {int32_min, int32_max}) {
+    EXPECT_TRUE(call(wide(priority, 100)).get("ok")->as_bool()) << priority;
+  }
+  EXPECT_TRUE(call(wide(2, std::int64_t{1} << 18)).get("ok")->as_bool());
+}
+
 TEST_F(ServiceTest, EveryVerbHasOneClassification) {
   const std::vector<std::string> verbs = {
       "REQUEST",   "REMOVE",   "QUERY",      "EXPLAIN",       "SNAPSHOT",
