@@ -1,18 +1,16 @@
-// admit_200 replay: perfbench's admit_200 population and passes, run
-// through an in-process AdmissionController, to time the admission engine
-// and to prove that a change to it moves only the cost.
+// admit_200 replay: perfbench's admit_200 population and one slot-order
+// pass, run through an in-process AdmissionController, to time the
+// admission engine and to prove that a change to it moves only the cost.
 //
-//   ./bench/admit_replay [--passes 2]
-//                        [--expect-decisions HEX] [--expect-bounds HEX]
+//   ./bench/admit_replay [--expect-decisions HEX] [--expect-bounds HEX]
 //
-// The population is the one perfbench's input generator writes to
-// perfbench/inputs/admit_200.csv: a 16x16 mesh, generate_workload with
-// 200 streams, 4 priority levels and seed 42, then
-// adjust_periods_to_bounds.  The controller runs wormrtd's analysis
-// config (1 thread, credit-slack guard, VC buffer depth 2).  The set-up
-// requests every stream in slot order; each pass then walks the slots in
-// order, removing the slot's channel when it holds one and requesting
-// the slot's stream again.
+// The population is set 0 of perfbench/inputs/admit_200.csv, read with
+// perfbench's own loader and shape: 200 streams on a 16x16 mesh, X-Y
+// routed.  The
+// controller runs wormrtd's analysis config (1 thread, credit-slack
+// guard, VC buffer depth 2).  The set-up requests every stream in slot
+// order; the pass then walks the slots in order, removing the slot's
+// channel when it holds one and requesting the slot's stream again.
 //
 // Prints the set-up and pass times with their Cal_U counts, and two
 // FNV-1a digests: one over every decision (admitted flag, bound, handle,
@@ -30,29 +28,17 @@
 #include <vector>
 
 #include "core/admission.hpp"
-#include "core/workload.hpp"
+#include "inputs.hpp"
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
 #include "util/cli.hpp"
+#include "util/fnv1a.hpp"
 
 namespace {
 
 using namespace wormrt;
 using core::AdmissionController;
-
-class Fnv1a {
- public:
-  void add(std::int64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ = (h_ ^ ((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffu)) *
-           0x100000001b3ull;
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+using util::Fnv1a;
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -100,24 +86,22 @@ bool check_digest(const util::Args& args, const std::string& flag,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const std::int64_t passes = args.get_int("passes", 2);
-  if (passes < 0) {
-    std::fprintf(stderr, "admit_replay: --passes must be >= 0\n");
+
+  const perfbench::InputShape& shape = perfbench::kAdmit200Shape;
+  const std::string csv =
+      std::string(WORMRT_PERFBENCH_INPUTS_DIR "/") + shape.file;
+  std::vector<perfbench::Row> rows;
+  std::string error;
+  if (!perfbench::load_rows(csv, &rows, &error)) {
+    std::fprintf(stderr, "admit_replay: %s\n", error.c_str());
     return 2;
   }
-
-  topo::Mesh mesh(16, 16);
+  topo::Mesh mesh(shape.cols, shape.rows);
   const route::XYRouting xy;
-  core::WorkloadParams wp;
-  wp.num_streams = 200;
-  wp.priority_levels = 4;
-  wp.seed = 42;
-  double t0 = now_s();
-  core::StreamSet population = core::generate_workload(mesh, xy, wp);
-  core::adjust_periods_to_bounds(population);
-  std::printf("population: 16x16 mesh, %zu streams, 4 levels, seed 42 "
-              "(period adjustment %.3f s)\n",
-              population.size(), now_s() - t0);
+  const core::StreamSet population =
+      perfbench::to_stream_set(perfbench::split_sets(rows).front(), mesh);
+  std::printf("population: %s set 0, %zu streams on a %dx%d mesh\n",
+              csv.c_str(), population.size(), shape.cols, shape.rows);
 
   core::AnalysisConfig config;
   config.num_threads = 1;
@@ -134,7 +118,7 @@ int main(int argc, char** argv) {
     decisions.add(d.handle);
     decisions.add(d.route_order);
     decisions.add(d.flit_valid ? 1 : 0);
-    decisions.add(static_cast<std::int64_t>(d.would_break.size()));
+    decisions.add(d.would_break.size());
     for (const AdmissionController::Handle h : d.would_break) {
       decisions.add(h);
     }
@@ -144,29 +128,27 @@ int main(int argc, char** argv) {
 
   std::vector<AdmissionController::Handle> held;
   std::uint64_t calls = cal_u();
-  t0 = now_s();
+  double t0 = now_s();
   for (const core::MessageStream& s : population) {
     held.push_back(request(s));
   }
   std::printf("set-up: %zu of %zu admitted in %.3f s, %" PRIu64 " Cal_U\n",
               ctrl.size(), population.size(), now_s() - t0, cal_u() - calls);
 
-  for (std::int64_t pass = 1; pass <= passes; ++pass) {
-    calls = cal_u();
-    t0 = now_s();
-    for (std::size_t slot = 0; slot < population.size(); ++slot) {
-      if (held[slot] >= 0) {
-        decisions.add(ctrl.remove(held[slot]) ? 1 : 0);
-      }
-      held[slot] = request(population[static_cast<StreamId>(slot)]);
+  calls = cal_u();
+  t0 = now_s();
+  for (std::size_t slot = 0; slot < population.size(); ++slot) {
+    if (held[slot] >= 0) {
+      decisions.add(ctrl.remove(held[slot]) ? 1 : 0);
     }
-    const double elapsed = now_s() - t0;
-    std::printf("pass %" PRId64 ": %zu decisions in %.3f s (%.1f /s), %" PRIu64
-                " Cal_U, %zu held\n",
-                pass, population.size(), elapsed,
-                static_cast<double>(population.size()) / elapsed,
-                cal_u() - calls, ctrl.size());
+    held[slot] = request(population[static_cast<StreamId>(slot)]);
   }
+  const double elapsed = now_s() - t0;
+  std::printf("pass: %zu decisions in %.3f s (%.1f /s), %" PRIu64
+              " Cal_U, %zu held\n",
+              population.size(), elapsed,
+              static_cast<double>(population.size()) / elapsed,
+              cal_u() - calls, ctrl.size());
 
   // Reading a bound the last pass left stale computes it.
   Fnv1a bounds;

@@ -13,6 +13,7 @@
 #include "core/workload.hpp"
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
+#include "util/fnv1a.hpp"
 
 namespace wormrt::core {
 namespace {
@@ -578,19 +579,7 @@ TEST_F(AdmissionTest, RestoreRebuildsTheJournaledDetourIgnoringFaults) {
 // in engine order] Cal_U evaluations, with no second recompute to roll
 // it back.
 
-class Fnv1a {
- public:
-  void add(std::int64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ = (h_ ^ ((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffu)) *
-           0x100000001b3ull;
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+using util::Fnv1a;
 
 /// Where a trial of \p candidate stops: the position of the first stream
 /// that fails the admission gate in [newcomer, the established streams

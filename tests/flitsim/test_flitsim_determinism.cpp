@@ -26,6 +26,7 @@
 #include "route/dor.hpp"
 #include "topo/mesh.hpp"
 #include "topo/torus.hpp"
+#include "util/fnv1a.hpp"
 
 namespace wormrt {
 namespace {
@@ -190,18 +191,7 @@ struct GoldenCase {
 // Names the ctest case: "Runs/FlitSimGolden.<test>/<case name>".
 void PrintTo(const GoldenCase& g, std::ostream* os) { *os << g.name; }
 
-class Fnv1a {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ = (h_ ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+using util::Fnv1a;
 
 struct Field {
   const char* name;
